@@ -1,18 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("FHNBURST_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("fhnburst._speedup", ["src/fhnburst/_speedup.pyx"])],
-            compiler_directives={"language_level": "3"},
+# The forced-system kernel is plain C loaded through ctypes (no Python
+# C-API).  optional=True: without a C compiler the install still succeeds
+# and the package runs its pure-Python twin.
+setup(
+    ext_modules=[
+        Extension(
+            "fhnburst._kernel",
+            ["src/fhnburst/_kernel.c"],
+            extra_compile_args=["-std=c99", "-ffp-contract=off"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython: the package falls back to the pure-Python kernel.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,0 +1,354 @@
+/* C99 twin of _kernel_py.integrate_forced for the planar forced system.
+ *
+ * An operation-for-operation copy: every sum is written in the same order,
+ * min/max become fmin/fmax and x**-0.25 becomes pow(x, -0.25), so with
+ * -ffp-contract=off the two kernels give bit-identical results.  Keep any
+ * algorithmic edit in lockstep with _kernel_py.py.
+ *
+ * No Python C-API: fastpath.py loads the shared library with ctypes.  The
+ * kernel grows its own knot and event buffers; the caller copies them out
+ * and releases them with fhn_free.  fhn_integrate returns the status code
+ * (0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite state)
+ * or -1 when a buffer could not grow.
+ */
+#include <math.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) */
+static const double A21 = 1.544;
+static const double A31 = 0.9466785280815826, A32 = 0.2557011698983284;
+static const double A41 = 3.314825187068521, A42 = 2.896124015972201,
+                    A43 = 0.9986419139977817;
+static const double A51 = 1.221224509226641, A52 = 6.019134481288629,
+                    A53 = 12.53708332932087, A54 = -0.6878860361058950;
+static const double C21 = -5.6688;
+static const double C31 = -2.430093356833875, C32 = -0.2063599157091915;
+static const double C41 = -0.1073529058151375, C42 = -9.594562251023355,
+                    C43 = -20.47028614809616;
+static const double C51 = 7.496443313967647, C52 = -10.24680431464352,
+                    C53 = -33.99990352819905, C54 = 11.70890893206160;
+static const double C61 = 8.083246795921522, C62 = -7.981132988064893,
+                    C63 = -31.52159432874371, C64 = 16.31930543123136,
+                    C65 = -6.058818238834054;
+static const double AL2 = 0.386, AL3 = 0.21, AL4 = 0.63;
+static const double G1 = 0.25, G2 = -0.1043, G3 = 0.1035, G4 = -0.03620000000000023;
+static const double GAMMA = 0.25;
+
+#define EVENT_TIME_TOL 1e-12
+#define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
+#define EVENT_WIDTH 2  /* time, code */
+
+typedef struct {
+    double t, x, y;       /* end state */
+    double *knots;        /* n_knots rows of KNOT_WIDTH */
+    long n_knots, cap_knots;
+    double *events;       /* n_events rows of EVENT_WIDTH, unsorted */
+    long n_events, cap_events;
+} fhn_out;
+
+typedef struct {
+    double a, b, eps, E, omega;
+} fhn_params;
+
+static void rhs(const fhn_params *p, double tt, double xx, double yy,
+                double *fx, double *fy)
+{
+    *fx = xx - xx * xx * xx / 3.0 - yy - p->a + p->E * sin(p->omega * tt);
+    *fy = p->eps * (xx - p->b * yy);
+}
+
+static double hermite_x(double s, double h, double x0, double f0, double d0,
+                        double x1, double f1, double d1)
+{
+    double s2 = s * s;
+    double s3 = s2 * s;
+    double s4 = s3 * s;
+    double s5 = s4 * s;
+    return (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5) * x0
+           + h * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5) * f0
+           + h * h * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5) * d0
+           + (10.0 * s3 - 15.0 * s4 + 6.0 * s5) * x1
+           + h * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5) * f1
+           + h * h * (0.5 * s3 - s4 + 0.5 * s5) * d1;
+}
+
+/* Append one row of `width` doubles, doubling the buffer when full. */
+static int push(double **buf, long *n, long *cap, int width, const double *row)
+{
+    if (*n == *cap) {
+        long grown = *cap ? 2 * *cap : 256;
+        double *p = realloc(*buf, (size_t)grown * width * sizeof(double));
+        if (!p)
+            return -1;
+        *buf = p;
+        *cap = grown;
+    }
+    memcpy(*buf + *n * width, row, width * sizeof(double));
+    (*n)++;
+    return 0;
+}
+
+static int push_knot(fhn_out *out, double t, double x, double y, double fx,
+                     double fy, double d2x, double d2y)
+{
+    double row[KNOT_WIDTH] = {t, x, y, fx, fy, d2x, d2y};
+    return push(&out->knots, &out->n_knots, &out->cap_knots, KNOT_WIDTH, row);
+}
+
+void fhn_free(fhn_out *out)
+{
+    free(out->knots);
+    free(out->events);
+    out->knots = out->events = NULL;
+    out->n_knots = out->cap_knots = out->n_events = out->cap_events = 0;
+}
+
+int fhn_integrate(double a, double b, double eps, double E, double omega,
+                  double t0, double t_end, double x0, double y0,
+                  double rtol, double atol, double max_step, double first_step,
+                  long max_steps, int detect_events, int store_knots,
+                  fhn_out *out)
+{
+    static const double offsets[3] = {-1.0, -1.0, 2.0};
+    static const int directions[3] = {1, -1, 1};
+    const fhn_params p = {a, b, eps, E, omega};
+    double span = t_end - t0;
+    double h = first_step > 0.0 ? first_step : 1e-4 * span;
+    if (max_step > 0.0)
+        h = fmin(h, max_step);
+    h = fmin(h, span);
+    double hmax = max_step > 0.0 ? max_step : span;
+
+    double t = t0, x = x0, y = y0, fx, fy;
+    memset(out, 0, sizeof *out);
+    out->t = t;
+    out->x = x;
+    out->y = y;
+
+    rhs(&p, t, x, y, &fx, &fy);
+    if (!(isfinite(fx) && isfinite(fy)))
+        return 3;
+    double ftx = E * omega * cos(omega * t);
+    double jxx = 1.0 - x * x;
+    double d2x = ftx + jxx * fx - fy;
+    double d2y = eps * fx - eps * b * fy;
+    if (store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
+        return -1;
+
+    long n_steps = 0;
+    int rejected = 0;
+    double t_snap = 2e-13 * span;
+    int status = 0;
+
+    while (t < t_end - 1e-13 * span) {
+        if (n_steps >= max_steps) {
+            status = 2;
+            break;
+        }
+        if (h > t_end - t)
+            h = t_end - t;
+        double h_floor = fmax(1e-13 * span, 8.0 * 2.220446049250313e-16 * fabs(t));
+        if (h < h_floor && h < (t_end - t)) {
+            status = 1;
+            break;
+        }
+
+        double ig = 1.0 / (h * GAMMA);
+        double g11 = ig - jxx;
+        double g22 = ig + eps * b;
+        double det = g11 * g22 + eps; /* g12 = 1, g21 = -eps */
+        double i11 = g22 / det;
+        double i12 = -1.0 / det;
+        double i21 = eps / det;
+        double i22 = g11 / det;
+        double tt, xi, yi, r1, r2, c1, c2, c3, c4, c5;
+        double f2x, f2y, f3x, f3y, f4x, f4y, f5x, f5y, f6x, f6y;
+
+        /* stage 1 reuses the stored derivative at (t, x, y) */
+        r1 = fx + h * G1 * ftx;
+        r2 = fy;
+        double k1x = i11 * r1 + i12 * r2;
+        double k1y = i21 * r1 + i22 * r2;
+
+        tt = t + AL2 * h;
+        xi = x + A21 * k1x;
+        yi = y + A21 * k1y;
+        rhs(&p, tt, xi, yi, &f2x, &f2y);
+        c1 = C21 / h;
+        r1 = f2x + c1 * k1x + h * G2 * ftx;
+        r2 = f2y + c1 * k1y;
+        double k2x = i11 * r1 + i12 * r2;
+        double k2y = i21 * r1 + i22 * r2;
+
+        tt = t + AL3 * h;
+        xi = x + A31 * k1x + A32 * k2x;
+        yi = y + A31 * k1y + A32 * k2y;
+        rhs(&p, tt, xi, yi, &f3x, &f3y);
+        c1 = C31 / h;
+        c2 = C32 / h;
+        r1 = f3x + c1 * k1x + c2 * k2x + h * G3 * ftx;
+        r2 = f3y + c1 * k1y + c2 * k2y;
+        double k3x = i11 * r1 + i12 * r2;
+        double k3y = i21 * r1 + i22 * r2;
+
+        tt = t + AL4 * h;
+        xi = x + A41 * k1x + A42 * k2x + A43 * k3x;
+        yi = y + A41 * k1y + A42 * k2y + A43 * k3y;
+        rhs(&p, tt, xi, yi, &f4x, &f4y);
+        c1 = C41 / h;
+        c2 = C42 / h;
+        c3 = C43 / h;
+        r1 = f4x + c1 * k1x + c2 * k2x + c3 * k3x + h * G4 * ftx;
+        r2 = f4y + c1 * k1y + c2 * k2y + c3 * k3y;
+        double k4x = i11 * r1 + i12 * r2;
+        double k4y = i21 * r1 + i22 * r2;
+
+        tt = t + h;
+        xi = x + A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x;
+        yi = y + A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y;
+        rhs(&p, tt, xi, yi, &f5x, &f5y);
+        c1 = C51 / h;
+        c2 = C52 / h;
+        c3 = C53 / h;
+        c4 = C54 / h;
+        r1 = f5x + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x;
+        r2 = f5y + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y;
+        double k5x = i11 * r1 + i12 * r2;
+        double k5y = i21 * r1 + i22 * r2;
+
+        xi = xi + k5x;
+        yi = yi + k5y;
+        rhs(&p, tt, xi, yi, &f6x, &f6y);
+        c1 = C61 / h;
+        c2 = C62 / h;
+        c3 = C63 / h;
+        c4 = C64 / h;
+        c5 = C65 / h;
+        r1 = f6x + c1 * k1x + c2 * k2x + c3 * k3x + c4 * k4x + c5 * k5x;
+        r2 = f6y + c1 * k1y + c2 * k2y + c3 * k3y + c4 * k4y + c5 * k5y;
+        double k6x = i11 * r1 + i12 * r2;
+        double k6y = i21 * r1 + i22 * r2;
+
+        double x_new = x + A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x + k5x + k6x;
+        double y_new = y + A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y + k5y + k6y;
+
+        n_steps++;
+        if (!(isfinite(x_new) && isfinite(y_new) && isfinite(k6x) && isfinite(k6y))) {
+            h *= 0.5;
+            if (h < h_floor) {
+                status = 3;
+                break;
+            }
+            rejected = 1;
+            continue;
+        }
+
+        double sx = atol + rtol * fmax(fabs(x), fabs(x_new));
+        double sy = atol + rtol * fmax(fabs(y), fabs(y_new));
+        double ex = k6x / sx;
+        double ey = k6y / sy;
+        double err = sqrt(0.5 * (ex * ex + ey * ey));
+        if (err < 1e-10)
+            err = 1e-10;
+
+        double fac;
+        if (err > 1.0) {
+            fac = 0.9 * pow(err, -0.25);
+            if (fac < 0.1)
+                fac = 0.1;
+            else if (fac > 0.5)
+                fac = 0.5;
+            h *= fac;
+            rejected = 1;
+            continue;
+        }
+
+        double t_new = (t_end - (t + h)) < t_snap ? t_end : t + h;
+        double h_used = t_new - t;
+        double fxn, fyn;
+        rhs(&p, t_new, x_new, y_new, &fxn, &fyn);
+        if (!(isfinite(fxn) && isfinite(fyn))) {
+            status = 3;
+            break;
+        }
+        double ftxn = E * omega * cos(omega * t_new);
+        double jxxn = 1.0 - x_new * x_new;
+        double d2xn = ftxn + jxxn * fxn - fyn;
+        double d2yn = eps * fxn - eps * b * fyn;
+
+        if (detect_events) {
+            double x_mid = hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn);
+            for (int code = 0; code < 3; code++) {
+                double offset = offsets[code];
+                double ga = x + offset;
+                double gm = x_mid + offset;
+                double gb = x_new + offset;
+                double tas[2] = {t, t + 0.5 * h_used};
+                double gas[2] = {ga, gm};
+                double tbs[2] = {t + 0.5 * h_used, t_new};
+                double gbs[2] = {gm, gb};
+                for (int half = 0; half < 2; half++) {
+                    double gaa = gas[half], gbb = gbs[half];
+                    int up = gaa < 0.0 && 0.0 <= gbb;
+                    int down = gaa > 0.0 && 0.0 >= gbb;
+                    if (!(up || down))
+                        continue;
+                    if (directions[code] > 0 && !up)
+                        continue;
+                    if (directions[code] < 0 && !down)
+                        continue;
+                    double lo = tas[half], hi = tbs[half], glo = gaa;
+                    while (hi - lo > EVENT_TIME_TOL) {
+                        double mid = 0.5 * (lo + hi);
+                        if (mid == lo || mid == hi) /* t >= 8192: one ulp > tol */
+                            break;
+                        double gv = hermite_x((mid - t) / h_used, h_used, x, fx, d2x,
+                                              x_new, fxn, d2xn) + offset;
+                        if ((glo < 0.0) == (gv < 0.0)) {
+                            lo = mid;
+                            glo = gv;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    double row[EVENT_WIDTH] = {0.5 * (lo + hi), (double)code};
+                    if (push(&out->events, &out->n_events, &out->cap_events,
+                             EVENT_WIDTH, row))
+                        return -1;
+                }
+            }
+        }
+
+        t = t_new;
+        x = x_new;
+        y = y_new;
+        fx = fxn;
+        fy = fyn;
+        ftx = ftxn;
+        jxx = jxxn;
+        d2x = d2xn;
+        d2y = d2yn;
+        if (store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
+            return -1;
+
+        fac = 0.9 * pow(err, -0.25);
+        if (fac < 0.2)
+            fac = 0.2;
+        else if (fac > 6.0)
+            fac = 6.0;
+        if (rejected && fac > 1.0)
+            fac = 1.0;
+        rejected = 0;
+        h = h_used * fac;
+        if (h > hmax)
+            h = hmax;
+    }
+
+    out->t = t;
+    out->x = x;
+    out->y = y;
+    if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
+        return -1;
+    return status;
+}

@@ -1,8 +1,10 @@
 """Pure-Python kernel for the planar forced system.
 
-Scalar-float twin of the compiled extension in _speedup.pyx: same stage
-tables, same step controller, same event bisection, so the two backends are
-interchangeable.  Keep any algorithmic edit here in lockstep with the .pyx.
+Reference twin of the C kernel in _kernel.c and the fallback when that
+library is not built.  The C file copies this one operation for operation
+(same stage tables, step controller, event bisection and order of every
+sum), so the two backends return bit-identical results.  Keep any
+algorithmic edit here in lockstep with _kernel.c.
 
 Status codes: 0 ok, 1 step-size underflow, 2 max steps exceeded,
 3 non-finite state.
@@ -263,6 +265,8 @@ def integrate_forced(
                     lo, hi, glo = ta, tb, gaa
                     while hi - lo > EVENT_TIME_TOL:
                         mid = 0.5 * (lo + hi)
+                        if mid == lo or mid == hi:  # t >= 8192: one ulp > tol
+                            break
                         gv = _hermite_x(
                             (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
                         ) + offset

@@ -8,7 +8,7 @@ and the phase-distance spike-count estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,10 +63,7 @@ def simulate_standard(
     cfg = config or IntegratorConfig()
     T = forcing.period
     if cfg.max_step is None:
-        cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=T / 64.0,
-            method=cfg.method, first_step=cfg.first_step, max_steps=cfg.max_steps,
-        )
+        cfg = replace(cfg, max_step=T / 64.0)
     x0, y0 = unforced_equilibrium(params)
     t_meas = burn_in_periods * T
     if burn_in_periods > 0:

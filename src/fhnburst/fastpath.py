@@ -1,14 +1,16 @@
 """Backend selection for the hot forced-system integration kernel.
 
-At import time the compiled extension is preferred; the pure-Python twin is
-used when the extension is unavailable or when FHNBURST_PURE=1 is set in the
-environment.  Both backends implement the same stepper, controller, and
-event localization, so results agree to solver accuracy.
+At import time the C kernel (`_kernel.c`, built by setup.py into the shared
+library `fhnburst._kernel` and loaded with ctypes) is preferred; the
+pure-Python twin `_kernel_py` is used when the library was not built.  The
+C file is an operation-for-operation copy of the twin compiled without
+floating-point contraction, so both backends return bit-identical results.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
-import os
 
 import numpy as np
 
@@ -17,20 +19,70 @@ from .errors import MaxStepsExceeded, NonFiniteState, StepSizeUnderflow
 from .integrator import Event, IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _speedup as _ext
-except ImportError:  # pragma: no cover
-    _ext = None
-
-_FORCE_PURE = os.environ.get("FHNBURST_PURE") == "1"
-_BACKEND = _kernel_py if (_ext is None or _FORCE_PURE) else _ext
-
 EVENT_LABELS = ("x1_up", "x1_down", "xm2_up")
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+class _Out(ctypes.Structure):
+    """Mirror of `fhn_out` in _kernel.c."""
+
+    _fields_ = [
+        ("t", ctypes.c_double), ("x", ctypes.c_double), ("y", ctypes.c_double),
+        ("knots", _DOUBLE_P), ("n_knots", ctypes.c_long), ("cap_knots", ctypes.c_long),
+        ("events", _DOUBLE_P), ("n_events", ctypes.c_long), ("cap_events", ctypes.c_long),
+    ]
+
+
+def _rows(ptr, n: int, width: int) -> np.ndarray:
+    """Copy n rows of `width` doubles out of C memory, as `width` columns."""
+    if n == 0:
+        return np.empty((width, 0))
+    return np.ctypeslib.as_array(ptr, (n, width)).T.copy()
+
+
+def load_kernel(path: str):
+    """The C kernel in the shared library at `path`, as a drop-in for
+    `_kernel_py.integrate_forced` (same arguments, same 13-tuple)."""
+    lib = ctypes.CDLL(path)
+    lib.fhn_integrate.restype = ctypes.c_int
+    lib.fhn_integrate.argtypes = (
+        [ctypes.c_double] * 13
+        + [ctypes.c_long, ctypes.c_int, ctypes.c_int, ctypes.POINTER(_Out)]
+    )
+    lib.fhn_free.restype = None
+    lib.fhn_free.argtypes = [ctypes.POINTER(_Out)]
+
+    def integrate_forced(*args):
+        out = _Out()
+        try:
+            status = lib.fhn_integrate(*args, ctypes.byref(out))
+            if status < 0:
+                raise MemoryError("forced kernel could not grow its buffers")
+            knots = _rows(out.knots, out.n_knots, 7)
+            ev_times, ev_codes = _rows(out.events, out.n_events, 2)
+        finally:
+            lib.fhn_free(ctypes.byref(out))
+        order = np.argsort(ev_times, kind="stable")
+        return (status, out.t, out.x, out.y, *knots,
+                ev_times[order], ev_codes[order].astype(np.int64))
+
+    return integrate_forced
+
+
+def _find_kernel():
+    spec = importlib.util.find_spec("fhnburst._kernel")
+    try:
+        return load_kernel(spec.origin) if spec else None
+    except (OSError, AttributeError):  # unloadable or stale library
+        return None
+
+
+_BACKEND = _find_kernel() or _kernel_py.integrate_forced
 
 
 def active_backend() -> str:
-    """'compiled' when the extension kernel is in use, else 'pure'."""
-    return "pure" if _BACKEND is _kernel_py else "compiled"
+    """'compiled' when the C kernel is in use, else 'pure'."""
+    return "pure" if _BACKEND is _kernel_py.integrate_forced else "compiled"
 
 
 def integrate_forced(
@@ -49,7 +101,7 @@ def integrate_forced(
         raise ValueError("t_span must be finite and increasing")
 
     (status, t_fin, x_fin, y_fin, ts, xs, ys, fxs, fys, cxs, cys,
-     ev_times, ev_codes) = _BACKEND.integrate_forced(
+     ev_times, ev_codes) = _BACKEND(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,
@@ -57,7 +109,6 @@ def integrate_forced(
         cfg.first_step if cfg.first_step is not None else -1.0,
         cfg.max_steps, detect_events, store_knots,
     )
-
     traj = None
     ts = np.asarray(ts, dtype=float)
     if ts.size >= 2 or (ts.size == 1 and status == 0):

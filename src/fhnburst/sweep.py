@@ -9,6 +9,7 @@ rename.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -154,7 +155,6 @@ def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorCon
         "metrics": list(spec.metrics),
         "params": [params.a, params.b, params.eps],
         "config": [config.rel_tol, config.abs_tol, config.max_step or 0.0],
-        "backend": fastpath.active_backend(),
         "format": CHECKPOINT_FORMAT,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -163,8 +163,10 @@ def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorCon
 def _compute_cell(args) -> tuple[int, CellResult]:
     idx, omega, e_val, params, config, metrics = args
     forcing = Forcing(E=e_val, omega=omega)
-    region = classify_region(params, forcing) if "region" in metrics else None
+    region = None
     try:
+        if "region" in metrics:
+            region = classify_region(params, forcing)
         m = burst_metrics(
             params, forcing, config, with_estimate="est_count" in metrics
         )
@@ -212,22 +214,22 @@ def _record_to_cell(rec: dict) -> tuple[int, CellResult]:
 
 
 def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:
-    """Completed cells from a record log; rejects a mismatched fingerprint."""
-    done: dict[int, CellResult] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            return done
-        header = json.loads(header_line)
-        if header.get("spec_hash") != fingerprint:
-            raise ValueError("checkpoint does not match this sweep specification")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, cell = _record_to_cell(json.loads(line))
-            done[idx] = cell
-    return done
+    """Completed cells from a record log; rejects a mismatched fingerprint.
+
+    A crash can leave the last record unterminated: it is ignored and cut
+    off the file, so that appending resumes on a line boundary.
+    """
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    lines = data[:end].decode("utf-8").splitlines()
+    if not lines:
+        return {}
+    if json.loads(lines[0]).get("spec_hash") != fingerprint:
+        raise ValueError("checkpoint does not match this sweep specification")
+    return dict(_record_to_cell(json.loads(line)) for line in lines[1:] if line.strip())
 
 
 def run_sweep(
@@ -255,9 +257,8 @@ def run_sweep(
     pending = grid.pending_indices()
     log_fh = None
     if checkpoint_path:
-        fresh = not os.path.exists(checkpoint_path)
         log_fh = open(checkpoint_path, "a", encoding="utf-8")
-        if fresh:
+        if log_fh.tell() == 0:
             log_fh.write(
                 json.dumps({"format": CHECKPOINT_FORMAT, "spec_hash": fingerprint})
                 + "\n"
@@ -269,10 +270,16 @@ def run_sweep(
             i, j = divmod(idx, n_e)
             yield idx, float(omegas[i]), float(e_values[j]), params, config, spec.metrics
 
+    parallel = spec.workers > 1 and len(pending) > 1
     try:
-        since_flush = 0
-        if spec.workers == 1 or len(pending) <= 1:
-            results = map(_compute_cell, tasks())
+        with (multiprocessing.Pool(spec.workers) if parallel
+              else contextlib.nullcontext()) as pool:
+            if parallel:
+                chunk = max(1, len(pending) // (spec.workers * 8))
+                results = pool.imap_unordered(_compute_cell, tasks(), chunk)
+            else:
+                results = map(_compute_cell, tasks())
+            since_flush = 0
             for idx, cell in results:
                 grid.cells[idx] = cell
                 if log_fh:
@@ -284,20 +291,6 @@ def run_sweep(
                         since_flush = 0
                 if progress:
                     progress(idx, cell)
-        else:
-            chunk = max(1, len(pending) // (spec.workers * 8))
-            with multiprocessing.Pool(spec.workers) as pool:
-                for idx, cell in pool.imap_unordered(_compute_cell, tasks(), chunk):
-                    grid.cells[idx] = cell
-                    if log_fh:
-                        log_fh.write(_cell_to_record(idx, cell) + "\n")
-                        since_flush += 1
-                        if since_flush >= flush_every:
-                            log_fh.flush()
-                            os.fsync(log_fh.fileno())
-                            since_flush = 0
-                    if progress:
-                        progress(idx, cell)
     finally:
         if log_fh:
             log_fh.flush()

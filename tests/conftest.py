@@ -1,14 +1,45 @@
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 import time
+from pathlib import Path
 
 import pytest
 
-from fhnburst import ModelParams
+from fhnburst import ModelParams, fastpath
 from fhnburst.sweep import SweepSpec, run_sweep
 
 
 @pytest.fixture(scope="session")
 def params():
     return ModelParams()
+
+
+@pytest.fixture(scope="session")
+def c_kernel(tmp_path_factory):
+    """The C forced kernel: the loaded in-place build, else one built into a
+    temporary directory through setup.py.  Fails when a C compiler exists but
+    no kernel loads; skips only when there is no compiler."""
+    if fastpath.active_backend() == "compiled":
+        return fastpath._BACKEND
+    assert importlib.util.find_spec("fhnburst._kernel") is None, (
+        "fhnburst._kernel is built but does not load"
+    )
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the kernel")
+    out = tmp_path_factory.mktemp("kernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "tmp")],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+    )
+    libs = sorted((out / "fhnburst").glob("_kernel.*"))
+    assert proc.returncode == 0 and libs, proc.stdout + proc.stderr
+    return fastpath.load_kernel(str(libs[0]))
 
 
 DESK_OMEGA = (0.01, 0.04, 0.03 / 19)

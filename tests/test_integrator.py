@@ -25,6 +25,14 @@ from fhnburst.model import Forcing, unforced_equilibrium
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 
 
+def _assert_same_run(got, want):
+    """Two kernel 13-tuples are equal element by element, bit for bit."""
+    assert len(got) == len(want) == 13
+    assert got[:4] == want[:4]
+    for k in range(4, 13):
+        assert np.array_equal(got[k], want[k]), f"tuple element {k} differs"
+
+
 def _linear_problem():
     rhs = lambda t, y: -y
     jac = lambda t, y: np.array([[-1.0]])
@@ -249,23 +257,45 @@ class TestForcedSystemRuns:
 
         assert abs(endpoint(1e-8, 1e-10) - endpoint(5e-9, 5e-11)) < 1e-6
 
-    def test_backends_agree(self, params):
-        # the pure twin must track the active backend closely
-        T = BURST3.period
+    def test_backends_agree(self, params, c_kernel):
+        # the C kernel must reproduce the pure twin bit for bit: burn-in and
+        # measurement runs of the standard protocol over a 6 x 4 drive grid
         x0, y0 = unforced_equilibrium(params)
-        args = (
-            params.a, params.b, params.eps, BURST3.E, BURST3.omega,
-            0.0, 2.0 * T, x0, y0, 1e-8, 1e-10, T / 64.0, -1.0,
-            5_000_000, True, True,
-        )
-        pure = _kernel_py.integrate_forced(*args)
-        traj = integrate_forced(
-            params, BURST3, (x0, y0), (0.0, 2.0 * T), IntegratorConfig(max_step=T / 64.0)
-        )
-        assert pure[0] == 0
-        assert traj.states[-1, 0] == pytest.approx(pure[2], abs=1e-8)
-        assert traj.states[-1, 1] == pytest.approx(pure[3], abs=1e-8)
-        assert len(traj.events) == len(pure[11])
+        codes = set()
+        for omega in np.linspace(0.006, 0.06, 6):
+            for E in np.linspace(0.15, 2.4, 4):
+                T = 2.0 * math.pi / omega
+                common = (params.a, params.b, params.eps, E, omega)
+                tols = (1e-8, 1e-10, T / 64.0, -1.0, 5_000_000)
+                burn = (*common, 0.0, 2.0 * T, x0, y0, *tols, False, False)
+                want = _kernel_py.integrate_forced(*burn)
+                _assert_same_run(c_kernel(*burn), want)
+                meas = (*common, 2.0 * T, 4.0 * T, want[2], want[3], *tols, True, True)
+                want = _kernel_py.integrate_forced(*meas)
+                assert want[0] == 0
+                _assert_same_run(c_kernel(*meas), want)
+                codes.update(want[12].tolist())
+        assert codes == {0, 1, 2}                 # every event kind was compared
+
+    @pytest.mark.parametrize(
+        "x0, y0, t0, max_steps, status",
+        [
+            (-1.2, -0.6, 0.0, 50, 2),            # step budget exhausted
+            (1e10, 0.0, 0.0, 100_000, 1),        # step size underflow
+            (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
+            (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
+            # from t = 8192 on one ulp of t exceeds the 1e-12 bisection
+            # tolerance; event location must still stop
+            (-1.2, -0.6, 8200.0, 100_000, 0),
+        ],
+    )
+    def test_backends_agree_edge_cases(self, params, c_kernel, x0, y0, t0, max_steps, status):
+        args = (params.a, params.b, params.eps, 0.5, 0.02, t0, t0 + 300.0, x0, y0,
+                1e-8, 1e-10, -1.0, -1.0, max_steps, True, True)
+        want = _kernel_py.integrate_forced(*args)
+        assert want[0] == status
+        assert status != 0 or len(want[11]) > 0
+        _assert_same_run(c_kernel(*args), want)
 
     def test_generic_path_matches_kernel(self, params):
         # reference numpy stepper vs specialized kernel on one period

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fhnburst.sweep as sweep_mod
+from fhnburst import _kernel_py, fastpath
 from fhnburst.burst import burst_metrics
 from fhnburst.errors import IncompleteGrid, NonFiniteState
 from fhnburst.geometry import classify_region
@@ -93,6 +94,43 @@ class TestRunSweep:
                           e_range=(0.40, 0.46, 0.03))
         with pytest.raises(ValueError):
             run_sweep(other, params, checkpoint_path=ck)
+
+    def test_resume_across_backends(self, params, c_kernel, tmp_path, monkeypatch):
+        # the kernels are bit-identical, so a checkpoint written on one resumes
+        # on the other into the same CSV
+        ck = str(tmp_path / "ck.jsonl")
+        spec = SweepSpec(workers=1, **SMALL)
+        monkeypatch.setattr(fastpath, "_BACKEND", c_kernel)
+        full = run_sweep(spec, params, checkpoint_path=ck).to_csv()
+        lines = open(ck).read().splitlines()
+        with open(ck, "w") as fh:
+            fh.write("\n".join(lines[:4]) + "\n")
+        monkeypatch.setattr(fastpath, "_BACKEND", _kernel_py.integrate_forced)
+        assert run_sweep(spec, params, checkpoint_path=ck).to_csv() == full
+
+    def test_torn_checkpoint_resumes(self, params, tmp_path, monkeypatch):
+        # a crash can cut the log at any byte; every cut must resume into the
+        # same CSV and the same compacted log
+        ck = tmp_path / "ck.jsonl"
+        spec = SweepSpec(workers=1, **SMALL)
+        grid = run_sweep(spec, params, checkpoint_path=str(ck))
+        full, log = grid.to_csv(), ck.read_bytes()
+        cells = dict(enumerate(grid.cells))
+        monkeypatch.setattr(sweep_mod, "_compute_cell", lambda args: (args[0], cells[args[0]]))
+        monkeypatch.setattr(sweep_mod.os, "fsync", lambda fd: None)
+        for cut in range(len(log)):
+            ck.write_bytes(log[:cut])
+            assert run_sweep(spec, params, checkpoint_path=str(ck)).to_csv() == full, cut
+            assert ck.read_bytes() == log, cut
+
+    def test_domain_error_cell_recorded(self):
+        # fold thresholds need b*(a + 2/3) > 1: the region fails in every cell,
+        # which must be recorded per cell instead of aborting the sweep
+        spec = SweepSpec(workers=1, omega_range=(0.02, 0.025, 0.005), e_range=(0.5, 0.6, 0.1))
+        grid = run_sweep(spec, ModelParams(a=0.2, b=0.5))
+        assert grid.complete
+        assert {c.status for c in grid.cells} == {"err:DomainError"}
+        assert all(c.region is None and c.spike_count is None for c in grid.cells)
 
     def test_failed_cells_recorded(self, params, monkeypatch):
         real = burst_metrics
