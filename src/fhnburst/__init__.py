@@ -48,7 +48,7 @@ from .geometry import (
     supercritical_manifold_point,
     threshold_intersection_delta,
 )
-from .integrator import Event, EventSpec, IntegratorConfig, Trajectory, integrate, sample
+from .integrator import Event, EventSpec, IntegratorConfig, Trajectory, integrate
 from .manifolds import (
     ManifoldExpansion,
     b_coefficients,

@@ -34,13 +34,6 @@ class BurstMetrics:
     theta_seq: tuple[float, ...]
     est_count: int | None = None
 
-    def csv_row(self, forcing: Forcing) -> str:
-        est = "" if self.est_count is None else str(self.est_count)
-        return (
-            f"{forcing.omega:.17g},{forcing.E:.17g},{self.spike_count},"
-            f"{self.l2:.17g},{len(self.theta_seq)},{est}"
-        )
-
 
 @dataclass(frozen=True)
 class CanardClass:

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .burst import (
     theta_sequence,
     wrap_sequence,
 )
-from .contours import boundaries_from_arrays, marching_squares, polylines_to_json
+from .contours import levelsets, polylines_to_json, spike_boundaries
 from .errors import FhnBurstError, IntegrationError
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
@@ -145,7 +146,7 @@ def _cmd_manifold(args) -> int:
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
     exp = solve_expansion(args.branch, params, forcing)
-    print(json.dumps(exp.to_dict(), indent=2))
+    print(json.dumps(asdict(exp), indent=2))
     if args.out:
         half = math.pi / 2.0
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -223,18 +224,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_contours(args) -> int:
-    omegas, e_values, rows = load_grid_csv(args.grid)
-    xs, ys, arrays = grid_from_rows(omegas, e_values, rows)
-    boundaries = boundaries_from_arrays(xs, ys, arrays["spike_count"])
-    l2v = arrays["l2"]
-    level_lines = []
-    finite = l2v[np.isfinite(l2v)]
-    if finite.size and args.levels > 0:
-        lo, hi = float(finite.min()), float(finite.max())
-        if hi > lo:
-            step = (hi - lo) / (args.levels + 1)
-            for k in range(args.levels):
-                level_lines.extend(marching_squares(xs, ys, l2v, lo + step * (k + 1)))
+    xs, ys, arrays = grid_from_rows(*load_grid_csv(args.grid))
+    boundaries = spike_boundaries(xs, ys, arrays["spike_count"])
+    level_lines = levelsets(xs, ys, arrays["l2"], n_levels=args.levels)
     doc = {
         "spike_count_boundaries": polylines_to_json(boundaries),
         "l2_level_sets": polylines_to_json(level_lines),

@@ -138,19 +138,10 @@ def spike_boundary_levels(counts) -> list[float]:
     return [m + 0.5 for m in range(lo, hi)]
 
 
-def extract_boundaries(grid, metric: str = "spike_count") -> list[list[tuple[float, float]]]:
-    """Spike-count (or other metric) boundary polylines of a complete grid."""
-    counts = grid.value_array(metric)
-    lines = []
-    for level in spike_boundary_levels(counts):
-        lines.extend(marching_squares(grid.omegas, grid.e_values, counts, level))
-    return lines
-
-
-def l2_levelsets(grid, levels=None, n_levels: int = 24) -> list[list[tuple[float, float]]]:
-    """Level sets of the L2 norm; default levels are evenly spaced between
-    the grid extremes (exclusive)."""
-    values = grid.value_array("l2")
+def levelsets(xs, ys, values, levels=None, n_levels: int = 24) -> list[list[tuple[float, float]]]:
+    """Isolines of an array at each level, in level order; default levels are
+    evenly spaced between its finite extremes (exclusive)."""
+    values = np.asarray(values, dtype=float)
     if levels is None:
         finite = values[np.isfinite(values)]
         if finite.size == 0 or n_levels <= 0:
@@ -162,15 +153,24 @@ def l2_levelsets(grid, levels=None, n_levels: int = 24) -> list[list[tuple[float
         levels = [lo + step * (k + 1) for k in range(n_levels)]
     lines = []
     for level in levels:
-        lines.extend(marching_squares(grid.omegas, grid.e_values, values, level))
+        lines.extend(marching_squares(xs, ys, values, level))
     return lines
 
 
-def boundaries_from_arrays(xs, ys, counts) -> list[list[tuple[float, float]]]:
-    lines = []
-    for level in spike_boundary_levels(np.asarray(counts, dtype=float)):
-        lines.extend(marching_squares(xs, ys, counts, level))
-    return lines
+def spike_boundaries(xs, ys, counts) -> list[list[tuple[float, float]]]:
+    """Boundaries between the spike-count (or other integer) regions of an array."""
+    counts = np.asarray(counts, dtype=float)
+    return levelsets(xs, ys, counts, spike_boundary_levels(counts))
+
+
+def extract_boundaries(grid, metric: str = "spike_count") -> list[list[tuple[float, float]]]:
+    """Spike-count (or other metric) boundary polylines of a complete grid."""
+    return spike_boundaries(grid.omegas, grid.e_values, grid.value_array(metric))
+
+
+def l2_levelsets(grid, levels=None, n_levels: int = 24) -> list[list[tuple[float, float]]]:
+    """Level sets of the L2 norm of a complete grid (see levelsets)."""
+    return levelsets(grid.omegas, grid.e_values, grid.value_array("l2"), levels, n_levels)
 
 
 def count_cusps(

@@ -9,7 +9,7 @@ integrates anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, SaddleNodeBoundary
 from .model import (
@@ -24,12 +24,6 @@ from .model import (
 )
 
 BOUNDARY_TOL = 1e-10
-
-MANIFOLD_LABELS = (
-    "attracting_minus", "fold_minus", "repelling", "fold_plus", "attracting_plus",
-)
-
-REGION_ORDER = ("I", "II", "III", "IV", "V", "VI")
 
 
 def classify_manifold_point(u: float, fold_tol: float = 1e-12) -> str:
@@ -120,10 +114,6 @@ class FoldedEquilibrium:
     theta: float
     eigenvalues: tuple[complex, complex]
     eigenvectors: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    @property
-    def coords(self) -> tuple[float, float, float]:
-        return self.u, self.v, self.theta
 
 
 def _eig_pair(delta: float, u_star: float, det: float):
@@ -317,15 +307,6 @@ def equilibrium_to_dict(eq: FoldedEquilibrium) -> dict:
     }
 
 
-def thresholds_to_dict(th: FoldThresholds) -> dict:
-    return {
-        "e_star_left": th.e_star_left,
-        "e_star_right": th.e_star_right,
-        "e_2star_left": th.e_2star_left,
-        "e_2star_right": th.e_2star_right,
-    }
-
-
 def equilibria_report(params: ModelParams, forcing: Forcing) -> dict:
     """JSON-ready document with thresholds, region, and equilibria."""
     delta = forcing.delta(params)
@@ -334,6 +315,6 @@ def equilibria_report(params: ModelParams, forcing: Forcing) -> dict:
         "omega": forcing.omega,
         "delta": delta,
         "region": classify_region(params, forcing),
-        "thresholds": thresholds_to_dict(fold_thresholds(params, delta)),
+        "thresholds": asdict(fold_thresholds(params, delta)),
         "equilibria": [equilibrium_to_dict(e) for e in folded_equilibria(params, forcing)],
     }

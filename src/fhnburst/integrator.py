@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Trajectory",
     "integrate",
-    "sample",
 ]
 
 # --- stage coefficients: stiffly accurate Rosenbrock, order 4(3), 6 stages ---
@@ -74,15 +73,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float | None = None
-    method: str = "rosenbrock4"
     first_step: float | None = None
     max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol <= self.rel_tol < 1e-2):
             raise ValueError("tolerances must satisfy 0 < abs_tol <= rel_tol < 1e-2")
-        if self.method != "rosenbrock4":
-            raise ValueError(f"unknown method {self.method!r}")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
 
@@ -164,12 +160,9 @@ class Trajectory:
     def t_span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def sample(self, times) -> np.ndarray:
-        """Dense-output states at the requested times (vectorized)."""
+    def _hermite_sum(self, times, weights):
+        """Quintic Hermite sum with the given basis at the requested times,
+        and the knot spacing of each time as a column."""
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         t0, t1 = self.t_span
         if ts.size and (ts.min() < t0 - 1e-12 or ts.max() > t1 + 1e-12):
@@ -179,8 +172,7 @@ class Trajectory:
         idx = np.clip(idx, 0, len(self.times) - 2)
         ta = self.times[idx]
         h = self.times[idx + 1] - ta
-        s = (ts - ta) / h
-        w = _hermite_weights(s)
+        w = weights((ts - ta) / h)
         h = h[:, None]
         out = (
             w[0][:, None] * self.states[idx]
@@ -190,42 +182,19 @@ class Trajectory:
             + h * w[4][:, None] * self.derivs[idx + 1]
             + h * h * w[5][:, None] * self.curvatures[idx + 1]
         )
-        return out
+        return out, h
 
-    def sample_component(self, times, component: int) -> np.ndarray:
-        return self.sample(times)[:, component]
+    def sample(self, times) -> np.ndarray:
+        """Dense-output states at the requested times (vectorized)."""
+        return self._hermite_sum(times, _hermite_weights)[0]
 
     def sample_deriv(self, times) -> np.ndarray:
         """Time derivative of the dense output at the requested times."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        t0, t1 = self.t_span
-        if ts.size and (ts.min() < t0 - 1e-12 or ts.max() > t1 + 1e-12):
-            raise OutOfRange(f"sample times outside [{t0}, {t1}]")
-        ts = np.clip(ts, t0, t1)
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        ta = self.times[idx]
-        h = self.times[idx + 1] - ta
-        s = (ts - ta) / h
-        w = _hermite_weights_d1(s)
-        h = h[:, None]
-        out = (
-            w[0][:, None] * self.states[idx]
-            + h * w[1][:, None] * self.derivs[idx]
-            + h * h * w[2][:, None] * self.curvatures[idx]
-            + w[3][:, None] * self.states[idx + 1]
-            + h * w[4][:, None] * self.derivs[idx + 1]
-            + h * h * w[5][:, None] * self.curvatures[idx + 1]
-        ) / h
-        return out
+        out, h = self._hermite_sum(times, _hermite_weights_d1)
+        return out / h
 
     def events_labeled(self, label: str) -> list[Event]:
         return [e for e in self.events if e.label == label]
-
-
-def sample(trajectory: Trajectory, times) -> np.ndarray:
-    """Module-level alias for Trajectory.sample."""
-    return trajectory.sample(times)
 
 
 def _small_inverse(G):

@@ -33,15 +33,6 @@ class ManifoldExpansion:
     c_const: float                   # sqrt(R_delta^2 - mu^2)
     residual: float                  # worst equation residual of the solve
 
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "theta_base": self.theta_base,
-            "coeffs": list(self.coeffs),
-            "c_const": self.c_const,
-            "residual": self.residual,
-        }
-
 
 def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
     """Series coefficients b0..b4 of du/dth on the manifold graph.

@@ -162,11 +162,6 @@ def jac_forced(s: StateXY, params: ModelParams, forcing: Forcing) -> np.ndarray:
     )
 
 
-def rhs_forced_t(s: StateXY, params: ModelParams, forcing: Forcing) -> tuple[float, float]:
-    """Explicit time partial of rhs_forced (enters the drive only)."""
-    return forcing.E * forcing.omega * math.cos(forcing.omega * s.t), 0.0
-
-
 def rhs_autonomous(
     s: StateUVTheta, params: ModelParams, forcing: Forcing
 ) -> tuple[float, float, float]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from .geometry import classify_region
 from .integrator import IntegratorConfig
 from .model import Forcing, ModelParams
 
-CSV_HEADER = "omega,E,status,spike_count,l2,est_count,region"
 CHECKPOINT_FORMAT = 1
 DEFAULT_FLUSH_EVERY = 256
 ALL_METRICS = ("spike_count", "l2", "est_count", "region")
+SIMULATED_METRICS = ("spike_count", "l2", "est_count")   # computed by burst_metrics
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,17 @@ class CellResult:
     region: str | None = None
 
     def csv_row(self) -> str:
-        def num(v, fmt="{:.17g}"):
-            return "" if v is None else fmt.format(v)
+        return ",".join(_csv_field(getattr(self, name)) for name in CELL_FIELDS)
 
-        return ",".join(
-            [
-                f"{self.omega:.17g}",
-                f"{self.E:.17g}",
-                self.status,
-                "" if self.spike_count is None else str(self.spike_count),
-                num(self.l2),
-                "" if self.est_count is None else str(self.est_count),
-                self.region or "",
-            ]
-        )
+
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+CELL_FIELDS = tuple(f.name for f in fields(CellResult))
+CSV_HEADER = ",".join(CELL_FIELDS)
 
 
 class SweepGrid:
@@ -163,54 +161,44 @@ def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorCon
 def _compute_cell(args) -> tuple[int, CellResult]:
     idx, omega, e_val, params, config, metrics = args
     forcing = Forcing(E=e_val, omega=omega)
-    region = None
+    simulated = [k for k in SIMULATED_METRICS if k in metrics]
+    values = {}
     try:
         if "region" in metrics:
-            region = classify_region(params, forcing)
-        m = burst_metrics(
-            params, forcing, config, with_estimate="est_count" in metrics
-        )
+            values["region"] = classify_region(params, forcing)
+        if simulated:
+            m = burst_metrics(
+                params, forcing, config, with_estimate="est_count" in metrics
+            )
+            values.update((k, getattr(m, k)) for k in simulated)
     except (IntegrationError, FhnBurstError) as exc:
         return idx, CellResult(
-            omega=omega, E=e_val, status=f"err:{type(exc).__name__}", region=region
+            omega=omega, E=e_val, status=f"err:{type(exc).__name__}",
+            region=values.get("region"),
         )
-    return idx, CellResult(
-        omega=omega,
-        E=e_val,
-        status="ok",
-        spike_count=m.spike_count if "spike_count" in metrics else None,
-        l2=m.l2 if "l2" in metrics else None,
-        est_count=m.est_count if "est_count" in metrics else None,
-        region=region,
-    )
+    return idx, CellResult(omega=omega, E=e_val, **values)
 
 
 def _cell_to_record(idx: int, cell: CellResult) -> str:
-    return json.dumps(
-        {
-            "i": idx,
-            "omega": cell.omega,
-            "E": cell.E,
-            "status": cell.status,
-            "spike_count": cell.spike_count,
-            "l2": cell.l2,
-            "est_count": cell.est_count,
-            "region": cell.region,
-        },
-        sort_keys=True,
-    )
+    return json.dumps({"i": idx, **asdict(cell)}, sort_keys=True) + "\n"
 
 
 def _record_to_cell(rec: dict) -> tuple[int, CellResult]:
-    return rec["i"], CellResult(
-        omega=rec["omega"],
-        E=rec["E"],
-        status=rec["status"],
-        spike_count=rec["spike_count"],
-        l2=rec["l2"],
-        est_count=rec["est_count"],
-        region=rec["region"],
-    )
+    return rec["i"], CellResult(**{name: rec[name] for name in CELL_FIELDS})
+
+
+def _checkpoint_header(fingerprint: str) -> str:
+    return json.dumps({"format": CHECKPOINT_FORMAT, "spec_hash": fingerprint}) + "\n"
+
+
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text chunks to a temporary file, sync it, rename it over path."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:
@@ -259,10 +247,7 @@ def run_sweep(
     if checkpoint_path:
         log_fh = open(checkpoint_path, "a", encoding="utf-8")
         if log_fh.tell() == 0:
-            log_fh.write(
-                json.dumps({"format": CHECKPOINT_FORMAT, "spec_hash": fingerprint})
-                + "\n"
-            )
+            log_fh.write(_checkpoint_header(fingerprint))
             log_fh.flush()
 
     def tasks():
@@ -283,7 +268,7 @@ def run_sweep(
             for idx, cell in results:
                 grid.cells[idx] = cell
                 if log_fh:
-                    log_fh.write(_cell_to_record(idx, cell) + "\n")
+                    log_fh.write(_cell_to_record(idx, cell))
                     since_flush += 1
                     if since_flush >= flush_every:
                         log_fh.flush()
@@ -304,24 +289,13 @@ def run_sweep(
 
 def compact_checkpoint(path: str, fingerprint: str, grid: SweepGrid) -> None:
     """Rewrite the log in index order and atomically replace it."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": CHECKPOINT_FORMAT, "spec_hash": fingerprint}) + "\n")
-        for idx, cell in enumerate(grid.cells):
-            fh.write(_cell_to_record(idx, cell) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    records = (_cell_to_record(idx, cell) for idx, cell in enumerate(grid.cells))
+    _write_atomic(path, itertools.chain([_checkpoint_header(fingerprint)], records))
 
 
 def write_grid_csv(grid: SweepGrid, path: str) -> None:
     """Atomic CSV export of a complete grid."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(grid.to_csv())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _write_atomic(path, [grid.to_csv()])
 
 
 def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:

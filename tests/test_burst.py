@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fhnburst.burst import (
-    BurstMetrics,
     CanardClass,
     DEFAULT_F_BURST,
     burst_metrics,
@@ -234,13 +233,6 @@ class TestBurstMetrics:
         assert m.est_count == 3
         assert len(m.theta_seq) == 6
         assert m.l2 > 0.0
-
-    def test_csv_row(self, params):
-        m = BurstMetrics(spike_count=3, l2=1.25, theta_seq=(0.1, 0.2), est_count=4)
-        row = m.csv_row(BURST3)
-        parts = row.split(",")
-        assert len(parts) == 6
-        assert parts[2] == "3" and parts[4] == "2" and parts[5] == "4"
 
     def test_quiet_drive_metrics(self, params):
         m = burst_metrics(params, Forcing(E=0.0, omega=BURST3.omega))

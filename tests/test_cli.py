@@ -3,6 +3,9 @@ import json
 import pytest
 
 from fhnburst.cli import main
+from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
+from fhnburst.model import ModelParams
+from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
 
 
 class TestRegions:
@@ -120,6 +123,22 @@ class TestSweepAndContours:
         ]) == 0
         lines = grid_csv.read_text().splitlines()
         assert len(lines) == 1 + 2 * 1
+
+    def test_contours_match_library(self, tmp_path):
+        spec = SweepSpec(omega_range=(0.01, 0.04, 0.0075), e_range=(0.40, 0.55, 0.0375),
+                         workers=2)
+        grid = run_sweep(spec, ModelParams())
+        assert spec.cell_count == 25
+        grid_csv = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(grid_csv))
+        out_json = tmp_path / "contours.json"
+        assert main(["contours", "--grid", str(grid_csv), "--out", str(out_json)]) == 0
+        boundaries, levels = extract_boundaries(grid), l2_levelsets(grid)
+        assert boundaries and levels
+        assert out_json.read_text() == json.dumps({
+            "spike_count_boundaries": polylines_to_json(boundaries),
+            "l2_level_sets": polylines_to_json(levels),
+        }) + "\n"
 
 
 class TestErrors:

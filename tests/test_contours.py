@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fhnburst.contours import (
-    boundaries_from_arrays,
     count_cusps,
     extract_boundaries,
     l2_levelsets,
     marching_squares,
     polylines_to_json,
+    spike_boundaries,
     spike_boundary_levels,
     total_cusps,
 )
@@ -20,7 +20,7 @@ class TestMarchingSquares:
         xs = np.linspace(0.0, 1.0, 6)
         ys = np.linspace(0.0, 1.0, 5)
         values = np.full((6, 5), 2.0)
-        assert boundaries_from_arrays(xs, ys, values) == []
+        assert spike_boundaries(xs, ys, values) == []
 
     def test_vertical_split(self):
         # two-valued left/right grid: one vertical boundary polyline
@@ -28,7 +28,7 @@ class TestMarchingSquares:
         ys = np.linspace(0.0, 1.0, 5)
         values = np.zeros((6, 5))
         values[3:, :] = 1.0
-        lines = boundaries_from_arrays(xs, ys, values)
+        lines = spike_boundaries(xs, ys, values)
         assert len(lines) == 1
         line = lines[0]
         x_vals = {round(p[0], 12) for p in line}

@@ -18,7 +18,6 @@ from fhnburst.integrator import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    sample,
 )
 from fhnburst.model import Forcing, unforced_equilibrium
 
@@ -48,7 +47,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(rel_tol=1e-1), dict(rel_tol=1e-8, abs_tol=1e-6), dict(abs_tol=0.0),
-         dict(method="euler"), dict(max_step=-1.0)],
+         dict(max_step=0.0), dict(max_step=-1.0)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -152,7 +151,9 @@ class TestDenseOutput:
         with pytest.raises(OutOfRange):
             traj.sample([1.5])
         with pytest.raises(OutOfRange):
-            sample(traj, [-0.2])
+            traj.sample([-0.2])
+        with pytest.raises(OutOfRange):
+            traj.sample_deriv([1.5])
 
 
 class TestEvents:

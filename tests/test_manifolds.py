@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestSolveExpansion:
 
     def test_serialization(self, params):
         exp = solve_expansion("stable", params, RII_DRIVE)
-        d = exp.to_dict()
+        d = asdict(exp)
         assert d["branch"] == "stable"
         assert len(d["coeffs"]) == 5
         assert d["residual"] <= 1e-12

@@ -10,9 +10,12 @@ from fhnburst.errors import IncompleteGrid, NonFiniteState
 from fhnburst.geometry import classify_region
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import (
+    CellResult,
     SweepGrid,
     SweepSpec,
+    compact_checkpoint,
     grid_from_rows,
+    load_checkpoint,
     load_grid_csv,
     run_sweep,
     spec_fingerprint,
@@ -151,6 +154,23 @@ class TestRunSweep:
         counts = grid.value_array("spike_count")
         assert np.isnan(counts).sum() == len(failed)
 
+    def test_region_only_skips_simulation(self, params, monkeypatch):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args[1])
+            return burst_metrics(*args, **kw)
+
+        monkeypatch.setattr(sweep_mod, "burst_metrics", counting)
+        region_only = run_sweep(SweepSpec(workers=1, metrics=("region",), **SMALL), params)
+        assert calls == []
+        full = run_sweep(SweepSpec(workers=1, **SMALL), params)
+        assert len(calls) == len(full.cells)
+        assert [c.region for c in region_only.cells] == [c.region for c in full.cells]
+        assert {c.status for c in region_only.cells} == {"ok"}
+        assert all(c.spike_count is None and c.l2 is None and c.est_count is None
+                   for c in region_only.cells)
+
 
 class TestCsv:
     def test_header_and_shape(self, params):
@@ -176,6 +196,39 @@ class TestCsv:
         xs, ys, arrays = grid_from_rows(omegas, e_values, rows)
         want = grid.value_array("l2")
         assert np.array_equal(arrays["l2"], want)          # 17 digits survive
+        # every column survives, None fields of a failed cell included
+        c = grid.cells[4]
+        grid.cells[4] = CellResult(c.omega, c.E, "err:NonFiniteState", region=c.region)
+        write_grid_csv(grid, path)
+        assert [CellResult(**r) for r in load_grid_csv(path)[2]] == grid.cells
+
+    def test_cell_record_bytes(self, params, tmp_path):
+        spec = SweepSpec(omega_range=(0.02, 0.0201, 0.01), e_range=(0.5, 0.6, 0.1))
+        grid = SweepGrid(spec, params)
+        grid.cells = [
+            CellResult(0.02, 0.5, "ok", spike_count=3, l2=1.25, est_count=4, region="II"),
+            CellResult(0.02, 0.6, "err:NonFiniteState", region="IV"),
+        ]
+        assert grid.to_csv() == (
+            "omega,E,status,spike_count,l2,est_count,region\n"
+            "0.02,0.5,ok,3,1.25,4,II\n"
+            "0.02,0.59999999999999998,err:NonFiniteState,,,,IV\n"
+        )
+        path = tmp_path / "ck.jsonl"
+        compact_checkpoint(str(path), "abc", grid)
+        assert path.read_text() == (
+            '{"format": 1, "spec_hash": "abc"}\n'
+            '{"E": 0.5, "est_count": 4, "i": 0, "l2": 1.25, "omega": 0.02, '
+            '"region": "II", "spike_count": 3, "status": "ok"}\n'
+            '{"E": 0.6, "est_count": null, "i": 1, "l2": null, "omega": 0.02, '
+            '"region": "IV", "spike_count": null, "status": "err:NonFiniteState"}\n'
+        )
+        # records may carry keys beyond the cell fields
+        with open(path, "a") as fh:
+            fh.write('{"E": 0.6, "i": 1, "l2": null, "omega": 0.02, "region": null, '
+                     '"spike_count": null, "est_count": null, "status": "ok", "wall_ms": 2.5}\n')
+        cells = load_checkpoint(str(path), "abc")
+        assert cells == {0: grid.cells[0], 1: CellResult(0.02, 0.6, "ok")}
 
     def test_incomplete_grid_raises(self, params):
         spec = SweepSpec(workers=1, **SMALL)
