@@ -6,8 +6,11 @@
  * algorithmic edit in lockstep with _kernel_py.py.
  *
  * No Python C-API: fastpath.py loads the shared library with ctypes.  The
- * kernel grows its own knot and event buffers; the caller copies them out
- * and releases them with fhn_free.  fhn_integrate returns the status code
+ * kernel grows two buffers, which the caller copies out and releases with
+ * fhn_free: the knot table, n_knots rows of (t, x, y, fx, fy, d2x, d2y)
+ * whose last row is the end state (only that row without store_knots; none
+ * when the start state is non-finite), and the spike times, the upward
+ * crossings of x = 1 in time order.  fhn_integrate returns the status code
  * (0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite state)
  * or -1 when a buffer could not grow.
  */
@@ -37,14 +40,12 @@ static const double GAMMA = 0.25;
 
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
-#define EVENT_WIDTH 2  /* time, code */
 
 typedef struct {
-    double t, x, y;       /* end state */
     double *knots;        /* n_knots rows of KNOT_WIDTH */
     long n_knots, cap_knots;
-    double *events;       /* n_events rows of EVENT_WIDTH, unsorted */
-    long n_events, cap_events;
+    double *spikes;       /* n_spikes times */
+    long n_spikes, cap_spikes;
 } fhn_out;
 
 typedef struct {
@@ -99,9 +100,9 @@ static int push_knot(fhn_out *out, double t, double x, double y, double fx,
 void fhn_free(fhn_out *out)
 {
     free(out->knots);
-    free(out->events);
-    out->knots = out->events = NULL;
-    out->n_knots = out->cap_knots = out->n_events = out->cap_events = 0;
+    free(out->spikes);
+    out->knots = out->spikes = NULL;
+    out->n_knots = out->cap_knots = out->n_spikes = out->cap_spikes = 0;
 }
 
 int fhn_integrate(double a, double b, double eps, double E, double omega,
@@ -110,8 +111,6 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
                   long max_steps, int detect_events, int store_knots,
                   fhn_out *out)
 {
-    static const double offsets[3] = {-1.0, -1.0, 2.0};
-    static const int directions[3] = {1, -1, 1};
     const fhn_params p = {a, b, eps, E, omega};
     double span = t_end - t0;
     double h = first_step > 0.0 ? first_step : 1e-4 * span;
@@ -122,9 +121,6 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
     double t = t0, x = x0, y = y0, fx, fy;
     memset(out, 0, sizeof *out);
-    out->t = t;
-    out->x = x;
-    out->y = y;
 
     rhs(&p, t, x, y, &fx, &fy);
     if (!(isfinite(fx) && isfinite(fy)))
@@ -278,45 +274,30 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         double d2yn = eps * fxn - eps * b * fyn;
 
         if (detect_events) {
-            double x_mid = hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn);
-            for (int code = 0; code < 3; code++) {
-                double offset = offsets[code];
-                double ga = x + offset;
-                double gm = x_mid + offset;
-                double gb = x_new + offset;
-                double tas[2] = {t, t + 0.5 * h_used};
-                double gas[2] = {ga, gm};
-                double tbs[2] = {t + 0.5 * h_used, t_new};
-                double gbs[2] = {gm, gb};
-                for (int half = 0; half < 2; half++) {
-                    double gaa = gas[half], gbb = gbs[half];
-                    int up = gaa < 0.0 && 0.0 <= gbb;
-                    int down = gaa > 0.0 && 0.0 >= gbb;
-                    if (!(up || down))
-                        continue;
-                    if (directions[code] > 0 && !up)
-                        continue;
-                    if (directions[code] < 0 && !down)
-                        continue;
-                    double lo = tas[half], hi = tbs[half], glo = gaa;
-                    while (hi - lo > EVENT_TIME_TOL) {
-                        double mid = 0.5 * (lo + hi);
-                        if (mid == lo || mid == hi) /* t >= 8192: one ulp > tol */
-                            break;
-                        double gv = hermite_x((mid - t) / h_used, h_used, x, fx, d2x,
-                                              x_new, fxn, d2xn) + offset;
-                        if ((glo < 0.0) == (gv < 0.0)) {
-                            lo = mid;
-                            glo = gv;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    double row[EVENT_WIDTH] = {0.5 * (lo + hi), (double)code};
-                    if (push(&out->events, &out->n_events, &out->cap_events,
-                             EVENT_WIDTH, row))
-                        return -1;
+            double t_mid = t + 0.5 * h_used;
+            double g_mid = hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn) - 1.0;
+            double los[2] = {t, t_mid};
+            double gas[2] = {x - 1.0, g_mid};
+            double his[2] = {t_mid, t_new};
+            double gbs[2] = {g_mid, x_new - 1.0};
+            for (int half = 0; half < 2; half++) {
+                if (!(gas[half] < 0.0 && 0.0 <= gbs[half]))
+                    continue;
+                double lo = los[half], hi = his[half];
+                while (hi - lo > EVENT_TIME_TOL) {
+                    double mid = 0.5 * (lo + hi);
+                    if (mid == lo || mid == hi) /* t >= 8192: one ulp > tol */
+                        break;
+                    double gv = hermite_x((mid - t) / h_used, h_used, x, fx, d2x,
+                                          x_new, fxn, d2xn) - 1.0;
+                    if (gv < 0.0)
+                        lo = mid;
+                    else
+                        hi = mid;
                 }
+                double t_spike = 0.5 * (lo + hi);
+                if (push(&out->spikes, &out->n_spikes, &out->cap_spikes, 1, &t_spike))
+                    return -1;
             }
         }
 
@@ -345,9 +326,6 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             h = hmax;
     }
 
-    out->t = t;
-    out->x = x;
-    out->y = y;
     if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
     return status;

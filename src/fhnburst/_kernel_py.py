@@ -6,8 +6,15 @@ library is not built.  The C file copies this one operation for operation
 sum), so the two backends return bit-identical results.  Keep any
 algorithmic edit here in lockstep with _kernel.c.
 
-Status codes: 0 ok, 1 step-size underflow, 2 max steps exceeded,
-3 non-finite state.
+`integrate_forced` returns (status, knots, spikes):
+- status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
+  state;
+- knots: an n x 7 array with rows (t, x, y, fx, fy, d2x, d2y), the state
+  and its first and second time derivatives at each accepted step; without
+  store_knots only the end state's row.  The last row is the end state; no
+  row means the start state was already non-finite;
+- spikes: the times of the upward crossings of x = 1, in time order (at
+  most one per step, since the two half-steps cannot both cross upward).
 """
 from __future__ import annotations
 
@@ -51,9 +58,7 @@ G4 = -0.03620000000000023
 GAMMA = 0.25
 
 EVENT_TIME_TOL = 1e-12
-EV_X1_UP = 0
-EV_X1_DOWN = 1
-EV_XM2_UP = 2
+KNOT_WIDTH = 7
 
 
 def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
@@ -96,21 +101,14 @@ def integrate_forced(
 
     fx, fy = rhs(t, x, y)
     if not (math.isfinite(fx) and math.isfinite(fy)):
-        return 3, t, x, y, [], [], [], [], [], [], [], [], []
+        return 3, np.empty((0, KNOT_WIDTH)), np.empty(0)
     ftx = E * omega * math.cos(omega * t)
     jxx = 1.0 - x * x
     d2x = ftx + jxx * fx - fy
     d2y = eps * fx - eps * b * fy
 
-    ts = [t]
-    xs = [x]
-    ys = [y]
-    fxs = [fx]
-    fys = [fy]
-    cxs = [d2x]
-    cys = [d2y]
-    ev_times = []
-    ev_codes = []
+    knots = [(t, x, y, fx, fy, d2x, d2y)]
+    spikes = []
 
     n_steps = 0
     rejected = False
@@ -245,37 +243,24 @@ def integrate_forced(
         d2yn = eps * fxn - eps * b * fyn
 
         if detect_events:
-            x_mid = _hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn)
-            for code, offset, direction in (
-                (EV_X1_UP, -1.0, 1), (EV_X1_DOWN, -1.0, -1), (EV_XM2_UP, 2.0, 1)
-            ):
-                ga = x + offset
-                gm = x_mid + offset
-                gb = x_new + offset
-                for (ta, gaa, tb, gbb) in ((t, ga, t + 0.5 * h_used, gm),
-                                           (t + 0.5 * h_used, gm, t_new, gb)):
-                    up = gaa < 0.0 <= gbb
-                    down = gaa > 0.0 >= gbb
-                    if not (up or down):
-                        continue
-                    if direction > 0 and not up:
-                        continue
-                    if direction < 0 and not down:
-                        continue
-                    lo, hi, glo = ta, tb, gaa
-                    while hi - lo > EVENT_TIME_TOL:
-                        mid = 0.5 * (lo + hi)
-                        if mid == lo or mid == hi:  # t >= 8192: one ulp > tol
-                            break
-                        gv = _hermite_x(
-                            (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
-                        ) + offset
-                        if (glo < 0.0) == (gv < 0.0):
-                            lo, glo = mid, gv
-                        else:
-                            hi = mid
-                    ev_times.append(0.5 * (lo + hi))
-                    ev_codes.append(code)
+            t_mid = t + 0.5 * h_used
+            g_mid = _hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn) - 1.0
+            for (lo, ga, hi, gb) in ((t, x - 1.0, t_mid, g_mid),
+                                     (t_mid, g_mid, t_new, x_new - 1.0)):
+                if not (ga < 0.0 <= gb):
+                    continue
+                while hi - lo > EVENT_TIME_TOL:
+                    mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:  # t >= 8192: one ulp > tol
+                        break
+                    gv = _hermite_x(
+                        (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
+                    ) - 1.0
+                    if gv < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                spikes.append(0.5 * (lo + hi))
 
         t = t_new
         x = x_new
@@ -287,13 +272,7 @@ def integrate_forced(
         d2x = d2xn
         d2y = d2yn
         if store_knots:
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            fxs.append(fx)
-            fys.append(fy)
-            cxs.append(d2x)
-            cys.append(d2y)
+            knots.append((t, x, y, fx, fy, d2x, d2y))
 
         fac = 0.9 * err**-0.25
         if fac < 0.2:
@@ -308,18 +287,5 @@ def integrate_forced(
             h = hmax
 
     if not store_knots:
-        ts = [t]
-        xs = [x]
-        ys = [y]
-        fxs = [fx]
-        fys = [fy]
-        cxs = [d2x]
-        cys = [d2y]
-    order = sorted(range(len(ev_times)), key=lambda i: ev_times[i])
-    return (
-        status, t, x, y,
-        np.asarray(ts), np.asarray(xs), np.asarray(ys),
-        np.asarray(fxs), np.asarray(fys), np.asarray(cxs), np.asarray(cys),
-        np.asarray([ev_times[i] for i in order]),
-        np.asarray([ev_codes[i] for i in order], dtype=np.int64),
-    )
+        knots = [(t, x, y, fx, fy, d2x, d2y)]
+    return status, np.asarray(knots), np.asarray(spikes, dtype=float)

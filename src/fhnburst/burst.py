@@ -51,8 +51,8 @@ def simulate_standard(
     measure_periods: int = 2,
 ) -> Trajectory:
     """The standard protocol: start at the drive-free rest state, burn in,
-    then return the measurement segment with fold-crossing and lower-return
-    events attached."""
+    then return the measurement segment with its upper-fold crossings
+    attached as events."""
     cfg = config or IntegratorConfig()
     T = forcing.period
     if cfg.max_step is None:
@@ -127,12 +127,16 @@ def lower_return_times(trajectory: Trajectory, depth: float = LOWER_RETURN_DEPTH
     return np.asarray(out, dtype=float)
 
 
+def _omega(trajectory: Trajectory) -> float:
+    forcing: Forcing = trajectory.meta.get("forcing")
+    if forcing is None:
+        raise ValueError("trajectory carries no forcing metadata")
+    return forcing.omega
+
+
 def theta_sequence(trajectory: Trajectory) -> np.ndarray:
     """Unwrapped phase at each local-minimum return to the lower bound."""
-    omega = trajectory.meta.get("omega")
-    if omega is None:
-        raise ValueError("trajectory carries no forcing metadata")
-    return omega * lower_return_times(trajectory)
+    return _omega(trajectory) * lower_return_times(trajectory)
 
 
 def wrap_sequence(theta_seq) -> np.ndarray:
@@ -203,19 +207,18 @@ def classify_canard(
     raise NoPassage("no jump detected within one period of the site passage")
 
 
-def first_return_phase(trajectory: Trajectory) -> float:
-    """Unwrapped phase of the first lower-bound return after the first spike."""
-    omega = trajectory.meta.get("omega")
-    if omega is None:
-        raise ValueError("trajectory carries no forcing metadata")
+def first_return_phase(trajectory: Trajectory, theta_seq) -> float:
+    """Unwrapped phase of the first lower-bound return after the first spike;
+    theta_seq is the trajectory's `theta_sequence`."""
+    omega = _omega(trajectory)
     spikes = trajectory.events_labeled("x1_up")
     if not spikes:
         raise NoFirstSpike("no spike in the measurement window")
-    t_first = spikes[0].time
-    returns = [tv for tv in lower_return_times(trajectory) if tv > t_first]
+    theta_spike = omega * spikes[0].time
+    returns = [th for th in theta_seq if th > theta_spike]
     if not returns:
         raise NoFirstSpike("no lower-bound return after the first spike")
-    return omega * returns[0]
+    return returns[0]
 
 
 def estimate_from_phases(
@@ -237,15 +240,13 @@ def estimate_from_phases(
 def estimate_spike_count(
     params: ModelParams,
     forcing: Forcing,
+    trajectory: Trajectory,
+    theta_seq,
     f_burst: float = DEFAULT_F_BURST,
-    config: IntegratorConfig | None = None,
-    trajectory: Trajectory | None = None,
 ) -> int:
-    """End-to-end estimator; reuses a supplied trajectory when given."""
-    traj = trajectory if trajectory is not None else simulate_standard(
-        params, forcing, config
-    )
-    theta_first = first_return_phase(traj)
+    """Spike-count estimate for a simulated trajectory and its
+    `theta_sequence`."""
+    theta_first = first_return_phase(trajectory, theta_seq)
     expansion = solve_expansion("stable", params, forcing)
     theta_bound = theta_at_lower_bound(expansion)
     return estimate_from_phases(theta_bound, theta_first, forcing.omega, f_burst)
@@ -263,11 +264,11 @@ def burst_metrics(
     n_periods = traj.meta["measure_periods"]
     count = count_spikes(traj, n_periods)
     l2 = l2_norm(traj, forcing.period)
-    seq = tuple(theta_sequence(traj))
+    seq = theta_sequence(traj)
     est = None
     if with_estimate:
         try:
-            est = estimate_spike_count(params, forcing, f_burst, trajectory=traj)
+            est = estimate_spike_count(params, forcing, traj, seq, f_burst)
         except NoFirstSpike:
             est = 0
-    return BurstMetrics(spike_count=count, l2=l2, theta_seq=seq, est_count=est)
+    return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)

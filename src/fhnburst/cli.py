@@ -31,7 +31,14 @@ from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
 from .model import Forcing, ModelParams, TWO_PI, wrap_angle
 from .svgplot import render_svg
-from .sweep import SweepSpec, grid_from_rows, load_grid_csv, run_sweep, write_grid_csv
+from .sweep import (
+    ALL_METRICS,
+    SweepSpec,
+    grid_from_rows,
+    load_grid_csv,
+    run_sweep,
+    write_grid_csv,
+)
 
 
 def _params_from(args) -> ModelParams:
@@ -71,7 +78,7 @@ def _cmd_simulate(args) -> int:
     l2 = l2_norm(traj, forcing.period)
     seq = theta_sequence(traj)
     try:
-        est = estimate_spike_count(params, forcing, trajectory=traj)
+        est = estimate_spike_count(params, forcing, traj, seq)
     except FhnBurstError:
         est = None
     metrics = {
@@ -164,7 +171,7 @@ def _cmd_estimate(args) -> int:
     cfg = _config_from(args)
     traj = simulate_standard(params, forcing, cfg)
     simulated = count_spikes(traj, traj.meta["measure_periods"])
-    estimated = estimate_spike_count(params, forcing, trajectory=traj)
+    estimated = estimate_spike_count(params, forcing, traj, theta_sequence(traj))
     print(f"estimated={estimated} simulated={simulated}")
     return 0
 
@@ -204,7 +211,7 @@ def _cmd_sweep(args) -> int:
     )
     metrics = tuple(
         m.strip()
-        for m in (args.metrics or values.get("metrics", "spike_count,l2,est_count,region")).split(",")
+        for m in (args.metrics or values.get("metrics", ",".join(ALL_METRICS))).split(",")
         if m.strip()
     )
     workers = args.workers if args.workers is not None else int(values.get("workers", "1"))

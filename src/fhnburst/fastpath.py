@@ -4,7 +4,8 @@ At import time the C kernel (`_kernel.c`, built by setup.py into the shared
 library `fhnburst._kernel` and loaded with ctypes) is preferred; the
 pure-Python twin `_kernel_py` is used when the library was not built.  The
 C file is an operation-for-operation copy of the twin compiled without
-floating-point contraction, so both backends return bit-identical results.
+floating-point contraction, so both backends return bit-identical results:
+a status, the knot table and the spike times (see `_kernel_py`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .errors import MaxStepsExceeded, NonFiniteState, StepSizeUnderflow
 from .integrator import Event, IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
-EVENT_LABELS = ("x1_up", "x1_down", "xm2_up")
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
@@ -27,22 +27,21 @@ class _Out(ctypes.Structure):
     """Mirror of `fhn_out` in _kernel.c."""
 
     _fields_ = [
-        ("t", ctypes.c_double), ("x", ctypes.c_double), ("y", ctypes.c_double),
         ("knots", _DOUBLE_P), ("n_knots", ctypes.c_long), ("cap_knots", ctypes.c_long),
-        ("events", _DOUBLE_P), ("n_events", ctypes.c_long), ("cap_events", ctypes.c_long),
+        ("spikes", _DOUBLE_P), ("n_spikes", ctypes.c_long), ("cap_spikes", ctypes.c_long),
     ]
 
 
-def _rows(ptr, n: int, width: int) -> np.ndarray:
-    """Copy n rows of `width` doubles out of C memory, as `width` columns."""
-    if n == 0:
-        return np.empty((width, 0))
-    return np.ctypeslib.as_array(ptr, (n, width)).T.copy()
+def _copy(ptr, shape: tuple[int, ...]) -> np.ndarray:
+    """Copy a C array of doubles with the given shape into numpy memory."""
+    if shape[0] == 0:
+        return np.empty(shape)
+    return np.ctypeslib.as_array(ptr, shape).copy()
 
 
 def load_kernel(path: str):
     """The C kernel in the shared library at `path`, as a drop-in for
-    `_kernel_py.integrate_forced` (same arguments, same 13-tuple)."""
+    `_kernel_py.integrate_forced` (same arguments, same result)."""
     lib = ctypes.CDLL(path)
     lib.fhn_integrate.restype = ctypes.c_int
     lib.fhn_integrate.argtypes = (
@@ -58,13 +57,11 @@ def load_kernel(path: str):
             status = lib.fhn_integrate(*args, ctypes.byref(out))
             if status < 0:
                 raise MemoryError("forced kernel could not grow its buffers")
-            knots = _rows(out.knots, out.n_knots, 7)
-            ev_times, ev_codes = _rows(out.events, out.n_events, 2)
+            knots = _copy(out.knots, (out.n_knots, _kernel_py.KNOT_WIDTH))
+            spikes = _copy(out.spikes, (out.n_spikes,))
         finally:
             lib.fhn_free(ctypes.byref(out))
-        order = np.argsort(ev_times, kind="stable")
-        return (status, out.t, out.x, out.y, *knots,
-                ev_times[order], ev_codes[order].astype(np.int64))
+        return status, knots, spikes
 
     return integrate_forced
 
@@ -100,8 +97,7 @@ def integrate_forced(
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError("t_span must be finite and increasing")
 
-    (status, t_fin, x_fin, y_fin, ts, xs, ys, fxs, fys, cxs, cys,
-     ev_times, ev_codes) = _BACKEND(
+    status, knots, spikes = _BACKEND(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,
@@ -110,23 +106,14 @@ def integrate_forced(
         cfg.max_steps, detect_events, store_knots,
     )
     traj = None
-    ts = np.asarray(ts, dtype=float)
-    if ts.size >= 2 or (ts.size == 1 and status == 0):
-        states = np.column_stack([xs, ys])
-        derivs = np.column_stack([fxs, fys])
-        curvs = np.column_stack([cxs, cys])
-        events = [
-            Event(time=float(tv), label=EVENT_LABELS[int(cv)])
-            for tv, cv in zip(np.asarray(ev_times), np.asarray(ev_codes))
-        ]
+    n = len(knots)
+    if n >= 2 or (n == 1 and status == 0):
         traj = Trajectory(
-            ts, states, derivs, curvs, events,
-            meta={
-                "params": params, "forcing": forcing,
-                "omega": forcing.omega, "E": forcing.E,
-                "backend": active_backend(),
-            },
+            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7],
+            [Event(time=float(tv), label="x1_up") for tv in spikes],
+            meta={"params": params, "forcing": forcing, "backend": active_backend()},
         )
+    t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row
 
     if status == 1:
         raise StepSizeUnderflow(f"step size underflow at t={t_fin!r}", traj)

@@ -57,7 +57,8 @@ ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
 ROS_GAMMA = 0.25
 ROS_ORDER = 4
 
-# step-size controller constants, shared with the compiled kernel
+# step-size controller constants of the generic `integrate`; the forced
+# kernels (_kernel_py.py, _kernel.c) write the same values as literals
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 6.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fhnburst import burst
 from fhnburst.burst import (
     CanardClass,
     DEFAULT_F_BURST,
@@ -18,6 +19,7 @@ from fhnburst.burst import (
     theta_sequence,
     wrap_sequence,
 )
+from fhnburst.cli import main
 from fhnburst.errors import NoFirstSpike
 from fhnburst.geometry import folded_equilibria
 from fhnburst.integrator import Event, IntegratorConfig, Trajectory
@@ -51,12 +53,12 @@ class TestSimulateStandard:
         assert t0 == pytest.approx(2.0 * T, abs=1e-9)
         assert t1 == pytest.approx(4.0 * T, abs=1e-9)
 
-    def test_event_labels_present(self, burst3_traj):
-        labels = {e.label for e in burst3_traj.events}
-        assert {"x1_up", "x1_down", "xm2_up"} <= labels
-        ups = burst3_traj.events_labeled("x1_up")
-        downs = burst3_traj.events_labeled("x1_down")
-        assert len(ups) == len(downs) == 6
+    def test_spike_events(self, burst3_traj):
+        # the events are the upward crossings of x = 1 and nothing else
+        assert [e.label for e in burst3_traj.events] == ["x1_up"] * 6
+        times = np.array([e.time for e in burst3_traj.events])
+        assert np.all(np.diff(times) > 0.0)
+        assert np.allclose(burst3_traj.sample(times)[:, 0], 1.0, rtol=0.0, atol=1e-9)
 
     def test_quiet_drive_no_spikes(self, params):
         traj = simulate_standard(params, Forcing(E=0.0, omega=BURST3.omega))
@@ -215,15 +217,17 @@ class TestEstimator:
         assert DEFAULT_F_BURST == 27.0
 
     def test_estimate_matches_simulation(self, params, burst3_traj):
-        est = estimate_spike_count(params, BURST3, trajectory=burst3_traj)
+        est = estimate_spike_count(params, BURST3, burst3_traj, theta_sequence(burst3_traj))
         assert est == count_spikes(burst3_traj, 2) == 3
 
     def test_no_spike_raises(self, params):
-        traj = simulate_standard(params, Forcing(E=0.0, omega=BURST3.omega))
+        quiet = Forcing(E=0.0, omega=BURST3.omega)
+        traj = simulate_standard(params, quiet)
+        seq = theta_sequence(traj)
         with pytest.raises(NoFirstSpike):
-            first_return_phase(traj)
+            first_return_phase(traj, seq)
         with pytest.raises(NoFirstSpike):
-            estimate_spike_count(params, Forcing(E=0.0, omega=BURST3.omega), trajectory=traj)
+            estimate_spike_count(params, quiet, traj, seq)
 
 
 class TestBurstMetrics:
@@ -239,6 +243,25 @@ class TestBurstMetrics:
         assert m.spike_count == 0
         assert m.est_count == 0
         assert m.theta_seq == ()
+
+    def test_returns_found_once(self, params, monkeypatch):
+        # one scan for lower-bound returns serves both the theta sequence and
+        # the estimator, in the library and in the CLI
+        calls = []
+        scan = burst.lower_return_times
+
+        def counted(traj):
+            calls.append(traj)
+            return scan(traj)
+
+        monkeypatch.setattr(burst, "lower_return_times", counted)
+        burst_metrics(params, BURST3)
+        assert len(calls) == 1
+        drive = ["--E", "0.55", "--omega", "0.0149354"]
+        for command in ("simulate", "estimate"):
+            calls.clear()
+            assert main([command, *drive]) == 0
+            assert len(calls) == 1, command
 
 
 class TestProtocolStability:

@@ -25,11 +25,12 @@ BURST3 = Forcing(E=0.55, omega=0.0149354)
 
 
 def _assert_same_run(got, want):
-    """Two kernel 13-tuples are equal element by element, bit for bit."""
-    assert len(got) == len(want) == 13
-    assert got[:4] == want[:4]
-    for k in range(4, 13):
-        assert np.array_equal(got[k], want[k]), f"tuple element {k} differs"
+    """Two kernel results (status, knot table, spike times) are equal, bit
+    for bit."""
+    assert len(got) == len(want) == 3
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
 
 
 def _linear_problem():
@@ -262,7 +263,7 @@ class TestForcedSystemRuns:
         # the C kernel must reproduce the pure twin bit for bit: burn-in and
         # measurement runs of the standard protocol over a 6 x 4 drive grid
         x0, y0 = unforced_equilibrium(params)
-        codes = set()
+        n_spikes = 0
         for omega in np.linspace(0.006, 0.06, 6):
             for E in np.linspace(0.15, 2.4, 4):
                 T = 2.0 * math.pi / omega
@@ -271,12 +272,13 @@ class TestForcedSystemRuns:
                 burn = (*common, 0.0, 2.0 * T, x0, y0, *tols, False, False)
                 want = _kernel_py.integrate_forced(*burn)
                 _assert_same_run(c_kernel(*burn), want)
-                meas = (*common, 2.0 * T, 4.0 * T, want[2], want[3], *tols, True, True)
+                xb, yb = want[1][-1, 1:3]             # state after the burn-in
+                meas = (*common, 2.0 * T, 4.0 * T, xb, yb, *tols, True, True)
                 want = _kernel_py.integrate_forced(*meas)
                 assert want[0] == 0
                 _assert_same_run(c_kernel(*meas), want)
-                codes.update(want[12].tolist())
-        assert codes == {0, 1, 2}                 # every event kind was compared
+                n_spikes += len(want[2])
+        assert n_spikes > 0                       # spike times were compared
 
     @pytest.mark.parametrize(
         "x0, y0, t0, max_steps, status",
@@ -295,7 +297,7 @@ class TestForcedSystemRuns:
                 1e-8, 1e-10, -1.0, -1.0, max_steps, True, True)
         want = _kernel_py.integrate_forced(*args)
         assert want[0] == status
-        assert status != 0 or len(want[11]) > 0
+        assert status != 0 or len(want[2]) > 0
         _assert_same_run(c_kernel(*args), want)
 
     def test_generic_path_matches_kernel(self, params):
