@@ -15,13 +15,12 @@ import numpy as np
 from . import fastpath
 from .errors import NoFirstSpike, NoPassage
 from .geometry import FoldedEquilibrium
-from .integrator import IntegratorConfig, Trajectory
+from .integrator import HERMITE_GRAM, IntegratorConfig, Trajectory
 from .manifolds import solve_expansion, theta_at_lower_bound
 from .model import Forcing, ModelParams, TWO_PI, unforced_equilibrium, wrap_angle
 
 DEFAULT_F_BURST = 27.0          # intra-burst spike rate of the constantly forced model, Hz
 CANARD_MARGIN = 0.05            # half-width trimmed off the repelling window
-L2_POINTS_PER_PERIOD = 20000
 CLASSIFY_POINTS_PER_PERIOD = 20000
 
 
@@ -80,19 +79,27 @@ def count_spikes(trajectory: Trajectory, n_periods: int) -> int:
     return len(ups) // n_periods
 
 
-def l2_norm(trajectory: Trajectory, T: float, points_per_period: int = L2_POINTS_PER_PERIOD) -> float:
-    """Period-normalized L2 norm of (x, y) by midpoint quadrature on the
-    dense output; the span must cover a whole number of periods."""
+def l2_norm(trajectory: Trajectory, T: float) -> float:
+    """Period-normalized L2 norm of (x, y), integrated exactly on the dense
+    output; the span must cover a whole number of periods.
+
+    On each knot interval both components are quintic Hermite polynomials,
+    so the integral of x^2 + y^2 is the Gram quadratic form of their
+    coefficients, summed over all intervals at once.
+    """
     t0, t1 = trajectory.t_span
     n_periods = (t1 - t0) / T
     n_int = round(n_periods)
     if n_int < 1 or abs(n_periods - n_int) > 1e-9 * max(1.0, n_periods):
         raise ValueError("trajectory span is not an integer number of periods")
-    n = points_per_period * n_int
-    dt = (t1 - t0) / n
-    mids = t0 + (np.arange(n) + 0.5) * dt
-    states = trajectory.sample(mids)
-    return math.sqrt(float(np.mean(states[:, 0] ** 2 + states[:, 1] ** 2)))
+    h = np.diff(trajectory.times)[:, None]
+    x, f, d = trajectory.states, trajectory.derivs, trajectory.curvatures
+    # c[n, k] holds the six Hermite coefficients of component k on interval n
+    c = np.stack(
+        [x[:-1], h * f[:-1], h * h * d[:-1], x[1:], h * f[1:], h * h * d[1:]], axis=2
+    )
+    per_interval = np.einsum("nki,nki->n", c @ HERMITE_GRAM, c)
+    return math.sqrt(float(h[:, 0] @ per_interval) / (t1 - t0))
 
 
 LOWER_RETURN_DEPTH = -1.5   # x-minima below this count as lower-bound returns
@@ -103,28 +110,25 @@ def lower_return_times(trajectory: Trajectory, depth: float = LOWER_RETURN_DEPTH
 
     Each burst return lands near x = -2; its x-minimum is bracketed by a
     sign change of the stored knot derivative and polished by bisection on
-    the dense output.  Minima above the depth cut (small oscillations near
-    the fold) are not returns.
+    the dense output, all brackets at once: each step evaluates x' at the
+    midpoints of the brackets still wider than 1e-12 in one call.  Minima
+    above the depth cut (small oscillations near the fold) are not returns.
     """
     times = trajectory.times
     fx = trajectory.derivs[:, 0]
-    out = []
-    for i in range(len(times) - 1):
-        if not (fx[i] < 0.0 <= fx[i + 1]):
-            continue
-        lo, hi = times[i], times[i + 1]
-        for _ in range(80):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            if trajectory.sample_deriv([mid])[0, 0] < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_min = 0.5 * (lo + hi)
-        if trajectory.sample([t_min])[0, 0] <= depth:
-            out.append(t_min)
-    return np.asarray(out, dtype=float)
+    i = np.flatnonzero((fx[:-1] < 0.0) & (fx[1:] >= 0.0))
+    lo, hi = times[i], times[i + 1]
+    for _ in range(80):
+        active = np.flatnonzero(hi - lo > 1e-12)
+        if active.size == 0:
+            break
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        falling = trajectory.sample_deriv(mid)[:, 0] < 0.0
+        lo[active] = np.where(falling, mid, a_lo)
+        hi[active] = np.where(falling, a_hi, mid)
+    t_min = 0.5 * (lo + hi)
+    return t_min[trajectory.sample(t_min)[:, 0] <= depth]
 
 
 def _omega(trajectory: Trajectory) -> float:

@@ -118,6 +118,21 @@ def _hermite_weights(s):
     )
 
 
+# Gram matrix of the quintic Hermite basis on [0, 1]: entry (i, j) is the
+# integral of _hermite_weights(s)[i] * _hermite_weights(s)[j] ds, in exact
+# fractions over the common denominator 55440.  With c = (x0, h f0, h^2 d0,
+# x1, h f1, h^2 d1) on a knot interval of width h, the interval's integral
+# of x^2 is h * c @ HERMITE_GRAM @ c (Hairer & Wanner, Solving ODEs II, IV.7).
+HERMITE_GRAM = np.array([
+    [21720, 3732, 281, 6000, -1812, 181],
+    [3732, 832, 69, 1812, -532, 52],
+    [281, 69, 6, 181, -52, 5],
+    [6000, 1812, 181, 21720, -3732, 281],
+    [-1812, -532, -52, -3732, 832, -69],
+    [181, 52, 5, 281, -69, 6],
+]) / 55440.0
+
+
 def _hermite_weights_d1(s):
     """d/ds of the quintic Hermite basis."""
     s2 = s * s

@@ -22,6 +22,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     v = start
     while v <= hi + 1e-12 * abs(hi - lo):
         out.append(v)
+        if v + step == v:   # span below the float resolution of its values
+            break
         v += step
     return out
 

@@ -22,7 +22,13 @@ from fhnburst.burst import (
 from fhnburst.cli import main
 from fhnburst.errors import NoFirstSpike
 from fhnburst.geometry import folded_equilibria
-from fhnburst.integrator import Event, IntegratorConfig, Trajectory
+from fhnburst.integrator import (
+    HERMITE_GRAM,
+    Event,
+    IntegratorConfig,
+    Trajectory,
+    _hermite_weights,
+)
 from fhnburst.model import Forcing, TWO_PI
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
@@ -36,6 +42,45 @@ def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, events=(), meta=None):
     derivs = np.array([dfn(t) for t in ts])
     curvs = np.array([d2fn(t) for t in ts])
     return Trajectory(ts, states, derivs, curvs, events, meta=meta)
+
+
+def _midpoint_l2(traj, a, b, n=40000):
+    """Normalized L2 norm over [a, b] by an n-point midpoint rule on the
+    dense output."""
+    s = traj.sample(a + (np.arange(n) + 0.5) * ((b - a) / n))
+    return math.sqrt(float(np.mean(s[:, 0] ** 2 + s[:, 1] ** 2)))
+
+
+# BURST3 and four drives with two to six returns in the window
+RETURN_DRIVES = [
+    (BURST3.E, BURST3.omega), (0.55, 0.0149), (0.45, 0.02), (0.42, 0.035), (0.5, 0.01),
+]
+
+
+def _scalar_lower_returns(trajectory, depth=burst.LOWER_RETURN_DEPTH):
+    """Reference: one bracket at a time, one dense evaluation per bisection
+    step.  Returns the return times and the number of brackets."""
+    times = trajectory.times
+    fx = trajectory.derivs[:, 0]
+    out = []
+    brackets = 0
+    for i in range(len(times) - 1):
+        if not (fx[i] < 0.0 <= fx[i + 1]):
+            continue
+        brackets += 1
+        lo, hi = times[i], times[i + 1]
+        for _ in range(80):
+            if hi - lo <= 1e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            if trajectory.sample_deriv([mid])[0, 0] < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        t_min = 0.5 * (lo + hi)
+        if trajectory.sample([t_min])[0, 0] <= depth:
+            out.append(t_min)
+    return np.asarray(out, dtype=float), brackets
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +150,31 @@ class TestL2Norm:
         assert l2_norm(traj, 2.0 * math.pi) == pytest.approx(1.0, abs=1e-8)
 
     def test_quadrature_refinement(self, burst3_traj):
-        a = l2_norm(burst3_traj, BURST3.period, 20000)
-        b = l2_norm(burst3_traj, BURST3.period, 40000)
-        assert abs(a - b) < 1e-8
+        # the exact integral against an independent midpoint rule, which is
+        # spectrally accurate on a periodic integrand
+        midpoint = _midpoint_l2(burst3_traj, *burst3_traj.t_span)
+        assert abs(l2_norm(burst3_traj, BURST3.period) - midpoint) < 1e-8
+
+    def test_gram_matrix(self):
+        # 6-point Gauss-Legendre is exact to degree 11, and each product of
+        # two quintic basis functions has degree 10
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        basis = np.array(_hermite_weights(0.5 * (nodes + 1.0)))
+        gauss = (0.5 * weights * basis) @ basis.T
+        assert np.array_equal(HERMITE_GRAM, HERMITE_GRAM.T)
+        assert np.max(np.abs(HERMITE_GRAM - gauss)) <= 1e-15
+
+    def test_matches_gauss_on_random_interval(self):
+        rng = np.random.default_rng(7)
+        t0, t1 = 1.3, 1.3 + 2.7
+        traj = Trajectory(
+            [t0, t1], rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+            rng.normal(size=(2, 2)),
+        )
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        s = traj.sample(t0 + 0.5 * (nodes + 1.0) * (t1 - t0))
+        gauss = math.sqrt(float(0.5 * weights @ (s[:, 0] ** 2 + s[:, 1] ** 2)))
+        assert l2_norm(traj, t1 - t0) == pytest.approx(gauss, rel=1e-14, abs=0.0)
 
     def test_shift_by_one_period(self, params):
         # sharp invariance needs a well-converged trajectory
@@ -115,13 +182,8 @@ class TestL2Norm:
         traj = simulate_standard(params, BURST3, cfg, measure_periods=3)
         T = BURST3.period
         t0 = traj.t_span[0]
-
-        def window_l2(a, b, n=40000):
-            mids = a + (np.arange(n) + 0.5) * ((b - a) / n)
-            s = traj.sample(mids)
-            return math.sqrt(float(np.mean(s[:, 0] ** 2 + s[:, 1] ** 2)))
-
-        assert abs(window_l2(t0, t0 + 2 * T) - window_l2(t0 + T, t0 + 3 * T)) < 1e-8
+        first = _midpoint_l2(traj, t0, t0 + 2 * T)
+        assert abs(first - _midpoint_l2(traj, t0 + T, t0 + 3 * T)) < 1e-8
 
     def test_non_integer_span(self, burst3_traj):
         with pytest.raises(ValueError):
@@ -148,6 +210,29 @@ class TestThetaSequence:
         xs = burst3_traj.sample(times)[:, 0]
         assert np.all(xs < -1.5)
         assert np.all(xs > -2.5)
+
+    @pytest.mark.parametrize("E,omega", RETURN_DRIVES)
+    def test_matches_scalar_bisection(self, params, E, omega):
+        traj = simulate_standard(params, Forcing(E=E, omega=omega))
+        expected, _ = _scalar_lower_returns(traj)
+        assert np.array_equal(lower_return_times(traj), expected)
+
+    def test_scalar_oracle_not_vacuous(self, params):
+        # every drive brackets a minimum, and the depth cut rejects at least one
+        rejected = []
+        for E, omega in RETURN_DRIVES:
+            traj = simulate_standard(params, Forcing(E=E, omega=omega))
+            returns, brackets = _scalar_lower_returns(traj)
+            assert brackets >= 1
+            rejected.append(brackets - returns.size)
+        assert max(rejected) >= 1
+
+    def test_no_brackets(self):
+        traj = _analytic_trajectory(
+            lambda t: (t, 0.0), lambda t: (1.0, 0.0), lambda t: (0.0, 0.0), 0.0, 1.0, n=11,
+        )
+        out = lower_return_times(traj)
+        assert out.dtype == float and out.shape == (0,)
 
     def test_missing_metadata(self):
         ts = np.linspace(0.0, 1.0, 5)
