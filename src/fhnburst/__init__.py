@@ -1,6 +1,6 @@
 """Spike-adding analysis toolkit for the periodically forced FitzHugh-Nagumo system.
 
-Closed-form folded-singularity geometry, stiff simulation with event
+Closed-form folded-singularity geometry, stiff simulation with spike
 detection, canard classification, saddle-manifold series expansions, and
 parallel (omega, E) bifurcation sweeps.
 """
@@ -48,7 +48,7 @@ from .geometry import (
     supercritical_manifold_point,
     threshold_intersection_delta,
 )
-from .integrator import Event, EventSpec, IntegratorConfig, Trajectory, integrate
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .manifolds import (
     ManifoldExpansion,
     b_coefficients,

@@ -1,10 +1,13 @@
 """Pure-Python kernel for the planar forced system.
 
 Reference twin of the C kernel in _kernel.c and the fallback when that
-library is not built.  The C file copies this one operation for operation
-(same stage tables, step controller, event bisection and order of every
-sum), so the two backends return bit-identical results.  Keep any
-algorithmic edit here in lockstep with _kernel.c.
+library is not built.  The Rosenbrock stage tables, the step-controller
+constants and the quintic Hermite basis are imported from `integrator`, so
+the Python side holds them once; the C file writes the same values as
+literals and copies this kernel operation for operation (same spike
+bisection and order of every sum), so the two backends return
+bit-identical results.  Keep any algorithmic edit here in lockstep with
+_kernel.c.
 
 `integrate_forced` returns (status, knots, spikes):
 - status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
@@ -22,57 +25,37 @@ import math
 
 import numpy as np
 
-# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages)
-A21 = 1.544
-A31 = 0.9466785280815826
-A32 = 0.2557011698983284
-A41 = 3.314825187068521
-A42 = 2.896124015972201
-A43 = 0.9986419139977817
-A51 = 1.221224509226641
-A52 = 6.019134481288629
-A53 = 12.53708332932087
-A54 = -0.6878860361058950
-C21 = -5.6688
-C31 = -2.430093356833875
-C32 = -0.2063599157091915
-C41 = -0.1073529058151375
-C42 = -9.594562251023355
-C43 = -20.47028614809616
-C51 = 7.496443313967647
-C52 = -10.24680431464352
-C53 = -33.99990352819905
-C54 = 11.70890893206160
-C61 = 8.083246795921522
-C62 = -7.981132988064893
-C63 = -31.52159432874371
-C64 = 16.31930543123136
-C65 = -6.058818238834054
-AL2 = 0.386
-AL3 = 0.21
-AL4 = 0.63
-G1 = 0.25
-G2 = -0.1043
-G3 = 0.1035
-G4 = -0.03620000000000023
-GAMMA = 0.25
+from .integrator import (
+    FAC_MAX,
+    FAC_MIN,
+    FAC_REJECT_MAX,
+    FAC_REJECT_MIN,
+    ROS_A,
+    ROS_ALPHA,
+    ROS_C,
+    ROS_GAMMA as GAMMA,
+    ROS_GSUM,
+    SAFETY,
+    _hermite_weights,
+)
+
+# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars; the
+# last row of ROS_A is that of the fifth stage plus the fifth increment
+_, (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), _ = ROS_A
+(_, (C21,), (C31, C32), (C41, C42, C43), (C51, C52, C53, C54),
+ (C61, C62, C63, C64, C65)) = ROS_C
+_, AL2, AL3, AL4, _, _ = ROS_ALPHA
+G1, G2, G3, G4, _, _ = ROS_GSUM
 
 EVENT_TIME_TOL = 1e-12
 KNOT_WIDTH = 7
 
 
 def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    s5 = s4 * s
+    w0, w1, w2, w3, w4, w5 = _hermite_weights(s)
     return (
-        (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5) * x0
-        + h * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5) * f0
-        + h * h * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5) * d0
-        + (10.0 * s3 - 15.0 * s4 + 6.0 * s5) * x1
-        + h * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5) * f1
-        + h * h * (0.5 * s3 - s4 + 0.5 * s5) * d1
+        w0 * x0 + h * w1 * f0 + h * h * w2 * d0
+        + w3 * x1 + h * w4 * f1 + h * h * w5 * d1
     )
 
 
@@ -222,11 +205,11 @@ def integrate_forced(
             err = 1e-10
 
         if err > 1.0:
-            fac = 0.9 * err**-0.25
-            if fac < 0.1:
-                fac = 0.1
-            elif fac > 0.5:
-                fac = 0.5
+            fac = SAFETY * err**-0.25
+            if fac < FAC_REJECT_MIN:
+                fac = FAC_REJECT_MIN
+            elif fac > FAC_REJECT_MAX:
+                fac = FAC_REJECT_MAX
             h *= fac
             rejected = True
             continue
@@ -274,11 +257,11 @@ def integrate_forced(
         if store_knots:
             knots.append((t, x, y, fx, fy, d2x, d2y))
 
-        fac = 0.9 * err**-0.25
-        if fac < 0.2:
-            fac = 0.2
-        elif fac > 6.0:
-            fac = 6.0
+        fac = SAFETY * err**-0.25
+        if fac < FAC_MIN:
+            fac = FAC_MIN
+        elif fac > FAC_MAX:
+            fac = FAC_MAX
         if rejected and fac > 1.0:
             fac = 1.0
         rejected = False

@@ -50,8 +50,8 @@ def simulate_standard(
     measure_periods: int = 2,
 ) -> Trajectory:
     """The standard protocol: start at the drive-free rest state, burn in,
-    then return the measurement segment with its upper-fold crossings
-    attached as events."""
+    then return the measurement segment, whose `spikes` are its upper-fold
+    crossings."""
     cfg = config or IntegratorConfig()
     T = forcing.period
     if cfg.max_step is None:
@@ -75,8 +75,7 @@ def simulate_standard(
 
 def count_spikes(trajectory: Trajectory, n_periods: int) -> int:
     """Upward crossings of the upper fold line x = 1, per period, floored."""
-    ups = trajectory.events_labeled("x1_up")
-    return len(ups) // n_periods
+    return len(trajectory.spikes) // n_periods
 
 
 def l2_norm(trajectory: Trajectory, T: float) -> float:
@@ -215,10 +214,9 @@ def first_return_phase(trajectory: Trajectory, theta_seq) -> float:
     """Unwrapped phase of the first lower-bound return after the first spike;
     theta_seq is the trajectory's `theta_sequence`."""
     omega = _omega(trajectory)
-    spikes = trajectory.events_labeled("x1_up")
-    if not spikes:
+    if not trajectory.spikes.size:
         raise NoFirstSpike("no spike in the measurement window")
-    theta_spike = omega * spikes[0].time
+    theta_spike = omega * trajectory.spikes[0]
     returns = [th for th in theta_seq if th > theta_spike]
     if not returns:
         raise NoFirstSpike("no lower-bound return after the first spike")

@@ -99,7 +99,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,x,y,theta\n")
-            for tv, (xv, yv) in zip(ts, states):
+            for tv, xv, yv in np.column_stack([ts, states]).tolist():
                 fh.write(
                     f"{tv:.17g},{xv:.17g},{yv:.17g},{wrap_angle(forcing.omega * tv):.17g}\n"
                 )
@@ -108,15 +108,12 @@ def _cmd_simulate(args) -> int:
             json.dump(metrics, fh, indent=2)
     if args.svg:
         thetas = np.mod(forcing.omega * ts, TWO_PI)
-        lines = []
-        seg = []
-        for th, xv in zip(thetas, states[:, 0]):
-            if seg and th < seg[-1][0]:
-                lines.append(seg)
-                seg = []
-            seg.append((th, xv))
-        if seg:
-            lines.append(seg)
+        # one polyline per forcing period: split where theta wraps back
+        wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
+        lines = [
+            seg.tolist()
+            for seg in np.split(np.column_stack([thetas, states[:, 0]]), wraps)
+        ]
         render_svg(
             args.svg, lines, "theta", "x",
             title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",

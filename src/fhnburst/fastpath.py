@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import MaxStepsExceeded, NonFiniteState, StepSizeUnderflow
-from .integrator import Event, IntegratorConfig, Trajectory
+from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
@@ -109,8 +109,7 @@ def integrate_forced(
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
         traj = Trajectory(
-            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7],
-            [Event(time=float(tv), label="x1_up") for tv in spikes],
+            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7], spikes,
             meta={"params": params, "forcing": forcing, "backend": active_backend()},
         )
     t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row

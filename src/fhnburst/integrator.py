@@ -1,10 +1,12 @@
-"""Adaptive linearly implicit (Rosenbrock) integrator with dense output and events.
+"""Adaptive linearly implicit (Rosenbrock) integrator with dense output.
 
 The scheme is a stiffly accurate 6-stage method of order 4 with an embedded
 order-3 error estimate and an analytic user Jacobian.  Dense output is a
 two-point quintic Hermite built from state, first and second derivatives at
 the accepted knots, so interpolation error stays far below the step error.
-Event roots are localized by bisection on the dense output.
+The stage tables, the step controller and the Hermite basis defined here are
+shared with the forced kernel `_kernel_py`, which also locates the spikes;
+the generic `integrate` is the reference stepper for any system.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories on a fixed build.
@@ -26,8 +28,6 @@ from .errors import (
 
 __all__ = [
     "IntegratorConfig",
-    "EventSpec",
-    "Event",
     "Trajectory",
     "integrate",
 ]
@@ -57,14 +57,13 @@ ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
 ROS_GAMMA = 0.25
 ROS_ORDER = 4
 
-# step-size controller constants of the generic `integrate`; the forced
-# kernels (_kernel_py.py, _kernel.c) write the same values as literals
+# step-size controller constants, shared by `integrate` and _kernel_py.py;
+# the C twin _kernel.c writes them, like the stage tables, as literals
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 6.0
 FAC_REJECT_MIN = 0.1
 FAC_REJECT_MAX = 0.5
-EVENT_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,24 +81,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must satisfy 0 < abs_tol <= rel_tol < 1e-2")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """Scalar event function g(t, y); a root is reported when g changes sign.
-
-    direction +1 detects - -> + crossings, -1 the reverse, 0 both.
-    """
-
-    label: str
-    fn: Callable[[float, np.ndarray], float]
-    direction: int = 0
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    label: str
 
 
 def _hermite_weights(s):
@@ -152,17 +133,18 @@ class Trajectory:
     """Accepted knots plus the data needed for dense evaluation.
 
     times are strictly increasing; states/derivs/curvatures are the solution,
-    its first and its second time derivative at the knots.  events holds the
-    localized (time, label) roots in chronological order.  meta is free-form
-    context (e.g. the forcing that produced the run).
+    its first and its second time derivative at the knots.  spikes holds the
+    times of the upward crossings of x = 1 that the forced kernel located, in
+    time order (empty for runs of the generic `integrate`).  meta is
+    free-form context (e.g. the forcing that produced the run).
     """
 
-    def __init__(self, times, states, derivs, curvatures, events=(), meta=None):
+    def __init__(self, times, states, derivs, curvatures, spikes=(), meta=None):
         self.times = np.ascontiguousarray(times, dtype=float)
         self.states = np.ascontiguousarray(states, dtype=float)
         self.derivs = np.ascontiguousarray(derivs, dtype=float)
         self.curvatures = np.ascontiguousarray(curvatures, dtype=float)
-        self.events = list(events)
+        self.spikes = np.asarray(spikes, dtype=float)
         self.meta = dict(meta) if meta else {}
         if self.times.ndim != 1 or self.states.shape[0] != self.times.shape[0]:
             raise ValueError("knot arrays are inconsistent")
@@ -209,9 +191,6 @@ class Trajectory:
         out, h = self._hermite_sum(times, _hermite_weights_d1)
         return out / h
 
-    def events_labeled(self, label: str) -> list[Event]:
-        return [e for e in self.events if e.label == label]
-
 
 def _small_inverse(G):
     """Explicit inverse for 1x1..3x3; falls back to numpy beyond that."""
@@ -224,26 +203,18 @@ def _small_inverse(G):
     return np.linalg.inv(G)
 
 
-def _finite_difference_rhs_t(rhs, t, y, f0, span):
-    dt = math.sqrt(np.finfo(float).eps) * max(abs(t), 1e-3 * span)
-    if dt == 0.0:
-        dt = math.sqrt(np.finfo(float).eps)
-    return (np.asarray(rhs(t + dt, y), dtype=float) - f0) / dt
-
-
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     jacobian: Callable[[float, np.ndarray], np.ndarray],
     y0: Sequence[float],
     t_span: tuple[float, float],
     config: IntegratorConfig | None = None,
-    event_fns: Sequence[EventSpec] = (),
-    rhs_t: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    *,
+    rhs_t: Callable[[float, np.ndarray], np.ndarray],
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span with adaptive error control.
 
-    rhs_t is the explicit time partial of rhs; when omitted it is estimated
-    by forward differences (only matters for non-autonomous systems).
+    rhs_t is the explicit time partial of rhs (zero for autonomous systems).
     Raises StepSizeUnderflow / MaxStepsExceeded / NonFiniteState with the
     partial trajectory attached.
     """
@@ -262,37 +233,22 @@ def integrate(
     h = cfg.first_step if cfg.first_step is not None else 1e-4 * span
     h = min(h, max_step, span)
 
-    def eval_rhs_t(t, yv, f0):
-        if rhs_t is not None:
-            return np.asarray(rhs_t(t, yv), dtype=float)
-        return _finite_difference_rhs_t(rhs, t, yv, f0, span)
-
     t = t0
     f = np.asarray(rhs(t, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise NonFiniteState("right-hand side not finite at the initial state")
     J = np.asarray(jacobian(t, y), dtype=float)
-    ft = eval_rhs_t(t, y, f)
+    ft = np.asarray(rhs_t(t, y), dtype=float)
     d2 = ft + J @ f
 
     knot_t = [t]
     knot_y = [y.copy()]
     knot_f = [f.copy()]
     knot_d2 = [d2.copy()]
-    events: list[Event] = []
 
-    def partial() -> Trajectory:
+    def trajectory() -> Trajectory:
         return Trajectory(
-            np.array(knot_t), np.array(knot_y), np.array(knot_f),
-            np.array(knot_d2), events,
-        )
-
-    def dense_eval(ta, ha, ya, fa, da, yb, fb, db, tt):
-        s = (tt - ta) / ha
-        w = _hermite_weights(s)
-        return (
-            w[0] * ya + ha * w[1] * fa + ha * ha * w[2] * da
-            + w[3] * yb + ha * w[4] * fb + ha * ha * w[5] * db
+            np.array(knot_t), np.array(knot_y), np.array(knot_f), np.array(knot_d2)
         )
 
     n_steps = 0
@@ -303,12 +259,12 @@ def integrate(
     while t < t_end - 1e-13 * span:
         if n_steps >= cfg.max_steps:
             raise MaxStepsExceeded(
-                f"exceeded {cfg.max_steps} steps at t={t!r}", partial()
+                f"exceeded {cfg.max_steps} steps at t={t!r}", trajectory()
             )
         h = min(h, t_end - t)
         h_floor = max(1e-13 * span, 8.0 * np.finfo(float).eps * abs(t))
         if h < h_floor and h < (t_end - t):
-            raise StepSizeUnderflow(f"step size underflow at t={t!r}", partial())
+            raise StepSizeUnderflow(f"step size underflow at t={t!r}", trajectory())
 
         G = identity / (h * ROS_GAMMA) - J
         Ginv = _small_inverse(G)
@@ -341,7 +297,7 @@ def integrate(
             h *= 0.5
             if h < h_floor:
                 raise NonFiniteState(
-                    f"state became non-finite near t={t!r}", partial()
+                    f"state became non-finite near t={t!r}", trajectory()
                 )
             rejected = True
             continue
@@ -361,42 +317,12 @@ def integrate(
         h_used = t_new - t
         f_new = np.asarray(rhs(t_new, y_new), dtype=float)
         J_new = np.asarray(jacobian(t_new, y_new), dtype=float)
-        ft_new = eval_rhs_t(t_new, y_new, f_new)
+        ft_new = np.asarray(rhs_t(t_new, y_new), dtype=float)
         if not (np.all(np.isfinite(f_new)) and np.all(np.isfinite(J_new))):
             raise NonFiniteState(
-                f"derivative data non-finite at t={t_new!r}", partial()
+                f"derivative data non-finite at t={t_new!r}", trajectory()
             )
         d2_new = ft_new + J_new @ f_new
-
-        if event_fns:
-            g_lo = [spec.fn(t, y) for spec in event_fns]
-            t_mid = t + 0.5 * h_used
-            y_mid = dense_eval(t, h_used, y, f, d2, y_new, f_new, d2_new, t_mid)
-            for k, spec in enumerate(event_fns):
-                g_m = spec.fn(t_mid, y_mid)
-                g_hi = spec.fn(t_new, y_new)
-                for (ta, ga, tb, gb) in ((t, g_lo[k], t_mid, g_m),
-                                         (t_mid, g_m, t_new, g_hi)):
-                    up = ga < 0.0 <= gb
-                    down = ga > 0.0 >= gb
-                    if not (up or down):
-                        continue
-                    if spec.direction > 0 and not up:
-                        continue
-                    if spec.direction < 0 and not down:
-                        continue
-                    lo, hi, glo = ta, tb, ga
-                    while hi - lo > EVENT_TIME_TOL:
-                        mid = 0.5 * (lo + hi)
-                        gm = spec.fn(
-                            mid,
-                            dense_eval(t, h_used, y, f, d2, y_new, f_new, d2_new, mid),
-                        )
-                        if (glo < 0.0) == (gm < 0.0):
-                            lo, glo = mid, gm
-                        else:
-                            hi = mid
-                    events.append(Event(time=0.5 * (lo + hi), label=spec.label))
 
         t, y, f, J, ft, d2 = t_new, y_new, f_new, J_new, ft_new, d2_new
         knot_t.append(t)
@@ -410,8 +336,4 @@ def integrate(
         rejected = False
         h = min(h_used * fac, max_step)
 
-    events.sort(key=lambda e: e.time)
-    return Trajectory(
-        np.array(knot_t), np.array(knot_y), np.array(knot_f), np.array(knot_d2),
-        events,
-    )
+    return trajectory()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fhnburst import burst
+from fhnburst import _kernel_py, burst
 from fhnburst.burst import (
     CanardClass,
     DEFAULT_F_BURST,
@@ -24,7 +24,6 @@ from fhnburst.errors import NoFirstSpike
 from fhnburst.geometry import folded_equilibria
 from fhnburst.integrator import (
     HERMITE_GRAM,
-    Event,
     IntegratorConfig,
     Trajectory,
     _hermite_weights,
@@ -35,13 +34,13 @@ BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
 
 
-def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, events=(), meta=None):
+def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), meta=None):
     """Trajectory built from exact (vector) callables for quadrature tests."""
     ts = np.linspace(t0, t1, n)
     states = np.array([fn(t) for t in ts])
     derivs = np.array([dfn(t) for t in ts])
     curvs = np.array([d2fn(t) for t in ts])
-    return Trajectory(ts, states, derivs, curvs, events, meta=meta)
+    return Trajectory(ts, states, derivs, curvs, spikes, meta=meta)
 
 
 def _midpoint_l2(traj, a, b, n=40000):
@@ -98,12 +97,21 @@ class TestSimulateStandard:
         assert t0 == pytest.approx(2.0 * T, abs=1e-9)
         assert t1 == pytest.approx(4.0 * T, abs=1e-9)
 
-    def test_spike_events(self, burst3_traj):
-        # the events are the upward crossings of x = 1 and nothing else
-        assert [e.label for e in burst3_traj.events] == ["x1_up"] * 6
-        times = np.array([e.time for e in burst3_traj.events])
+    def test_spike_events(self, params, burst3_traj):
+        # the spikes are the upward crossings of x = 1 and nothing else
+        times = burst3_traj.spikes
+        assert times.shape == (6,)
         assert np.all(np.diff(times) > 0.0)
         assert np.allclose(burst3_traj.sample(times)[:, 0], 1.0, rtol=0.0, atol=1e-9)
+        # and they are the kernel's spike array, passed through unchanged
+        T = BURST3.period
+        x0, y0 = burst3_traj.states[0]                # state after the burn-in
+        run = _kernel_py.integrate_forced(
+            params.a, params.b, params.eps, BURST3.E, BURST3.omega,
+            2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, T / 64.0, -1.0, 5_000_000,
+            True, True,
+        )
+        assert np.array_equal(times, run[2])
 
     def test_quiet_drive_no_spikes(self, params):
         traj = simulate_standard(params, Forcing(E=0.0, omega=BURST3.omega))
@@ -120,8 +128,7 @@ class TestCountSpikes:
     def test_synthetic_events(self):
         ts = np.linspace(0.0, 10.0, 11)
         zeros = np.zeros((11, 2))
-        events = [Event(time=tv, label="x1_up") for tv in (1.0, 2.0, 3.0, 6.0, 7.0)]
-        traj = Trajectory(ts, zeros, zeros, zeros, events)
+        traj = Trajectory(ts, zeros, zeros, zeros, [1.0, 2.0, 3.0, 6.0, 7.0])
         assert count_spikes(traj, 2) == 2          # floor(5 / 2)
         assert count_spikes(traj, 1) == 5
 
@@ -129,6 +136,7 @@ class TestCountSpikes:
         ts = np.linspace(0.0, 1.0, 5)
         zeros = np.zeros((5, 2))
         traj = Trajectory(ts, zeros, zeros, zeros)
+        assert traj.spikes.dtype == float and traj.spikes.shape == (0,)
         assert count_spikes(traj, 2) == 0
 
 

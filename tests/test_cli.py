@@ -1,11 +1,46 @@
 import json
 
+import numpy as np
 import pytest
 
+from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
-from fhnburst.model import ModelParams
+from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
+from fhnburst.svgplot import render_svg
 from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
+
+
+def _reference_simulate_files(params, forcing, csv_path, svg_path):
+    """Reference writers for `simulate --out/--svg` at the default flags,
+    looping over numpy rows one at a time; returns the number of segments."""
+    traj = simulate_standard(params, forcing)
+    count = count_spikes(traj, 2)
+    t0, t1 = traj.t_span
+    ts = np.linspace(t0, t1, 2000 * 2 + 1)
+    states = traj.sample(ts)
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,y,theta\n")
+        for tv, (xv, yv) in zip(ts, states):
+            fh.write(
+                f"{tv:.17g},{xv:.17g},{yv:.17g},{wrap_angle(forcing.omega * tv):.17g}\n"
+            )
+    thetas = np.mod(forcing.omega * ts, TWO_PI)
+    lines = []
+    seg = []
+    for th, xv in zip(thetas, states[:, 0]):
+        if seg and th < seg[-1][0]:
+            lines.append(seg)
+            seg = []
+        seg.append((th, xv))
+    if seg:
+        lines.append(seg)
+    render_svg(
+        svg_path, lines, "theta", "x",
+        title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
+        colors=["#1f77b4"] * len(lines),
+    )
+    return len(lines)
 
 
 class TestRegions:
@@ -44,6 +79,24 @@ class TestSimulate:
         assert json.loads(out_json.read_text())["spike_count"] == 3
         svg = out_svg.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("E, omega", [
+        ("0.55", "0.0149354"),        # three spikes per period
+        ("0", "0.0149354"),           # no drive: x stays flat
+    ])
+    def test_files_match_reference_writers(self, params, capsys, tmp_path, E, omega):
+        out_csv, out_svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
+        ref_csv, ref_svg = tmp_path / "ref.csv", tmp_path / "ref.svg"
+        assert main([
+            "simulate", "--E", E, "--omega", omega,
+            "--out", str(out_csv), "--svg", str(out_svg),
+        ]) == 0
+        capsys.readouterr()
+        forcing = Forcing(E=float(E), omega=float(omega))
+        # two periods sampled from just below theta = 2 pi: three segments
+        assert _reference_simulate_files(params, forcing, ref_csv, ref_svg) == 3
+        assert out_csv.read_bytes() == ref_csv.read_bytes()
+        assert out_svg.read_bytes() == ref_svg.read_bytes()
 
 
 class TestEquilibria:

@@ -13,12 +13,7 @@ from fhnburst.errors import (
     OutOfRange,
 )
 from fhnburst.fastpath import active_backend, integrate_forced
-from fhnburst.integrator import (
-    EventSpec,
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-)
+from fhnburst.integrator import IntegratorConfig, Trajectory, integrate
 from fhnburst.model import Forcing, unforced_equilibrium
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
@@ -157,60 +152,12 @@ class TestDenseOutput:
             traj.sample_deriv([1.5])
 
 
-class TestEvents:
-    def test_sine_roots(self):
-        # y(t) = sin(t) - sin(0.1); roots at pi - 0.1, 2 pi + 0.1, ...
-        rhs = lambda t, y: np.array([math.cos(t)])
-        jac = lambda t, y: np.array([[0.0]])
-        rhs_t = lambda t, y: np.array([-math.sin(t)])
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(
-            rhs, jac, [0.0], (0.1, 10.0), cfg,
-            event_fns=[EventSpec("zero", lambda t, y: y[0], 0)], rhs_t=rhs_t,
-        )
-        expected = [math.pi - 0.1, 2.0 * math.pi + 0.1, 3.0 * math.pi - 0.1]
-        got = [e.time for e in traj.events]
-        assert len(got) == len(expected)
-        span = 10.0 - 0.1
-        for g, e in zip(got, expected):
-            assert abs(g - e) <= 1e-10 * span
-
-    def test_direction_filter(self):
-        rhs = lambda t, y: np.array([math.cos(t)])
-        jac = lambda t, y: np.array([[0.0]])
-        rhs_t = lambda t, y: np.array([-math.sin(t)])
-        up = integrate(
-            rhs, jac, [0.0], (0.1, 10.0), IntegratorConfig(),
-            event_fns=[EventSpec("up", lambda t, y: y[0], +1)], rhs_t=rhs_t,
-        )
-        down = integrate(
-            rhs, jac, [0.0], (0.1, 10.0), IntegratorConfig(),
-            event_fns=[EventSpec("down", lambda t, y: y[0], -1)], rhs_t=rhs_t,
-        )
-        assert len(up.events) == 1            # only 2 pi + 0.1 is an up-crossing
-        assert len(down.events) == 2
-
-    def test_event_brackets_sign_change(self):
-        rhs = lambda t, y: np.array([math.cos(t)])
-        jac = lambda t, y: np.array([[0.0]])
-        rhs_t = lambda t, y: np.array([-math.sin(t)])
-        traj = integrate(
-            rhs, jac, [0.0], (0.1, 10.0), IntegratorConfig(),
-            event_fns=[EventSpec("zero", lambda t, y: y[0], 0)], rhs_t=rhs_t,
-        )
-        h = 1e-8
-        for e in traj.events:
-            lo = traj.sample([e.time - h])[0, 0]
-            hi = traj.sample([e.time + h])[0, 0]
-            assert lo * hi <= 0.0
-
-
 class TestFailureModes:
     def test_non_finite_rhs(self):
         rhs = lambda t, y: np.array([float("nan")])
         jac = lambda t, y: np.array([[0.0]])
         with pytest.raises(NonFiniteState):
-            integrate(rhs, jac, [1.0], (0.0, 1.0))
+            integrate(rhs, jac, [1.0], (0.0, 1.0), rhs_t=lambda t, y: np.zeros(1))
 
     def test_blowup_aborts_with_partial(self):
         rhs = lambda t, y: y * y
