@@ -5,14 +5,20 @@
  * -ffp-contract=off the two kernels give bit-identical results.  Keep any
  * algorithmic edit in lockstep with _kernel_py.py.
  *
- * No Python C-API: fastpath.py loads the shared library with ctypes.  The
- * kernel grows two buffers, which the caller copies out and releases with
- * fhn_free: the knot table, n_knots rows of (t, x, y, fx, fy, d2x, d2y)
- * whose last row is the end state (only that row without store_knots; none
- * when the start state is non-finite), and the spike times, the upward
- * crossings of x = 1 in time order.  fhn_integrate returns the status code
- * (0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite state)
- * or -1 when a buffer could not grow.
+ * No Python C-API: fastpath.py loads the shared library with ctypes and
+ * refuses it unless fhn_abi_version() returns the version it expects, so a
+ * library built from an older fhn_out layout is never used.  Bump
+ * FHN_ABI_VERSION, and fastpath.KERNEL_ABI with it, whenever the arguments
+ * or fhn_out change.  The kernel grows three buffers, which the caller
+ * copies out and releases with fhn_free: the knot table, n_knots rows of
+ * (t, x, y, fx, fy, d2x, d2y) whose last row is the end state (only that row
+ * without store_knots; none when the start state is non-finite), the spike
+ * times, the upward crossings of x = 1, and the minima, the times of the
+ * local x-minima, both in time order and both only with detect_events.
+ * fhn_out also carries the step counters n_accept, n_reject,
+ * n_nonfinite_retry and h_min (see _kernel_py).  fhn_integrate returns the
+ * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
+ * non-finite state) or -1 when a buffer could not grow.
  */
 #include <math.h>
 #include <stdlib.h>
@@ -38,7 +44,9 @@ static const double AL2 = 0.386, AL3 = 0.21, AL4 = 0.63;
 static const double G1 = 0.25, G2 = -0.1043, G3 = 0.1035, G4 = -0.03620000000000023;
 static const double GAMMA = 0.25;
 
+#define FHN_ABI_VERSION 2
 #define EVENT_TIME_TOL 1e-12
+#define MINIMUM_MAX_HALVINGS 80
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
 typedef struct {
@@ -46,6 +54,10 @@ typedef struct {
     long n_knots, cap_knots;
     double *spikes;       /* n_spikes times */
     long n_spikes, cap_spikes;
+    double *minima;       /* n_minima times */
+    long n_minima, cap_minima;
+    long n_accept, n_reject, n_nonfinite_retry;
+    double h_min;
 } fhn_out;
 
 typedef struct {
@@ -74,6 +86,20 @@ static double hermite_x(double s, double h, double x0, double f0, double d0,
            + h * h * (0.5 * s3 - s4 + 0.5 * s5) * d1;
 }
 
+static double hermite_dx(double s, double h, double x0, double f0, double d0,
+                         double x1, double f1, double d1)
+{
+    double s2 = s * s;
+    double s3 = s2 * s;
+    double s4 = s3 * s;
+    return ((-30.0 * s2 + 60.0 * s3 - 30.0 * s4) * x0
+            + h * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4) * f0
+            + h * h * (s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4) * d0
+            + (30.0 * s2 - 60.0 * s3 + 30.0 * s4) * x1
+            + h * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4) * f1
+            + h * h * (1.5 * s2 - 4.0 * s3 + 2.5 * s4) * d1) / h;
+}
+
 /* Append one row of `width` doubles, doubling the buffer when full. */
 static int push(double **buf, long *n, long *cap, int width, const double *row)
 {
@@ -97,12 +123,19 @@ static int push_knot(fhn_out *out, double t, double x, double y, double fx,
     return push(&out->knots, &out->n_knots, &out->cap_knots, KNOT_WIDTH, row);
 }
 
+int fhn_abi_version(void)
+{
+    return FHN_ABI_VERSION;
+}
+
 void fhn_free(fhn_out *out)
 {
     free(out->knots);
     free(out->spikes);
-    out->knots = out->spikes = NULL;
+    free(out->minima);
+    out->knots = out->spikes = out->minima = NULL;
     out->n_knots = out->cap_knots = out->n_spikes = out->cap_spikes = 0;
+    out->n_minima = out->cap_minima = 0;
 }
 
 int fhn_integrate(double a, double b, double eps, double E, double omega,
@@ -121,6 +154,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
     double t = t0, x = x0, y = y0, fx, fy;
     memset(out, 0, sizeof *out);
+    out->h_min = INFINITY;
 
     rhs(&p, t, x, y, &fx, &fy);
     if (!(isfinite(fx) && isfinite(fy)))
@@ -231,6 +265,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
         n_steps++;
         if (!(isfinite(x_new) && isfinite(y_new) && isfinite(k6x) && isfinite(k6y))) {
+            out->n_nonfinite_retry++;
             h *= 0.5;
             if (h < h_floor) {
                 status = 3;
@@ -257,6 +292,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
                 fac = 0.5;
             h *= fac;
             rejected = 1;
+            out->n_reject++;
             continue;
         }
 
@@ -272,6 +308,9 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         double jxxn = 1.0 - x_new * x_new;
         double d2xn = ftxn + jxxn * fxn - fyn;
         double d2yn = eps * fxn - eps * b * fyn;
+        out->n_accept++;
+        if (h_used < out->h_min)
+            out->h_min = h_used;
 
         if (detect_events) {
             double t_mid = t + 0.5 * h_used;
@@ -297,6 +336,23 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
                 }
                 double t_spike = 0.5 * (lo + hi);
                 if (push(&out->spikes, &out->n_spikes, &out->cap_spikes, 1, &t_spike))
+                    return -1;
+            }
+            if (fx < 0.0 && 0.0 <= fxn) {
+                double lo = t, hi = t_new;
+                for (int it = 0; it < MINIMUM_MAX_HALVINGS; it++) {
+                    if (hi - lo <= EVENT_TIME_TOL)
+                        break;
+                    double mid = 0.5 * (lo + hi);
+                    double dx = hermite_dx((mid - t) / h_used, h_used, x, fx, d2x,
+                                           x_new, fxn, d2xn);
+                    if (dx < 0.0)
+                        lo = mid;
+                    else
+                        hi = mid;
+                }
+                double t_min = 0.5 * (lo + hi);
+                if (push(&out->minima, &out->n_minima, &out->cap_minima, 1, &t_min))
                     return -1;
             }
         }

@@ -4,12 +4,11 @@ Reference twin of the C kernel in _kernel.c and the fallback when that
 library is not built.  The Rosenbrock stage tables, the step-controller
 constants and the quintic Hermite basis are imported from `integrator`, so
 the Python side holds them once; the C file writes the same values as
-literals and copies this kernel operation for operation (same spike
-bisection and order of every sum), so the two backends return
-bit-identical results.  Keep any algorithmic edit here in lockstep with
-_kernel.c.
+literals and copies this kernel operation for operation (same bisections
+and order of every sum), so the two backends return bit-identical results.
+Keep any algorithmic edit here in lockstep with _kernel.c.
 
-`integrate_forced` returns (status, knots, spikes):
+`integrate_forced` returns (status, knots, spikes, minima, stats):
 - status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
   state;
 - knots: an n x 7 array with rows (t, x, y, fx, fy, d2x, d2y), the state
@@ -17,7 +16,17 @@ _kernel.c.
   store_knots only the end state's row.  The last row is the end state; no
   row means the start state was already non-finite;
 - spikes: the times of the upward crossings of x = 1, in time order (at
-  most one per step, since the two half-steps cannot both cross upward).
+  most one per step, since the two half-steps cannot both cross upward);
+- minima: the times of the local x-minima, one per step on which x' goes
+  from negative to non-negative, located by bisection on the step's
+  Hermite derivative until the bracket is at most 1e-12 wide or after 80
+  halvings (the cap stops it from t = 8192 on, where one ulp of t is wider);
+- stats: the step counters n_accept (accepted steps), n_reject (steps
+  rejected by the error test), n_nonfinite_retry (attempts halved because a
+  stage went non-finite) and h_min (the smallest accepted step, inf when
+  none was accepted; the last step may be cut short to land on t_end).
+
+Spikes and minima are located only with detect_events.
 """
 from __future__ import annotations
 
@@ -37,6 +46,7 @@ from .integrator import (
     ROS_GSUM,
     SAFETY,
     _hermite_weights,
+    _hermite_weights_d1,
 )
 
 # stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars; the
@@ -48,7 +58,9 @@ _, AL2, AL3, AL4, _, _ = ROS_ALPHA
 G1, G2, G3, G4, _, _ = ROS_GSUM
 
 EVENT_TIME_TOL = 1e-12
+MINIMUM_MAX_HALVINGS = 80
 KNOT_WIDTH = 7
+STAT_NAMES = ("n_accept", "n_reject", "n_nonfinite_retry", "h_min")
 
 
 def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
@@ -57,6 +69,14 @@ def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
         w0 * x0 + h * w1 * f0 + h * h * w2 * d0
         + w3 * x1 + h * w4 * f1 + h * h * w5 * d1
     )
+
+
+def _hermite_dx(s, h, x0, f0, d0, x1, f1, d1):
+    w0, w1, w2, w3, w4, w5 = _hermite_weights_d1(s)
+    return (
+        w0 * x0 + h * w1 * f0 + h * h * w2 * d0
+        + w3 * x1 + h * w4 * f1 + h * h * w5 * d1
+    ) / h
 
 
 def integrate_forced(
@@ -84,7 +104,8 @@ def integrate_forced(
 
     fx, fy = rhs(t, x, y)
     if not (math.isfinite(fx) and math.isfinite(fy)):
-        return 3, np.empty((0, KNOT_WIDTH)), np.empty(0)
+        stats = dict(zip(STAT_NAMES, (0, 0, 0, math.inf)))
+        return 3, np.empty((0, KNOT_WIDTH)), np.empty(0), np.empty(0), stats
     ftx = E * omega * math.cos(omega * t)
     jxx = 1.0 - x * x
     d2x = ftx + jxx * fx - fy
@@ -92,6 +113,9 @@ def integrate_forced(
 
     knots = [(t, x, y, fx, fy, d2x, d2y)]
     spikes = []
+    minima = []
+    n_accept = n_reject = n_nonfinite_retry = 0
+    h_min = math.inf
 
     n_steps = 0
     rejected = False
@@ -189,6 +213,7 @@ def integrate_forced(
         n_steps += 1
         if not (math.isfinite(x_new) and math.isfinite(y_new)
                 and math.isfinite(k6x) and math.isfinite(k6y)):
+            n_nonfinite_retry += 1
             h *= 0.5
             if h < h_floor:
                 status = 3
@@ -212,6 +237,7 @@ def integrate_forced(
                 fac = FAC_REJECT_MAX
             h *= fac
             rejected = True
+            n_reject += 1
             continue
 
         t_new = t_end if (t_end - (t + h)) < t_snap else t + h
@@ -224,6 +250,9 @@ def integrate_forced(
         jxxn = 1.0 - x_new * x_new
         d2xn = ftxn + jxxn * fxn - fyn
         d2yn = eps * fxn - eps * b * fyn
+        n_accept += 1
+        if h_used < h_min:
+            h_min = h_used
 
         if detect_events:
             t_mid = t + 0.5 * h_used
@@ -244,6 +273,20 @@ def integrate_forced(
                     else:
                         hi = mid
                 spikes.append(0.5 * (lo + hi))
+            if fx < 0.0 <= fxn:
+                lo, hi = t, t_new
+                for _ in range(MINIMUM_MAX_HALVINGS):
+                    if hi - lo <= EVENT_TIME_TOL:
+                        break
+                    mid = 0.5 * (lo + hi)
+                    dx = _hermite_dx(
+                        (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
+                    )
+                    if dx < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                minima.append(0.5 * (lo + hi))
 
         t = t_new
         x = x_new
@@ -271,4 +314,6 @@ def integrate_forced(
 
     if not store_knots:
         knots = [(t, x, y, fx, fy, d2x, d2y)]
-    return status, np.asarray(knots), np.asarray(spikes, dtype=float)
+    stats = dict(zip(STAT_NAMES, (n_accept, n_reject, n_nonfinite_retry, h_min)))
+    return (status, np.asarray(knots), np.asarray(spikes, dtype=float),
+            np.asarray(minima, dtype=float), stats)

@@ -51,7 +51,7 @@ def simulate_standard(
 ) -> Trajectory:
     """The standard protocol: start at the drive-free rest state, burn in,
     then return the measurement segment, whose `spikes` are its upper-fold
-    crossings."""
+    crossings and whose `minima` are its local x-minima."""
     cfg = config or IntegratorConfig()
     T = forcing.period
     if cfg.max_step is None:
@@ -107,26 +107,13 @@ LOWER_RETURN_DEPTH = -1.5   # x-minima below this count as lower-bound returns
 def lower_return_times(trajectory: Trajectory, depth: float = LOWER_RETURN_DEPTH) -> np.ndarray:
     """Times of local x-minima at the lower bound.
 
-    Each burst return lands near x = -2; its x-minimum is bracketed by a
-    sign change of the stored knot derivative and polished by bisection on
-    the dense output, all brackets at once: each step evaluates x' at the
-    midpoints of the brackets still wider than 1e-12 in one call.  Minima
-    above the depth cut (small oscillations near the fold) are not returns.
+    Each burst return lands near x = -2.  The forced kernel locates every
+    x-minimum (`Trajectory.minima`, by bisection on each step's Hermite
+    derivative); minima above the depth cut (small oscillations near the
+    fold) are not returns.  Trajectories not made by the kernel carry no
+    minima and so have no returns.
     """
-    times = trajectory.times
-    fx = trajectory.derivs[:, 0]
-    i = np.flatnonzero((fx[:-1] < 0.0) & (fx[1:] >= 0.0))
-    lo, hi = times[i], times[i + 1]
-    for _ in range(80):
-        active = np.flatnonzero(hi - lo > 1e-12)
-        if active.size == 0:
-            break
-        a_lo, a_hi = lo[active], hi[active]
-        mid = 0.5 * (a_lo + a_hi)
-        falling = trajectory.sample_deriv(mid)[:, 0] < 0.0
-        lo[active] = np.where(falling, mid, a_lo)
-        hi[active] = np.where(falling, a_hi, mid)
-    t_min = 0.5 * (lo + hi)
+    t_min = trajectory.minima
     return t_min[trajectory.sample(t_min)[:, 0] <= depth]
 
 

@@ -5,7 +5,10 @@ library `fhnburst._kernel` and loaded with ctypes) is preferred; the
 pure-Python twin `_kernel_py` is used when the library was not built.  The
 C file is an operation-for-operation copy of the twin compiled without
 floating-point contraction, so both backends return bit-identical results:
-a status, the knot table and the spike times (see `_kernel_py`).
+a status, the knot table, the spike times, the times of the x-minima and the
+step counters (see `_kernel_py`).  A library whose `fhn_abi_version()` is
+not `KERNEL_ABI` (built from an older `_kernel.c`) is refused like one that
+does not load.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+KERNEL_ABI = 2          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 
 
 class _Out(ctypes.Structure):
@@ -29,6 +33,9 @@ class _Out(ctypes.Structure):
     _fields_ = [
         ("knots", _DOUBLE_P), ("n_knots", ctypes.c_long), ("cap_knots", ctypes.c_long),
         ("spikes", _DOUBLE_P), ("n_spikes", ctypes.c_long), ("cap_spikes", ctypes.c_long),
+        ("minima", _DOUBLE_P), ("n_minima", ctypes.c_long), ("cap_minima", ctypes.c_long),
+        ("n_accept", ctypes.c_long), ("n_reject", ctypes.c_long),
+        ("n_nonfinite_retry", ctypes.c_long), ("h_min", ctypes.c_double),
     ]
 
 
@@ -41,8 +48,17 @@ def _copy(ptr, shape: tuple[int, ...]) -> np.ndarray:
 
 def load_kernel(path: str):
     """The C kernel in the shared library at `path`, as a drop-in for
-    `_kernel_py.integrate_forced` (same arguments, same result)."""
+    `_kernel_py.integrate_forced` (same arguments, same result).  Raises
+    ImportError when the library was built for another ABI version."""
     lib = ctypes.CDLL(path)
+    lib.fhn_abi_version.restype = ctypes.c_int
+    lib.fhn_abi_version.argtypes = []
+    version = lib.fhn_abi_version()
+    if version != KERNEL_ABI:
+        raise ImportError(
+            f"{path} has kernel ABI {version}, expected {KERNEL_ABI}: rebuild it "
+            "with `python setup.py build_ext --inplace`"
+        )
     lib.fhn_integrate.restype = ctypes.c_int
     lib.fhn_integrate.argtypes = (
         [ctypes.c_double] * 13
@@ -59,9 +75,11 @@ def load_kernel(path: str):
                 raise MemoryError("forced kernel could not grow its buffers")
             knots = _copy(out.knots, (out.n_knots, _kernel_py.KNOT_WIDTH))
             spikes = _copy(out.spikes, (out.n_spikes,))
+            minima = _copy(out.minima, (out.n_minima,))
+            stats = {name: getattr(out, name) for name in _kernel_py.STAT_NAMES}
         finally:
             lib.fhn_free(ctypes.byref(out))
-        return status, knots, spikes
+        return status, knots, spikes, minima, stats
 
     return integrate_forced
 
@@ -70,7 +88,7 @@ def _find_kernel():
     spec = importlib.util.find_spec("fhnburst._kernel")
     try:
         return load_kernel(spec.origin) if spec else None
-    except (OSError, AttributeError):  # unloadable or stale library
+    except (OSError, AttributeError, ImportError):  # unloadable or stale library
         return None
 
 
@@ -91,13 +109,18 @@ def integrate_forced(
     detect_events: bool = True,
     store_knots: bool = True,
 ) -> Trajectory:
-    """Integrate the planar forced system on the active backend."""
+    """Integrate the planar forced system on the active backend.
+
+    The trajectory's `spikes` and `minima` are the kernel's upward crossings
+    of x = 1 and local x-minima (empty without detect_events), and
+    `meta["stats"]` holds its step counters.
+    """
     cfg = config or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError("t_span must be finite and increasing")
 
-    status, knots, spikes = _BACKEND(
+    status, knots, spikes, minima, stats = _BACKEND(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,
@@ -109,8 +132,9 @@ def integrate_forced(
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
         traj = Trajectory(
-            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7], spikes,
-            meta={"params": params, "forcing": forcing, "backend": active_backend()},
+            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7], spikes, minima,
+            meta={"params": params, "forcing": forcing, "backend": active_backend(),
+                  "stats": stats},
         )
     t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row
 

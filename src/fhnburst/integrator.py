@@ -5,8 +5,9 @@ order-3 error estimate and an analytic user Jacobian.  Dense output is a
 two-point quintic Hermite built from state, first and second derivatives at
 the accepted knots, so interpolation error stays far below the step error.
 The stage tables, the step controller and the Hermite basis defined here are
-shared with the forced kernel `_kernel_py`, which also locates the spikes;
-the generic `integrate` is the reference stepper for any system.
+shared with the forced kernel `_kernel_py`, which also locates the spikes
+and the x-minima; the generic `integrate` is the reference stepper for any
+system.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories on a fixed build.
@@ -133,18 +134,20 @@ class Trajectory:
     """Accepted knots plus the data needed for dense evaluation.
 
     times are strictly increasing; states/derivs/curvatures are the solution,
-    its first and its second time derivative at the knots.  spikes holds the
-    times of the upward crossings of x = 1 that the forced kernel located, in
-    time order (empty for runs of the generic `integrate`).  meta is
-    free-form context (e.g. the forcing that produced the run).
+    its first and its second time derivative at the knots.  spikes and minima
+    hold the times of the upward crossings of x = 1 and of the local
+    x-minima that the forced kernel located, in time order (both empty for
+    runs of the generic `integrate`).  meta is free-form context (e.g. the
+    forcing that produced the run and the kernel's step counters).
     """
 
-    def __init__(self, times, states, derivs, curvatures, spikes=(), meta=None):
+    def __init__(self, times, states, derivs, curvatures, spikes=(), minima=(), meta=None):
         self.times = np.ascontiguousarray(times, dtype=float)
         self.states = np.ascontiguousarray(states, dtype=float)
         self.derivs = np.ascontiguousarray(derivs, dtype=float)
         self.curvatures = np.ascontiguousarray(curvatures, dtype=float)
         self.spikes = np.asarray(spikes, dtype=float)
+        self.minima = np.asarray(minima, dtype=float)
         self.meta = dict(meta) if meta else {}
         if self.times.ndim != 1 or self.states.shape[0] != self.times.shape[0]:
             raise ValueError("knot arrays are inconsistent")

@@ -19,14 +19,17 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    """The C forced kernel: the loaded in-place build, else one built into a
-    temporary directory through setup.py.  Fails when a C compiler exists but
-    no kernel loads; skips only when there is no compiler."""
+def kernel_library(tmp_path_factory):
+    """Path of the C forced kernel's shared library: the loaded in-place
+    build, else one built into a temporary directory through setup.py.
+    Fails when a C compiler exists but no kernel loads (a stale in-place
+    build included); skips only when there is no compiler."""
+    spec = importlib.util.find_spec("fhnburst._kernel")
     if fastpath.active_backend() == "compiled":
-        return fastpath._BACKEND
-    assert importlib.util.find_spec("fhnburst._kernel") is None, (
-        "fhnburst._kernel is built but does not load"
+        return spec.origin
+    assert spec is None, (
+        "fhnburst._kernel is built but does not load; if it is a stale build, "
+        "rerun `python setup.py build_ext --inplace`"
     )
     cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
@@ -39,7 +42,13 @@ def c_kernel(tmp_path_factory):
     )
     libs = sorted((out / "fhnburst").glob("_kernel.*"))
     assert proc.returncode == 0 and libs, proc.stdout + proc.stderr
-    return fastpath.load_kernel(str(libs[0]))
+    return str(libs[0])
+
+
+@pytest.fixture(scope="session")
+def c_kernel(kernel_library):
+    """The C forced kernel, as a drop-in for `_kernel_py.integrate_forced`."""
+    return fastpath.load_kernel(kernel_library)
 
 
 DESK_OMEGA = (0.01, 0.04, 0.03 / 19)

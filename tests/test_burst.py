@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fhnburst import _kernel_py, burst
+from fhnburst import _kernel_py, burst, fastpath
 from fhnburst.burst import (
     CanardClass,
     DEFAULT_F_BURST,
@@ -27,8 +27,9 @@ from fhnburst.integrator import (
     IntegratorConfig,
     Trajectory,
     _hermite_weights,
+    integrate,
 )
-from fhnburst.model import Forcing, TWO_PI
+from fhnburst.model import Forcing, TWO_PI, make_forced_callables
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
@@ -137,6 +138,7 @@ class TestCountSpikes:
         zeros = np.zeros((5, 2))
         traj = Trajectory(ts, zeros, zeros, zeros)
         assert traj.spikes.dtype == float and traj.spikes.shape == (0,)
+        assert traj.minima.dtype == float and traj.minima.shape == (0,)
         assert count_spikes(traj, 2) == 0
 
 
@@ -234,6 +236,27 @@ class TestThetaSequence:
             assert brackets >= 1
             rejected.append(brackets - returns.size)
         assert max(rejected) >= 1
+
+    def test_matches_scalar_bisection_past_8192(self, params):
+        # one ulp of t exceeds 1e-12 here, so a bracket can stall one ulp
+        # wide until the cap of 80 halvings, in the kernel as in the oracle
+        traj = fastpath.integrate_forced(
+            params, Forcing(E=0.5, omega=0.02), (-1.2, -0.6), (8200.0, 8500.0)
+        )
+        expected, brackets = _scalar_lower_returns(traj)
+        assert expected.size >= 1 and brackets > expected.size
+        assert np.array_equal(lower_return_times(traj), expected)
+
+    def test_generic_integrate_has_no_returns(self, params):
+        # only the forced kernel locates minima; the generic stepper's
+        # trajectories carry none, even where x has minima below the cut
+        rhs, jac, rhs_t = make_forced_callables(params, BURST3)
+        T = BURST3.period
+        traj = integrate(rhs, jac, [-1.2, -0.6], (0.0, T),
+                         IntegratorConfig(max_step=T / 64.0), rhs_t=rhs_t)
+        assert _scalar_lower_returns(traj)[0].size >= 1
+        out = lower_return_times(traj)
+        assert out.dtype == float and out.shape == (0,)
 
     def test_no_brackets(self):
         traj = _analytic_trajectory(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhnburst import _kernel_py
+from fhnburst import _kernel_py, fastpath
 from fhnburst.errors import (
     IntegrationError,
     MaxStepsExceeded,
@@ -20,12 +20,16 @@ BURST3 = Forcing(E=0.55, omega=0.0149354)
 
 
 def _assert_same_run(got, want):
-    """Two kernel results (status, knot table, spike times) are equal, bit
-    for bit."""
-    assert len(got) == len(want) == 3
+    """Two kernel results (status, knot table, spike times, minimum times,
+    step counters) are equal, bit for bit."""
+    assert len(got) == len(want) == 5
     assert got[0] == want[0]
     assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
-    assert np.array_equal(got[2], want[2])
+    for times_got, times_want in zip(got[2:4], want[2:4]):
+        assert times_got.dtype == times_want.dtype == float
+        assert times_got.shape == times_want.shape
+        assert times_got.tobytes() == times_want.tobytes()
+    assert got[4] == want[4]
 
 
 def _linear_problem():
@@ -210,7 +214,7 @@ class TestForcedSystemRuns:
         # the C kernel must reproduce the pure twin bit for bit: burn-in and
         # measurement runs of the standard protocol over a 6 x 4 drive grid
         x0, y0 = unforced_equilibrium(params)
-        n_spikes = 0
+        n_spikes = n_minima = n_rejecting = 0
         for omega in np.linspace(0.006, 0.06, 6):
             for E in np.linspace(0.15, 2.4, 4):
                 T = 2.0 * math.pi / omega
@@ -223,9 +227,14 @@ class TestForcedSystemRuns:
                 meas = (*common, 2.0 * T, 4.0 * T, xb, yb, *tols, True, True)
                 want = _kernel_py.integrate_forced(*meas)
                 assert want[0] == 0
+                assert want[4]["n_accept"] == len(want[1]) - 1
                 _assert_same_run(c_kernel(*meas), want)
                 n_spikes += len(want[2])
+                n_minima += len(want[3])
+                n_rejecting += want[4]["n_reject"] > 0
         assert n_spikes > 0                       # spike times were compared
+        assert n_minima > 0                       # minimum times were compared
+        assert n_rejecting > 0                    # the reject counter was exercised
 
     @pytest.mark.parametrize(
         "x0, y0, t0, max_steps, status",
@@ -235,7 +244,8 @@ class TestForcedSystemRuns:
             (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
             (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
             # from t = 8192 on one ulp of t exceeds the 1e-12 bisection
-            # tolerance; event location must still stop
+            # tolerance; event location must still stop (a minimum's bracket
+            # can stall one ulp wide until the cap on halvings)
             (-1.2, -0.6, 8200.0, 100_000, 0),
         ],
     )
@@ -244,8 +254,30 @@ class TestForcedSystemRuns:
                 1e-8, 1e-10, -1.0, -1.0, max_steps, True, True)
         want = _kernel_py.integrate_forced(*args)
         assert want[0] == status
-        assert status != 0 or len(want[2]) > 0
+        assert status != 0 or (len(want[2]) > 0 and len(want[3]) > 0)
+        steps = np.diff(want[1][:, 0])
+        assert want[4]["n_accept"] == steps.size
+        assert want[4]["h_min"] == (steps.min() if steps.size else math.inf)
+        if status == 3 and len(want[1]):          # went non-finite inside the loop
+            assert want[4]["n_nonfinite_retry"] > 0
         _assert_same_run(c_kernel(*args), want)
+
+    def test_step_counters(self, params):
+        # the counters reach Trajectory.meta and do not depend on what the
+        # run records
+        traj = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period))
+        stats = traj.meta["stats"]
+        assert stats["n_accept"] == len(traj.times) - 1
+        burn = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period),
+                                detect_events=False, store_knots=False)
+        assert burn.meta["stats"] == stats
+        assert burn.minima.shape == (0,) and burn.spikes.shape == (0,)
+
+    def test_stale_library_refused(self, kernel_library, monkeypatch):
+        assert callable(fastpath.load_kernel(kernel_library))
+        monkeypatch.setattr(fastpath, "KERNEL_ABI", fastpath.KERNEL_ABI + 1)
+        with pytest.raises(ImportError, match="kernel ABI"):
+            fastpath.load_kernel(kernel_library)
 
     def test_generic_path_matches_kernel(self, params):
         # reference numpy stepper vs specialized kernel on one period
