@@ -29,7 +29,7 @@ from .errors import FhnBurstError, IntegrationError
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
-from .model import Forcing, ModelParams, TWO_PI, wrap_angle
+from .model import Forcing, ModelParams, TWO_PI
 from .svgplot import render_svg
 from .sweep import (
     ALL_METRICS,
@@ -65,6 +65,23 @@ def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True, help="drive angular frequency")
 
 
+def _wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """`wrap_angle` over an array, bit for bit."""
+    th = np.fmod(theta, TWO_PI)
+    th[th < 0.0] += TWO_PI
+    return th
+
+
+def _write_csv(path: str, header: str, *columns) -> None:
+    """Write float columns under a header line, each value as %.17g, with one
+    format call for the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+
+
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
@@ -96,24 +113,16 @@ def _cmd_simulate(args) -> int:
     t0, t1 = traj.t_span
     ts = np.linspace(t0, t1, args.samples_per_period * n_periods + 1)
     states = traj.sample(ts)
+    thetas = _wrap_angles(forcing.omega * ts)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,theta\n")
-            for tv, xv, yv in np.column_stack([ts, states]).tolist():
-                fh.write(
-                    f"{tv:.17g},{xv:.17g},{yv:.17g},{wrap_angle(forcing.omega * tv):.17g}\n"
-                )
+        _write_csv(args.out, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=2)
     if args.svg:
-        thetas = np.mod(forcing.omega * ts, TWO_PI)
         # one polyline per forcing period: split where theta wraps back
         wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
-        lines = [
-            seg.tolist()
-            for seg in np.split(np.column_stack([thetas, states[:, 0]]), wraps)
-        ]
+        lines = np.split(np.column_stack([thetas, states[:, 0]]), wraps)
         render_svg(
             args.svg, lines, "theta", "x",
             title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
@@ -153,12 +162,9 @@ def _cmd_manifold(args) -> int:
     print(json.dumps(asdict(exp), indent=2))
     if args.out:
         half = math.pi / 2.0
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("theta,u,x\n")
-            for off in np.linspace(-half, half, args.samples):
-                theta = exp.theta_base + off
-                u = eval_manifold(exp, wrap_angle(theta))
-                fh.write(f"{wrap_angle(theta):.17g},{u:.17g},{u - 1.0:.17g}\n")
+        thetas = _wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
+        u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
+        _write_csv(args.out, "theta,u,x", thetas, u, u - 1.0)
     return 0
 
 

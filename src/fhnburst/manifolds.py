@@ -185,31 +185,29 @@ def _eval_offset_deriv(coeffs, th_hat: float) -> float:
 def theta_at_lower_bound(expansion: ManifoldExpansion, u_target: float = -1.0) -> float:
     """Phase where the stable branch reaches the lower bound u = -1 (x = -2).
 
-    The relevant intersection lies on the backward-phase side of the saddle;
-    the search scans th in [-pi/2, 0), brackets the first sign change from
-    the saddle outward, bisects, then polishes with Newton.
+    The relevant intersection lies on the backward-phase side of the saddle.
+    The offsets th_i = -(pi/2) i / 4001, i = 1..4001, are evaluated at once
+    (Horner on an array); the first sign change from the saddle outward,
+    with u(0) = 0 before th_1, brackets the root, which is bisected in
+    scalar steps and polished with four Newton steps.
     """
     if expansion.branch != "stable":
         raise ValueError("the lower-bound intersection is defined for the stable branch")
     coeffs = expansion.coeffs
 
     n_scan = 4001
-    prev_th = 0.0
-    prev_g = -u_target  # u(0) - u_target = 0 - (-1) = 1 > 0
-    bracket = None
-    for i in range(1, n_scan + 1):
-        th = -VALIDITY_HALF_WIDTH * i / n_scan
-        g = _eval_offset(coeffs, th) - u_target
-        if (g <= 0.0) != (prev_g <= 0.0):
-            bracket = (th, prev_th, g, prev_g)
-            break
-        prev_th, prev_g = th, g
-    if bracket is None:
+    ths = -VALIDITY_HALF_WIDTH * np.arange(1, n_scan + 1) / n_scan
+    g_scan = _eval_offset(coeffs, ths) - u_target
+    below = g_scan <= 0.0
+    # u(0) - u_target = -u_target precedes the first scan point
+    flips = np.flatnonzero(below != np.concatenate(([-u_target <= 0.0], below[:-1])))
+    if len(flips) == 0:
         raise NoIntersection(
             "stable branch does not reach the lower bound inside the validity window"
         )
 
-    lo, hi, g_lo, _ = bracket
+    i = int(flips[0])
+    lo, hi, g_lo = float(ths[i]), (float(ths[i - 1]) if i else 0.0), float(g_scan[i])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = _eval_offset(coeffs, mid) - u_target

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -39,17 +41,20 @@ def render_svg(
 ) -> None:
     """Write a fixed-size plot of (x, y) polylines with linear axes.
 
-    polylines: iterable of point lists; colors: optional per-line color;
-    bounds: optional (x_lo, x_hi, y_lo, y_hi) override.
+    polylines: iterable of point sequences, each a list of (x, y) pairs or an
+    (n, 2) array; empty ones are skipped. colors: optional per-line color;
+    bounds: optional (x_lo, x_hi, y_lo, y_hi) override, else the range of
+    the points. The points are scaled as numpy columns and each polyline is
+    formatted with one `%` call, "%.2f,%.2f" per point.
     """
-    polylines = [list(p) for p in polylines if len(p) > 0]
+    polylines = [np.asarray(p, dtype=float) for p in polylines if len(p) > 0]
     if bounds is None:
-        all_x = [pt[0] for line in polylines for pt in line]
-        all_y = [pt[1] for line in polylines for pt in line]
-        if not all_x:
-            all_x, all_y = [0.0, 1.0], [0.0, 1.0]
-        x_lo, x_hi = min(all_x), max(all_x)
-        y_lo, y_hi = min(all_y), max(all_y)
+        if polylines:
+            pts = np.concatenate(polylines)
+            x_lo, y_lo = pts.min(axis=0).tolist()
+            x_hi, y_hi = pts.max(axis=0).tolist()
+        else:
+            x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     else:
         x_lo, x_hi, y_lo, y_hi = bounds
     if x_hi <= x_lo:
@@ -107,7 +112,8 @@ def render_svg(
     )
     for k, line in enumerate(polylines):
         color = (colors[k] if colors else PALETTE[k % len(PALETTE)])
-        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in line)
+        xy = np.column_stack([sx(line[:, 0]), sy(line[:, 1])])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.1"/>'
         )

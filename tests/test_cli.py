@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fhnburst.burst import count_spikes, simulate_standard
-from fhnburst.cli import main
+from fhnburst.cli import _wrap_angles, main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
+from fhnburst.manifolds import eval_manifold, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
 from fhnburst.svgplot import render_svg
 from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
@@ -41,6 +43,17 @@ def _reference_simulate_files(params, forcing, csv_path, svg_path):
         colors=["#1f77b4"] * len(lines),
     )
     return len(lines)
+
+
+def _reference_manifold_csv(exp, csv_path, samples=401):
+    """Reference writer for `manifold --out`, one row at a time."""
+    half = math.pi / 2.0
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("theta,u,x\n")
+        for off in np.linspace(-half, half, samples):
+            theta = exp.theta_base + off
+            u = eval_manifold(exp, wrap_angle(theta))
+            fh.write(f"{wrap_angle(theta):.17g},{u:.17g},{u - 1.0:.17g}\n")
 
 
 class TestRegions:
@@ -126,6 +139,29 @@ class TestManifold:
         assert len(lines) == 402
         theta, u, x = (float(v) for v in lines[1].split(","))
         assert x == pytest.approx(u - 1.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("branch", ["stable", "unstable"])
+    def test_file_matches_reference_writer(self, params, capsys, tmp_path, branch):
+        out, ref = tmp_path / "m.csv", tmp_path / "ref.csv"
+        assert main([
+            "manifold", "--E", "0.482", "--omega", "0.02",
+            "--branch", branch, "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        exp = solve_expansion(branch, params, Forcing(E=0.482, omega=0.02))
+        _reference_manifold_csv(exp, ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+    def test_wrap_angles_bitwise(self):
+        # the array wrap of both --out writers against the scalar rule
+        theta = np.concatenate([
+            np.linspace(-20.0, 20.0, 4001),
+            [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-300, 1e-300, -np.pi],
+        ])
+        want = np.array([wrap_angle(v) for v in theta.tolist()])
+        assert _wrap_angles(theta).tobytes() == want.tobytes()
 
 
 class TestEstimate:

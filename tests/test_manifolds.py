@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhnburst.errors import NoIntersection, NoSaddle, OutOfValidity
-from fhnburst.geometry import fold_thresholds
+from fhnburst.errors import FhnBurstError, NoIntersection, NoSaddle, OutOfValidity
+from fhnburst.geometry import classify_region, fold_thresholds
 from fhnburst.manifolds import (
+    VALIDITY_HALF_WIDTH,
     ManifoldExpansion,
+    _eval_offset,
+    _eval_offset_deriv,
     b_coefficients,
     closed_form_a1,
     closed_form_a2,
@@ -18,7 +21,9 @@ from fhnburst.manifolds import (
     solve_expansion,
     theta_at_lower_bound,
 )
-from fhnburst.model import Forcing, ModelParams, derived_constants, mu_constant
+from fhnburst.model import (
+    TWO_PI, Forcing, ModelParams, derived_constants, mu_constant, wrap_angle,
+)
 
 from seriestools import direction_field_ratio, series_b_coefficients
 
@@ -208,6 +213,92 @@ class TestLowerBoundIntersection:
         exp = solve_expansion("unstable", params, RII_DRIVE)
         with pytest.raises(ValueError):
             theta_at_lower_bound(exp)
+
+
+def _scalar_theta_at_lower_bound(expansion, u_target=-1.0):
+    """The scalar scan `theta_at_lower_bound` replaced: one Horner call per
+    scan point, stopping at the first sign change."""
+    if expansion.branch != "stable":
+        raise ValueError("the lower-bound intersection is defined for the stable branch")
+    coeffs = expansion.coeffs
+    n_scan = 4001
+    prev_th = 0.0
+    prev_g = -u_target
+    bracket = None
+    for i in range(1, n_scan + 1):
+        th = -VALIDITY_HALF_WIDTH * i / n_scan
+        g = _eval_offset(coeffs, th) - u_target
+        if (g <= 0.0) != (prev_g <= 0.0):
+            bracket = (th, prev_th, g, prev_g)
+            break
+        prev_th, prev_g = th, g
+    if bracket is None:
+        raise NoIntersection("no sign change")
+    lo, hi, g_lo, _ = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = _eval_offset(coeffs, mid) - u_target
+        if (gm <= 0.0) == (g_lo <= 0.0):
+            lo, g_lo = mid, gm
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    th_star = 0.5 * (lo + hi)
+    for _ in range(4):
+        g = _eval_offset(coeffs, th_star) - u_target
+        dg = _eval_offset_deriv(coeffs, th_star)
+        if dg == 0.0:
+            break
+        th_star -= g / dg
+    return wrap_angle(expansion.theta_base + th_star)
+
+
+def _outcome(fn, expansion):
+    try:
+        return fn(expansion)
+    except FhnBurstError as exc:
+        return type(exc)
+
+
+class TestLowerBoundScanMatchesScalar:
+    def test_lattice_regions_ii_to_vi(self, params):
+        regions, deep, outcomes = set(), 0, []
+        for omega in np.linspace(0.004, 0.076, 10):
+            for E in np.linspace(0.2, 1.6, 12):
+                forcing = Forcing(E=float(E), omega=float(omega))
+                try:
+                    exp = solve_expansion("stable", params, forcing)
+                except FhnBurstError:
+                    continue
+                regions.add(classify_region(params, forcing))
+                got = _outcome(theta_at_lower_bound, exp)
+                assert got == _outcome(_scalar_theta_at_lower_bound, exp), forcing
+                outcomes.append(got)
+                if isinstance(got, float):
+                    offset = math.remainder(got - exp.theta_base, TWO_PI)
+                    deep += offset < -VALIDITY_HALF_WIDTH * 1000 / 4001
+        assert {"II", "III", "IV", "V", "VI"} <= regions
+        assert NoIntersection in outcomes
+        # some brackets lie past scan index 1,000
+        assert deep > 0
+
+    @pytest.mark.parametrize("coeffs, root", [
+        ((1.0e4, 3.0e3, 0.0, 0.0, 0.0), -1.0e-4),      # past the bound at the first scan point
+        ((4.0, 3.0, 0.0, 0.0, 0.0), -1.0 / 3.0),       # two crossings: the one nearer the saddle
+        ((0.1, 0.0, 0.0, 0.0, 0.0), NoIntersection),   # never reaches the bound
+    ], ids=["first-scan-point", "two-crossings", "no-crossing"])
+    def test_synthetic_expansions(self, coeffs, root):
+        exp = ManifoldExpansion(
+            branch="stable", theta_base=0.3, coeffs=coeffs, c_const=0.0, residual=0.0,
+        )
+        got = _outcome(theta_at_lower_bound, exp)
+        assert got == _outcome(_scalar_theta_at_lower_bound, exp)
+        if root is NoIntersection:
+            assert got is NoIntersection
+        else:
+            offset = math.remainder(got - exp.theta_base, TWO_PI)
+            assert offset == pytest.approx(root, rel=1e-3)
 
 
 class TestRegionTwoGrid:

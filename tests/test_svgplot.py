@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fhnburst.svgplot import _ticks
+import numpy as np
+import pytest
+
+from fhnburst.contours import levelsets, spike_boundaries
+from fhnburst.svgplot import HEIGHT, MARGIN, PALETTE, WIDTH, _ticks, render_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,3 +49,158 @@ def test_ticks_span_below_float_resolution(tmp_path):
     assert 1 <= len(ticks) <= 10
     assert all(abs(t + 1.1994) < 1e-12 for t in ticks)
     assert svg.read_text().startswith("<svg")
+
+
+def _reference_render_svg(path, polylines, x_label, y_label, title="",
+                          colors=None, bounds=None):
+    """The per-point writer `render_svg` replaced: Python min/max bounds and
+    one f-string per point."""
+    polylines = [list(p) for p in polylines if len(p) > 0]
+    if bounds is None:
+        all_x = [pt[0] for line in polylines for pt in line]
+        all_y = [pt[1] for line in polylines for pt in line]
+        if not all_x:
+            all_x, all_y = [0.0, 1.0], [0.0, 1.0]
+        x_lo, x_hi = min(all_x), max(all_x)
+        y_lo, y_hi = min(all_y), max(all_y)
+    else:
+        x_lo, x_hi, y_lo, y_hi = bounds
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+    pad_x = 0.03 * (x_hi - x_lo)
+    pad_y = 0.05 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
+    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+
+    def sx(x):
+        return MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
+
+    def sy(y):
+        return HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
+        f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{WIDTH / 2}" y="{MARGIN / 2}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{title}</text>'
+        )
+    for tx in _ticks(x_lo + pad_x, x_hi - pad_x):
+        parts.append(
+            f'<line x1="{sx(tx):.2f}" y1="{HEIGHT - MARGIN}" x2="{sx(tx):.2f}" '
+            f'y2="{HEIGHT - MARGIN + 5}" stroke="#333"/>'
+        )
+        parts.append(
+            f'<text x="{sx(tx):.2f}" y="{HEIGHT - MARGIN + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{tx:.4g}</text>'
+        )
+    for ty in _ticks(y_lo + pad_y, y_hi - pad_y):
+        parts.append(
+            f'<line x1="{MARGIN - 5}" y1="{sy(ty):.2f}" x2="{MARGIN}" '
+            f'y2="{sy(ty):.2f}" stroke="#333"/>'
+        )
+        parts.append(
+            f'<text x="{MARGIN - 8}" y="{sy(ty):.2f}" text-anchor="end" '
+            f'dominant-baseline="middle" font-family="sans-serif" font-size="11">{ty:.4g}</text>'
+        )
+    parts.append(
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2})">{y_label}</text>'
+    )
+    for k, line in enumerate(polylines):
+        color = (colors[k] if colors else PALETTE[k % len(PALETTE)])
+        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in line)
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.1"/>'
+        )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def _simulate_segments():
+    """theta-x segments shaped like `fhnburst simulate --svg`'s: two periods
+    of a spiking signal, split where theta wraps."""
+    omega = 0.0149354
+    ts = np.linspace(2 * 420.69, 4 * 420.69, 4001)
+    thetas = np.mod(omega * ts, 2 * np.pi)
+    xs = 2.0 * np.tanh(8.0 * np.sin(3.0 * thetas)) + 0.1 * np.cos(ts)
+    wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
+    return np.split(np.column_stack([thetas, xs]), wraps)
+
+
+def _contour_lines():
+    """Spike-count boundaries and L2-like level sets on a 15 x 13 grid."""
+    xs = np.linspace(0.01, 0.04, 15)
+    ys = np.linspace(0.40, 0.55, 13)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    l2 = np.hypot((X - 0.025) / 0.03, (Y - 0.47) / 0.15)
+    counts = np.floor(3.0 * l2)
+    counts[3, 4] = np.nan
+    level_lines = levelsets(xs, ys, l2, n_levels=6)
+    boundaries = spike_boundaries(xs, ys, counts)
+    return xs, ys, level_lines, boundaries
+
+
+def _near_ties():
+    """Points whose pixel coordinates land within a few ulps of a half-cent,
+    where %.2f shows any change in the order of the scaling operations."""
+    targets = 100.0 + 0.01 * np.arange(2000) + 0.005
+    # bounds (0, 1, 0, 1) pad to x in [-0.03, 1.03] and y in [-0.05, 1.05]
+    xs = (targets - MARGIN) / (WIDTH - 2 * MARGIN) * 1.06 - 0.03
+    ys = (HEIGHT - MARGIN - targets) / (HEIGHT - 2 * MARGIN) * 1.1 - 0.05
+    return [np.column_stack([xs, ys])]
+
+
+class TestRenderSvgMatchesReference:
+    def _both(self, tmp_path, polylines, *args, **kwargs):
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        render_svg(str(new), polylines, *args, **kwargs)
+        _reference_render_svg(str(ref), polylines, *args, **kwargs)
+        return new.read_bytes(), ref.read_bytes()
+
+    def test_simulate_segments(self, tmp_path):
+        lines = _simulate_segments()
+        assert len(lines) == 3 and sum(len(seg) for seg in lines) == 4001
+        new, ref = self._both(
+            tmp_path, lines, "theta", "x", title="E=0.55 omega=0.0149354 (3 spikes/period)",
+            colors=["#1f77b4"] * len(lines),
+        )
+        assert new.count(b"<polyline") == 3
+        assert new == ref
+
+    def test_contours_with_bounds_and_colors(self, tmp_path):
+        xs, ys, level_lines, boundaries = _contour_lines()
+        assert level_lines and boundaries
+        lines = level_lines + boundaries
+        colors = ["#9ecae1"] * len(level_lines) + ["#d62728"] * len(boundaries)
+        new, ref = self._both(
+            tmp_path, lines, "omega", "E", title="boundaries", colors=colors,
+            bounds=(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])),
+        )
+        assert b"#9ecae1" in new and b"#d62728" in new
+        assert new == ref
+
+    def test_rounding_ties(self, tmp_path):
+        new, ref = self._both(tmp_path, _near_ties(), "x", "y", bounds=(0.0, 1.0, 0.0, 1.0))
+        assert new == ref
+
+    @pytest.mark.parametrize("polylines", [
+        [[], [(0.0, 1.0), (2.0, -3.0), (2.5, 0.25)], np.empty((0, 2))],
+        [[]],
+        [],
+    ], ids=["empty-and-points", "only-empty", "none"])
+    def test_empty_polylines(self, tmp_path, polylines):
+        new, ref = self._both(tmp_path, polylines, "a", "b")
+        assert new == ref
