@@ -149,7 +149,13 @@ class Trajectory:
         self.spikes = np.asarray(spikes, dtype=float)
         self.minima = np.asarray(minima, dtype=float)
         self.meta = dict(meta) if meta else {}
-        if self.times.ndim != 1 or self.states.shape[0] != self.times.shape[0]:
+        if (
+            self.times.ndim != 1
+            or self.states.ndim != 2
+            or self.states.shape[0] != self.times.shape[0]
+            or self.derivs.shape != self.states.shape
+            or self.curvatures.shape != self.states.shape
+        ):
             raise ValueError("knot arrays are inconsistent")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("knot times must be strictly increasing")

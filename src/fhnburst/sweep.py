@@ -17,7 +17,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -180,7 +180,9 @@ def _compute_cell(args) -> tuple[int, CellResult]:
 
 
 def _cell_to_record(idx: int, cell: CellResult) -> str:
-    return json.dumps({"i": idx, **asdict(cell)}, sort_keys=True) + "\n"
+    rec = {name: getattr(cell, name) for name in CELL_FIELDS}
+    rec["i"] = idx
+    return json.dumps(rec, sort_keys=True) + "\n"
 
 
 def _record_to_cell(rec: dict) -> tuple[int, CellResult]:

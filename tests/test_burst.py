@@ -83,6 +83,24 @@ def _scalar_lower_returns(trajectory, depth=burst.LOWER_RETURN_DEPTH):
     return np.asarray(out, dtype=float), brackets
 
 
+def _reference_l2_norm(trajectory, T):
+    """Reference: the Gram form on a stacked (n, 2, 6) coefficient array,
+    one interval at a time in a batched matmul."""
+    t0, t1 = trajectory.t_span
+    h = np.diff(trajectory.times)[:, None]
+    x, f, d = trajectory.states, trajectory.derivs, trajectory.curvatures
+    c = np.stack(
+        [x[:-1], h * f[:-1], h * h * d[:-1], x[1:], h * f[1:], h * h * d[1:]], axis=2
+    )
+    per_interval = np.einsum("nki,nki->n", c @ HERMITE_GRAM, c)
+    return math.sqrt(float(h[:, 0] @ per_interval) / (t1 - t0))
+
+
+# desk drives (E, omega): BURST3, the return drives and two with no spike
+L2_DRIVES = RETURN_DRIVES + [(0.40, 0.01), (0.43, 0.01)]
+QUIET_L2_DRIVES = L2_DRIVES[-2:]
+
+
 @pytest.fixture(scope="module")
 def burst3_traj(params):
     return simulate_standard(params, BURST3)
@@ -198,6 +216,31 @@ class TestL2Norm:
     def test_non_integer_span(self, burst3_traj):
         with pytest.raises(ValueError):
             l2_norm(burst3_traj, BURST3.period * 1.37)
+
+    @pytest.mark.parametrize("E, omega", L2_DRIVES)
+    def test_matches_reference_on_desk_drives(self, params, E, omega):
+        forcing = Forcing(E=E, omega=omega)
+        traj = simulate_standard(params, forcing)
+        if (E, omega) in QUIET_L2_DRIVES:
+            assert traj.spikes.size == 0
+        want = _reference_l2_norm(traj, forcing.period)
+        assert l2_norm(traj, forcing.period) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_on_random_knots(self, seed):
+        # knot spacings over seven decades, so the h and h^2 scalings of the
+        # derivative and curvature coefficients both matter
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        h = 10.0 ** rng.uniform(-5.0, 2.0, size=n - 1)
+        times = 3.0 + np.concatenate([[0.0], np.cumsum(h)])
+        traj = Trajectory(
+            times, rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
+            rng.normal(size=(n, 2)),
+        )
+        T = (times[-1] - times[0]) / 3.0
+        want = _reference_l2_norm(traj, T)
+        assert l2_norm(traj, T) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestThetaSequence:

@@ -155,6 +155,17 @@ class TestDenseOutput:
         with pytest.raises(OutOfRange):
             traj.sample_deriv([1.5])
 
+    @pytest.mark.parametrize("states, derivs, curvatures", [
+        ((2, 2), (3, 2), (2, 1)),      # sample() would broadcast these silently
+        ((2, 2), (2, 2), (2, 1)),
+        ((2, 2), (2, 1), (2, 2)),
+        ((2, 2), (2, 2), (2,)),
+        ((2,), (2,), (2,)),            # one row per knot, no component axis
+    ])
+    def test_mismatched_knot_shapes(self, states, derivs, curvatures):
+        with pytest.raises(ValueError, match="inconsistent"):
+            Trajectory([0.0, 1.0], np.zeros(states), np.zeros(derivs), np.zeros(curvatures))
+
 
 class TestFailureModes:
     def test_non_finite_rhs(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestCsv:
                      '"spike_count": null, "est_count": null, "status": "ok", "wall_ms": 2.5}\n')
         cells = load_checkpoint(str(path), "abc")
         assert cells == {0: grid.cells[0], 1: CellResult(0.02, 0.6, "ok")}
+
+    @pytest.mark.parametrize("idx, cell", [
+        (0, CellResult(0.0149354, 0.55, "ok", 3, 1.9118099248424139, 4, "II")),
+        (17, CellResult(0.02, 0.6, "err:NonFiniteState")),
+        (399, CellResult(0.04, 0.55, region="IV")),
+        (5, CellResult(1e-05, 2.5e-17, "ok", 0, 1.2345678901234567e+300, 0, "I")),
+    ])
+    def test_cell_record_matches_asdict(self, idx, cell):
+        # the dataclass dump is the reference for the record bytes
+        want = json.dumps({"i": idx, **asdict(cell)}, sort_keys=True) + "\n"
+        assert sweep_mod._cell_to_record(idx, cell) == want
 
     def test_incomplete_grid_raises(self, params):
         spec = SweepSpec(workers=1, **SMALL)
