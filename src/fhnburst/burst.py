@@ -118,7 +118,7 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
 LOWER_RETURN_DEPTH = -1.5   # x-minima below this count as lower-bound returns
 
 
-def lower_return_times(trajectory: Trajectory, depth: float = LOWER_RETURN_DEPTH) -> np.ndarray:
+def lower_return_times(trajectory: Trajectory) -> np.ndarray:
     """Times of local x-minima at the lower bound.
 
     Each burst return lands near x = -2.  The forced kernel locates every
@@ -128,7 +128,7 @@ def lower_return_times(trajectory: Trajectory, depth: float = LOWER_RETURN_DEPTH
     minima and so have no returns.
     """
     t_min = trajectory.minima
-    return t_min[trajectory.sample(t_min)[:, 0] <= depth]
+    return t_min[trajectory.sample(t_min)[:, 0] <= LOWER_RETURN_DEPTH]
 
 
 def _omega(trajectory: Trajectory) -> float:
@@ -159,17 +159,15 @@ def _site_equilibrium(equilibria, site: str) -> FoldedEquilibrium:
     raise NoPassage(f"no left-fold {site} equilibrium for these parameters")
 
 
-def classify_canard(
-    trajectory: Trajectory, equilibria, site: str, margin: float = CANARD_MARGIN
-) -> CanardClass:
+def classify_canard(trajectory: Trajectory, equilibria, site: str) -> CanardClass:
     """Classify the jump that follows the first passage of the site's phase.
 
     Watches x(t) from the moment the forcing phase crosses the folded
     equilibrium's angle.  A first exit of the trimmed repelling window
-    (-1+margin, 1-margin) decides the outcome: an upward exit that reaches
-    x = 1 is a jump_across when the accumulated window dwell exceeds the
-    fast-timescale yardstick 1/eps and a fold_jump otherwise; a downward
-    exit after entering the window is a jump_back.
+    (-1 + CANARD_MARGIN, 1 - CANARD_MARGIN) decides the outcome: an upward
+    exit that reaches x = 1 is a jump_across when the accumulated window
+    dwell exceeds the fast-timescale yardstick 1/eps and a fold_jump
+    otherwise; a downward exit after entering the window is a jump_back.
     """
     if site not in ("node", "saddle"):
         raise ValueError("site must be 'node' or 'saddle'")
@@ -193,8 +191,8 @@ def classify_canard(
     xs = trajectory.sample(ts)[:, 0]
     dt = (t_stop - t_star) / (n - 1)
 
-    lo = -1.0 + margin
-    hi = 1.0 - margin
+    lo = -1.0 + CANARD_MARGIN
+    hi = 1.0 - CANARD_MARGIN
     dwell_threshold = 1.0 / params.eps
 
     entered = False
@@ -225,41 +223,35 @@ def first_return_phase(trajectory: Trajectory, theta_seq) -> float:
 
 
 def estimate_from_phases(
-    theta_stable_at_bound: float, theta_first_return: float, omega: float,
-    f_burst: float = DEFAULT_F_BURST,
+    theta_stable_at_bound: float, theta_first_return: float, omega: float
 ) -> int:
     """Spike-count estimate from the remaining phase after the first spike.
 
     The phase gap is converted to milliseconds through omega, multiplied by
-    the intra-burst rate, rounded up, plus one for the spike already spent.
-    A non-positive gap clamps to a single spike.
+    the intra-burst rate DEFAULT_F_BURST, rounded up, plus one for the spike
+    already spent.  A non-positive gap clamps to a single spike.
     """
     d_theta = wrap_angle(theta_stable_at_bound) - wrap_angle(theta_first_return)
     if d_theta <= 0.0:
         return 1
-    return 1 + math.ceil(d_theta / (1000.0 * omega) * f_burst)
+    return 1 + math.ceil(d_theta / (1000.0 * omega) * DEFAULT_F_BURST)
 
 
 def estimate_spike_count(
-    params: ModelParams,
-    forcing: Forcing,
-    trajectory: Trajectory,
-    theta_seq,
-    f_burst: float = DEFAULT_F_BURST,
+    params: ModelParams, forcing: Forcing, trajectory: Trajectory, theta_seq
 ) -> int:
     """Spike-count estimate for a simulated trajectory and its
     `theta_sequence`."""
     theta_first = first_return_phase(trajectory, theta_seq)
     expansion = solve_expansion("stable", params, forcing)
     theta_bound = theta_at_lower_bound(expansion)
-    return estimate_from_phases(theta_bound, theta_first, forcing.omega, f_burst)
+    return estimate_from_phases(theta_bound, theta_first, forcing.omega)
 
 
 def burst_metrics(
     params: ModelParams,
     forcing: Forcing,
     config: IntegratorConfig | None = None,
-    f_burst: float = DEFAULT_F_BURST,
     with_estimate: bool = True,
 ) -> BurstMetrics:
     """Simulate once and compute every per-run measurement."""
@@ -271,7 +263,7 @@ def burst_metrics(
     est = None
     if with_estimate:
         try:
-            est = estimate_spike_count(params, forcing, traj, seq, f_burst)
+            est = estimate_spike_count(params, forcing, traj, seq)
         except NoFirstSpike:
             est = 0
     return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)

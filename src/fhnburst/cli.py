@@ -25,7 +25,7 @@ from .burst import (
     wrap_sequence,
 )
 from .contours import levelsets, polylines_to_json, spike_boundaries
-from .errors import FhnBurstError, IntegrationError
+from .errors import FhnBurstError
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FhnBurstError, IntegrationError, ValueError, OSError) as exc:
+    except (FhnBurstError, ValueError, OSError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+CUSP_MAX_INTERIOR_ANGLE_DEG = 90.0   # a vertex sharper than this is a cusp
+
 # segment topology per marching-squares case: pairs of edge ids
 # edges: 0 bottom (j fixed low), 1 right, 2 top, 3 left
 _CASE_SEGMENTS = {
@@ -163,20 +165,18 @@ def spike_boundaries(xs, ys, counts) -> list[list[tuple[float, float]]]:
     return levelsets(xs, ys, counts, spike_boundary_levels(counts))
 
 
-def extract_boundaries(grid, metric: str = "spike_count") -> list[list[tuple[float, float]]]:
-    """Spike-count (or other metric) boundary polylines of a complete grid."""
-    return spike_boundaries(grid.omegas, grid.e_values, grid.value_array(metric))
+def extract_boundaries(grid) -> list[list[tuple[float, float]]]:
+    """Spike-count boundary polylines of a complete grid."""
+    return spike_boundaries(grid.omegas, grid.e_values, grid.value_array("spike_count"))
 
 
-def l2_levelsets(grid, levels=None, n_levels: int = 24) -> list[list[tuple[float, float]]]:
+def l2_levelsets(grid, n_levels: int = 24) -> list[list[tuple[float, float]]]:
     """Level sets of the L2 norm of a complete grid (see levelsets)."""
-    return levelsets(grid.omegas, grid.e_values, grid.value_array("l2"), levels, n_levels)
+    return levelsets(grid.omegas, grid.e_values, grid.value_array("l2"), n_levels=n_levels)
 
 
-def count_cusps(
-    polyline, x_span: float, y_span: float, max_interior_angle_deg: float = 90.0
-) -> int:
-    """Vertices where the polyline turns by more than the threshold.
+def count_cusps(polyline, x_span: float, y_span: float) -> int:
+    """Vertices whose interior angle is below CUSP_MAX_INTERIOR_ANGLE_DEG.
 
     Coordinates are normalized by the axis spans first so the turn angle is
     meaningful on anisotropic grids.
@@ -185,7 +185,7 @@ def count_cusps(
         return 0
     pts = [(p[0] / x_span, p[1] / y_span) for p in polyline]
     # direction change must exceed 180 - threshold strictly
-    cos_limit = -math.cos(math.radians(max_interior_angle_deg))
+    cos_limit = -math.cos(math.radians(CUSP_MAX_INTERIOR_ANGLE_DEG))
     n = 0
     for k in range(1, len(pts) - 1):
         ax = pts[k][0] - pts[k - 1][0]
@@ -203,10 +203,8 @@ def count_cusps(
     return n
 
 
-def total_cusps(polylines, x_span, y_span, max_interior_angle_deg: float = 90.0) -> int:
-    return sum(
-        count_cusps(p, x_span, y_span, max_interior_angle_deg) for p in polylines
-    )
+def total_cusps(polylines, x_span, y_span) -> int:
+    return sum(count_cusps(p, x_span, y_span) for p in polylines)
 
 
 def polylines_to_json(polylines) -> list:

@@ -23,16 +23,17 @@ from .model import (
     wrap_angle,
 )
 
-BOUNDARY_TOL = 1e-10
+BOUNDARY_TOL = 1e-10   # half-width of the excluded band at each amplitude threshold
+FOLD_TOL = 1e-12       # half-width of each fold line u = 0, u = 2 on the cubic surface
 
 
-def classify_manifold_point(u: float, fold_tol: float = 1e-12) -> str:
+def classify_manifold_point(u: float) -> str:
     """Partition of the cubic surface by the sign of F'(u) = u(2-u)."""
     if not math.isfinite(u):
         raise ValueError("u must be finite")
-    if abs(u) <= fold_tol:
+    if abs(u) <= FOLD_TOL:
         return "fold_minus"
-    if abs(u - 2.0) <= fold_tol:
+    if abs(u - 2.0) <= FOLD_TOL:
         return "fold_plus"
     if u < 0.0:
         return "attracting_minus"
@@ -132,12 +133,10 @@ def _eig_pair(delta: float, u_star: float, det: float):
     return lams, vecs
 
 
-def folded_equilibria(
-    params: ModelParams, forcing: Forcing, boundary_tol: float = BOUNDARY_TOL
-) -> list[FoldedEquilibrium]:
+def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquilibrium]:
     """All folded equilibria for the given drive: 0, 2, or 4 of them.
 
-    Raises SaddleNodeBoundary within boundary_tol of an existence threshold,
+    Raises SaddleNodeBoundary within BOUNDARY_TOL of an existence threshold,
     where the saddle and node coalesce (excluded degenerate case).
     """
     dc = derived_constants(params, forcing)
@@ -148,9 +147,9 @@ def folded_equilibria(
     for side, u_star in (("left", 0.0), ("right", 2.0)):
         g = cubic_G(u_star, params)
         ratio = g / dc.r_delta
-        if abs(ratio - 1.0) <= boundary_tol:
+        if abs(ratio - 1.0) <= BOUNDARY_TOL:
             raise SaddleNodeBoundary(
-                f"amplitude within {boundary_tol} of the {side} saddle-node threshold"
+                f"amplitude within {BOUNDARY_TOL} of the {side} saddle-node threshold"
             )
         if ratio > 1.0:
             continue
@@ -191,14 +190,12 @@ def folded_equilibria(
     return out
 
 
-def classify_region(
-    params: ModelParams, forcing: Forcing, boundary_tol: float = BOUNDARY_TOL
-) -> str:
+def classify_region(params: ModelParams, forcing: Forcing) -> str:
     """Region label I..VI from amplitude comparisons, or 'boundary'."""
     th = fold_thresholds(params, forcing.delta(params))
     E = forcing.E
     cuts = (th.e_star_left, th.e_star_right, th.e_2star_left, th.e_2star_right)
-    if any(abs(E - c) <= boundary_tol for c in cuts):
+    if any(abs(E - c) <= BOUNDARY_TOL for c in cuts):
         return "boundary"
     if E < th.e_star_left:
         return "I"

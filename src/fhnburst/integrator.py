@@ -56,7 +56,6 @@ ROS_M = (1.221224509226641, 6.019134481288629, 12.53708332932087,
 ROS_ALPHA = (0.0, 0.386, 0.21, 0.63, 1.0, 1.0)
 ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
 ROS_GAMMA = 0.25
-ROS_ORDER = 4
 
 # step-size controller constants, shared by `integrate` and _kernel_py.py;
 # the C twin _kernel.c writes them, like the stage tables, as literals
@@ -170,6 +169,8 @@ class Trajectory:
     def _hermite_sum(self, times, weights):
         """Quintic Hermite sum with the given basis at the requested times,
         and the knot spacing of each time as a column."""
+        if self.times.size < 2:
+            raise OutOfRange("dense output needs at least two knots")
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         t0, t1 = self.t_span
         if ts.size and (ts.min() < t0 - 1e-12 or ts.max() > t1 + 1e-12):

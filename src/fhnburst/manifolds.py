@@ -18,6 +18,7 @@ from .geometry import fold_thresholds
 from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
+LOWER_BOUND_U = -1.0        # the lower bound x = -2 in the shifted coordinate u = x + 1
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 FD_STEP = 1e-7
@@ -182,7 +183,7 @@ def _eval_offset_deriv(coeffs, th_hat: float) -> float:
     )
 
 
-def theta_at_lower_bound(expansion: ManifoldExpansion, u_target: float = -1.0) -> float:
+def theta_at_lower_bound(expansion: ManifoldExpansion) -> float:
     """Phase where the stable branch reaches the lower bound u = -1 (x = -2).
 
     The relevant intersection lies on the backward-phase side of the saddle.
@@ -197,10 +198,10 @@ def theta_at_lower_bound(expansion: ManifoldExpansion, u_target: float = -1.0) -
 
     n_scan = 4001
     ths = -VALIDITY_HALF_WIDTH * np.arange(1, n_scan + 1) / n_scan
-    g_scan = _eval_offset(coeffs, ths) - u_target
+    g_scan = _eval_offset(coeffs, ths) - LOWER_BOUND_U
     below = g_scan <= 0.0
-    # u(0) - u_target = -u_target precedes the first scan point
-    flips = np.flatnonzero(below != np.concatenate(([-u_target <= 0.0], below[:-1])))
+    # u(0) = 0, above the lower bound, precedes the first scan point
+    flips = np.flatnonzero(below != np.concatenate(([False], below[:-1])))
     if len(flips) == 0:
         raise NoIntersection(
             "stable branch does not reach the lower bound inside the validity window"
@@ -210,7 +211,7 @@ def theta_at_lower_bound(expansion: ManifoldExpansion, u_target: float = -1.0) -
     lo, hi, g_lo = float(ths[i]), (float(ths[i - 1]) if i else 0.0), float(g_scan[i])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        gm = _eval_offset(coeffs, mid) - u_target
+        gm = _eval_offset(coeffs, mid) - LOWER_BOUND_U
         if (gm <= 0.0) == (g_lo <= 0.0):
             lo, g_lo = mid, gm
         else:
@@ -219,7 +220,7 @@ def theta_at_lower_bound(expansion: ManifoldExpansion, u_target: float = -1.0) -
             break
     th_star = 0.5 * (lo + hi)
     for _ in range(4):
-        g = _eval_offset(coeffs, th_star) - u_target
+        g = _eval_offset(coeffs, th_star) - LOWER_BOUND_U
         dg = _eval_offset_deriv(coeffs, th_star)
         if dg == 0.0:
             break

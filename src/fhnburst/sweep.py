@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fastpath
 from .burst import burst_metrics
-from .errors import FhnBurstError, IncompleteGrid, IntegrationError
+from .errors import FhnBurstError, IncompleteGrid
 from .geometry import classify_region
 from .integrator import IntegratorConfig
 from .model import Forcing, ModelParams
@@ -46,8 +46,15 @@ class SweepSpec:
     def __post_init__(self):
         for rng in (self.omega_range, self.e_range):
             lo, hi, step = rng
+            if not all(math.isfinite(v) for v in rng):
+                raise ValueError("range values must be finite")
             if not (step > 0.0 and hi > lo):
                 raise ValueError("ranges must be non-degenerate with positive step")
+        # every cell must be a valid Forcing: omega > 0 and E >= 0
+        if self.omega_range[0] <= 0.0:
+            raise ValueError("the omega axis must start above 0")
+        if self.e_range[0] < 0.0:
+            raise ValueError("the E axis must start at or above 0")
         bad = set(self.metrics) - set(ALL_METRICS)
         if bad:
             raise ValueError(f"unknown metrics: {sorted(bad)}")
@@ -171,7 +178,7 @@ def _compute_cell(args) -> tuple[int, CellResult]:
                 params, forcing, config, with_estimate="est_count" in metrics
             )
             values.update((k, getattr(m, k)) for k in simulated)
-    except (IntegrationError, FhnBurstError) as exc:
+    except FhnBurstError as exc:
         return idx, CellResult(
             omega=omega, E=e_val, status=f"err:{type(exc).__name__}",
             region=values.get("region"),
@@ -227,7 +234,6 @@ def run_sweep(
     params: ModelParams | None = None,
     config: IntegratorConfig | None = None,
     checkpoint_path: str | None = None,
-    flush_every: int = DEFAULT_FLUSH_EVERY,
     progress=None,
 ) -> SweepGrid:
     """Run (or resume) the sweep; per-cell failures are recorded, never raised."""
@@ -257,12 +263,13 @@ def run_sweep(
             i, j = divmod(idx, n_e)
             yield idx, float(omegas[i]), float(e_values[j]), params, config, spec.metrics
 
-    parallel = spec.workers > 1 and len(pending) > 1
+    workers = min(spec.workers, len(pending))
+    parallel = workers > 1
     try:
-        with (multiprocessing.Pool(spec.workers) if parallel
+        with (multiprocessing.Pool(workers) if parallel
               else contextlib.nullcontext()) as pool:
             if parallel:
-                chunk = max(1, len(pending) // (spec.workers * 8))
+                chunk = max(1, len(pending) // (workers * 8))
                 results = pool.imap_unordered(_compute_cell, tasks(), chunk)
             else:
                 results = map(_compute_cell, tasks())
@@ -272,7 +279,7 @@ def run_sweep(
                 if log_fh:
                     log_fh.write(_cell_to_record(idx, cell))
                     since_flush += 1
-                    if since_flush >= flush_every:
+                    if since_flush >= DEFAULT_FLUSH_EVERY:
                         log_fh.flush()
                         os.fsync(log_fh.fileno())
                         since_flush = 0
@@ -307,8 +314,13 @@ def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected grid CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(CELL_FIELDS):
+                raise ValueError(
+                    f"grid CSV line {lineno}: expected {len(CELL_FIELDS)} fields, "
+                    f"got {len(parts)}"
+                )
             rows.append(
                 {
                     "omega": float(parts[0]),

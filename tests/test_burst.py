@@ -368,9 +368,9 @@ class TestClassifyCanard:
 
 class TestEstimator:
     def test_formula_direct(self):
-        assert estimate_from_phases(1.5, 0.5, 0.02, 27.0) == 3   # gap 1.0 rad
-        assert estimate_from_phases(0.5, 1.5, 0.02, 27.0) == 1   # non-positive gap
-        assert estimate_from_phases(1.0, 1.0, 0.02, 27.0) == 1
+        assert estimate_from_phases(1.5, 0.5, 0.02) == 3   # gap 1.0 rad
+        assert estimate_from_phases(0.5, 1.5, 0.02) == 1   # non-positive gap
+        assert estimate_from_phases(1.0, 1.0, 0.02) == 1
 
     def test_default_rate(self):
         assert DEFAULT_F_BURST == 27.0

@@ -250,3 +250,31 @@ class TestErrors:
         assert main(["regions", "--E", "0.5", "--omega", "0.02", "--b", "1.5"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("axis_flags, message", [
+        (["--omega-lo", "0.01", "--omega-hi", "inf", "--omega-step", "0.01"], "finite"),
+        (["--omega-lo", "0.0", "--omega-hi", "0.02", "--omega-step", "0.01"], "omega axis"),
+    ])
+    def test_sweep_axis_outside_domain(self, capsys, tmp_path, axis_flags, message):
+        # rejected when the spec is built, before any cell runs
+        out = tmp_path / "grid.csv"
+        assert main([
+            "sweep", *axis_flags, "--e-lo", "0.5", "--e-hi", "0.55", "--e-step", "0.05",
+            "--metrics", "region", "--out", str(out),
+        ]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert message in err["error"]["message"]
+        assert not out.exists()
+
+    def test_contours_malformed_grid_row(self, capsys, tmp_path):
+        grid_csv = tmp_path / "grid.csv"
+        grid_csv.write_text(
+            "omega,E,status,spike_count,l2,est_count,region\n"
+            "0.01,0.5,ok,3,0.9,3,II\n"
+            "0.01,0.55,ok,3\n"
+        )
+        assert main(["contours", "--grid", str(grid_csv)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert "line 3" in err["error"]["message"]

@@ -155,6 +155,19 @@ class TestDenseOutput:
         with pytest.raises(OutOfRange):
             traj.sample_deriv([1.5])
 
+    def test_one_knot_trajectory_refuses_sampling(self, params):
+        # a burn-in run keeps only its end state: one knot, so no interval
+        # to interpolate on
+        traj = integrate_forced(
+            params, Forcing(E=0.5, omega=0.02), (-1.2, -0.6), (0.0, 10.0),
+            detect_events=False, store_knots=False,
+        )
+        assert traj.times.size == 1
+        with pytest.raises(OutOfRange, match="two knots"):
+            traj.sample([10.0])
+        with pytest.raises(OutOfRange, match="two knots"):
+            traj.sample_deriv([10.0])
+
     @pytest.mark.parametrize("states, derivs, curvatures", [
         ((2, 2), (3, 2), (2, 1)),      # sample() would broadcast these silently
         ((2, 2), (2, 2), (2, 1)),

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -47,11 +48,23 @@ class TestSweepSpec:
             dict(omega_range=(0.01, 0.04, 0.01), e_range=(0.4, 0.5, 0.05), workers=0),
             dict(omega_range=(0.01, 0.04, 0.01), e_range=(0.4, 0.5, 0.05),
                  metrics=("bogus",)),
+            # an axis with a cell outside Forcing's domain, or a non-finite
+            # end, would stop run_sweep at its first cell
+            dict(omega_range=(0.0, 0.02, 0.01), e_range=(0.5, 0.55, 0.05)),
+            dict(omega_range=(-0.01, 0.02, 0.01), e_range=(0.5, 0.55, 0.05)),
+            dict(omega_range=(0.01, 0.02, 0.01), e_range=(-0.05, 0.05, 0.05)),
+            dict(omega_range=(0.01, math.inf, 0.01), e_range=(0.5, 0.55, 0.05)),
+            dict(omega_range=(0.01, 0.02, math.inf), e_range=(0.5, 0.55, 0.05)),
+            dict(omega_range=(0.01, 0.02, 0.01), e_range=(-math.inf, 0.55, 0.05)),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
+
+    def test_e_axis_may_start_at_zero(self):
+        spec = SweepSpec(omega_range=(0.01, 0.02, 0.01), e_range=(0.0, 0.05, 0.05))
+        assert spec.e_values[0] == 0.0
 
 
 class TestRunSweep:
@@ -154,6 +167,34 @@ class TestRunSweep:
         assert all(c.region is not None for c in failed)   # closed-form part still fills
         counts = grid.value_array("spike_count")
         assert np.isnan(counts).sum() == len(failed)
+
+    def test_pool_sized_by_pending_cells(self, params, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its requested size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks, chunksize):
+                assert chunksize >= 1
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", SerialPool)
+        axes = dict(omega_range=(0.01, 0.02, 0.01), e_range=(0.45, 0.5, 0.05),
+                    metrics=("region",))
+        wide = run_sweep(SweepSpec(workers=64, **axes), params)
+        assert wide.spec.cell_count == 4
+        assert sizes == [4]
+        assert wide.to_csv() == run_sweep(SweepSpec(workers=1, **axes), params).to_csv()
+        assert sizes == [4]     # one worker maps serially, without a pool
 
     def test_region_only_skips_simulation(self, params, monkeypatch):
         calls = []
