@@ -14,7 +14,9 @@
  * (t, x, y, fx, fy, d2x, d2y) whose last row is the end state (only that row
  * without store_knots; none when the start state is non-finite), the spike
  * times, the upward crossings of x = 1, and the minima, the times of the
- * local x-minima, both in time order and both only with detect_events.
+ * local x-minima, both in time order and both only with detect_events,
+ * each located by `bisect` until its bracket is at most 1e-12 wide or no
+ * double lies strictly inside it.
  * fhn_out also carries the step counters n_accept, n_reject,
  * n_nonfinite_retry and h_min (see _kernel_py).  fhn_integrate returns the
  * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
@@ -46,7 +48,6 @@ static const double GAMMA = 0.25;
 
 #define FHN_ABI_VERSION 2
 #define EVENT_TIME_TOL 1e-12
-#define MINIMUM_MAX_HALVINGS 80
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
 typedef struct {
@@ -71,33 +72,54 @@ static void rhs(const fhn_params *p, double tt, double xx, double yy,
     *fy = p->eps * (xx - p->b * yy);
 }
 
-static double hermite_x(double s, double h, double x0, double f0, double d0,
-                        double x1, double f1, double d1)
+/* x on a step's quintic Hermite interpolant at s in [0, 1], from the step
+ * width h and c = (x, x', x'') at both ends; hermite_dx is its x'. */
+static double hermite_x(double s, double h, const double *c)
 {
     double s2 = s * s;
     double s3 = s2 * s;
     double s4 = s3 * s;
     double s5 = s4 * s;
-    return (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5) * x0
-           + h * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5) * f0
-           + h * h * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5) * d0
-           + (10.0 * s3 - 15.0 * s4 + 6.0 * s5) * x1
-           + h * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5) * f1
-           + h * h * (0.5 * s3 - s4 + 0.5 * s5) * d1;
+    return (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5) * c[0]
+           + h * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5) * c[1]
+           + h * h * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5) * c[2]
+           + (10.0 * s3 - 15.0 * s4 + 6.0 * s5) * c[3]
+           + h * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5) * c[4]
+           + h * h * (0.5 * s3 - s4 + 0.5 * s5) * c[5];
 }
 
-static double hermite_dx(double s, double h, double x0, double f0, double d0,
-                         double x1, double f1, double d1)
+static double hermite_dx(double s, double h, const double *c)
 {
     double s2 = s * s;
     double s3 = s2 * s;
     double s4 = s3 * s;
-    return ((-30.0 * s2 + 60.0 * s3 - 30.0 * s4) * x0
-            + h * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4) * f0
-            + h * h * (s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4) * d0
-            + (30.0 * s2 - 60.0 * s3 + 30.0 * s4) * x1
-            + h * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4) * f1
-            + h * h * (1.5 * s2 - 4.0 * s3 + 2.5 * s4) * d1) / h;
+    return ((-30.0 * s2 + 60.0 * s3 - 30.0 * s4) * c[0]
+            + h * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4) * c[1]
+            + h * h * (s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4) * c[2]
+            + (30.0 * s2 - 60.0 * s3 + 30.0 * s4) * c[3]
+            + h * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4) * c[4]
+            + h * h * (1.5 * s2 - 4.0 * s3 + 2.5 * s4) * c[5]) / h;
+}
+
+/* Midpoint of a bracket [lo, hi] of the step from t with g(lo) < 0 <= g(hi),
+ * halved until it is at most EVENT_TIME_TOL wide or no double lies strictly
+ * inside it (from t = 8192 on, one ulp of t is wider than the tolerance);
+ * g is x - 1 (deriv = 0) or x' (deriv = 1) on the step's interpolant. */
+static double bisect(double lo, double hi, int deriv, double t, double h,
+                     const double *c)
+{
+    while (hi - lo > EVENT_TIME_TOL) {
+        double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            break;
+        double s = (mid - t) / h;
+        double g = deriv ? hermite_dx(s, h, c) : hermite_x(s, h, c) - 1.0;
+        if (g < 0.0)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return 0.5 * (lo + hi);
 }
 
 /* Append one row of `width` doubles, doubling the buffer when full. */
@@ -313,8 +335,9 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             out->h_min = h_used;
 
         if (detect_events) {
+            const double c[6] = {x, fx, d2x, x_new, fxn, d2xn};
             double t_mid = t + 0.5 * h_used;
-            double g_mid = hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn) - 1.0;
+            double g_mid = hermite_x(0.5, h_used, c) - 1.0;
             double los[2] = {t, t_mid};
             double gas[2] = {x - 1.0, g_mid};
             double his[2] = {t_mid, t_new};
@@ -322,36 +345,12 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             for (int half = 0; half < 2; half++) {
                 if (!(gas[half] < 0.0 && 0.0 <= gbs[half]))
                     continue;
-                double lo = los[half], hi = his[half];
-                while (hi - lo > EVENT_TIME_TOL) {
-                    double mid = 0.5 * (lo + hi);
-                    if (mid == lo || mid == hi) /* t >= 8192: one ulp > tol */
-                        break;
-                    double gv = hermite_x((mid - t) / h_used, h_used, x, fx, d2x,
-                                          x_new, fxn, d2xn) - 1.0;
-                    if (gv < 0.0)
-                        lo = mid;
-                    else
-                        hi = mid;
-                }
-                double t_spike = 0.5 * (lo + hi);
+                double t_spike = bisect(los[half], his[half], 0, t, h_used, c);
                 if (push(&out->spikes, &out->n_spikes, &out->cap_spikes, 1, &t_spike))
                     return -1;
             }
             if (fx < 0.0 && 0.0 <= fxn) {
-                double lo = t, hi = t_new;
-                for (int it = 0; it < MINIMUM_MAX_HALVINGS; it++) {
-                    if (hi - lo <= EVENT_TIME_TOL)
-                        break;
-                    double mid = 0.5 * (lo + hi);
-                    double dx = hermite_dx((mid - t) / h_used, h_used, x, fx, d2x,
-                                           x_new, fxn, d2xn);
-                    if (dx < 0.0)
-                        lo = mid;
-                    else
-                        hi = mid;
-                }
-                double t_min = 0.5 * (lo + hi);
+                double t_min = bisect(t, t_new, 1, t, h_used, c);
                 if (push(&out->minima, &out->n_minima, &out->cap_minima, 1, &t_min))
                     return -1;
             }

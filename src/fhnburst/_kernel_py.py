@@ -18,15 +18,16 @@ Keep any algorithmic edit here in lockstep with _kernel.c.
 - spikes: the times of the upward crossings of x = 1, in time order (at
   most one per step, since the two half-steps cannot both cross upward);
 - minima: the times of the local x-minima, one per step on which x' goes
-  from negative to non-negative, located by bisection on the step's
-  Hermite derivative until the bracket is at most 1e-12 wide or after 80
-  halvings (the cap stops it from t = 8192 on, where one ulp of t is wider);
+  from negative to non-negative;
 - stats: the step counters n_accept (accepted steps), n_reject (steps
   rejected by the error test), n_nonfinite_retry (attempts halved because a
   stage went non-finite) and h_min (the smallest accepted step, inf when
   none was accepted; the last step may be cut short to land on t_end).
 
-Spikes and minima are located only with detect_events.
+Spikes and minima are located only with detect_events, each by one
+bisection on the step's quintic Hermite interpolant (of x - 1 for a spike,
+of x' for a minimum) until the bracket is at most 1e-12 wide or no double
+lies strictly inside it (from t = 8192 on, one ulp of t is wider).
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ _, AL2, AL3, AL4, _, _ = ROS_ALPHA
 G1, G2, G3, G4, _, _ = ROS_GSUM
 
 EVENT_TIME_TOL = 1e-12
-MINIMUM_MAX_HALVINGS = 80
 KNOT_WIDTH = 7
 STAT_NAMES = ("n_accept", "n_reject", "n_nonfinite_retry", "h_min")
 
@@ -77,6 +77,21 @@ def _hermite_dx(s, h, x0, f0, d0, x1, f1, d1):
         w0 * x0 + h * w1 * f0 + h * h * w2 * d0
         + w3 * x1 + h * w4 * f1 + h * h * w5 * d1
     ) / h
+
+
+def _bisect(g, lo, hi):
+    """Midpoint of a bracket [lo, hi] with g(lo) < 0 <= g(hi), halved until it
+    is at most EVENT_TIME_TOL wide or no double lies strictly inside it (from
+    t = 8192 on, one ulp of t is wider than the tolerance)."""
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def integrate_forced(
@@ -255,38 +270,17 @@ def integrate_forced(
             h_min = h_used
 
         if detect_events:
+            coef = (h_used, x, fx, d2x, x_new, fxn, d2xn)
             t_mid = t + 0.5 * h_used
-            g_mid = _hermite_x(0.5, h_used, x, fx, d2x, x_new, fxn, d2xn) - 1.0
+            g_mid = _hermite_x(0.5, *coef) - 1.0
             for (lo, ga, hi, gb) in ((t, x - 1.0, t_mid, g_mid),
                                      (t_mid, g_mid, t_new, x_new - 1.0)):
-                if not (ga < 0.0 <= gb):
-                    continue
-                while hi - lo > EVENT_TIME_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if mid == lo or mid == hi:  # t >= 8192: one ulp > tol
-                        break
-                    gv = _hermite_x(
-                        (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
-                    ) - 1.0
-                    if gv < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                spikes.append(0.5 * (lo + hi))
+                if ga < 0.0 <= gb:
+                    spikes.append(_bisect(
+                        lambda tm: _hermite_x((tm - t) / h_used, *coef) - 1.0, lo, hi))
             if fx < 0.0 <= fxn:
-                lo, hi = t, t_new
-                for _ in range(MINIMUM_MAX_HALVINGS):
-                    if hi - lo <= EVENT_TIME_TOL:
-                        break
-                    mid = 0.5 * (lo + hi)
-                    dx = _hermite_dx(
-                        (mid - t) / h_used, h_used, x, fx, d2x, x_new, fxn, d2xn
-                    )
-                    if dx < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                minima.append(0.5 * (lo + hi))
+                minima.append(_bisect(
+                    lambda tm: _hermite_dx((tm - t) / h_used, *coef), t, t_new))
 
         t = t_new
         x = x_new

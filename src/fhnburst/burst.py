@@ -52,6 +52,8 @@ def simulate_standard(
     """The standard protocol: start at the drive-free rest state, burn in,
     then return the measurement segment, whose `spikes` are its upper-fold
     crossings and whose `minima` are its local x-minima."""
+    if burn_in_periods < 0 or measure_periods < 1:
+        raise ValueError("burn_in_periods must be >= 0 and measure_periods >= 1")
     cfg = config or IntegratorConfig()
     T = forcing.period
     if cfg.max_step is None:
@@ -141,11 +143,6 @@ def _omega(trajectory: Trajectory) -> float:
 def theta_sequence(trajectory: Trajectory) -> np.ndarray:
     """Unwrapped phase at each local-minimum return to the lower bound."""
     return _omega(trajectory) * lower_return_times(trajectory)
-
-
-def wrap_sequence(theta_seq) -> np.ndarray:
-    """The same sequence reduced into [0, 2*pi) for reporting."""
-    return np.mod(np.asarray(theta_seq, dtype=float), TWO_PI)
 
 
 def _site_equilibrium(equilibria, site: str) -> FoldedEquilibrium:

@@ -22,14 +22,13 @@ from .burst import (
     l2_norm,
     simulate_standard,
     theta_sequence,
-    wrap_sequence,
 )
 from .contours import levelsets, polylines_to_json, spike_boundaries
 from .errors import FhnBurstError
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
-from .model import Forcing, ModelParams, TWO_PI
+from .model import Forcing, ModelParams, wrap_angles
 from .svgplot import render_svg
 from .sweep import (
     ALL_METRICS,
@@ -65,13 +64,6 @@ def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True, help="drive angular frequency")
 
 
-def _wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """`wrap_angle` over an array, bit for bit."""
-    th = np.fmod(theta, TWO_PI)
-    th[th < 0.0] += TWO_PI
-    return th
-
-
 def _write_csv(path: str, header: str, *columns) -> None:
     """Write float columns under a header line, each value as %.17g, with one
     format call for the whole table."""
@@ -104,7 +96,7 @@ def _cmd_simulate(args) -> int:
         "spike_count": count,
         "l2": l2,
         "n_theta": int(len(seq)),
-        "theta_seq": [float(v) for v in wrap_sequence(seq)],
+        "theta_seq": [float(v) for v in wrap_angles(seq)],
         "est_count": est,
         "region": classify_region(params, forcing),
     }
@@ -113,7 +105,7 @@ def _cmd_simulate(args) -> int:
     t0, t1 = traj.t_span
     ts = np.linspace(t0, t1, args.samples_per_period * n_periods + 1)
     states = traj.sample(ts)
-    thetas = _wrap_angles(forcing.omega * ts)
+    thetas = wrap_angles(forcing.omega * ts)
     if args.out:
         _write_csv(args.out, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
     if args.metrics_out:
@@ -162,7 +154,7 @@ def _cmd_manifold(args) -> int:
     print(json.dumps(asdict(exp), indent=2))
     if args.out:
         half = math.pi / 2.0
-        thetas = _wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
+        thetas = wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
         u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
         _write_csv(args.out, "theta,u,x", thetas, u, u - 1.0)
     return 0

@@ -17,7 +17,6 @@ from .model import (
     ModelParams,
     cubic_F,
     cubic_G,
-    cubic_G_prime,
     derived_constants,
     mu_constant,
     wrap_angle,
@@ -156,37 +155,23 @@ def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquil
         spread = math.acos(ratio)
         v_star = cubic_F(u_star)
         sin_spread = math.sin(spread)  # = sqrt(R^2-G^2)/R, positive
-
-        # saddle: determinant negative on either fold
-        theta_saddle = wrap_angle(
-            dc.phi_delta + spread if side == "left" else dc.phi_delta - spread
-        )
-        det_s = 2.0 * delta * (u_star - 1.0) * dc.r_delta * (
-            sin_spread if side == "left" else -sin_spread
-        )
-        lams, vecs = _eig_pair(delta, u_star, det_s)
-        out.append(
-            FoldedEquilibrium(
-                side=side, kind="saddle", u=u_star, v=v_star, theta=theta_saddle,
-                eigenvalues=lams, eigenvectors=vecs,
+        # the saddle (determinant negative) and the node (or focus above the
+        # second threshold; determinant positive) mirror each other across
+        # the fold: sign +1 puts the saddle at phi + spread on the left fold
+        for kind, sign in (("saddle", 1.0), ("node", -1.0)):
+            if side == "right":
+                sign = -sign
+            theta = wrap_angle(dc.phi_delta + sign * spread)
+            det = 2.0 * delta * (u_star - 1.0) * dc.r_delta * (sign * sin_spread)
+            if kind == "node" and not 1.0 - 4.0 * det > 0.0:
+                kind = "focus"
+            lams, vecs = _eig_pair(delta, u_star, det)
+            out.append(
+                FoldedEquilibrium(
+                    side=side, kind=kind, u=u_star, v=v_star, theta=theta,
+                    eigenvalues=lams, eigenvectors=vecs,
+                )
             )
-        )
-
-        # node (or focus above the second threshold): determinant positive
-        theta_node = wrap_angle(
-            dc.phi_delta - spread if side == "left" else dc.phi_delta + spread
-        )
-        det_n = 2.0 * delta * (u_star - 1.0) * dc.r_delta * (
-            -sin_spread if side == "left" else sin_spread
-        )
-        kind = "node" if 1.0 - 4.0 * det_n > 0.0 else "focus"
-        lams, vecs = _eig_pair(delta, u_star, det_n)
-        out.append(
-            FoldedEquilibrium(
-                side=side, kind=kind, u=u_star, v=v_star, theta=theta_node,
-                eigenvalues=lams, eigenvectors=vecs,
-            )
-        )
     return out
 
 
@@ -245,7 +230,8 @@ def supercritical_manifold_point(
     """Point (u, F(u)) of the super-critical curve at frozen phase theta0.
 
     Solves G(u) = E*b*sin(theta0); G is a strictly increasing bijection, so
-    the root is unique.  Safeguarded Newton with a bisection fallback.
+    the root is unique.  Bisection on a bracket doubled until it holds the
+    root, halved until no double lies strictly inside it.
     """
     target = E * params.b * math.sin(theta0)
 
@@ -254,31 +240,14 @@ def supercritical_manifold_point(
         lo *= 2.0
     while cubic_G(hi, params) < target:
         hi *= 2.0
-
-    u = 0.5 * (lo + hi)
-    for _ in range(200):
-        r = cubic_G(u, params) - target
-        if r > 0.0:
+    while True:
+        u = 0.5 * (lo + hi)
+        if u == lo or u == hi:
+            break
+        if cubic_G(u, params) > target:
             hi = u
         else:
             lo = u
-        step = r / cubic_G_prime(u, params)
-        u_next = u - step
-        if not (lo < u_next < hi):
-            u_next = 0.5 * (lo + hi)
-        if abs(u_next - u) < 1e-15 * max(1.0, abs(u)):
-            u = u_next
-            break
-        u = u_next
-    if abs(cubic_G(u, params) - target) > 1e-12:
-        # fall back to pure bisection until the residual contract holds
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if cubic_G(mid, params) - target > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        u = 0.5 * (lo + hi)
     return u, cubic_F(u)
 
 

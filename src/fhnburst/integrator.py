@@ -202,17 +202,6 @@ class Trajectory:
         return out / h
 
 
-def _small_inverse(G):
-    """Explicit inverse for 1x1..3x3; falls back to numpy beyond that."""
-    n = G.shape[0]
-    if n == 1:
-        return np.array([[1.0 / G[0, 0]]])
-    if n == 2:
-        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        return np.array([[G[1, 1], -G[0, 1]], [-G[1, 0], G[0, 0]]]) / det
-    return np.linalg.inv(G)
-
-
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     jacobian: Callable[[float, np.ndarray], np.ndarray],
@@ -277,7 +266,7 @@ def integrate(
             raise StepSizeUnderflow(f"step size underflow at t={t!r}", trajectory())
 
         G = identity / (h * ROS_GAMMA) - J
-        Ginv = _small_inverse(G)
+        Ginv = np.linalg.inv(G)
 
         K = []
         bad = False

@@ -26,6 +26,13 @@ def wrap_angle(theta: float) -> float:
     return th
 
 
+def wrap_angles(theta) -> np.ndarray:
+    """`wrap_angle` over an array, bit for bit."""
+    th = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    th[th < 0.0] += TWO_PI
+    return th
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Intrinsic constants: offset a, recovery coupling b, timescale ratio eps."""
@@ -262,19 +269,14 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
 
 
 def make_forced_callables(params: ModelParams, forcing: Forcing):
-    """Array-form (rhs, jac, rhs_t) closures for the planar forced system."""
-    a, b, eps = params.a, params.b, params.eps
+    """Array-form (rhs, jac, rhs_t) adapters of rhs_forced and jac_forced."""
     E, omega = forcing.E, forcing.omega
 
     def rhs(t, y):
-        x, yy = y
-        return np.array(
-            [x - x * x * x / 3.0 - yy - a + E * math.sin(omega * t), eps * (x - b * yy)]
-        )
+        return np.array(rhs_forced(StateXY(y[0], y[1], t), params, forcing))
 
     def jac(t, y):
-        x = y[0]
-        return np.array([[1.0 - x * x, -1.0], [eps, -eps * b]])
+        return jac_forced(StateXY(y[0], y[1], t), params, forcing)
 
     def rhs_t(t, y):
         return np.array([E * omega * math.cos(omega * t), 0.0])
@@ -283,31 +285,13 @@ def make_forced_callables(params: ModelParams, forcing: Forcing):
 
 
 def make_autonomous_callables(params: ModelParams, forcing: Forcing):
-    """Array-form (rhs, jac, rhs_t) closures for the shifted 3-d system."""
-    b, eps = params.b, params.eps
-    omega = forcing.omega
-    dc = derived_constants(params, forcing)
-    mu, r_delta, phi_delta = dc.mu, dc.r_delta, dc.phi_delta
+    """Array-form (rhs, jac, rhs_t) adapters of rhs_autonomous and jac_autonomous."""
 
     def rhs(t, y):
-        u, v, th = y
-        return np.array(
-            [
-                -v + u * u - u * u * u / 3.0,
-                eps * (u - b * v + mu - r_delta * math.cos(th - phi_delta)),
-                omega,
-            ]
-        )
+        return np.array(rhs_autonomous(StateUVTheta(*y), params, forcing))
 
     def jac(t, y):
-        u, th = y[0], y[2]
-        return np.array(
-            [
-                [u * (2.0 - u), -1.0, 0.0],
-                [eps, -eps * b, eps * r_delta * math.sin(th - phi_delta)],
-                [0.0, 0.0, 0.0],
-            ]
-        )
+        return jac_autonomous(StateUVTheta(*y), params, forcing)
 
     def rhs_t(t, y):
         return np.zeros(3)

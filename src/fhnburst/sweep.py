@@ -132,16 +132,7 @@ class SweepGrid:
         """Metric values as a (n_omega, n_e) float array, NaN where unavailable."""
         if not self.complete:
             raise IncompleteGrid("grid has pending cells")
-        out = np.full((len(self.omegas), len(self.e_values)), np.nan)
-        for i in range(len(self.omegas)):
-            for j in range(len(self.e_values)):
-                c = self.cells[self.index(i, j)]
-                if c.status != "ok":
-                    continue
-                v = getattr(c, metric)
-                if v is not None:
-                    out[i, j] = float(v)
-        return out
+        return _metric_arrays(self.omegas, self.e_values, self.cells, (metric,))[metric]
 
     def to_csv(self) -> str:
         if not self.complete:
@@ -332,26 +323,31 @@ def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                     "region": parts[6] or None,
                 }
             )
+    if not rows:
+        raise ValueError(f"grid CSV {path!r} has no rows")
     omegas = np.unique([r["omega"] for r in rows])
     e_values = np.unique([r["E"] for r in rows])
     return omegas, e_values, rows
 
 
-def grid_from_rows(omegas, e_values, rows) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Rebuild dense metric arrays from CSV rows (NaN for failed/missing)."""
-    n_o, n_e = len(omegas), len(e_values)
-    arrays = {
-        "spike_count": np.full((n_o, n_e), np.nan),
-        "l2": np.full((n_o, n_e), np.nan),
-        "est_count": np.full((n_o, n_e), np.nan),
-    }
+def _metric_arrays(omegas, e_values, cells, metrics) -> dict[str, np.ndarray]:
+    """(n_omega, n_e) float arrays of the metrics, each ok cell placed by its
+    (omega, E), NaN for failed or missing cells and None values."""
     o_index = {v: k for k, v in enumerate(omegas)}
     e_index = {v: k for k, v in enumerate(e_values)}
-    for r in rows:
-        i, j = o_index[r["omega"]], e_index[r["E"]]
-        if r["status"] != "ok":
+    arrays = {m: np.full((len(omegas), len(e_values)), np.nan) for m in metrics}
+    for c in cells:
+        if c.status != "ok":
             continue
-        for key in arrays:
-            if r[key] is not None:
-                arrays[key][i, j] = float(r[key])
+        for m, arr in arrays.items():
+            v = getattr(c, m)
+            if v is not None:
+                arr[o_index[c.omega], e_index[c.E]] = float(v)
+    return arrays
+
+
+def grid_from_rows(omegas, e_values, rows) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Rebuild dense metric arrays from CSV rows (NaN for failed/missing)."""
+    cells = [CellResult(**r) for r in rows]
+    arrays = _metric_arrays(omegas, e_values, cells, SIMULATED_METRICS)
     return np.asarray(omegas), np.asarray(e_values), arrays

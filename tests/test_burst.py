@@ -17,7 +17,6 @@ from fhnburst.burst import (
     lower_return_times,
     simulate_standard,
     theta_sequence,
-    wrap_sequence,
 )
 from fhnburst.cli import main
 from fhnburst.errors import NoFirstSpike
@@ -29,7 +28,7 @@ from fhnburst.integrator import (
     _hermite_weights,
     integrate,
 )
-from fhnburst.model import Forcing, TWO_PI, make_forced_callables
+from fhnburst.model import Forcing, TWO_PI, make_forced_callables, wrap_angles
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
@@ -142,6 +141,13 @@ class TestSimulateStandard:
         longer = simulate_standard(params, BURST3, burn_in_periods=4)
         assert count_spikes(base, 2) == count_spikes(longer, 2)
 
+    @pytest.mark.parametrize("burn_in, measure", [(-1, 2), (2, 0), (0, -1)])
+    def test_rejects_negative_burn_in_or_empty_window(self, params, burn_in, measure):
+        with pytest.raises(ValueError, match="periods"):
+            simulate_standard(
+                params, BURST3, burn_in_periods=burn_in, measure_periods=measure
+            )
+
 
 class TestCountSpikes:
     def test_synthetic_events(self):
@@ -253,7 +259,7 @@ class TestThetaSequence:
         assert np.all(np.diff(seq) > 0.0)
 
     def test_wrapped_values(self, burst3_traj):
-        wrapped = wrap_sequence(theta_sequence(burst3_traj))
+        wrapped = wrap_angles(theta_sequence(burst3_traj))
         assert np.all((wrapped >= 0.0) & (wrapped < TWO_PI))
         # the two periods give the same wrapped return phases
         assert np.allclose(wrapped[:3], wrapped[3:], atol=1e-3)
@@ -282,7 +288,8 @@ class TestThetaSequence:
 
     def test_matches_scalar_bisection_past_8192(self, params):
         # one ulp of t exceeds 1e-12 here, so a bracket can stall one ulp
-        # wide until the cap of 80 halvings, in the kernel as in the oracle
+        # wide: the kernel stops there, the oracle runs on to its cap of 80
+        # halvings, and both return the same midpoint
         traj = fastpath.integrate_forced(
             params, Forcing(E=0.5, omega=0.02), (-1.2, -0.6), (8200.0, 8500.0)
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fhnburst.burst import count_spikes, simulate_standard
-from fhnburst.cli import _wrap_angles, main
+from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
 from fhnburst.manifolds import eval_manifold, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
@@ -154,16 +154,6 @@ class TestManifold:
         assert out.read_bytes() == ref.read_bytes()
 
 
-    def test_wrap_angles_bitwise(self):
-        # the array wrap of both --out writers against the scalar rule
-        theta = np.concatenate([
-            np.linspace(-20.0, 20.0, 4001),
-            [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-300, 1e-300, -np.pi],
-        ])
-        want = np.array([wrap_angle(v) for v in theta.tolist()])
-        assert _wrap_angles(theta).tobytes() == want.tobytes()
-
-
 class TestEstimate:
     def test_three_spike_drive(self, capsys):
         assert main(["estimate", "--E", "0.55", "--omega", "0.0149354"]) == 0
@@ -278,3 +268,24 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
         assert "line 3" in err["error"]["message"]
+
+    def test_contours_header_only_grid(self, capsys, tmp_path):
+        grid_csv = tmp_path / "grid.csv"
+        grid_csv.write_text("omega,E,status,spike_count,l2,est_count,region\n")
+        svg = tmp_path / "grid.svg"
+        assert main(["contours", "--grid", str(grid_csv), "--svg", str(svg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert "no rows" in err["error"]["message"]
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flags", [["--burn-in", "-1"], ["--periods", "0"]])
+    def test_simulate_rejects_bad_periods(self, capsys, tmp_path, flags):
+        out = tmp_path / "f.csv"
+        assert main([
+            "simulate", "--E", "0.5", "--omega", "0.02", *flags, "--out", str(out),
+        ]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert "periods" in err["error"]["message"]
+        assert not out.exists()

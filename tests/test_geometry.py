@@ -274,6 +274,17 @@ class TestSupercritical:
             assert abs(cubic_G(u, params) - target) <= 1e-12
             assert abs(v - cubic_F(u)) <= 1e-12
 
+    def test_large_amplitude_doubles_the_bracket(self, params):
+        # at E = 50 the root leaves the first bracket [-4, 4] on both sides
+        us = []
+        for theta0 in np.linspace(0.0, TWO_PI, 41):
+            u, v = supercritical_manifold_point(theta0, params, 50.0)
+            target = 50.0 * params.b * math.sin(theta0)
+            assert abs(cubic_G(u, params) - target) <= 1e-12
+            assert v == cubic_F(u)
+            us.append(u)
+        assert min(us) < -4.0 and max(us) > 4.0
+
 
 class TestDelayedHopf:
     def test_default_values(self, params):

@@ -268,8 +268,8 @@ class TestForcedSystemRuns:
             (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
             (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
             # from t = 8192 on one ulp of t exceeds the 1e-12 bisection
-            # tolerance; event location must still stop (a minimum's bracket
-            # can stall one ulp wide until the cap on halvings)
+            # tolerance; event location must still stop (a bracket can stall
+            # one ulp wide, with no double strictly inside it)
             (-1.2, -0.6, 8200.0, 100_000, 0),
         ],
     )

@@ -28,6 +28,7 @@ from fhnburst.model import (
     to_shifted,
     unforced_equilibrium,
     wrap_angle,
+    wrap_angles,
 )
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
@@ -288,3 +289,13 @@ def test_wrap_angle():
     assert wrap_angle(TWO_PI + 0.5) == pytest.approx(0.5, abs=1e-15)
     assert wrap_angle(-0.25) == pytest.approx(TWO_PI - 0.25, abs=1e-15)
     assert 0.0 <= wrap_angle(-12345.678) < TWO_PI
+
+
+def test_wrap_angles_bitwise():
+    # the array wrap of the CLI writers and reports against the scalar rule
+    theta = np.concatenate([
+        np.linspace(-20.0, 20.0, 4001),
+        [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-300, 1e-300, -np.pi],
+    ])
+    want = np.array([wrap_angle(v) for v in theta.tolist()])
+    assert wrap_angles(theta).tobytes() == want.tobytes()
