@@ -65,10 +65,11 @@ typedef struct {
     double a, b, eps, E, omega;
 } fhn_params;
 
-static void rhs(const fhn_params *p, double tt, double xx, double yy,
+/* the field at (tt, xx, yy), given st = sin(omega * tt) */
+static void rhs(const fhn_params *p, double st, double xx, double yy,
                 double *fx, double *fy)
 {
-    *fx = xx - xx * xx * xx / 3.0 - yy - p->a + p->E * sin(p->omega * tt);
+    *fx = xx - xx * xx * xx / 3.0 - yy - p->a + p->E * st;
     *fy = p->eps * (xx - p->b * yy);
 }
 
@@ -178,7 +179,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
     memset(out, 0, sizeof *out);
     out->h_min = INFINITY;
 
-    rhs(&p, t, x, y, &fx, &fy);
+    rhs(&p, sin(omega * t), x, y, &fx, &fy);
     if (!(isfinite(fx) && isfinite(fy)))
         return 3;
     double ftx = E * omega * cos(omega * t);
@@ -226,7 +227,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         tt = t + AL2 * h;
         xi = x + A21 * k1x;
         yi = y + A21 * k1y;
-        rhs(&p, tt, xi, yi, &f2x, &f2y);
+        rhs(&p, sin(omega * tt), xi, yi, &f2x, &f2y);
         c1 = C21 / h;
         r1 = f2x + c1 * k1x + h * G2 * ftx;
         r2 = f2y + c1 * k1y;
@@ -236,7 +237,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         tt = t + AL3 * h;
         xi = x + A31 * k1x + A32 * k2x;
         yi = y + A31 * k1y + A32 * k2y;
-        rhs(&p, tt, xi, yi, &f3x, &f3y);
+        rhs(&p, sin(omega * tt), xi, yi, &f3x, &f3y);
         c1 = C31 / h;
         c2 = C32 / h;
         r1 = f3x + c1 * k1x + c2 * k2x + h * G3 * ftx;
@@ -247,7 +248,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         tt = t + AL4 * h;
         xi = x + A41 * k1x + A42 * k2x + A43 * k3x;
         yi = y + A41 * k1y + A42 * k2y + A43 * k3y;
-        rhs(&p, tt, xi, yi, &f4x, &f4y);
+        rhs(&p, sin(omega * tt), xi, yi, &f4x, &f4y);
         c1 = C41 / h;
         c2 = C42 / h;
         c3 = C43 / h;
@@ -256,10 +257,12 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         double k4x = i11 * r1 + i12 * r2;
         double k4y = i21 * r1 + i22 * r2;
 
+        /* stages 5 and 6 and the accepted point share t + h and its sine */
         tt = t + h;
+        double st_end = sin(omega * tt);
         xi = x + A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x;
         yi = y + A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y;
-        rhs(&p, tt, xi, yi, &f5x, &f5y);
+        rhs(&p, st_end, xi, yi, &f5x, &f5y);
         c1 = C51 / h;
         c2 = C52 / h;
         c3 = C53 / h;
@@ -271,7 +274,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
         xi = xi + k5x;
         yi = yi + k5y;
-        rhs(&p, tt, xi, yi, &f6x, &f6y);
+        rhs(&p, st_end, xi, yi, &f6x, &f6y);
         c1 = C61 / h;
         c2 = C62 / h;
         c3 = C63 / h;
@@ -318,10 +321,14 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             continue;
         }
 
-        double t_new = (t_end - (t + h)) < t_snap ? t_end : t + h;
+        double t_new = tt;
+        if (t_end - tt < t_snap) {
+            t_new = t_end;
+            st_end = sin(omega * t_new);
+        }
         double h_used = t_new - t;
         double fxn, fyn;
-        rhs(&p, t_new, x_new, y_new, &fxn, &fyn);
+        rhs(&p, st_end, x_new, y_new, &fxn, &fyn);
         if (!(isfinite(fxn) && isfinite(fyn))) {
             status = 3;
             break;

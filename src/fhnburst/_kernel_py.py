@@ -111,13 +111,13 @@ def integrate_forced(
     x = x0
     y = y0
 
-    def rhs(tt, xx, yy):
+    def rhs(st, xx, yy):    # the field at (tt, xx, yy), given st = sin(omega * tt)
         return (
-            xx - xx * xx * xx / 3.0 - yy - a + E * math.sin(omega * tt),
+            xx - xx * xx * xx / 3.0 - yy - a + E * st,
             eps * (xx - b * yy),
         )
 
-    fx, fy = rhs(t, x, y)
+    fx, fy = rhs(math.sin(omega * t), x, y)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         stats = dict(zip(STAT_NAMES, (0, 0, 0, math.inf)))
         return 3, np.empty((0, KNOT_WIDTH)), np.empty(0), np.empty(0), stats
@@ -166,7 +166,7 @@ def integrate_forced(
         tt = t + AL2 * h
         xi = x + A21 * k1x
         yi = y + A21 * k1y
-        f2x, f2y = rhs(tt, xi, yi)
+        f2x, f2y = rhs(math.sin(omega * tt), xi, yi)
         ch = C21 / h
         r1 = f2x + ch * k1x + h * G2 * ftx
         r2 = f2y + ch * k1y
@@ -176,7 +176,7 @@ def integrate_forced(
         tt = t + AL3 * h
         xi = x + A31 * k1x + A32 * k2x
         yi = y + A31 * k1y + A32 * k2y
-        f3x, f3y = rhs(tt, xi, yi)
+        f3x, f3y = rhs(math.sin(omega * tt), xi, yi)
         c1 = C31 / h
         c2 = C32 / h
         r1 = f3x + c1 * k1x + c2 * k2x + h * G3 * ftx
@@ -187,7 +187,7 @@ def integrate_forced(
         tt = t + AL4 * h
         xi = x + A41 * k1x + A42 * k2x + A43 * k3x
         yi = y + A41 * k1y + A42 * k2y + A43 * k3y
-        f4x, f4y = rhs(tt, xi, yi)
+        f4x, f4y = rhs(math.sin(omega * tt), xi, yi)
         c1 = C41 / h
         c2 = C42 / h
         c3 = C43 / h
@@ -196,10 +196,12 @@ def integrate_forced(
         k4x = i11 * r1 + i12 * r2
         k4y = i21 * r1 + i22 * r2
 
+        # stages 5 and 6 and the accepted point share t + h and its sine
         tt = t + h
+        st_end = math.sin(omega * tt)
         xi = x + A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x
         yi = y + A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y
-        f5x, f5y = rhs(tt, xi, yi)
+        f5x, f5y = rhs(st_end, xi, yi)
         c1 = C51 / h
         c2 = C52 / h
         c3 = C53 / h
@@ -211,7 +213,7 @@ def integrate_forced(
 
         xi = xi + k5x
         yi = yi + k5y
-        f6x, f6y = rhs(tt, xi, yi)
+        f6x, f6y = rhs(st_end, xi, yi)
         c1 = C61 / h
         c2 = C62 / h
         c3 = C63 / h
@@ -255,9 +257,12 @@ def integrate_forced(
             n_reject += 1
             continue
 
-        t_new = t_end if (t_end - (t + h)) < t_snap else t + h
+        t_new = tt
+        if t_end - tt < t_snap:
+            t_new = t_end
+            st_end = math.sin(omega * t_new)
         h_used = t_new - t
-        fxn, fyn = rhs(t_new, x_new, y_new)
+        fxn, fyn = rhs(st_end, x_new, y_new)
         if not (math.isfinite(fxn) and math.isfinite(fyn)):
             status = 3
             break

@@ -3,8 +3,11 @@
 The saddle's stable and unstable manifolds are written locally as
 u = a1*th + a2*th^2 + ... + a5*th^5 in the phase offset th measured from the
 saddle angle.  Matching series coefficients of the reduced-flow direction
-field gives five nonlinear equations k*a_k = b_{k-1}(a); they are solved by
-Newton iteration seeded on the appropriate eigendirection.
+field gives five nonlinear equations k*a_k = b_{k-1}(a).  The system is
+triangular: a1 is fixed by the branch eigenvalue, and equation k is linear in
+a_k once a1..a_(k-1) are known, so forward substitution solves it.  A
+finite-difference Newton iteration then polishes the result to the residual
+tolerance; it rarely has a step to take.
 """
 from __future__ import annotations
 
@@ -103,11 +106,13 @@ def closed_form_a2(lam: float, delta: float, c_const: float, mu: float, b: float
 def solve_expansion(
     branch: str, params: ModelParams, forcing: Forcing, max_iter: int = NEWTON_MAX_ITER
 ) -> ManifoldExpansion:
-    """Newton solve of the five coefficient equations for one branch.
+    """Solve the five coefficient equations for one branch.
 
-    Seeded at (-lam/(2 delta), 0, 0, 0, 0) with lam the branch eigenvalue;
-    converges to residual <= 1e-12 in a handful of iterations inside the
-    studied parameter range.
+    a1 = -lam/(2 delta) with lam the branch eigenvalue; for k = 2..5,
+    b_(k-1) is P at a_k = 0 and P + Q at a_k = 1, so a_k = P / (k - Q).
+    Newton iteration (at most max_iter steps) then polishes the substituted
+    coefficients until the worst residual is <= NEWTON_TOL; inside the
+    studied parameter range it almost never needs a step.
     """
     if branch not in ("stable", "unstable"):
         raise ValueError("branch must be 'stable' or 'unstable'")
@@ -131,6 +136,11 @@ def solve_expansion(
         return np.array([(k + 1.0) * a[k] - bs[k] for k in range(5)])
 
     a = np.array([closed_form_a1(lam, delta), 0.0, 0.0, 0.0, 0.0])
+    for k in range(2, 6):
+        p = b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)[k - 1]
+        a[k - 1] = 1.0
+        q = b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)[k - 1] - p
+        a[k - 1] = p / (k - q)
     res = residual(a)
     for _ in range(max_iter):
         if float(np.max(np.abs(res))) <= NEWTON_TOL:

@@ -23,6 +23,8 @@ def wrap_angle(theta: float) -> float:
     th = math.fmod(theta, TWO_PI)
     if th < 0.0:
         th += TWO_PI
+        if th == TWO_PI:    # th was within half an ulp of 2*pi below zero
+            th = 0.0
     return th
 
 
@@ -30,6 +32,7 @@ def wrap_angles(theta) -> np.ndarray:
     """`wrap_angle` over an array, bit for bit."""
     th = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
     th[th < 0.0] += TWO_PI
+    th[th == TWO_PI] = 0.0
     return th
 
 

@@ -10,7 +10,6 @@ rename.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -145,6 +144,8 @@ class SweepGrid:
 
 
 def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorConfig) -> str:
+    import hashlib   # imported here: OpenSSL adds about 3.5 MB to every process
+
     doc = {
         "omega_range": list(spec.omega_range),
         "e_range": list(spec.e_range),

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhnburst.errors import FhnBurstError, NoIntersection, NoSaddle, OutOfValidity
+from fhnburst.errors import (
+    FhnBurstError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity,
+)
 from fhnburst.geometry import classify_region, fold_thresholds
 from fhnburst.manifolds import (
     VALIDITY_HALF_WIDTH,
@@ -28,6 +30,12 @@ from fhnburst.model import (
 from seriestools import direction_field_ratio, series_b_coefficients
 
 RII_DRIVE = Forcing(E=0.482, omega=0.02)    # delta = 0.25, region II
+# atlas master-lattice points: forward substitution leaves a residual of
+# 2.4e-12 on the stable branch of the first, which one Newton step polishes;
+# on the unstable branch of the second (a1 = -0.0078, just above the
+# saddle-existence threshold) no iteration reaches NEWTON_TOL
+POLISHED_DRIVE = Forcing(E=0.30566037735849055, omega=0.006)
+DEFECT_DRIVE = Forcing(E=0.27735849056603773, omega=0.02094339622641509)
 
 
 def _region_ii_grid(params, n=10):
@@ -299,6 +307,24 @@ class TestLowerBoundScanMatchesScalar:
         else:
             offset = math.remainder(got - exp.theta_base, TWO_PI)
             assert offset == pytest.approx(root, rel=1e-3)
+
+
+class TestForwardSubstitution:
+    def test_substitution_alone_on_region_ii_grid(self, params):
+        for f in _region_ii_grid(params, 10):
+            for branch in ("stable", "unstable"):
+                assert solve_expansion(branch, params, f, max_iter=0).residual <= 1e-12
+
+    def test_polish_needed_at_small_omega(self, params):
+        with pytest.raises(NewtonDiverged):
+            solve_expansion("stable", params, POLISHED_DRIVE, max_iter=0)
+        assert solve_expansion("stable", params, POLISHED_DRIVE).residual <= 1e-12
+
+    def test_known_defect_still_diverges(self, params):
+        # perfbench/reference/atlas.npz records this NewtonDiverged: change
+        # this test only together with that file
+        with pytest.raises(NewtonDiverged):
+            solve_expansion("unstable", params, DEFECT_DRIVE)
 
 
 class TestRegionTwoGrid:

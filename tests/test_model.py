@@ -299,3 +299,17 @@ def test_wrap_angles_bitwise():
     ])
     want = np.array([wrap_angle(v) for v in theta.tolist()])
     assert wrap_angles(theta).tobytes() == want.tobytes()
+
+
+# th + 2*pi rounds up to 2*pi for these, which lies outside [0, 2*pi)
+TINY_NEGATIVE_ANGLES = [-4.4e-16, -1e-17, -1e-300, -5e-324]
+
+
+@pytest.mark.parametrize("theta", TINY_NEGATIVE_ANGLES)
+def test_wrap_angle_tiny_negative_is_zero(theta):
+    assert wrap_angle(theta) == 0.0
+
+
+def test_wrap_angles_tiny_negative_is_zero():
+    assert wrap_angles(TINY_NEGATIVE_ANGLES).tolist() == [0.0] * len(TINY_NEGATIVE_ANGLES)
+    assert 0.0 < wrap_angles([-4.5e-16])[0] < TWO_PI

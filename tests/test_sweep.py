@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from fhnburst.sweep import (
 )
 
 SMALL = dict(omega_range=(0.018, 0.028, 0.005), e_range=(0.46, 0.52, 0.03))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSweepSpec:
@@ -301,3 +306,22 @@ class TestCsv:
                        e_range=(0.40, 0.46, 0.03))
         assert spec_fingerprint(s1, params, cfg) == spec_fingerprint(s2, params, cfg)
         assert spec_fingerprint(s1, params, cfg) != spec_fingerprint(s3, params, cfg)
+
+    def test_fingerprint_is_pinned(self, params):
+        # checkpoints written by earlier versions must still resume
+        from fhnburst.integrator import IntegratorConfig
+
+        assert spec_fingerprint(SweepSpec(workers=1, **SMALL), params, IntegratorConfig()) == (
+            "65f700443419490a58ec4206a1ae2e6bdf464bd8db06be4067b13b18ac441f2d"
+        )
+
+    def test_import_does_not_load_hashlib(self):
+        # spec_fingerprint imports it on first use, so a process that never
+        # checkpoints does not map OpenSSL
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        code = "import sys, fhnburst; print('hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
