@@ -18,7 +18,11 @@
  * each located by `bisect` until its bracket is at most 1e-12 wide or no
  * double lies strictly inside it.
  * fhn_out also carries the step counters n_accept, n_reject,
- * n_nonfinite_retry and h_min (see _kernel_py).  fhn_integrate returns the
+ * n_nonfinite_retry and h_min (see _kernel_py), and beside them
+ * sq_integral, the integral of x^2 + y^2 over the stored knots (0 without
+ * store_knots): each stored step adds h times the `gram_form` of x and y to
+ * a Neumaier-compensated sum, divided by 55440 once at the end, as
+ * _kernel_py.sq_integral does over the knot rows.  fhn_integrate returns the
  * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
  * non-finite state) or -1 when a buffer could not grow.
  */
@@ -46,7 +50,18 @@ static const double AL2 = 0.386, AL3 = 0.21, AL4 = 0.63;
 static const double G1 = 0.25, G2 = -0.1043, G3 = 0.1035, G4 = -0.03620000000000023;
 static const double GAMMA = 0.25;
 
-#define FHN_ABI_VERSION 2
+/* upper triangle of integrator.HERMITE_GRAM_INT, off-diagonal entries doubled */
+static const double Q00 = 21720.0, Q01 = 7464.0, Q02 = 562.0, Q03 = 12000.0,
+                    Q04 = -3624.0, Q05 = 362.0;
+static const double Q11 = 832.0, Q12 = 138.0, Q13 = 3624.0, Q14 = -1064.0,
+                    Q15 = 104.0;
+static const double Q22 = 6.0, Q23 = 362.0, Q24 = -104.0, Q25 = 10.0;
+static const double Q33 = 21720.0, Q34 = -7464.0, Q35 = 562.0;
+static const double Q44 = 832.0, Q45 = -138.0;
+static const double Q55 = 6.0;
+static const double GRAM_DEN = 55440.0;
+
+#define FHN_ABI_VERSION 3
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -59,6 +74,7 @@ typedef struct {
     long n_minima, cap_minima;
     long n_accept, n_reject, n_nonfinite_retry;
     double h_min;
+    double sq_integral;
 } fhn_out;
 
 typedef struct {
@@ -100,6 +116,24 @@ static double hermite_dx(double s, double h, const double *c)
             + (30.0 * s2 - 60.0 * s3 + 30.0 * s4) * c[3]
             + h * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4) * c[4]
             + h * h * (1.5 * s2 - 4.0 * s3 + 2.5 * s4) * c[5]) / h;
+}
+
+/* GRAM_DEN times the integral over s in [0, 1] of the square of one
+ * component's quintic Hermite interpolant on a step of width h, from
+ * (v, v', v'') at both ends: the symmetric Gram form in 21 products. */
+static double gram_form(double h, double v0, double f0, double d0, double v1,
+                        double f1, double d1)
+{
+    double c1 = h * f0;
+    double c2 = h * (h * d0);
+    double c4 = h * f1;
+    double c5 = h * (h * d1);
+    return v0 * (Q00 * v0 + Q01 * c1 + Q02 * c2 + Q03 * v1 + Q04 * c4 + Q05 * c5)
+           + c1 * (Q11 * c1 + Q12 * c2 + Q13 * v1 + Q14 * c4 + Q15 * c5)
+           + c2 * (Q22 * c2 + Q23 * v1 + Q24 * c4 + Q25 * c5)
+           + v1 * (Q33 * v1 + Q34 * c4 + Q35 * c5)
+           + c4 * (Q44 * c4 + Q45 * c5)
+           + c5 * (Q55 * c5);
 }
 
 /* Midpoint of a bracket [lo, hi] of the step from t with g(lo) < 0 <= g(hi),
@@ -191,6 +225,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
     long n_steps = 0;
     int rejected = 0;
+    double sq_sum = 0.0, sq_comp = 0.0;
     double t_snap = 2e-13 * span;
     int status = 0;
 
@@ -363,6 +398,17 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             }
         }
 
+        if (store_knots) {
+            double term = h_used * (gram_form(h_used, x, fx, d2x, x_new, fxn, d2xn)
+                                    + gram_form(h_used, y, fy, d2y, y_new, fyn, d2yn));
+            double s = sq_sum + term;
+            if (fabs(sq_sum) >= fabs(term))
+                sq_comp += (sq_sum - s) + term;
+            else
+                sq_comp += (term - s) + sq_sum;
+            sq_sum = s;
+        }
+
         t = t_new;
         x = x_new;
         y = y_new;
@@ -388,6 +434,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             h = hmax;
     }
 
+    out->sq_integral = (sq_sum + sq_comp) / GRAM_DEN;
     if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
     return status;

@@ -8,7 +8,7 @@ literals and copies this kernel operation for operation (same bisections
 and order of every sum), so the two backends return bit-identical results.
 Keep any algorithmic edit here in lockstep with _kernel.c.
 
-`integrate_forced` returns (status, knots, spikes, minima, stats):
+`integrate_forced` returns (status, knots, spikes, minima, stats, sq_integral):
 - status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
   state;
 - knots: an n x 7 array with rows (t, x, y, fx, fy, d2x, d2y), the state
@@ -22,7 +22,11 @@ Keep any algorithmic edit here in lockstep with _kernel.c.
 - stats: the step counters n_accept (accepted steps), n_reject (steps
   rejected by the error test), n_nonfinite_retry (attempts halved because a
   stage went non-finite) and h_min (the smallest accepted step, inf when
-  none was accepted; the last step may be cut short to land on t_end).
+  none was accepted; the last step may be cut short to land on t_end);
+- sq_integral: the integral of x^2 + y^2 over the stored knots' span (0.0
+  without store_knots), exact on the quintic Hermite interpolant (see
+  `sq_integral`).  It travels beside the counters, which do not depend on
+  what the run stores.
 
 Spikes and minima are located only with detect_events, each by one
 bisection on the step's quintic Hermite interpolant (of x - 1 for a spike,
@@ -40,6 +44,8 @@ from .integrator import (
     FAC_MIN,
     FAC_REJECT_MAX,
     FAC_REJECT_MIN,
+    HERMITE_GRAM_DEN,
+    HERMITE_GRAM_INT,
     ROS_A,
     ROS_ALPHA,
     ROS_C,
@@ -57,6 +63,14 @@ _, (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), _ = ROS_A
  (C61, C62, C63, C64, C65)) = ROS_C
 _, AL2, AL3, AL4, _, _ = ROS_ALPHA
 G1, G2, G3, G4, _, _ = ROS_GSUM
+
+# the upper triangle of HERMITE_GRAM_INT, off-diagonal entries doubled (all
+# exact in floating point), for the symmetric Gram form in 21 products
+((Q00, Q01, Q02, Q03, Q04, Q05), (Q11, Q12, Q13, Q14, Q15), (Q22, Q23, Q24, Q25),
+ (Q33, Q34, Q35), (Q44, Q45), (Q55,)) = (
+    tuple(float(g if i == j else 2 * g) for j, g in enumerate(row) if j >= i)
+    for i, row in enumerate(HERMITE_GRAM_INT)
+)
 
 EVENT_TIME_TOL = 1e-12
 KNOT_WIDTH = 7
@@ -77,6 +91,44 @@ def _hermite_dx(s, h, x0, f0, d0, x1, f1, d1):
         w0 * x0 + h * w1 * f0 + h * h * w2 * d0
         + w3 * x1 + h * w4 * f1 + h * h * w5 * d1
     ) / h
+
+
+def _gram_form(h, v0, f0, d0, v1, f1, d1):
+    """HERMITE_GRAM_DEN times the integral over s in [0, 1] of the square of
+    one component's quintic Hermite interpolant on a step of width h, from
+    (v, v', v'') at both ends."""
+    c1 = h * f0
+    c2 = h * (h * d0)
+    c4 = h * f1
+    c5 = h * (h * d1)
+    return (
+        v0 * (Q00 * v0 + Q01 * c1 + Q02 * c2 + Q03 * v1 + Q04 * c4 + Q05 * c5)
+        + c1 * (Q11 * c1 + Q12 * c2 + Q13 * v1 + Q14 * c4 + Q15 * c5)
+        + c2 * (Q22 * c2 + Q23 * v1 + Q24 * c4 + Q25 * c5)
+        + v1 * (Q33 * v1 + Q34 * c4 + Q35 * c5)
+        + c4 * (Q44 * c4 + Q45 * c5)
+        + c5 * (Q55 * c5)
+    )
+
+
+def sq_integral(knots):
+    """Integral of x^2 + y^2 over the span of knot rows (t, x, y, fx, fy, d2x,
+    d2y), exact on the quintic Hermite interpolant: each step adds h times
+    the Gram forms of x and y to a Neumaier-compensated sum, which is divided
+    by HERMITE_GRAM_DEN once at the end.  The C kernel sums the same terms in
+    the same order while it stores the knots."""
+    total = comp = 0.0
+    for k0, k1 in zip(knots, knots[1:]):
+        h = k1[0] - k0[0]
+        term = h * (_gram_form(h, k0[1], k0[3], k0[5], k1[1], k1[3], k1[5])
+                    + _gram_form(h, k0[2], k0[4], k0[6], k1[2], k1[4], k1[6]))
+        s = total + term
+        if abs(total) >= abs(term):
+            comp += (total - s) + term
+        else:
+            comp += (term - s) + total
+        total = s
+    return (total + comp) / HERMITE_GRAM_DEN
 
 
 def _bisect(g, lo, hi):
@@ -120,7 +172,7 @@ def integrate_forced(
     fx, fy = rhs(math.sin(omega * t), x, y)
     if not (math.isfinite(fx) and math.isfinite(fy)):
         stats = dict(zip(STAT_NAMES, (0, 0, 0, math.inf)))
-        return 3, np.empty((0, KNOT_WIDTH)), np.empty(0), np.empty(0), stats
+        return 3, np.empty((0, KNOT_WIDTH)), np.empty(0), np.empty(0), stats, 0.0
     ftx = E * omega * math.cos(omega * t)
     jxx = 1.0 - x * x
     d2x = ftx + jxx * fx - fy
@@ -315,4 +367,4 @@ def integrate_forced(
         knots = [(t, x, y, fx, fy, d2x, d2y)]
     stats = dict(zip(STAT_NAMES, (n_accept, n_reject, n_nonfinite_retry, h_min)))
     return (status, np.asarray(knots), np.asarray(spikes, dtype=float),
-            np.asarray(minima, dtype=float), stats)
+            np.asarray(minima, dtype=float), stats, sq_integral(knots))

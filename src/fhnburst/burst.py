@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fastpath
+from . import _kernel_py, fastpath
 from .errors import NoFirstSpike, NoPassage
 from .geometry import FoldedEquilibrium
-from .integrator import HERMITE_GRAM, IntegratorConfig, Trajectory
+from .integrator import IntegratorConfig, Trajectory
 from .manifolds import solve_expansion, theta_at_lower_bound
 from .model import Forcing, ModelParams, TWO_PI, unforced_equilibrium, wrap_angle
 
@@ -84,37 +84,23 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
     """Period-normalized L2 norm of (x, y), integrated exactly on the dense
     output; the span must cover a whole number of periods.
 
-    On each knot interval of width h both components are quintic Hermite
-    polynomials with coefficients c = (x0, h f0, h^2 d0, x1, h f1, h^2 d1),
-    so the interval's integral of x^2 + y^2 is h * c @ HERMITE_GRAM @ c,
-    summed over both components.  Each c_i is one 1-D column over the
-    interleaved (x, y) knot values, with hw repeating each h once per
-    component, and the symmetric Gram form over all intervals is summed as
-    21 dot products: sum over i <= j of
-    (2 - [i == j]) * HERMITE_GRAM[i, j] * ((hw * c_i) @ c_j).
-    So no array of n x 12 values is built: at a few thousand knots such
-    temporaries (an (n, 2, 6) coefficient stack and its products with the
-    Gram matrix) cost more in allocation and page faults than the
-    arithmetic does.
+    The integral of x^2 + y^2 is the forced kernel's `sq_integral`, summed
+    step by step while it stored the knots.  A trajectory without it (built
+    by hand) gets the same sum from `_kernel_py.sq_integral` over its knots.
     """
     t0, t1 = trajectory.t_span
     n_periods = (t1 - t0) / T
     n_int = round(n_periods)
     if n_int < 1 or abs(n_periods - n_int) > 1e-9 * max(1.0, n_periods):
         raise ValueError("trajectory span is not an integer number of periods")
-    k = trajectory.states.shape[1]
-    hw = np.repeat(np.diff(trajectory.times), k)
-    x = trajectory.states.ravel()
-    f = trajectory.derivs.ravel()
-    d = trajectory.curvatures.ravel()
-    c = (x[:-k], hw * f[:-k], hw * (hw * d[:-k]), x[k:], hw * f[k:], hw * (hw * d[k:]))
-    total = 0.0
-    for i in range(6):
-        hc = hw * c[i]
-        total += HERMITE_GRAM[i, i] * float(hc @ c[i])
-        for j in range(i + 1, 6):
-            total += 2.0 * HERMITE_GRAM[i, j] * float(hc @ c[j])
-    return math.sqrt(total / (t1 - t0))
+    integral = trajectory.sq_integral
+    if integral is None:
+        if trajectory.states.shape[1] != 2:
+            raise ValueError("the L2 norm needs a planar (x, y) trajectory")
+        integral = _kernel_py.sq_integral(np.column_stack(
+            [trajectory.times, trajectory.states, trajectory.derivs, trajectory.curvatures]
+        ).tolist())
+    return math.sqrt(integral / (t1 - t0))
 
 
 LOWER_RETURN_DEPTH = -1.5   # x-minima below this count as lower-bound returns

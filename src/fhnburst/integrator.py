@@ -99,19 +99,21 @@ def _hermite_weights(s):
     )
 
 
-# Gram matrix of the quintic Hermite basis on [0, 1]: entry (i, j) is the
+# Gram matrix G of the quintic Hermite basis on [0, 1]: entry (i, j) is the
 # integral of _hermite_weights(s)[i] * _hermite_weights(s)[j] ds, in exact
-# fractions over the common denominator 55440.  With c = (x0, h f0, h^2 d0,
+# fractions HERMITE_GRAM_INT / HERMITE_GRAM_DEN.  With c = (x0, h f0, h^2 d0,
 # x1, h f1, h^2 d1) on a knot interval of width h, the interval's integral
-# of x^2 is h * c @ HERMITE_GRAM @ c (Hairer & Wanner, Solving ODEs II, IV.7).
-HERMITE_GRAM = np.array([
-    [21720, 3732, 281, 6000, -1812, 181],
-    [3732, 832, 69, 1812, -532, 52],
-    [281, 69, 6, 181, -52, 5],
-    [6000, 1812, 181, 21720, -3732, 281],
-    [-1812, -532, -52, -3732, 832, -69],
-    [181, 52, 5, 281, -69, 6],
-]) / 55440.0
+# of x^2 is h * c @ G @ c (Hairer & Wanner, Solving ODEs II, IV.7).  The
+# forced kernels sum it with the integer entries and divide once at the end.
+HERMITE_GRAM_INT = (
+    (21720, 3732, 281, 6000, -1812, 181),
+    (3732, 832, 69, 1812, -532, 52),
+    (281, 69, 6, 181, -52, 5),
+    (6000, 1812, 181, 21720, -3732, 281),
+    (-1812, -532, -52, -3732, 832, -69),
+    (181, 52, 5, 281, -69, 6),
+)
+HERMITE_GRAM_DEN = 55440
 
 
 def _hermite_weights_d1(s):
@@ -133,21 +135,26 @@ class Trajectory:
     """Accepted knots plus the data needed for dense evaluation.
 
     times are strictly increasing; states/derivs/curvatures are the solution,
-    its first and its second time derivative at the knots.  spikes and minima
-    hold the times of the upward crossings of x = 1 and of the local
-    x-minima that the forced kernel located, in time order (both empty for
-    runs of the generic `integrate`).  meta is free-form context (e.g. the
-    forcing that produced the run and the kernel's step counters).
+    its first and its second time derivative at the knots.  The arrays are
+    kept as given (float views are not copied, so they may be strided
+    columns of one knot table).  spikes and minima hold the times of the
+    upward crossings of x = 1 and of the local x-minima that the forced
+    kernel located, in time order (both empty for runs of the generic
+    `integrate`).  meta is free-form context (e.g. the forcing that produced
+    the run and the kernel's step counters).  sq_integral is the forced
+    kernel's integral of x^2 + y^2 over the knots' span, None when not known.
     """
 
-    def __init__(self, times, states, derivs, curvatures, spikes=(), minima=(), meta=None):
-        self.times = np.ascontiguousarray(times, dtype=float)
-        self.states = np.ascontiguousarray(states, dtype=float)
-        self.derivs = np.ascontiguousarray(derivs, dtype=float)
-        self.curvatures = np.ascontiguousarray(curvatures, dtype=float)
+    def __init__(self, times, states, derivs, curvatures, spikes=(), minima=(), meta=None,
+                 sq_integral=None):
+        self.times = np.asarray(times, dtype=float)
+        self.states = np.asarray(states, dtype=float)
+        self.derivs = np.asarray(derivs, dtype=float)
+        self.curvatures = np.asarray(curvatures, dtype=float)
         self.spikes = np.asarray(spikes, dtype=float)
         self.minima = np.asarray(minima, dtype=float)
         self.meta = dict(meta) if meta else {}
+        self.sq_integral = sq_integral
         if (
             self.times.ndim != 1
             or self.states.ndim != 2
@@ -156,10 +163,11 @@ class Trajectory:
             or self.curvatures.shape != self.states.shape
         ):
             raise ValueError("knot arrays are inconsistent")
-        if self.times.size >= 2 and not np.all(np.diff(self.times) > 0.0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("knot times must be strictly increasing")
+        # column by column: that is how a strided column view reads fastest
         for arr in (self.times, self.states, self.derivs, self.curvatures):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr, order="F").all():
                 raise ValueError("non-finite values in trajectory data")
 
     @property

@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, fields
 
@@ -258,6 +257,8 @@ def run_sweep(
     workers = min(spec.workers, len(pending))
     parallel = workers > 1
     try:
+        if parallel:
+            import multiprocessing   # here, not at module level: 8 ms of `import fhnburst`
         with (multiprocessing.Pool(workers) if parallel
               else contextlib.nullcontext()) as pool:
             if parallel:

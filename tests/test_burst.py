@@ -22,7 +22,8 @@ from fhnburst.cli import main
 from fhnburst.errors import NoFirstSpike
 from fhnburst.geometry import folded_equilibria
 from fhnburst.integrator import (
-    HERMITE_GRAM,
+    HERMITE_GRAM_DEN,
+    HERMITE_GRAM_INT,
     IntegratorConfig,
     Trajectory,
     _hermite_weights,
@@ -32,6 +33,7 @@ from fhnburst.model import Forcing, TWO_PI, make_forced_callables, wrap_angles
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
+HERMITE_GRAM = np.array(HERMITE_GRAM_INT) / HERMITE_GRAM_DEN
 
 
 def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), meta=None):
@@ -231,6 +233,21 @@ class TestL2Norm:
             assert traj.spikes.size == 0
         want = _reference_l2_norm(traj, forcing.period)
         assert l2_norm(traj, forcing.period) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("E, omega", L2_DRIVES)
+    def test_kernel_integral_matches_knot_sum(self, params, E, omega):
+        # the kernel sums the integral while it stores the knots; the same
+        # knots without that sum (the hand-built path) give the same float
+        forcing = Forcing(E=E, omega=omega)
+        traj = simulate_standard(params, forcing)
+        if (E, omega) in QUIET_L2_DRIVES:
+            assert traj.spikes.size == 0
+        assert traj.sq_integral > 0.0
+        knots = np.column_stack([traj.times, traj.states, traj.derivs, traj.curvatures])
+        rebuilt = fastpath.trajectory_from_knots(knots, meta=traj.meta)
+        assert rebuilt.sq_integral is None
+        got = l2_norm(rebuilt, forcing.period)
+        assert got.hex() == l2_norm(traj, forcing.period).hex()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_on_random_knots(self, seed):

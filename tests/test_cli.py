@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fhnburst import cli
 from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
@@ -225,6 +227,25 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--E", "0.5"])      # omega missing
         assert info.value.code == 2
+
+    def test_one_parser_across_calls(self, capsys, monkeypatch):
+        # main builds its parser once per process; a flag error and the flags
+        # of one call must not reach the next
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda self, **kw: built.append(self) or add_subparsers(self, **kw))
+        assert main(["simulate", "--E", "0.55", "--omega", "0.0149354", "--periods", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_theta"] == 3
+        first = len(built)
+        assert first <= 1                          # none when an earlier test built it
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--E", "0.5"])      # omega missing
+        assert info.value.code == 2
+        assert main(["simulate", "--E", "0.55", "--omega", "0.0149354"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_theta"] == 6
+        assert len(built) == first
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as info:

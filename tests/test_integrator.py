@@ -21,8 +21,8 @@ BURST3 = Forcing(E=0.55, omega=0.0149354)
 
 def _assert_same_run(got, want):
     """Two kernel results (status, knot table, spike times, minimum times,
-    step counters) are equal, bit for bit."""
-    assert len(got) == len(want) == 5
+    step counters, integral of x^2 + y^2) are equal, bit for bit."""
+    assert len(got) == len(want) == 6
     assert got[0] == want[0]
     assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
     for times_got, times_want in zip(got[2:4], want[2:4]):
@@ -30,6 +30,7 @@ def _assert_same_run(got, want):
         assert times_got.shape == times_want.shape
         assert times_got.tobytes() == times_want.tobytes()
     assert got[4] == want[4]
+    assert float(got[5]).hex() == float(want[5]).hex()
 
 
 def _linear_problem():
@@ -252,6 +253,7 @@ class TestForcedSystemRuns:
                 want = _kernel_py.integrate_forced(*meas)
                 assert want[0] == 0
                 assert want[4]["n_accept"] == len(want[1]) - 1
+                assert want[5] > 0.0                 # the integral was summed
                 _assert_same_run(c_kernel(*meas), want)
                 n_spikes += len(want[2])
                 n_minima += len(want[3])
@@ -296,6 +298,25 @@ class TestForcedSystemRuns:
                                 detect_events=False, store_knots=False)
         assert burn.meta["stats"] == stats
         assert burn.minima.shape == (0,) and burn.spikes.shape == (0,)
+
+    def test_knot_table_kept_in_place(self, params):
+        # the trajectory's columns are views of the one knot table
+        traj = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period))
+        table = traj.times.base
+        assert table is not None and table.shape == (traj.times.size, _kernel_py.KNOT_WIDTH)
+        assert all(arr.base is table for arr in (traj.states, traj.derivs, traj.curvatures))
+
+    @pytest.mark.parametrize("row, col, value", [
+        (3, 4, math.nan),           # a non-finite derivative
+        (3, 0, 2.0),                # a repeated knot time
+    ])
+    def test_knot_table_checked(self, row, col, value):
+        table = np.random.default_rng(3).normal(size=(6, _kernel_py.KNOT_WIDTH))
+        table[:, 0] = np.arange(6.0)
+        assert fastpath.trajectory_from_knots(table).times.size == 6
+        table[row, col] = value
+        with pytest.raises(ValueError):
+            fastpath.trajectory_from_knots(table)
 
     def test_stale_library_refused(self, kernel_library, monkeypatch):
         assert callable(fastpath.load_kernel(kernel_library))

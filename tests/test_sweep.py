@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -192,7 +193,8 @@ class TestRunSweep:
                 assert chunksize >= 1
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sweep_mod.multiprocessing, "Pool", SerialPool)
+        # run_sweep imports multiprocessing when it needs a pool
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         axes = dict(omega_range=(0.01, 0.02, 0.01), e_range=(0.45, 0.5, 0.05),
                     metrics=("region",))
         wide = run_sweep(SweepSpec(workers=64, **axes), params)
@@ -315,13 +317,22 @@ class TestCsv:
             "65f700443419490a58ec4206a1ae2e6bdf464bd8db06be4067b13b18ac441f2d"
         )
 
-    def test_import_does_not_load_hashlib(self):
-        # spec_fingerprint imports it on first use, so a process that never
-        # checkpoints does not map OpenSSL
+    @staticmethod
+    def _loaded_by_import(module: str) -> bool:
+        """Whether `import fhnburst` in a fresh interpreter loads module."""
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        code = "import sys, fhnburst; print('hashlib' in sys.modules)"
+        code = f"import sys, fhnburst; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_import_does_not_load_hashlib(self):
+        # spec_fingerprint imports it on first use, so a process that never
+        # checkpoints does not map OpenSSL
+        assert not self._loaded_by_import("hashlib")
+
+    def test_import_does_not_load_multiprocessing(self):
+        # run_sweep imports it only to start a pool of two or more workers
+        assert not self._loaded_by_import("multiprocessing")
