@@ -25,8 +25,14 @@
  * _kernel_py.sq_integral does over the knot rows.  fhn_integrate returns the
  * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
  * non-finite state) or -1 when a buffer could not grow.
+ *
+ * The second entry point, fhn_format_table, writes a table of doubles as
+ * "%.17g" or "%.2f" text into the caller's buffer, byte for byte what
+ * _kernel_py.format_table writes, and returns its length, or -1 when a
+ * value lies outside its exact range (see the comment above it).
  */
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -61,7 +67,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 3
+#define FHN_ABI_VERSION 4
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -438,4 +444,223 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
     if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
     return status;
+}
+
+/* ---------------------------------------------------------------------------
+ * Exact table formatter: the bytes of Python's
+ * (sep.join([spec] * k) + end) * n % tuple(values) for spec "%.17g" or "%.2f"
+ * (_kernel_py.format_table), without snprintf, so no locale reaches them.
+ *
+ * Each double is m 2^e with an integer m < 2^53.  Its decimal digits are
+ * m 5^q 2^(e + q) = |v| 10^q rounded half to even, in unsigned 128-bit
+ * integers, then laid out by the C99 %g/%f rules.  The exact path covers
+ * +-0, nan, +-inf and, as real numbers, 10^-16 <= |v| < 10^16 for %.17g
+ * (the double 1e-16 lies just below 10^-16) and |v| < 10^15 for %.2f.
+ * For %.17g, q = 16 - X with X = floor(log10 |v|) in [-16, 15]; the first
+ * estimate of X is X or X + 1, never lower, so q <= 32 also after its
+ * correction, and m 5^q < 2^53 5^32 < 2^128.  For %.2f, q = 2 and
+ * m 25 < 2^58.  For any other value or
+ * spec, or a buffer shorter than the table, fhn_format_table returns -1
+ * and writes nothing the caller may use; without __SIZEOF_INT128__ it
+ * returns -1 for every table.
+ */
+#define FMT_17G_LO 1e-16
+#define FMT_17G_HI 1e16
+#define FMT_2F_HI 1e15
+#define FMT_MAX_LEN 23   /* the longest value text, "-1.2345678901234567e-16" */
+
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+    6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL,
+};
+static const uint64_t TEN16 = 10000000000000000ULL;
+
+/* floor(n log10(2)) for |n| <= 1000 */
+static int floor_log10_pow2(int n)
+{
+    return n >= 0 ? (n * 78913) >> 18 : -((-n * 78913 + 262143) >> 18);
+}
+
+/* p 2^-s rounded half to even, for 1 <= s <= 127; *fl gets it rounded down */
+static u128 shift_round(u128 p, int s, u128 *fl)
+{
+    u128 q = p >> s;
+    u128 rem = p - (q << s);
+    u128 half = (u128)1 << (s - 1);
+    *fl = q;
+    return q + (rem > half || (rem == half && (q & 1)));
+}
+
+/* write the decimal digits of d, exactly `width` of them (leading zeros) */
+static char *put_digits(char *dst, uint64_t d, int width)
+{
+    for (int i = width - 1; i >= 0; i--) {
+        dst[i] = (char)('0' + d % 10);
+        d /= 10;
+    }
+    return dst + width;
+}
+
+static int digit_count(uint64_t d)
+{
+    int n = 1;
+    while (d >= 10) {
+        d /= 10;
+        n++;
+    }
+    return n;
+}
+
+/* %.17g of the finite non-zero |v| = m 2^e, 10^-16 <= |v| < 10^16 */
+static char *put_17g(char *dst, uint64_t m, int e)
+{
+    int x = floor_log10_pow2(e + 53);   /* X or X + 1, as 2^(e+52) <= |v| < 2^(e+53) */
+    uint64_t d;
+    for (;;) {
+        int q = 16 - x;
+        u128 p = (u128)m * POW5[q < 27 ? q : 27];
+        if (q > 27)
+            p *= POW5[q - 27];
+        u128 fl, r;
+        if (e + q >= 0)
+            fl = r = p << (e + q);
+        else
+            r = shift_round(p, -(e + q), &fl);
+        if (fl < TEN16) {   /* |v| < 10^x: the estimate was one too high */
+            x--;
+            continue;
+        }
+        d = (uint64_t)r;
+        if (d == 10 * TEN16) {   /* rounded up to the next power of ten */
+            d = TEN16;
+            x++;
+        }
+        break;
+    }
+    char digits[17];
+    put_digits(digits, d, 17);
+    int nd = 17;
+    while (digits[nd - 1] == '0')
+        nd--;
+    if (x < -4) {   /* d.ddde-XX */
+        *dst++ = digits[0];
+        if (nd > 1) {
+            *dst++ = '.';
+            memcpy(dst, digits + 1, nd - 1);
+            dst += nd - 1;
+        }
+        *dst++ = 'e';
+        *dst++ = '-';
+        return put_digits(dst, (uint64_t)-x, 2);
+    }
+    if (x < 0) {   /* 0.000ddd */
+        *dst++ = '0';
+        *dst++ = '.';
+        memset(dst, '0', -x - 1);
+        dst += -x - 1;
+        memcpy(dst, digits, nd);
+        return dst + nd;
+    }
+    memcpy(dst, digits, x + 1);   /* ddd.ddd, the integer part in full */
+    dst += x + 1;
+    if (nd > x + 1) {
+        *dst++ = '.';
+        memcpy(dst, digits + x + 1, nd - x - 1);
+        dst += nd - x - 1;
+    }
+    return dst;
+}
+
+/* %.2f of the finite |v| = m 2^e < 10^15 < 2^50, so s = -(e + 2) >= 3 */
+static char *put_2f(char *dst, uint64_t m, int e)
+{
+    int s = -(e + 2);
+    u128 fl;
+    /* |v| 100 = m 25 2^-s rounded; m 25 < 2^58 < 2^(s - 1) for s > 60 */
+    uint64_t d = s > 60 ? 0 : (uint64_t)shift_round((u128)m * 25, s, &fl);
+    uint64_t whole = d / 100;
+    dst = put_digits(dst, whole, digit_count(whole));
+    *dst++ = '.';
+    return put_digits(dst, d % 100, 2);
+}
+
+/* the value's text at dst, or NULL when the exact path does not cover it */
+static char *put_value(char *dst, double v, int fixed2)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int exp_bits = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & 0xfffffffffffffULL;
+    if (exp_bits == 0x7ff) {
+        if (m != 0) {
+            memcpy(dst, "nan", 3);
+            return dst + 3;
+        }
+        if (bits >> 63)
+            *dst++ = '-';
+        memcpy(dst, "inf", 3);
+        return dst + 3;
+    }
+    double a = fabs(v);
+    int covered = fixed2 ? a < FMT_2F_HI : a == 0.0 || (a > FMT_17G_LO && a < FMT_17G_HI);
+    if (!covered)
+        return NULL;
+    int e = exp_bits ? exp_bits - 1075 : -1074;
+    if (exp_bits)
+        m |= 1ULL << 52;
+    if (bits >> 63)
+        *dst++ = '-';
+    if (fixed2)
+        return put_2f(dst, m, e);
+    if (m == 0) {
+        *dst++ = '0';
+        return dst;
+    }
+    return put_17g(dst, m, e);
+}
+#endif
+
+long fhn_format_table(const double *values, long n, long k, const char *spec,
+                      const char *sep, const char *end, char *buf, long cap)
+{
+#ifdef __SIZEOF_INT128__
+    int fixed2;
+    if (strcmp(spec, "%.17g") == 0)
+        fixed2 = 0;
+    else if (strcmp(spec, "%.2f") == 0)
+        fixed2 = 1;
+    else
+        return -1;
+    long len_sep = (long)strlen(sep), len_end = (long)strlen(end);
+    long row_cap = k * (FMT_MAX_LEN + len_sep) + len_end;
+    char *dst = buf;
+    for (long i = 0; i < n; i++) {
+        if (buf + cap - dst < row_cap)
+            return -1;
+        for (long j = 0; j < k; j++) {
+            dst = put_value(dst, values[i * k + j], fixed2);
+            if (!dst)
+                return -1;
+            if (j + 1 < k) {
+                memcpy(dst, sep, len_sep);
+                dst += len_sep;
+            }
+        }
+        memcpy(dst, end, len_end);
+        dst += len_end;
+    }
+    return (long)(dst - buf);
+#else
+    (void)values; (void)n; (void)k; (void)spec; (void)sep; (void)end;
+    (void)buf; (void)cap;
+    return -1;
+#endif
 }

@@ -32,6 +32,9 @@ Spikes and minima are located only with detect_events, each by one
 bisection on the step's quintic Hermite interpolant (of x - 1 for a spike,
 of x' for a minimum) until the bracket is at most 1e-12 wide or no double
 lies strictly inside it (from t = 8192 on, one ulp of t is wider).
+
+`format_table` is the twin of the C library's other entry point, its exact
+table formatter.
 """
 from __future__ import annotations
 
@@ -368,3 +371,12 @@ def integrate_forced(
     stats = dict(zip(STAT_NAMES, (n_accept, n_reject, n_nonfinite_retry, h_min)))
     return (status, np.asarray(knots), np.asarray(spikes, dtype=float),
             np.asarray(minima, dtype=float), stats, sq_integral(knots))
+
+
+def format_table(table, spec, sep, end):
+    """The text of an n x k float table: each row is its k values formatted
+    with `spec`, joined by `sep` and followed by `end`, all in one `%` call.
+    fhn_format_table in _kernel.c writes the same bytes for "%.17g" and
+    "%.2f" by exact integer arithmetic, on the values its range covers."""
+    n, k = table.shape
+    return (sep.join([spec] * k) + end) * n % tuple(table.ravel().tolist())

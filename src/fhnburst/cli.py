@@ -26,6 +26,7 @@ from .burst import (
 )
 from .contours import levelsets, polylines_to_json, spike_boundaries
 from .errors import FhnBurstError
+from .fastpath import format_table
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
@@ -67,15 +68,20 @@ def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
 
 def _write_csv(path: str, header: str, *columns) -> None:
     """Write float columns under a header line, each value as %.17g, with one
-    format call for the whole table."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    `fastpath.format_table` call for the whole table."""
+    text = format_table(np.column_stack(columns), "%.17g", ",", "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+        fh.write(text)
+
+
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def _cmd_simulate(args) -> int:
+    _require_positive(args.samples_per_period, "--samples-per-period")
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
     cfg = _config_from(args)
@@ -101,7 +107,8 @@ def _cmd_simulate(args) -> int:
         "est_count": est,
         "region": classify_region(params, forcing),
     }
-    print(json.dumps(metrics, indent=2))
+    text = json.dumps(metrics, indent=2)
+    print(text)
 
     t0, t1 = traj.t_span
     ts = np.linspace(t0, t1, args.samples_per_period * n_periods + 1)
@@ -111,7 +118,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(args.out, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2)
+            fh.write(text)
     if args.svg:
         # one polyline per forcing period: split where theta wraps back
         wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
@@ -149,6 +156,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
+    _require_positive(args.samples, "--samples")
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
     exp = solve_expansion(args.branch, params, forcing)

@@ -1,14 +1,18 @@
-"""Backend selection for the hot forced-system integration kernel.
+"""Backend selection for the hot forced-system integration kernel and the
+exact table formatter.
 
-At import time the C kernel (`_kernel.c`, built by setup.py into the shared
+At import time the C library (`_kernel.c`, built by setup.py into the shared
 library `fhnburst._kernel` and loaded with ctypes) is preferred; the
-pure-Python twin `_kernel_py` is used when the library was not built.  The
-C file is an operation-for-operation copy of the twin compiled without
+pure-Python twins in `_kernel_py` are used when the library was not built.
+The C kernel is an operation-for-operation copy of the twin compiled without
 floating-point contraction, so both backends return bit-identical results:
 a status, the knot table, the spike times, the times of the x-minima, the
 step counters and the integral of x^2 + y^2 over the knots (see
-`_kernel_py`).  A library whose `fhn_abi_version()` is not `KERNEL_ABI`
-(built from an older `_kernel.c`) is refused like one that does not load.
+`_kernel_py`).  `format_table` writes the bytes of the twin's `%` call; the
+C formatter writes them when it covers every value of the table, and the
+twin writes the whole table when it does not.  A library whose
+`fhn_abi_version()` is not `KERNEL_ABI` (built from an older `_kernel.c`)
+is refused like one that does not load.
 """
 from __future__ import annotations
 
@@ -24,7 +28,8 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 3          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 4          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 
 
 class _Out(ctypes.Structure):
@@ -47,10 +52,9 @@ def _copy(ptr, shape: tuple[int, ...]) -> np.ndarray:
     return np.ctypeslib.as_array(ptr, shape).copy()
 
 
-def load_kernel(path: str):
-    """The C kernel in the shared library at `path`, as a drop-in for
-    `_kernel_py.integrate_forced` (same arguments, same result).  Raises
-    ImportError when the library was built for another ABI version."""
+def _open_library(path: str) -> ctypes.CDLL:
+    """The shared library at `path` with its entry points declared.  Raises
+    ImportError when it was built for another ABI version."""
     lib = ctypes.CDLL(path)
     lib.fhn_abi_version.restype = ctypes.c_int
     lib.fhn_abi_version.argtypes = []
@@ -67,6 +71,18 @@ def load_kernel(path: str):
     )
     lib.fhn_free.restype = None
     lib.fhn_free.argtypes = [ctypes.POINTER(_Out)]
+    lib.fhn_format_table.restype = ctypes.c_long
+    lib.fhn_format_table.argtypes = (
+        [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]
+    )
+    return lib
+
+
+def load_kernel(path: str):
+    """The C kernel in the shared library at `path`, as a drop-in for
+    `_kernel_py.integrate_forced` (same arguments, same result).  Raises
+    ImportError when the library was built for another ABI version."""
+    lib = _open_library(path)
 
     def integrate_forced(*args):
         out = _Out()
@@ -85,20 +101,50 @@ def load_kernel(path: str):
     return integrate_forced
 
 
-def _find_kernel():
+def load_formatter(path: str):
+    """The C table formatter in the shared library at `path`: it takes the
+    arguments of `_kernel_py.format_table` and returns the same text, or None
+    when a value of the table lies outside its exact range.  Raises
+    ImportError when the library was built for another ABI version."""
+    lib = _open_library(path)
+
+    def format_table(table, spec: str, sep: str, end: str) -> str | None:
+        values = np.ascontiguousarray(table, dtype=float)
+        n, k = values.shape
+        spec_b, sep_b, end_b = spec.encode(), sep.encode(), end.encode()
+        cap = n * (k * (FORMAT_WIDTH + len(sep_b)) + len(end_b))
+        buf = ctypes.create_string_buffer(cap)
+        size = lib.fhn_format_table(values.ctypes.data_as(_DOUBLE_P), n, k,
+                                    spec_b, sep_b, end_b, buf, cap)
+        return ctypes.string_at(buf, size).decode() if size >= 0 else None
+
+    return format_table
+
+
+def _find_library():
     spec = importlib.util.find_spec("fhnburst._kernel")
     try:
-        return load_kernel(spec.origin) if spec else None
+        return (load_kernel(spec.origin), load_formatter(spec.origin)) if spec else None
     except (OSError, AttributeError, ImportError):  # unloadable or stale library
         return None
 
 
-_BACKEND = _find_kernel() or _kernel_py.integrate_forced
+_BACKEND, _FORMATTER = _find_library() or (_kernel_py.integrate_forced, None)
 
 
 def active_backend() -> str:
     """'compiled' when the C kernel is in use, else 'pure'."""
     return "pure" if _BACKEND is _kernel_py.integrate_forced else "compiled"
+
+
+def format_table(table, spec: str, sep: str, end: str) -> str:
+    """`_kernel_py.format_table(table, spec, sep, end)`: the text of an n x k
+    float table, each row its values formatted with `spec` ("%.17g" and
+    "%.2f" have an exact C path), joined by `sep` and followed by `end`.
+    The C formatter writes it when it covers every value, else the twin
+    writes the whole table."""
+    text = _FORMATTER(table, spec, sep, end) if _FORMATTER else None
+    return _kernel_py.format_table(table, spec, sep, end) if text is None else text
 
 
 def trajectory_from_knots(knots, spikes=(), minima=(), meta=None, sq_integral=None):

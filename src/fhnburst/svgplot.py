@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from .fastpath import format_table
+
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -46,7 +48,7 @@ def render_svg(
     (n, 2) array; empty ones are skipped. colors: optional per-line color;
     bounds: optional (x_lo, x_hi, y_lo, y_hi) override, else the range of
     the points. The points are scaled as numpy columns and each polyline is
-    formatted with one `%` call, "%.2f,%.2f" per point.
+    formatted with one `fastpath.format_table` call, "%.2f,%.2f" per point.
     """
     polylines = [np.asarray(p, dtype=float) for p in polylines if len(p) > 0]
     if bounds is None:
@@ -114,7 +116,7 @@ def render_svg(
     for k, line in enumerate(polylines):
         color = (colors[k] if colors else PALETTE[k % len(PALETTE)])
         xy = np.column_stack([sx(line[:, 0]), sy(line[:, 1])])
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = format_table(xy, "%.2f", ",", " ")[:-1]   # no space after the last point
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.1"/>'
         )

@@ -51,6 +51,26 @@ def c_kernel(kernel_library):
     return fastpath.load_kernel(kernel_library)
 
 
+@pytest.fixture(scope="session")
+def c_formatter(kernel_library):
+    """The C table formatter: `_kernel_py.format_table`'s text, or None when
+    a value lies outside its exact range."""
+    return fastpath.load_formatter(kernel_library)
+
+
+@pytest.fixture
+def c_formatter_calls(c_formatter, monkeypatch):
+    """Make the C formatter fastpath's, and list what each call returns."""
+    returned = []
+
+    def record(*args):
+        returned.append(c_formatter(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(fastpath, "_FORMATTER", record)
+    return returned
+
+
 DESK_OMEGA = (0.01, 0.04, 0.03 / 19)
 DESK_E = (0.40, 0.55, 0.15 / 19)
 

@@ -156,6 +156,24 @@ class TestManifold:
         assert out.read_bytes() == ref.read_bytes()
 
 
+class TestCsvWriter:
+    @pytest.mark.parametrize("odd", [1e-300, -1e20, 1e-16])
+    def test_out_of_range_value(self, tmp_path, c_formatter_calls, odd):
+        # one value outside the C formatter's %.17g range: it refuses the
+        # table and the `%` twin writes all of it
+        ts = np.linspace(0.0, 3.0, 7)
+        xs, ys = np.sin(ts), np.cos(ts)
+        xs[3] = odd
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        cli._write_csv(str(out), "t,x,y", ts, xs, ys)
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write("t,x,y\n")
+            for row in zip(ts, xs, ys):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        assert c_formatter_calls == [None]
+        assert out.read_bytes() == ref.read_bytes()
+
+
 class TestEstimate:
     def test_three_spike_drive(self, capsys):
         assert main(["estimate", "--E", "0.55", "--omega", "0.0149354"]) == 0
@@ -299,6 +317,22 @@ class TestErrors:
         assert err["error"]["type"] == "ValueError"
         assert "no rows" in err["error"]["message"]
         assert not svg.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--samples-per-period", "-3"], "--samples-per-period"),
+        (["simulate", "--samples-per-period", "0"], "--samples-per-period"),
+        (["manifold", "--branch", "stable", "--samples", "0"], "--samples"),
+    ])
+    def test_rejects_bad_sample_counts(self, capsys, tmp_path, argv, flag):
+        # refused before any work: no metrics on stdout, no file
+        out = tmp_path / "f.csv"
+        assert main([*argv, "--E", "0.55", "--omega", "0.0149354", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"].startswith(flag + " ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--burn-in", "-1"], ["--periods", "0"]])
     def test_simulate_rejects_bad_periods(self, capsys, tmp_path, flags):

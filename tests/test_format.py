@@ -1,0 +1,89 @@
+"""The C table formatter (`fhn_format_table` in _kernel.c) against its twin,
+the `%` call of `_kernel_py.format_table`: the same text on every value the
+exact path covers, and a refusal of any table holding another value."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fhnburst import _kernel_py
+
+SPECS = ("%.17g", "%.2f")
+
+
+def covered(v, spec):
+    """The exact path's range: +-0, nan, +-inf and, as real numbers,
+    10^-16 <= |v| < 10^16 (%.17g; the double 1e-16 lies just below 10^-16)
+    or |v| < 10^15 (%.2f)."""
+    if v == 0.0 or not math.isfinite(v):
+        return True
+    return 1e-16 < abs(v) < 1e16 if spec == "%.17g" else abs(v) < 1e15
+
+
+def check(c_formatter, values, spec, k=1, sep=",", end="\n"):
+    table = np.asarray(values, dtype=float).reshape(-1, k)
+    got = c_formatter(table, spec, sep, end)
+    if all(covered(v, spec) for v in table.ravel().tolist()):
+        assert got == _kernel_py.format_table(table, spec, sep, end)
+    else:
+        assert got is None
+
+
+def neighbours(v, count=3):
+    """The `count` doubles on each side of v, v included."""
+    out = [v]
+    lo = hi = v
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+EDGES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1e-300, 1e20, 1.7976931348623157e308,
+    0.5, 0.125, 0.375, 0.625, -0.875, 0.005, 1.005, 2.675, -0.001, 0.1, 1 / 3,
+    1234567890123456.25, 1234567890123456.75, -2000000000000000.25,
+    *neighbours(1e-16), *neighbours(1e15), *neighbours(1e16),
+    *(s * v for p in range(-20, 20) for v in neighbours(10.0 ** p) for s in (1, -1)),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_edge_values(c_formatter, spec):
+    for v in EDGES:
+        check(c_formatter, [v], spec)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_empty_table(c_formatter, spec):
+    assert c_formatter(np.empty((0, 3)), spec, ",", "\n") == ""
+
+
+def test_other_spec_refused(c_formatter):
+    assert c_formatter(np.ones((2, 2)), "%.3f", ",", "\n") is None
+
+
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+DOUBLES = _signed(st.one_of(
+    st.floats(),                                     # any double, nan and inf too
+    st.floats(min_value=0.0, max_value=1e16),        # mostly inside the exact range
+    # exact ties of the last digit kept: %.17g on [1e15, 2^51), %.2f anywhere
+    st.builds(lambda i, f: i + f, st.integers(10**15, 2**51 - 1), st.sampled_from((0.25, 0.75))),
+    st.builds(lambda i, f: i + f, st.integers(0, 2**40),
+              st.sampled_from((0.125, 0.375, 0.625, 0.875))),
+))
+
+
+@given(values=st.lists(DOUBLES, min_size=1, max_size=6), spec=st.sampled_from(SPECS))
+@settings(max_examples=400, deadline=None)
+def test_matches_twin(c_formatter, values, spec):
+    for v in values:
+        check(c_formatter, [v], spec, end="")
+    check(c_formatter, values, spec, k=len(values), sep=", ", end=";\n")
+    check(c_formatter, values + values, spec, k=2, sep=",", end=" ")

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,12 @@ class TestForcedSystemRuns:
         monkeypatch.setattr(fastpath, "KERNEL_ABI", fastpath.KERNEL_ABI + 1)
         with pytest.raises(ImportError, match="kernel ABI"):
             fastpath.load_kernel(kernel_library)
+
+    def test_abi_version_matches_source(self):
+        # a version bump made in only one of the two files fails without a compiler
+        source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+        (version,) = re.findall(r"^#define FHN_ABI_VERSION (\d+)$", source, re.M)
+        assert int(version) == fastpath.KERNEL_ABI
 
     def test_generic_path_matches_kernel(self, params):
         # reference numpy stepper vs specialized kernel on one period

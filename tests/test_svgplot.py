@@ -196,6 +196,14 @@ class TestRenderSvgMatchesReference:
         new, ref = self._both(tmp_path, _near_ties(), "x", "y", bounds=(0.0, 1.0, 0.0, 1.0))
         assert new == ref
 
+    def test_out_of_range_polyline(self, tmp_path, c_formatter_calls):
+        # a point far outside the bounds lands beyond the C formatter's %.2f
+        # range (1e15 pixels), so the `%` twin writes that polyline
+        lines = [[(0.2, 0.3), (1e14, 0.5), (0.7, 0.9)], [(0.1, 0.1), (0.9, 0.4)]]
+        new, ref = self._both(tmp_path, lines, "x", "y", bounds=(0.0, 1.0, 0.0, 1.0))
+        assert [text is None for text in c_formatter_calls] == [True, False]
+        assert new == ref
+
     @pytest.mark.parametrize("polylines", [
         [[], [(0.0, 1.0), (2.0, -3.0), (2.5, 0.25)], np.empty((0, 2))],
         [[]],
