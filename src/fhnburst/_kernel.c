@@ -26,8 +26,14 @@
  * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
  * non-finite state) or -1 when a buffer could not grow.
  *
- * The second entry point, fhn_format_table, writes a table of doubles as
- * "%.17g" or "%.2f" text into the caller's buffer, byte for byte what
+ * The second entry point, fhn_sample, is the dense output: the quintic
+ * Hermite interpolant of a knot table at sorted times, through the same
+ * hermite_x and hermite_dx that locate the events, so the library holds one
+ * Hermite evaluator (see the comment above it).  Its twin is
+ * _kernel_py.sample_knots.
+ *
+ * The third, fhn_format_table, writes a table of doubles as "%.17g" or
+ * "%.2f" text into the caller's buffer, byte for byte what
  * _kernel_py.format_table writes, and returns its length, or -1 when a
  * value lies outside its exact range (see the comment above it).
  */
@@ -67,7 +73,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 4
+#define FHN_ABI_VERSION 5
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -95,8 +101,9 @@ static void rhs(const fhn_params *p, double st, double xx, double yy,
     *fy = p->eps * (xx - p->b * yy);
 }
 
-/* x on a step's quintic Hermite interpolant at s in [0, 1], from the step
- * width h and c = (x, x', x'') at both ends; hermite_dx is its x'. */
+/* One component v on a step's quintic Hermite interpolant at s in [0, 1],
+ * from the step width h and c = (v, v', v'') at both ends; hermite_dx is
+ * its time derivative.  The events (v = x) and fhn_sample share them. */
 static double hermite_x(double s, double h, const double *c)
 {
     double s2 = s * s;
@@ -444,6 +451,36 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
     if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
     return status;
+}
+
+/* ---------------------------------------------------------------------------
+ * Dense output, the twin of _kernel_py.sample_knots: the n x (1 + 3d) knot
+ * table `knots` holds rows (t, y[d], y'[d], y''[d]) with strictly increasing
+ * t, n >= 2.  For each of the m times ts, sorted and inside [t_0, t_(n-1)],
+ * out gets a row of d values: the states on the interval of the last knot
+ * at or before the time (the last interval for t_(n-1)), or with deriv
+ * their time derivatives.  One index walks the sorted times, as numpy's
+ * searchsorted(side="right") - 1 clipped to n - 2 finds each.
+ */
+void fhn_sample(const double *knots, long n, long d, const double *ts, long m,
+                int deriv, double *out)
+{
+    long width = 1 + 3 * d;
+    long j = 0;
+    for (long i = 0; i < m; i++) {
+        double t = ts[i];
+        while (j < n - 2 && knots[(j + 1) * width] <= t)
+            j++;
+        const double *k0 = knots + j * width;
+        const double *k1 = k0 + width;
+        double h = k1[0] - k0[0];
+        double s = (t - k0[0]) / h;
+        for (long q = 0; q < d; q++) {
+            const double c[6] = {k0[1 + q], k0[1 + d + q], k0[1 + 2 * d + q],
+                                 k1[1 + q], k1[1 + d + q], k1[1 + 2 * d + q]};
+            out[i * d + q] = deriv ? hermite_dx(s, h, c) : hermite_x(s, h, c);
+        }
+    }
 }
 
 /* ---------------------------------------------------------------------------

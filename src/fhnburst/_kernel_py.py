@@ -33,8 +33,8 @@ bisection on the step's quintic Hermite interpolant (of x - 1 for a spike,
 of x' for a minimum) until the bracket is at most 1e-12 wide or no double
 lies strictly inside it (from t = 8192 on, one ulp of t is wider).
 
-`format_table` is the twin of the C library's other entry point, its exact
-table formatter.
+`sample_knots` is the twin of the C library's dense output `fhn_sample`,
+and `format_table` the twin of its exact table formatter.
 """
 from __future__ import annotations
 
@@ -371,6 +371,35 @@ def integrate_forced(
     stats = dict(zip(STAT_NAMES, (n_accept, n_reject, n_nonfinite_retry, h_min)))
     return (status, np.asarray(knots), np.asarray(spikes, dtype=float),
             np.asarray(minima, dtype=float), stats, sq_integral(knots))
+
+
+def sample_knots(knots, ts, deriv):
+    """Dense output of an n x (1 + 3d) knot table with rows (t, y[d], y'[d],
+    y''[d]), n >= 2: an m x d array of the quintic Hermite interpolant's
+    states (or, with deriv, their time derivatives) at the m times ts, each
+    inside [t_0, t_(n-1)], on the interval of the last knot at or before it
+    (the last interval for t_(n-1)).  Vectorized over ts in numpy, with each
+    sum in the order of the C library's hermite_x / hermite_dx."""
+    d = (knots.shape[1] - 1) // 3
+    times = knots[:, 0]
+    idx = np.searchsorted(times, ts, side="right") - 1
+    idx = np.clip(idx, 0, len(times) - 2)
+    ta = times[idx]
+    h = times[idx + 1] - ta
+    w = (_hermite_weights_d1 if deriv else _hermite_weights)((ts - ta) / h)
+    h = h[:, None]
+    k0 = knots[idx]
+    k1 = knots[idx + 1]
+    y, f, d2 = slice(1, 1 + d), slice(1 + d, 1 + 2 * d), slice(1 + 2 * d, None)
+    out = (
+        w[0][:, None] * k0[:, y]
+        + h * w[1][:, None] * k0[:, f]
+        + h * h * w[2][:, None] * k0[:, d2]
+        + w[3][:, None] * k1[:, y]
+        + h * w[4][:, None] * k1[:, f]
+        + h * h * w[5][:, None] * k1[:, d2]
+    )
+    return out / h if deriv else out
 
 
 def format_table(table, spec, sep, end):

@@ -97,9 +97,7 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
     if integral is None:
         if trajectory.states.shape[1] != 2:
             raise ValueError("the L2 norm needs a planar (x, y) trajectory")
-        integral = _kernel_py.sq_integral(np.column_stack(
-            [trajectory.times, trajectory.states, trajectory.derivs, trajectory.curvatures]
-        ).tolist())
+        integral = _kernel_py.sq_integral(trajectory.knots.tolist())
     return math.sqrt(integral / (t1 - t0))
 
 
@@ -172,24 +170,29 @@ def classify_canard(trajectory: Trajectory, equilibria, site: str) -> CanardClas
     t_stop = min(t_star + T, t1)
     ts = np.linspace(t_star, t_stop, n)
     xs = trajectory.sample(ts)[:, 0]
-    dt = (t_stop - t_star) / (n - 1)
+    outcome = _jump_outcome(xs, (t_stop - t_star) / (n - 1), 1.0 / params.eps)
+    if outcome is None:
+        raise NoPassage("no jump detected within one period of the site passage")
+    return CanardClass(site=site, outcome=outcome)
 
+
+def _jump_outcome(xs, dt: float, dwell_threshold: float) -> str | None:
+    """The outcome that the first exit of x samples xs, dt apart, from the
+    trimmed repelling window decides (see `classify_canard`); None without
+    an exit.  The window dwell is dt summed over the samples inside the
+    window in order: the partial sums of a running `dwell += dt`."""
     lo = -1.0 + CANARD_MARGIN
     hi = 1.0 - CANARD_MARGIN
-    dwell_threshold = 1.0 / params.eps
-
-    entered = False
-    dwell = 0.0
-    for xi in xs:
-        if lo < xi < hi:
-            entered = True
-            dwell += dt
-        if xi >= 1.0:
-            outcome = "jump_across" if dwell > dwell_threshold else "fold_jump"
-            return CanardClass(site=site, outcome=outcome)
-        if entered and xi <= lo:
-            return CanardClass(site=site, outcome="jump_back")
-    raise NoPassage("no jump detected within one period of the site passage")
+    inside = (lo < xs) & (xs < hi)
+    dwell = np.add.accumulate(np.where(inside, dt, 0.0))
+    entered = np.logical_or.accumulate(inside)
+    exits = np.flatnonzero((xs >= 1.0) | (entered & (xs <= lo)))
+    if not exits.size:
+        return None
+    first = exits[0]
+    if xs[first] < 1.0:
+        return "jump_back"
+    return "jump_across" if dwell[first] > dwell_threshold else "fold_jump"
 
 
 def first_return_phase(trajectory: Trajectory, theta_seq) -> float:

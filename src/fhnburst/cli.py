@@ -3,14 +3,20 @@
 Subcommands: simulate, equilibria, regions, manifold, estimate, sweep,
 contours.  Exit code 2 for flag errors (argparse), 1 for computation errors
 with a machine-readable JSON object on stderr, 0 otherwise.  Everything is
-deterministic; output files are the only side effects.
+deterministic; output files are the only side effects.  A command opens its
+output files before it does any work and prints its stdout only once they
+are written; when it fails, it removes the files it created and leaves a
+file that existed as it was, unless writing that file itself failed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -31,7 +37,7 @@ from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
 from .manifolds import eval_manifold, solve_expansion
 from .model import Forcing, ModelParams, wrap_angles
-from .svgplot import render_svg
+from .svgplot import svg_document
 from .sweep import (
     ALL_METRICS,
     SweepSpec,
@@ -66,13 +72,48 @@ def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True, help="drive angular frequency")
 
 
-def _write_csv(path: str, header: str, *columns) -> None:
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """Open each output path for writing, and yield the handles in order
+    (None for a path that is None).  A file that exists is opened without
+    truncation and cut to what was written on success, so a call that fails
+    before it writes leaves it as it was.  The handles are closed on exit;
+    when the body or a close fails, the files this call created are removed."""
+    handles, created = [], []
+    done = False
+    try:
+        for path in paths:
+            if path is None:
+                handles.append(None)
+                continue
+            try:
+                handles.append(open(path, "x", encoding="utf-8"))
+                created.append(path)
+            except FileExistsError:
+                handles.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
+        yield handles
+        for fh in handles:
+            if fh is not None:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or tty
+                    fh.truncate()
+                fh.close()
+        done = True
+    finally:
+        if not done:
+            for fh in handles:
+                if fh is not None:
+                    with contextlib.suppress(OSError):
+                        fh.close()
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+
+
+def _write_csv(fh, header: str, *columns) -> None:
     """Write float columns under a header line, each value as %.17g, with one
     `fastpath.format_table` call for the whole table."""
-    text = format_table(np.column_stack(columns), "%.17g", ",", "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write(text)
+    fh.write(header + "\n")
+    fh.write(format_table(np.column_stack(columns), "%.17g", ",", "\n"))
 
 
 def _require_positive(value: int, flag: str) -> None:
@@ -82,6 +123,14 @@ def _require_positive(value: int, flag: str) -> None:
 
 def _cmd_simulate(args) -> int:
     _require_positive(args.samples_per_period, "--samples-per-period")
+    with _open_outputs(args.out, args.metrics_out, args.svg) as handles:
+        text = _simulate(args, *handles)
+    print(text)
+    return 0
+
+
+def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
+    """Simulate, write the requested files, and return the metrics JSON."""
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
     cfg = _config_from(args)
@@ -108,38 +157,35 @@ def _cmd_simulate(args) -> int:
         "region": classify_region(params, forcing),
     }
     text = json.dumps(metrics, indent=2)
-    print(text)
 
     t0, t1 = traj.t_span
     ts = np.linspace(t0, t1, args.samples_per_period * n_periods + 1)
     states = traj.sample(ts)
     thetas = wrap_angles(forcing.omega * ts)
-    if args.out:
-        _write_csv(args.out, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.svg:
+    if csv_fh:
+        _write_csv(csv_fh, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
+    if metrics_fh:
+        metrics_fh.write(text)
+    if svg_fh:
         # one polyline per forcing period: split where theta wraps back
         wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
         lines = np.split(np.column_stack([thetas, states[:, 0]]), wraps)
-        render_svg(
-            args.svg, lines, "theta", "x",
+        svg_fh.write(svg_document(
+            lines, "theta", "x",
             title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
             colors=["#1f77b4"] * len(lines),
-        )
-    return 0
+        ))
+    return text
 
 
 def _cmd_equilibria(args) -> int:
-    params = _params_from(args)
-    forcing = Forcing(E=args.E, omega=args.omega)
-    doc = equilibria_report(params, forcing)
-    text = json.dumps(doc, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_outputs(args.out) as (fh,):
+        params = _params_from(args)
+        forcing = Forcing(E=args.E, omega=args.omega)
+        text = json.dumps(equilibria_report(params, forcing), indent=2)
+        if fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -157,15 +203,16 @@ def _cmd_regions(args) -> int:
 
 def _cmd_manifold(args) -> int:
     _require_positive(args.samples, "--samples")
-    params = _params_from(args)
-    forcing = Forcing(E=args.E, omega=args.omega)
-    exp = solve_expansion(args.branch, params, forcing)
+    with _open_outputs(args.out) as (fh,):
+        params = _params_from(args)
+        forcing = Forcing(E=args.E, omega=args.omega)
+        exp = solve_expansion(args.branch, params, forcing)
+        if fh:
+            half = math.pi / 2.0
+            thetas = wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
+            u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
+            _write_csv(fh, "theta,u,x", thetas, u, u - 1.0)
     print(json.dumps(asdict(exp), indent=2))
-    if args.out:
-        half = math.pi / 2.0
-        thetas = wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
-        u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
-        _write_csv(args.out, "theta,u,x", thetas, u, u - 1.0)
     return 0
 
 
@@ -178,6 +225,10 @@ def _cmd_estimate(args) -> int:
     estimated = estimate_spike_count(params, forcing, traj, theta_sequence(traj))
     print(f"estimated={estimated} simulated={simulated}")
     return 0
+
+
+SPEC_KEYS = ("omega_lo", "omega_hi", "omega_step", "e_lo", "e_hi", "e_step",
+             "metrics", "workers", "out", "checkpoint")
 
 
 def _read_spec_file(path: str) -> dict:
@@ -198,6 +249,10 @@ def _cmd_sweep(args) -> int:
     values: dict[str, str] = {}
     if args.spec:
         values = _read_spec_file(args.spec)
+    unknown = [key for key in values if key not in SPEC_KEYS]
+    if unknown:
+        raise ValueError(f"unknown spec key(s) {', '.join(map(repr, unknown))} in "
+                         f"{args.spec}; known keys: {', '.join(SPEC_KEYS)}")
 
     def pick(key, flag, cast=float):
         if flag is not None:
@@ -235,27 +290,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_contours(args) -> int:
-    xs, ys, arrays = grid_from_rows(*load_grid_csv(args.grid))
-    boundaries = spike_boundaries(xs, ys, arrays["spike_count"])
-    level_lines = levelsets(xs, ys, arrays["l2"], n_levels=args.levels)
-    doc = {
-        "spike_count_boundaries": polylines_to_json(boundaries),
-        "l2_level_sets": polylines_to_json(level_lines),
-    }
-    text = json.dumps(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    with _open_outputs(args.out, args.svg) as (out_fh, svg_fh):
+        xs, ys, arrays = grid_from_rows(*load_grid_csv(args.grid))
+        boundaries = spike_boundaries(xs, ys, arrays["spike_count"])
+        level_lines = levelsets(xs, ys, arrays["l2"], n_levels=args.levels)
+        text = json.dumps({
+            "spike_count_boundaries": polylines_to_json(boundaries),
+            "l2_level_sets": polylines_to_json(level_lines),
+        })
+        if out_fh:
+            out_fh.write(text + "\n")
+        if svg_fh:
+            lines = level_lines + boundaries
+            colors = ["#9ecae1"] * len(level_lines) + ["#d62728"] * len(boundaries)
+            svg_fh.write(svg_document(
+                lines, "omega", "E", title="spike-count boundaries / L2 levels",
+                colors=colors,
+                bounds=(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])),
+            ))
+    if not args.out:
         print(text)
-    if args.svg:
-        lines = level_lines + boundaries
-        colors = ["#9ecae1"] * len(level_lines) + ["#d62728"] * len(boundaries)
-        render_svg(
-            args.svg, lines, "omega", "E", title="spike-count boundaries / L2 levels",
-            colors=colors,
-            bounds=(float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])),
-        )
     return 0
 
 

@@ -1,18 +1,23 @@
-"""Backend selection for the hot forced-system integration kernel and the
-exact table formatter.
+"""Backend selection for the C library and its pure-Python twins.
 
 At import time the C library (`_kernel.c`, built by setup.py into the shared
-library `fhnburst._kernel` and loaded with ctypes) is preferred; the
-pure-Python twins in `_kernel_py` are used when the library was not built.
-The C kernel is an operation-for-operation copy of the twin compiled without
-floating-point contraction, so both backends return bit-identical results:
-a status, the knot table, the spike times, the times of the x-minima, the
-step counters and the integral of x^2 + y^2 over the knots (see
-`_kernel_py`).  `format_table` writes the bytes of the twin's `%` call; the
-C formatter writes them when it covers every value of the table, and the
-twin writes the whole table when it does not.  A library whose
-`fhn_abi_version()` is not `KERNEL_ABI` (built from an older `_kernel.c`)
-is refused like one that does not load.
+library `fhnburst._kernel` and loaded with ctypes) is opened once, and its
+three entry points are preferred; the pure-Python twins in `_kernel_py` are
+used when the library was not built.  The C code copies the twins operation
+for operation and is compiled without floating-point contraction, so both
+backends return bit-identical results:
+- the forced kernel (`integrate_forced`) returns a status, the knot table,
+  the spike times, the times of the x-minima, the step counters and the
+  integral of x^2 + y^2 over the knots (see `_kernel_py`);
+- the dense output (`sample_knots`) evaluates a knot table's quintic
+  Hermite interpolant at sorted times, with the one Hermite evaluator of
+  each language (`hermite_x` / `hermite_dx` in C, the basis of `integrator`
+  in numpy); `Trajectory.sample` and `sample_deriv` call it;
+- `format_table` writes the bytes of the twin's `%` call; the C formatter
+  writes them when it covers every value of the table, and the twin writes
+  the whole table when it does not.
+A library whose `fhn_abi_version()` is not `KERNEL_ABI` (built from an
+older `_kernel.c`) is refused like one that does not load.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 4          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 5          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 
 
@@ -52,42 +57,46 @@ def _copy(ptr, shape: tuple[int, ...]) -> np.ndarray:
     return np.ctypeslib.as_array(ptr, shape).copy()
 
 
-def _open_library(path: str) -> ctypes.CDLL:
-    """The shared library at `path` with its entry points declared.  Raises
-    ImportError when it was built for another ABI version."""
-    lib = ctypes.CDLL(path)
-    lib.fhn_abi_version.restype = ctypes.c_int
-    lib.fhn_abi_version.argtypes = []
-    version = lib.fhn_abi_version()
-    if version != KERNEL_ABI:
-        raise ImportError(
-            f"{path} has kernel ABI {version}, expected {KERNEL_ABI}: rebuild it "
-            "with `python setup.py build_ext --inplace`"
+class Library:
+    """The C library at `path`, opened once: its ABI version checked and its
+    three entry points declared on the one handle `cdll`.  Its methods are
+    drop-ins for the twins `_kernel_py.integrate_forced` and
+    `_kernel_py.sample_knots` (same arguments, same results) and, but for
+    returning None where its exact range ends, `_kernel_py.format_table`.
+    Raises ImportError when the library was built for another ABI version."""
+
+    def __init__(self, path: str):
+        self.cdll = lib = ctypes.CDLL(path)
+        lib.fhn_abi_version.restype = ctypes.c_int
+        lib.fhn_abi_version.argtypes = []
+        version = lib.fhn_abi_version()
+        if version != KERNEL_ABI:
+            raise ImportError(
+                f"{path} has kernel ABI {version}, expected {KERNEL_ABI}: rebuild it "
+                "with `python setup.py build_ext --inplace`"
+            )
+        lib.fhn_integrate.restype = ctypes.c_int
+        lib.fhn_integrate.argtypes = (
+            [ctypes.c_double] * 13
+            + [ctypes.c_long, ctypes.c_int, ctypes.c_int, ctypes.POINTER(_Out)]
         )
-    lib.fhn_integrate.restype = ctypes.c_int
-    lib.fhn_integrate.argtypes = (
-        [ctypes.c_double] * 13
-        + [ctypes.c_long, ctypes.c_int, ctypes.c_int, ctypes.POINTER(_Out)]
-    )
-    lib.fhn_free.restype = None
-    lib.fhn_free.argtypes = [ctypes.POINTER(_Out)]
-    lib.fhn_format_table.restype = ctypes.c_long
-    lib.fhn_format_table.argtypes = (
-        [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]
-    )
-    return lib
+        lib.fhn_free.restype = None
+        lib.fhn_free.argtypes = [ctypes.POINTER(_Out)]
+        lib.fhn_sample.restype = None
+        lib.fhn_sample.argtypes = [
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p,
+        ]
+        lib.fhn_format_table.restype = ctypes.c_long
+        lib.fhn_format_table.argtypes = (
+            [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]
+        )
 
-
-def load_kernel(path: str):
-    """The C kernel in the shared library at `path`, as a drop-in for
-    `_kernel_py.integrate_forced` (same arguments, same result).  Raises
-    ImportError when the library was built for another ABI version."""
-    lib = _open_library(path)
-
-    def integrate_forced(*args):
+    def integrate_forced(self, *args):
+        """The forced kernel `fhn_integrate`."""
         out = _Out()
         try:
-            status = lib.fhn_integrate(*args, ctypes.byref(out))
+            status = self.cdll.fhn_integrate(*args, ctypes.byref(out))
             if status < 0:
                 raise MemoryError("forced kernel could not grow its buffers")
             knots = _copy(out.knots, (out.n_knots, _kernel_py.KNOT_WIDTH))
@@ -95,46 +104,62 @@ def load_kernel(path: str):
             minima = _copy(out.minima, (out.n_minima,))
             stats = {name: getattr(out, name) for name in _kernel_py.STAT_NAMES}
         finally:
-            lib.fhn_free(ctypes.byref(out))
+            self.cdll.fhn_free(ctypes.byref(out))
         return status, knots, spikes, minima, stats, out.sq_integral
 
-    return integrate_forced
+    def sample_knots(self, knots, ts, deriv):
+        """The dense output `fhn_sample`; the times ts must be sorted."""
+        n, width = knots.shape
+        if n < 2:   # fhn_sample reads the knot after each time's interval start
+            raise ValueError("dense output needs at least two knots")
+        d = (width - 1) // 3
+        ts = np.ascontiguousarray(ts, dtype=float)
+        out = np.empty((ts.size, d))
+        if ts.size:
+            knots = np.ascontiguousarray(knots, dtype=float)
+            self.cdll.fhn_sample(knots.ctypes.data, n, d, ts.ctypes.data, ts.size,
+                                 bool(deriv), out.ctypes.data)
+        return out
 
-
-def load_formatter(path: str):
-    """The C table formatter in the shared library at `path`: it takes the
-    arguments of `_kernel_py.format_table` and returns the same text, or None
-    when a value of the table lies outside its exact range.  Raises
-    ImportError when the library was built for another ABI version."""
-    lib = _open_library(path)
-
-    def format_table(table, spec: str, sep: str, end: str) -> str | None:
+    def format_table(self, table, spec: str, sep: str, end: str) -> str | None:
+        """The exact table formatter `fhn_format_table`, or None when a value
+        of the table lies outside its exact range."""
         values = np.ascontiguousarray(table, dtype=float)
         n, k = values.shape
         spec_b, sep_b, end_b = spec.encode(), sep.encode(), end.encode()
         cap = n * (k * (FORMAT_WIDTH + len(sep_b)) + len(end_b))
         buf = ctypes.create_string_buffer(cap)
-        size = lib.fhn_format_table(values.ctypes.data_as(_DOUBLE_P), n, k,
-                                    spec_b, sep_b, end_b, buf, cap)
+        size = self.cdll.fhn_format_table(values.ctypes.data_as(_DOUBLE_P), n, k,
+                                          spec_b, sep_b, end_b, buf, cap)
         return ctypes.string_at(buf, size).decode() if size >= 0 else None
 
-    return format_table
 
-
-def _find_library():
+def _find_library() -> Library | None:
     spec = importlib.util.find_spec("fhnburst._kernel")
     try:
-        return (load_kernel(spec.origin), load_formatter(spec.origin)) if spec else None
+        return Library(spec.origin) if spec else None
     except (OSError, AttributeError, ImportError):  # unloadable or stale library
         return None
 
 
-_BACKEND, _FORMATTER = _find_library() or (_kernel_py.integrate_forced, None)
+_LIBRARY = _find_library()
+if _LIBRARY is None:
+    _BACKEND, _SAMPLER, _FORMATTER = _kernel_py.integrate_forced, _kernel_py.sample_knots, None
+else:
+    _BACKEND, _SAMPLER, _FORMATTER = (
+        _LIBRARY.integrate_forced, _LIBRARY.sample_knots, _LIBRARY.format_table)
 
 
 def active_backend() -> str:
     """'compiled' when the C kernel is in use, else 'pure'."""
     return "pure" if _BACKEND is _kernel_py.integrate_forced else "compiled"
+
+
+def sample_knots(knots, ts, deriv: bool) -> np.ndarray:
+    """`_kernel_py.sample_knots(knots, ts, deriv)` on the active backend: the
+    states (or with deriv their time derivatives) of an n x (1 + 3d) knot
+    table's dense output at the sorted times ts, as an m x d array."""
+    return _SAMPLER(knots, ts, deriv)
 
 
 def format_table(table, spec: str, sep: str, end: str) -> str:
@@ -145,13 +170,6 @@ def format_table(table, spec: str, sep: str, end: str) -> str:
     writes the whole table."""
     text = _FORMATTER(table, spec, sep, end) if _FORMATTER else None
     return _kernel_py.format_table(table, spec, sep, end) if text is None else text
-
-
-def trajectory_from_knots(knots, spikes=(), minima=(), meta=None, sq_integral=None):
-    """A Trajectory over column views of an n x 7 kernel knot table (rows t,
-    x, y, fx, fy, d2x, d2y): the table is the only copy of the knot data."""
-    return Trajectory(knots[:, 0], knots[:, 1:3], knots[:, 3:5], knots[:, 5:7],
-                      spikes, minima, meta=meta, sq_integral=sq_integral)
 
 
 def integrate_forced(
@@ -186,7 +204,7 @@ def integrate_forced(
     traj = None
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
-        traj = trajectory_from_knots(
+        traj = Trajectory.from_knots(
             knots, spikes, minima,
             meta={"params": params, "forcing": forcing, "backend": active_backend(),
                   "stats": stats},

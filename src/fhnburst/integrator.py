@@ -134,80 +134,92 @@ def _hermite_weights_d1(s):
 class Trajectory:
     """Accepted knots plus the data needed for dense evaluation.
 
-    times are strictly increasing; states/derivs/curvatures are the solution,
-    its first and its second time derivative at the knots.  The arrays are
-    kept as given (float views are not copied, so they may be strided
-    columns of one knot table).  spikes and minima hold the times of the
-    upward crossings of x = 1 and of the local x-minima that the forced
-    kernel located, in time order (both empty for runs of the generic
-    `integrate`).  meta is free-form context (e.g. the forcing that produced
-    the run and the kernel's step counters).  sq_integral is the forced
-    kernel's integral of x^2 + y^2 over the knots' span, None when not known.
+    `knots` is the one knot table: n rows (t, y[d], y'[d], y''[d]), the
+    solution and its first and second time derivative at each knot, with
+    strictly increasing t.  times, states, derivs and curvatures are column
+    views of it.  The forced kernel hands over its table as is
+    (`from_knots`); the constructor copies four arrays into a new one.
+    spikes and minima hold the times of the upward crossings of x = 1 and of
+    the local x-minima that the forced kernel located, in time order (both
+    empty for runs of the generic `integrate`).  meta is free-form context
+    (e.g. the forcing that produced the run and the kernel's step counters).
+    sq_integral is the forced kernel's integral of x^2 + y^2 over the knots'
+    span, None when not known.
     """
 
     def __init__(self, times, states, derivs, curvatures, spikes=(), minima=(), meta=None,
                  sq_integral=None):
-        self.times = np.asarray(times, dtype=float)
-        self.states = np.asarray(states, dtype=float)
-        self.derivs = np.asarray(derivs, dtype=float)
-        self.curvatures = np.asarray(curvatures, dtype=float)
+        times = np.asarray(times, dtype=float)
+        states, derivs, curvatures = (
+            np.asarray(arr, dtype=float) for arr in (states, derivs, curvatures))
+        if (
+            times.ndim != 1
+            or states.ndim != 2
+            or states.shape[0] != times.shape[0]
+            or derivs.shape != states.shape
+            or curvatures.shape != states.shape
+        ):
+            raise ValueError("knot arrays are inconsistent")
+        self._adopt(np.column_stack([times, states, derivs, curvatures]),
+                    spikes, minima, meta, sq_integral)
+
+    @classmethod
+    def from_knots(cls, knots, spikes=(), minima=(), meta=None, sq_integral=None):
+        """A trajectory over an n x (1 + 3d) knot table, kept in place when it
+        is a C-contiguous float array."""
+        traj = cls.__new__(cls)
+        traj._adopt(knots, spikes, minima, meta, sq_integral)
+        return traj
+
+    def _adopt(self, knots, spikes, minima, meta, sq_integral):
+        knots = np.ascontiguousarray(knots, dtype=float)
+        if knots.ndim != 2 or knots.shape[1] < 4 or (knots.shape[1] - 1) % 3:
+            raise ValueError("knot arrays are inconsistent")
+        d = (knots.shape[1] - 1) // 3
+        self.knots = knots
+        self.times = knots[:, 0]
+        self.states = knots[:, 1:1 + d]
+        self.derivs = knots[:, 1 + d:1 + 2 * d]
+        self.curvatures = knots[:, 1 + 2 * d:]
         self.spikes = np.asarray(spikes, dtype=float)
         self.minima = np.asarray(minima, dtype=float)
         self.meta = dict(meta) if meta else {}
         self.sq_integral = sq_integral
-        if (
-            self.times.ndim != 1
-            or self.states.ndim != 2
-            or self.states.shape[0] != self.times.shape[0]
-            or self.derivs.shape != self.states.shape
-            or self.curvatures.shape != self.states.shape
-        ):
-            raise ValueError("knot arrays are inconsistent")
         if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("knot times must be strictly increasing")
-        # column by column: that is how a strided column view reads fastest
-        for arr in (self.times, self.states, self.derivs, self.curvatures):
-            if not np.isfinite(arr, order="F").all():
-                raise ValueError("non-finite values in trajectory data")
+        if not np.isfinite(knots).all():
+            raise ValueError("non-finite values in trajectory data")
 
     @property
     def t_span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def _hermite_sum(self, times, weights):
-        """Quintic Hermite sum with the given basis at the requested times,
-        and the knot spacing of each time as a column."""
+    def _dense(self, times, deriv: bool) -> np.ndarray:
+        """The dense output (or its time derivative) at the requested times,
+        on the backend that `fastpath` selects, which needs them sorted."""
+        from . import fastpath   # fastpath imports this module
+
         if self.times.size < 2:
             raise OutOfRange("dense output needs at least two knots")
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         t0, t1 = self.t_span
-        if ts.size and (ts.min() < t0 - 1e-12 or ts.max() > t1 + 1e-12):
+        if ts.size and not (ts.min() >= t0 - 1e-12 and ts.max() <= t1 + 1e-12):
             raise OutOfRange(f"sample times outside [{t0}, {t1}]")
         ts = np.clip(ts, t0, t1)
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        ta = self.times[idx]
-        h = self.times[idx + 1] - ta
-        w = weights((ts - ta) / h)
-        h = h[:, None]
-        out = (
-            w[0][:, None] * self.states[idx]
-            + h * w[1][:, None] * self.derivs[idx]
-            + h * h * w[2][:, None] * self.curvatures[idx]
-            + w[3][:, None] * self.states[idx + 1]
-            + h * w[4][:, None] * self.derivs[idx + 1]
-            + h * h * w[5][:, None] * self.curvatures[idx + 1]
-        )
-        return out, h
+        if (ts[1:] >= ts[:-1]).all():
+            return fastpath.sample_knots(self.knots, ts, deriv)
+        order = np.argsort(ts, kind="stable")
+        out = np.empty((ts.size, self.states.shape[1]))
+        out[order] = fastpath.sample_knots(self.knots, ts[order], deriv)
+        return out
 
     def sample(self, times) -> np.ndarray:
         """Dense-output states at the requested times (vectorized)."""
-        return self._hermite_sum(times, _hermite_weights)[0]
+        return self._dense(times, False)
 
     def sample_deriv(self, times) -> np.ndarray:
         """Time derivative of the dense output at the requested times."""
-        out, h = self._hermite_sum(times, _hermite_weights_d1)
-        return out / h
+        return self._dense(times, True)
 
 
 def integrate(

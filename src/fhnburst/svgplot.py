@@ -33,16 +33,21 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def render_svg(
-    path: str,
+def render_svg(path: str, polylines, x_label: str, y_label: str, **kwargs) -> None:
+    """Write `svg_document(polylines, x_label, y_label, **kwargs)` to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg_document(polylines, x_label, y_label, **kwargs))
+
+
+def svg_document(
     polylines,
     x_label: str,
     y_label: str,
     title: str = "",
     colors=None,
     bounds=None,
-) -> None:
-    """Write a fixed-size plot of (x, y) polylines with linear axes.
+) -> str:
+    """The text of a fixed-size SVG plot of (x, y) polylines with linear axes.
 
     polylines: iterable of point sequences, each a list of (x, y) pairs or an
     (n, 2) array; empty ones are skipped. colors: optional per-line color;
@@ -121,5 +126,4 @@ def render_svg(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.1"/>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -19,7 +19,16 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def kernel_library(tmp_path_factory):
+def c_compiler():
+    """The C compiler that setup.py would use; skips when there is none."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the kernel")
+    return cc
+
+
+@pytest.fixture(scope="session")
+def kernel_library(request, tmp_path_factory):
     """Path of the C forced kernel's shared library: the loaded in-place
     build, else one built into a temporary directory through setup.py.
     Fails when a C compiler exists but no kernel loads (a stale in-place
@@ -31,9 +40,7 @@ def kernel_library(tmp_path_factory):
         "fhnburst._kernel is built but does not load; if it is a stale build, "
         "rerun `python setup.py build_ext --inplace`"
     )
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the kernel")
+    request.getfixturevalue("c_compiler")
     out = tmp_path_factory.mktemp("kernel")
     proc = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
@@ -46,16 +53,29 @@ def kernel_library(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def c_kernel(kernel_library):
-    """The C forced kernel, as a drop-in for `_kernel_py.integrate_forced`."""
-    return fastpath.load_kernel(kernel_library)
+def c_library(kernel_library):
+    """The C library at `kernel_library`, opened once."""
+    return fastpath.Library(kernel_library)
 
 
 @pytest.fixture(scope="session")
-def c_formatter(kernel_library):
+def c_kernel(c_library):
+    """The C forced kernel, as a drop-in for `_kernel_py.integrate_forced`."""
+    return c_library.integrate_forced
+
+
+@pytest.fixture(scope="session")
+def c_sampler(c_library):
+    """The C dense output, as a drop-in for `_kernel_py.sample_knots` on
+    sorted times."""
+    return c_library.sample_knots
+
+
+@pytest.fixture(scope="session")
+def c_formatter(c_library):
     """The C table formatter: `_kernel_py.format_table`'s text, or None when
     a value lies outside its exact range."""
-    return fastpath.load_formatter(kernel_library)
+    return c_library.format_table
 
 
 @pytest.fixture

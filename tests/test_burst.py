@@ -244,7 +244,7 @@ class TestL2Norm:
             assert traj.spikes.size == 0
         assert traj.sq_integral > 0.0
         knots = np.column_stack([traj.times, traj.states, traj.derivs, traj.curvatures])
-        rebuilt = fastpath.trajectory_from_knots(knots, meta=traj.meta)
+        rebuilt = Trajectory.from_knots(knots, meta=traj.meta)
         assert rebuilt.sq_integral is None
         got = l2_norm(rebuilt, forcing.period)
         assert got.hex() == l2_norm(traj, forcing.period).hex()
@@ -357,6 +357,38 @@ class TestClassifyCanard:
         eqs = folded_equilibria(params, f)
         got = classify_canard(traj, eqs, site)
         assert got == CanardClass(site=site, outcome=expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jump_outcome_matches_loop(self, seed):
+        # a running loop over the samples is the reference; the samples sit
+        # on and around the window edges, and the threshold near the dwell
+        # at the exit
+        lo, hi = -1.0 + burst.CANARD_MARGIN, 1.0 - burst.CANARD_MARGIN
+
+        def loop(xs, dt, threshold):
+            entered, dwell = False, 0.0
+            for xi in xs:
+                if lo < xi < hi:
+                    entered = True
+                    dwell += dt
+                if xi >= 1.0:
+                    return "jump_across" if dwell > threshold else "fold_jump"
+                if entered and xi <= lo:
+                    return "jump_back"
+            return None
+
+        rng = np.random.default_rng(seed)
+        edges = np.array([-2.0, lo, -0.5, 0.0, hi, 0.99, 1.0, 1.5, math.nan])
+        outcomes = set()
+        for k in range(500):
+            n = int(rng.integers(1, 200))
+            xs = rng.choice(edges, n) if k % 2 else rng.uniform(-1.2, 1.02, n)
+            dt = rng.uniform(1e-3, 1.0)
+            threshold = dt * int(rng.integers(0, n + 1))    # near the dwell
+            want = loop(xs, dt, threshold)
+            assert burst._jump_outcome(xs, dt, threshold) == want
+            outcomes.add(want)
+        assert outcomes == {"jump_across", "fold_jump", "jump_back", None}
 
     def test_bad_site(self, params, burst3_traj):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fhnburst import cli
+from fhnburst import _kernel_py, cli, fastpath
 from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
@@ -165,7 +165,8 @@ class TestCsvWriter:
         xs, ys = np.sin(ts), np.cos(ts)
         xs[3] = odd
         out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-        cli._write_csv(str(out), "t,x,y", ts, xs, ys)
+        with open(out, "w", encoding="utf-8") as fh:
+            cli._write_csv(fh, "t,x,y", ts, xs, ys)
         with open(ref, "w", encoding="utf-8") as fh:
             fh.write("t,x,y\n")
             for row in zip(ts, xs, ys):
@@ -344,3 +345,94 @@ class TestErrors:
         assert err["error"]["type"] == "ValueError"
         assert "periods" in err["error"]["message"]
         assert not out.exists()
+
+
+# a valid 2x2 spec whose one metric, the region label, needs no simulation
+TINY_SWEEP = ("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
+              "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
+              "out = {tmp}/grid.csv\n")
+
+
+class TestOutputContract:
+    """A failing command exits 1, prints one JSON error line on stderr and
+    nothing on stdout, and leaves no file behind: output paths are opened
+    before any work, and the files a failed call created are removed."""
+
+    @pytest.mark.parametrize("argv, spec, match", [
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.csv"],
+                     None, "{missing}", id="simulate-out-dir-missing"),
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{tmp}/ok.csv",
+                      "--metrics-out", "{tmp}/ok.json", "--svg", "{missing}/x.svg"],
+                     None, "x.svg", id="simulate-svg-dir-missing"),
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--periods", "0",
+                      "--out", "{tmp}/ok.csv", "--svg", "{tmp}/ok.svg"],
+                     None, "periods", id="simulate-fails-after-open"),
+        pytest.param(["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+                      "--out", "{missing}/x.csv"], None, "x.csv", id="manifold-out-dir-missing"),
+        pytest.param(["equilibria", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.json"],
+                     None, "x.json", id="equilibria-out-dir-missing"),
+        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--out", "{tmp}/c.json",
+                      "--svg", "{tmp}/c.svg"], None, "none.csv", id="contours-grid-missing"),
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
+                     TINY_SWEEP + "chekpoint = {tmp}/ck.jsonl\n", "'chekpoint'",
+                     id="sweep-unknown-spec-key"),
+    ])
+    def test_failure_leaves_nothing(self, capsys, tmp_path, argv, spec, match):
+        fill = dict(tmp=tmp_path, missing=tmp_path / "missing")
+        if spec:
+            (tmp_path / "sweep.cfg").write_text(spec.format(**fill))
+        before = sorted(tmp_path.iterdir())
+        assert main([arg.format(**fill) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] and match.format(**fill) in err["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_unknown_spec_key_names_known_keys(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(TINY_SWEEP.format(tmp=tmp_path))
+        assert main(["sweep", "--spec", str(spec)]) == 0
+        spec.write_text(TINY_SWEEP.format(tmp=tmp_path) + "chekpoint = ck.jsonl\n")
+        assert main(["sweep", "--spec", str(spec)]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert all(key in message for key in cli.SPEC_KEYS)
+
+    def test_existing_file(self, capsys, tmp_path):
+        # a failing call leaves an existing output as it was; a call that
+        # succeeds replaces all of it
+        old = "old,longer than the new file\n" * 100
+        out, fresh = tmp_path / "m.csv", tmp_path / "fresh.csv"
+        out.write_text(old)
+        assert main(["simulate", "--E", "0.5", "--omega", "0.02", "--periods", "0",
+                     "--out", str(out)]) == 1
+        assert out.read_text() == old
+        manifold = ["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+                    "--samples", "3", "--out"]
+        assert main([*manifold, str(out)]) == 0 and main([*manifold, str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+
+SIX_DRIVES = [("0.55", "0.0149354"), ("0.47", "0.025"), ("0.45", "0.035"),
+              ("0", "0.0149354"), ("0.25", "0.02"), ("0.40", "0.01")]
+
+
+@pytest.mark.parametrize("E, omega", SIX_DRIVES)
+def test_simulate_files_identical_on_both_backends(c_library, monkeypatch, capsys,
+                                                   tmp_path, E, omega):
+    backends = {
+        "compiled": (c_library.integrate_forced, c_library.sample_knots, c_library.format_table),
+        "pure": (_kernel_py.integrate_forced, _kernel_py.sample_knots, None),
+    }
+    written = {}
+    for name, (kernel, sampler, formatter) in backends.items():
+        monkeypatch.setattr(fastpath, "_BACKEND", kernel)
+        monkeypatch.setattr(fastpath, "_SAMPLER", sampler)
+        monkeypatch.setattr(fastpath, "_FORMATTER", formatter)
+        paths = [tmp_path / f"{name}.{ext}" for ext in ("csv", "json", "svg")]
+        assert main(["simulate", "--E", E, "--omega", omega,
+                     *(arg for flag, path in zip(("--out", "--metrics-out", "--svg"), paths)
+                       for arg in (flag, str(path)))]) == 0
+        written[name] = [capsys.readouterr().out] + [p.read_bytes() for p in paths]
+    assert written["compiled"] == written["pure"]

@@ -1,5 +1,6 @@
 import math
 import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -315,22 +316,32 @@ class TestForcedSystemRuns:
     def test_knot_table_checked(self, row, col, value):
         table = np.random.default_rng(3).normal(size=(6, _kernel_py.KNOT_WIDTH))
         table[:, 0] = np.arange(6.0)
-        assert fastpath.trajectory_from_knots(table).times.size == 6
+        assert Trajectory.from_knots(table).times.size == 6
         table[row, col] = value
         with pytest.raises(ValueError):
-            fastpath.trajectory_from_knots(table)
+            Trajectory.from_knots(table)
 
     def test_stale_library_refused(self, kernel_library, monkeypatch):
-        assert callable(fastpath.load_kernel(kernel_library))
+        fastpath.Library(kernel_library)           # the current ABI loads
         monkeypatch.setattr(fastpath, "KERNEL_ABI", fastpath.KERNEL_ABI + 1)
         with pytest.raises(ImportError, match="kernel ABI"):
-            fastpath.load_kernel(kernel_library)
+            fastpath.Library(kernel_library)
 
     def test_abi_version_matches_source(self):
         # a version bump made in only one of the two files fails without a compiler
         source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
         (version,) = re.findall(r"^#define FHN_ABI_VERSION (\d+)$", source, re.M)
         assert int(version) == fastpath.KERNEL_ABI
+
+    def test_c_library_compiles_without_warnings(self, c_compiler):
+        # the flags of setup.py plus a warnings gate: a new warning fails here
+        source = Path(fastpath.__file__).with_name("_kernel.c")
+        proc = subprocess.run(
+            [c_compiler, "-std=c99", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
+             "-fsyntax-only", str(source)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_generic_path_matches_kernel(self, params):
         # reference numpy stepper vs specialized kernel on one period
