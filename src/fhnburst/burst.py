@@ -22,6 +22,8 @@ from .model import Forcing, ModelParams, TWO_PI, unforced_equilibrium, wrap_angl
 DEFAULT_F_BURST = 27.0          # intra-burst spike rate of the constantly forced model, Hz
 CANARD_MARGIN = 0.05            # half-width trimmed off the repelling window
 CLASSIFY_POINTS_PER_PERIOD = 20000
+BURN_IN_PERIODS = 2             # the standard protocol's burn-in, in forcing periods
+MEASURE_PERIODS = 2             # and its measurement window
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ def simulate_standard(
     params: ModelParams,
     forcing: Forcing,
     config: IntegratorConfig | None = None,
-    burn_in_periods: int = 2,
-    measure_periods: int = 2,
+    burn_in_periods: int = BURN_IN_PERIODS,
+    measure_periods: int = MEASURE_PERIODS,
 ) -> Trajectory:
     """The standard protocol: start at the drive-free rest state, burn in,
     then return the measurement segment, whose `spikes` are its upper-fold

@@ -6,7 +6,8 @@ with a machine-readable JSON object on stderr, 0 otherwise.  Everything is
 deterministic; output files are the only side effects.  A command opens its
 output files before it does any work and prints its stdout only once they
 are written; when it fails, it removes the files it created and leaves a
-file that existed as it was, unless writing that file itself failed.
+file that existed as it was, unless writing that file itself failed.  An
+output path that names stdout's own file is written through stdout.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -24,23 +24,25 @@ import numpy as np
 
 from . import __version__
 from .burst import (
+    BURN_IN_PERIODS,
+    MEASURE_PERIODS,
     count_spikes,
     estimate_spike_count,
     l2_norm,
     simulate_standard,
     theta_sequence,
 )
-from .contours import levelsets, polylines_to_json, spike_boundaries
+from .contours import N_LEVELS, levelsets, polylines_to_json, spike_boundaries
 from .errors import FhnBurstError
 from .fastpath import format_table
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
-from .manifolds import eval_manifold, solve_expansion
+from .manifolds import VALIDITY_HALF_WIDTH, eval_manifold, solve_expansion
 from .model import Forcing, ModelParams, wrap_angles
 from .svgplot import svg_document
 from .sweep import (
-    ALL_METRICS,
     SweepSpec,
+    check_writable,
     grid_from_rows,
     load_grid_csv,
     run_sweep,
@@ -57,14 +59,14 @@ def _config_from(args) -> IntegratorConfig:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=0.875, help="offset constant")
-    p.add_argument("--b", type=float, default=0.8, help="recovery coupling in (0,1)")
-    p.add_argument("--eps", type=float, default=0.08, help="timescale ratio in (0,1)")
+    p.add_argument("--a", type=float, default=ModelParams.a, help="offset constant")
+    p.add_argument("--b", type=float, default=ModelParams.b, help="recovery coupling in (0,1)")
+    p.add_argument("--eps", type=float, default=ModelParams.eps, help="timescale ratio in (0,1)")
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
 
 
 def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
@@ -72,38 +74,51 @@ def _add_forcing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True, help="drive angular frequency")
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the file that fd 1 writes to (say /dev/stdout)."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def _open_outputs(*paths):
     """Open each output path for writing, and yield the handles in order
     (None for a path that is None).  A file that exists is opened without
     truncation and cut to what was written on success, so a call that fails
-    before it writes leaves it as it was.  The handles are closed on exit;
-    when the body or a close fails, the files this call created are removed."""
-    handles, created = [], []
+    before it writes leaves it as it was.  A path that names stdout's own
+    file gets `sys.stdout`, so that it receives the table and the printed
+    text in order, and is never cut or removed.  The other handles are
+    closed on exit; when the body or a close fails, the files this call
+    created are removed."""
+    handles, opened, created = [], [], []
     done = False
     try:
         for path in paths:
             if path is None:
                 handles.append(None)
                 continue
+            if _is_stdout(path):
+                handles.append(sys.stdout)
+                continue
             try:
-                handles.append(open(path, "x", encoding="utf-8"))
+                opened.append(open(path, "x", encoding="utf-8"))
                 created.append(path)
             except FileExistsError:
-                handles.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
+                opened.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
+            handles.append(opened[-1])
         yield handles
-        for fh in handles:
-            if fh is not None:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or tty
-                    fh.truncate()
-                fh.close()
+        for fh in opened:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or tty
+                fh.truncate()
+            fh.close()
         done = True
     finally:
         if not done:
-            for fh in handles:
-                if fh is not None:
-                    with contextlib.suppress(OSError):
-                        fh.close()
+            for fh in opened:
+                with contextlib.suppress(OSError):
+                    fh.close()
             for path in created:
                 with contextlib.suppress(OSError):
                     os.remove(path)
@@ -208,8 +223,8 @@ def _cmd_manifold(args) -> int:
         forcing = Forcing(E=args.E, omega=args.omega)
         exp = solve_expansion(args.branch, params, forcing)
         if fh:
-            half = math.pi / 2.0
-            thetas = wrap_angles(exp.theta_base + np.linspace(-half, half, args.samples))
+            offsets = np.linspace(-VALIDITY_HALF_WIDTH, VALIDITY_HALF_WIDTH, args.samples)
+            thetas = wrap_angles(exp.theta_base + offsets)
             u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
             _write_csv(fh, "theta,u,x", thetas, u, u - 1.0)
     print(json.dumps(asdict(exp), indent=2))
@@ -227,8 +242,20 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-SPEC_KEYS = ("omega_lo", "omega_hi", "omega_step", "e_lo", "e_hi", "e_step",
-             "metrics", "workers", "out", "checkpoint")
+def _metric_names(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# the sweep's keys, each a spec-file key and a flag (`_` written `-`):
+# key -> (type, default), where ... marks a key the sweep cannot do without
+SPEC_KEYS = {
+    "omega_lo": (float, ...), "omega_hi": (float, ...), "omega_step": (float, ...),
+    "e_lo": (float, ...), "e_hi": (float, ...), "e_step": (float, ...),
+    "metrics": (_metric_names, SweepSpec.metrics),
+    "workers": (int, SweepSpec.workers),
+    "out": (str, "sweep_grid.csv"),
+    "checkpoint": (str, None),
+}
 
 
 def _read_spec_file(path: str) -> dict:
@@ -245,47 +272,39 @@ def _read_spec_file(path: str) -> dict:
     return out
 
 
-def _cmd_sweep(args) -> int:
-    values: dict[str, str] = {}
-    if args.spec:
-        values = _read_spec_file(args.spec)
+def _sweep_values(args) -> dict:
+    """Each of SPEC_KEYS from its flag, else from the spec file, else its default."""
+    values = _read_spec_file(args.spec) if args.spec else {}
     unknown = [key for key in values if key not in SPEC_KEYS]
     if unknown:
         raise ValueError(f"unknown spec key(s) {', '.join(map(repr, unknown))} in "
                          f"{args.spec}; known keys: {', '.join(SPEC_KEYS)}")
+    resolved = {}
+    for key, (cast, default) in SPEC_KEYS.items():
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+        elif key in values:
+            resolved[key] = cast(values[key])
+        elif default is ...:
+            raise ValueError(f"missing sweep parameter {key!r}")
+        else:
+            resolved[key] = default
+    return resolved
 
-    def pick(key, flag, cast=float):
-        if flag is not None:
-            return flag
-        if key in values:
-            return cast(values[key])
-        raise ValueError(f"missing sweep parameter {key!r}")
 
-    omega_range = (
-        pick("omega_lo", args.omega_lo), pick("omega_hi", args.omega_hi),
-        pick("omega_step", args.omega_step),
-    )
-    e_range = (
-        pick("e_lo", args.e_lo), pick("e_hi", args.e_hi), pick("e_step", args.e_step),
-    )
-    metrics = tuple(
-        m.strip()
-        for m in (args.metrics or values.get("metrics", ",".join(ALL_METRICS))).split(",")
-        if m.strip()
-    )
-    workers = args.workers if args.workers is not None else int(values.get("workers", "1"))
-    out = args.out or values.get("out", "sweep_grid.csv")
-    checkpoint = args.checkpoint or values.get("checkpoint")
-
+def _cmd_sweep(args) -> int:
+    v = _sweep_values(args)
     spec = SweepSpec(
-        omega_range=omega_range, e_range=e_range, metrics=metrics, workers=workers
+        omega_range=(v["omega_lo"], v["omega_hi"], v["omega_step"]),
+        e_range=(v["e_lo"], v["e_hi"], v["e_step"]), metrics=v["metrics"], workers=v["workers"],
     )
     params = _params_from(args)
     cfg = _config_from(args)
-    grid = run_sweep(spec, params, cfg, checkpoint_path=checkpoint)
-    write_grid_csv(grid, out)
+    check_writable(v["out"])
+    grid = run_sweep(spec, params, cfg, checkpoint_path=v["checkpoint"])
+    write_grid_csv(grid, v["out"])
     n_err = sum(1 for c in grid.cells if c.status != "ok")
-    print(f"wrote {out}: {spec.cell_count} cells, {n_err} failed")
+    print(f"wrote {v['out']}: {spec.cell_count} cells, {n_err} failed")
     return 0
 
 
@@ -326,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_forcing_flags(p)
     _add_model_flags(p)
     _add_tol_flags(p)
-    p.add_argument("--periods", type=int, default=2, help="measurement periods")
-    p.add_argument("--burn-in", type=int, default=2, help="burn-in periods")
+    p.add_argument("--periods", type=int, default=MEASURE_PERIODS, help="measurement periods")
+    p.add_argument("--burn-in", type=int, default=BURN_IN_PERIODS, help="burn-in periods")
     p.add_argument("--samples-per-period", type=int, default=2000)
     p.add_argument("--out", help="time-series CSV path (t,x,y,theta)")
     p.add_argument("--metrics-out", help="metrics JSON path")
@@ -361,23 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an (omega, E) sweep")
     p.add_argument("--spec", help="key = value spec file; flags override")
-    p.add_argument("--omega-lo", type=float)
-    p.add_argument("--omega-hi", type=float)
-    p.add_argument("--omega-step", type=float)
-    p.add_argument("--e-lo", type=float)
-    p.add_argument("--e-hi", type=float)
-    p.add_argument("--e-step", type=float)
-    p.add_argument("--metrics")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.add_argument("--checkpoint")
+    for key, (cast, _) in SPEC_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=cast)
     _add_model_flags(p)
     _add_tol_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("contours", help="boundary/level-set JSON from a grid CSV")
     p.add_argument("--grid", required=True, help="grid CSV from the sweep command")
-    p.add_argument("--levels", type=int, default=24)
+    p.add_argument("--levels", type=int, default=N_LEVELS)
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.add_argument("--svg", help="render the (omega, E) diagram to this SVG")
     p.set_defaults(fn=_cmd_contours)

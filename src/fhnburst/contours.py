@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 CUSP_MAX_INTERIOR_ANGLE_DEG = 90.0   # a vertex sharper than this is a cusp
+N_LEVELS = 24                        # default count of level sets between the extremes
 
 # segment topology per marching-squares case: pairs of edge ids
 # edges: 0 bottom (j fixed low), 1 right, 2 top, 3 left
@@ -140,7 +141,8 @@ def spike_boundary_levels(counts) -> list[float]:
     return [m + 0.5 for m in range(lo, hi)]
 
 
-def levelsets(xs, ys, values, levels=None, n_levels: int = 24) -> list[list[tuple[float, float]]]:
+def levelsets(xs, ys, values, levels=None,
+              n_levels: int = N_LEVELS) -> list[list[tuple[float, float]]]:
     """Isolines of an array at each level, in level order; default levels are
     evenly spaced between its finite extremes (exclusive)."""
     values = np.asarray(values, dtype=float)
@@ -170,7 +172,7 @@ def extract_boundaries(grid) -> list[list[tuple[float, float]]]:
     return spike_boundaries(grid.omegas, grid.e_values, grid.value_array("spike_count"))
 
 
-def l2_levelsets(grid, n_levels: int = 24) -> list[list[tuple[float, float]]]:
+def l2_levelsets(grid, n_levels: int = N_LEVELS) -> list[list[tuple[float, float]]]:
     """Level sets of the L2 norm of a complete grid (see levelsets)."""
     return levelsets(grid.omegas, grid.e_values, grid.value_array("l2"), n_levels=n_levels)
 

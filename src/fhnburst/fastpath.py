@@ -1,11 +1,12 @@
 """Backend selection for the C library and its pure-Python twins.
 
 At import time the C library (`_kernel.c`, built by setup.py into the shared
-library `fhnburst._kernel` and loaded with ctypes) is opened once, and its
-three entry points are preferred; the pure-Python twins in `_kernel_py` are
-used when the library was not built.  The C code copies the twins operation
-for operation and is compiled without floating-point contraction, so both
-backends return bit-identical results:
+library `fhnburst._kernel` and loaded with ctypes) is opened once.  The one
+handle `_IMPL` is that `Library` or, when the library was not built, the
+module `_kernel_py` of its pure-Python twins; the functions below dispatch
+through it.  The C code copies the twins operation for operation and is
+compiled without floating-point contraction, so both backends return
+bit-identical results:
 - the forced kernel (`integrate_forced`) returns a status, the knot table,
   the spike times, the times of the x-minima, the step counters and the
   integral of x^2 + y^2 over the knots (see `_kernel_py`);
@@ -142,24 +143,19 @@ def _find_library() -> Library | None:
         return None
 
 
-_LIBRARY = _find_library()
-if _LIBRARY is None:
-    _BACKEND, _SAMPLER, _FORMATTER = _kernel_py.integrate_forced, _kernel_py.sample_knots, None
-else:
-    _BACKEND, _SAMPLER, _FORMATTER = (
-        _LIBRARY.integrate_forced, _LIBRARY.sample_knots, _LIBRARY.format_table)
+_IMPL = _find_library() or _kernel_py
 
 
 def active_backend() -> str:
     """'compiled' when the C kernel is in use, else 'pure'."""
-    return "pure" if _BACKEND is _kernel_py.integrate_forced else "compiled"
+    return "pure" if _IMPL is _kernel_py else "compiled"
 
 
 def sample_knots(knots, ts, deriv: bool) -> np.ndarray:
     """`_kernel_py.sample_knots(knots, ts, deriv)` on the active backend: the
     states (or with deriv their time derivatives) of an n x (1 + 3d) knot
     table's dense output at the sorted times ts, as an m x d array."""
-    return _SAMPLER(knots, ts, deriv)
+    return _IMPL.sample_knots(knots, ts, deriv)
 
 
 def format_table(table, spec: str, sep: str, end: str) -> str:
@@ -168,7 +164,7 @@ def format_table(table, spec: str, sep: str, end: str) -> str:
     "%.2f" have an exact C path), joined by `sep` and followed by `end`.
     The C formatter writes it when it covers every value, else the twin
     writes the whole table."""
-    text = _FORMATTER(table, spec, sep, end) if _FORMATTER else None
+    text = _IMPL.format_table(table, spec, sep, end)
     return _kernel_py.format_table(table, spec, sep, end) if text is None else text
 
 
@@ -193,7 +189,7 @@ def integrate_forced(
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError("t_span must be finite and increasing")
 
-    status, knots, spikes, minima, stats, sq_integral = _BACKEND(
+    status, knots, spikes, minima, stats, sq_integral = _IMPL.integrate_forced(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,

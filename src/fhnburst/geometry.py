@@ -224,14 +224,27 @@ def eigen_smalldelta_expansion(
     return (-1.0 - lin + quad, lin - quad, -1.0 + lin + quad, -lin - quad)
 
 
+def bisect_root(g, lo: float, hi: float) -> float:
+    """Root of g in the bracket g(lo) <= 0 < g(hi), halved until no double
+    lies strictly inside it; returns the last midpoint, lo or hi itself."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def supercritical_manifold_point(
     theta0: float, params: ModelParams, E: float
 ) -> tuple[float, float]:
     """Point (u, F(u)) of the super-critical curve at frozen phase theta0.
 
     Solves G(u) = E*b*sin(theta0); G is a strictly increasing bijection, so
-    the root is unique.  Bisection on a bracket doubled until it holds the
-    root, halved until no double lies strictly inside it.
+    the root is unique.  `bisect_root` on a bracket doubled until it holds
+    the root.
     """
     target = E * params.b * math.sin(theta0)
 
@@ -240,14 +253,7 @@ def supercritical_manifold_point(
         lo *= 2.0
     while cubic_G(hi, params) < target:
         hi *= 2.0
-    while True:
-        u = 0.5 * (lo + hi)
-        if u == lo or u == hi:
-            break
-        if cubic_G(u, params) > target:
-            hi = u
-        else:
-            lo = u
+    u = bisect_root(lambda v: cubic_G(v, params) - target, lo, hi)
     return u, cubic_F(u)
 
 

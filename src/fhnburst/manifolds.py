@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
-from .geometry import fold_thresholds
+from .geometry import bisect_root, fold_thresholds
 from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
@@ -186,21 +186,13 @@ def _eval_offset(coeffs, th_hat: float) -> float:
     return th_hat * (a1 + th_hat * (a2 + th_hat * (a3 + th_hat * (a4 + th_hat * a5))))
 
 
-def _eval_offset_deriv(coeffs, th_hat: float) -> float:
-    a1, a2, a3, a4, a5 = coeffs
-    return a1 + th_hat * (
-        2.0 * a2 + th_hat * (3.0 * a3 + th_hat * (4.0 * a4 + th_hat * 5.0 * a5))
-    )
-
-
 def theta_at_lower_bound(expansion: ManifoldExpansion) -> float:
     """Phase where the stable branch reaches the lower bound u = -1 (x = -2).
 
     The relevant intersection lies on the backward-phase side of the saddle.
     The offsets th_i = -(pi/2) i / 4001, i = 1..4001, are evaluated at once
     (Horner on an array); the first sign change from the saddle outward,
-    with u(0) = 0 before th_1, brackets the root, which is bisected in
-    scalar steps and polished with four Newton steps.
+    with u(0) = 0 before th_1, brackets the root for `bisect_root`.
     """
     if expansion.branch != "stable":
         raise ValueError("the lower-bound intersection is defined for the stable branch")
@@ -208,8 +200,7 @@ def theta_at_lower_bound(expansion: ManifoldExpansion) -> float:
 
     n_scan = 4001
     ths = -VALIDITY_HALF_WIDTH * np.arange(1, n_scan + 1) / n_scan
-    g_scan = _eval_offset(coeffs, ths) - LOWER_BOUND_U
-    below = g_scan <= 0.0
+    below = _eval_offset(coeffs, ths) - LOWER_BOUND_U <= 0.0
     # u(0) = 0, above the lower bound, precedes the first scan point
     flips = np.flatnonzero(below != np.concatenate(([False], below[:-1])))
     if len(flips) == 0:
@@ -218,21 +209,6 @@ def theta_at_lower_bound(expansion: ManifoldExpansion) -> float:
         )
 
     i = int(flips[0])
-    lo, hi, g_lo = float(ths[i]), (float(ths[i - 1]) if i else 0.0), float(g_scan[i])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = _eval_offset(coeffs, mid) - LOWER_BOUND_U
-        if (gm <= 0.0) == (g_lo <= 0.0):
-            lo, g_lo = mid, gm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    th_star = 0.5 * (lo + hi)
-    for _ in range(4):
-        g = _eval_offset(coeffs, th_star) - LOWER_BOUND_U
-        dg = _eval_offset_deriv(coeffs, th_star)
-        if dg == 0.0:
-            break
-        th_star -= g / dg
+    th_star = bisect_root(lambda th: _eval_offset(coeffs, th) - LOWER_BOUND_U,
+                          float(ths[i]), float(ths[i - 1]) if i else 0.0)
     return wrap_angle(expansion.theta_base + th_star)

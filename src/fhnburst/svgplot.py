@@ -33,12 +33,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def render_svg(path: str, polylines, x_label: str, y_label: str, **kwargs) -> None:
-    """Write `svg_document(polylines, x_label, y_label, **kwargs)` to path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_document(polylines, x_label, y_label, **kwargs))
-
-
 def svg_document(
     polylines,
     x_label: str,

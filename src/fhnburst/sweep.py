@@ -56,6 +56,8 @@ class SweepSpec:
         bad = set(self.metrics) - set(ALL_METRICS)
         if bad:
             raise ValueError(f"unknown metrics: {sorted(bad)}")
+        if not self.metrics:
+            raise ValueError("no metrics to compute")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -199,6 +201,16 @@ def _write_atomic(path: str, chunks) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError that `write_grid_csv(grid, path)` would meet, by
+    creating and removing its temporary file; called before a sweep's first
+    cell, it makes an output that cannot be written cost no work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output {path!r} is a directory")
+    open(path + ".tmp", "w").close()
+    os.remove(path + ".tmp")
 
 
 def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:

@@ -65,13 +65,6 @@ def c_kernel(c_library):
 
 
 @pytest.fixture(scope="session")
-def c_sampler(c_library):
-    """The C dense output, as a drop-in for `_kernel_py.sample_knots` on
-    sorted times."""
-    return c_library.sample_knots
-
-
-@pytest.fixture(scope="session")
 def c_formatter(c_library):
     """The C table formatter: `_kernel_py.format_table`'s text, or None when
     a value lies outside its exact range."""
@@ -79,15 +72,17 @@ def c_formatter(c_library):
 
 
 @pytest.fixture
-def c_formatter_calls(c_formatter, monkeypatch):
-    """Make the C formatter fastpath's, and list what each call returns."""
+def c_formatter_calls(c_library, c_formatter, monkeypatch):
+    """Make the C library fastpath's backend, and list what each call of its
+    formatter returns."""
     returned = []
 
     def record(*args):
         returned.append(c_formatter(*args))
         return returned[-1]
 
-    monkeypatch.setattr(fastpath, "_FORMATTER", record)
+    monkeypatch.setattr(c_library, "format_table", record)
+    monkeypatch.setattr(fastpath, "_IMPL", c_library)
     return returned
 
 

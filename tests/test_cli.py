@@ -1,17 +1,21 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhnburst import _kernel_py, cli, fastpath
+from fhnburst import _kernel_py, cli, fastpath, sweep
 from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
 from fhnburst.manifolds import eval_manifold, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
-from fhnburst.svgplot import render_svg
+from fhnburst.svgplot import svg_document
 from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
 
 
@@ -39,11 +43,12 @@ def _reference_simulate_files(params, forcing, csv_path, svg_path):
         seg.append((th, xv))
     if seg:
         lines.append(seg)
-    render_svg(
-        svg_path, lines, "theta", "x",
-        title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
-        colors=["#1f77b4"] * len(lines),
-    )
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write(svg_document(
+            lines, "theta", "x",
+            title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
+            colors=["#1f77b4"] * len(lines),
+        ))
     return len(lines)
 
 
@@ -376,6 +381,38 @@ class TestOutputContract:
         pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
                      TINY_SWEEP + "chekpoint = {tmp}/ck.jsonl\n", "'chekpoint'",
                      id="sweep-unknown-spec-key"),
+        # a flag value out of range
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--workers", "0",
+                      "--checkpoint", "{tmp}/ck.jsonl"], TINY_SWEEP, "workers",
+                     id="sweep-workers-zero"),
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--metrics", " , "], TINY_SWEEP,
+                     "no metrics", id="sweep-metrics-empty"),
+        pytest.param(["estimate", "--E", "0.55", "--omega", "0.02", "--rel-tol", "0.5"],
+                     None, "tolerances", id="estimate-rel-tol-too-large"),
+        pytest.param(["equilibria", "--E", "-0.1", "--omega", "0.02", "--out", "{tmp}/x.json"],
+                     None, "non-negative", id="equilibria-negative-amplitude"),
+        # a non-finite number
+        pytest.param(["simulate", "--E", "nan", "--omega", "0.02", "--out", "{tmp}/x.csv",
+                      "--metrics-out", "{tmp}/x.json", "--svg", "{tmp}/x.svg"],
+                     None, "finite", id="simulate-E-nan"),
+        pytest.param(["regions", "--E", "0.5", "--omega", "inf"], None, "finite",
+                     id="regions-omega-inf"),
+        pytest.param(["manifold", "--E", "0.5", "--omega", "0.02", "--branch", "stable",
+                      "--a", "nan", "--out", "{tmp}/x.csv"], None, "finite",
+                     id="manifold-a-nan"),
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--e-step", "nan"], TINY_SWEEP,
+                     "finite", id="sweep-e-step-nan"),
+        # a point outside the domain
+        pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
+                      "--out", "{tmp}/x.csv"], None, "no folded saddle",
+                     id="manifold-below-saddle-threshold"),
+        # a missing input
+        pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
+                     id="contours-grid-dir-missing"),
+        pytest.param(["sweep", "--spec", "{tmp}/none.cfg"], None, "none.cfg",
+                     id="sweep-spec-missing"),
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"], "e_lo = 0.5\n", "'omega_lo'",
+                     id="sweep-key-missing"),
     ])
     def test_failure_leaves_nothing(self, capsys, tmp_path, argv, spec, match):
         fill = dict(tmp=tmp_path, missing=tmp_path / "missing")
@@ -389,6 +426,35 @@ class TestOutputContract:
         err = json.loads(line)["error"]
         assert err["type"] and match.format(**fill) in err["message"]
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_argparse_error_leaves_nothing(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--E", "0.5", "--omega", "0.02", "--periods", "two",
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_sweep_output_checked_before_first_cell(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        burst_metrics = sweep.burst_metrics
+        monkeypatch.setattr(sweep, "burst_metrics",
+                            lambda *args, **kw: calls.append(args) or burst_metrics(*args, **kw))
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(TINY_SWEEP.format(tmp=tmp_path) + "metrics = spike_count\n")
+        argv = ["sweep", "--spec", str(spec), "--checkpoint", str(tmp_path / "ck.jsonl"),
+                "--out"]
+        assert main([*argv, str(tmp_path / "missing" / "grid.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"]["type"] == "FileNotFoundError"
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [spec]
+        # the same sweep with a writable output computes its four cells
+        assert main([*argv, str(tmp_path / "grid.csv")]) == 0
+        assert len(calls) == 4
 
     def test_unknown_spec_key_names_known_keys(self, capsys, tmp_path):
         spec = tmp_path / "sweep.cfg"
@@ -414,6 +480,72 @@ class TestOutputContract:
         assert out.read_bytes() == fresh.read_bytes()
 
 
+# one value per sweep key in the spec file, and another for its flag
+SPEC_BASE = dict(omega_lo=0.02, omega_hi=0.03, omega_step=0.01, e_lo=0.5, e_hi=0.55,
+                 e_step=0.05, metrics=("region",), workers=1, out="spec.csv",
+                 checkpoint="spec.jsonl")
+SPEC_FLAGS = dict(omega_lo=0.01, omega_hi=0.04, omega_step=0.015, e_lo=0.45, e_hi=0.6,
+                  e_step=0.075, metrics=("region", "spike_count"), workers=2,
+                  out="flag.csv", checkpoint="flag.jsonl")
+
+
+def _spec_text(value, tmp_path) -> str:
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(tmp_path / value) if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("key", list(SPEC_BASE))
+def test_sweep_flag_overrides_spec_key(capsys, tmp_path, monkeypatch, key):
+    assert list(SPEC_BASE) == list(SPEC_FLAGS) == list(cli.SPEC_KEYS)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text("".join(f"{k} = {_spec_text(v, tmp_path)}\n"
+                                 for k, v in SPEC_BASE.items()))
+    seen = []
+    run_sweep = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda spec, *args, checkpoint_path: seen.append(
+        (spec, checkpoint_path)) or run_sweep(spec, *args, checkpoint_path=checkpoint_path))
+    flag = "--" + key.replace("_", "-")
+    assert main(["sweep", "--spec", str(spec_file),
+                 flag, _spec_text(SPEC_FLAGS[key], tmp_path)]) == 0
+    want = dict(SPEC_BASE, **{key: SPEC_FLAGS[key]})
+    [(spec, checkpoint)] = seen
+    assert spec == SweepSpec(
+        omega_range=(want["omega_lo"], want["omega_hi"], want["omega_step"]),
+        e_range=(want["e_lo"], want["e_hi"], want["e_step"]),
+        metrics=want["metrics"], workers=want["workers"],
+    )
+    assert checkpoint == str(tmp_path / want["checkpoint"])
+    out = tmp_path / want["out"]
+    assert capsys.readouterr().out == f"wrote {out}: {spec.cell_count} cells, 0 failed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["sweep.cfg", want["out"], want["checkpoint"]])
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    (["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+      "--samples", "2"], "theta,u,x\n", 2),
+    (["simulate", "--E", "0.55", "--omega", "0.0149354", "--periods", "1",
+      "--samples-per-period", "4"], "t,x,y,theta\n", 5),
+])
+def test_out_to_stdout_file(tmp_path, argv, header, rows):
+    # `--out /dev/stdout` writes the table through stdout, ahead of the JSON
+    # that the command prints: a pipe and a redirected file get the same bytes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-c", "import sys; from fhnburst.cli import main; sys.exit(main())",
+           *argv, "--out", "/dev/stdout"]
+    piped = subprocess.run(cmd, env=env, capture_output=True, check=True).stdout
+    with open(tmp_path / "f", "wb") as fh:
+        subprocess.run(cmd, env=env, stdout=fh, check=True)
+    assert (tmp_path / "f").read_bytes() == piped
+    lines = piped.decode().splitlines(keepends=True)
+    assert lines[0] == header
+    assert all(line.count(",") == header.count(",") for line in lines[1:rows + 1])
+    assert json.loads("".join(lines[rows + 1:]))
+
+
 SIX_DRIVES = [("0.55", "0.0149354"), ("0.47", "0.025"), ("0.45", "0.035"),
               ("0", "0.0149354"), ("0.25", "0.02"), ("0.40", "0.01")]
 
@@ -421,15 +553,9 @@ SIX_DRIVES = [("0.55", "0.0149354"), ("0.47", "0.025"), ("0.45", "0.035"),
 @pytest.mark.parametrize("E, omega", SIX_DRIVES)
 def test_simulate_files_identical_on_both_backends(c_library, monkeypatch, capsys,
                                                    tmp_path, E, omega):
-    backends = {
-        "compiled": (c_library.integrate_forced, c_library.sample_knots, c_library.format_table),
-        "pure": (_kernel_py.integrate_forced, _kernel_py.sample_knots, None),
-    }
     written = {}
-    for name, (kernel, sampler, formatter) in backends.items():
-        monkeypatch.setattr(fastpath, "_BACKEND", kernel)
-        monkeypatch.setattr(fastpath, "_SAMPLER", sampler)
-        monkeypatch.setattr(fastpath, "_FORMATTER", formatter)
+    for name, backend in {"compiled": c_library, "pure": _kernel_py}.items():
+        monkeypatch.setattr(fastpath, "_IMPL", backend)
         paths = [tmp_path / f"{name}.{ext}" for ext in ("csv", "json", "svg")]
         assert main(["simulate", "--E", E, "--omega", omega,
                      *(arg for flag, path in zip(("--out", "--metrics-out", "--svg"), paths)

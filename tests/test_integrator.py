@@ -337,8 +337,8 @@ class TestForcedSystemRuns:
         # the flags of setup.py plus a warnings gate: a new warning fails here
         source = Path(fastpath.__file__).with_name("_kernel.c")
         proc = subprocess.run(
-            [c_compiler, "-std=c99", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
-             "-fsyntax-only", str(source)],
+            [c_compiler, "-std=c99", "-ffp-contract=off", "-Wall", "-Wextra", "-Wpedantic",
+             "-Werror", "-fsyntax-only", str(source)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

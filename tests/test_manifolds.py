@@ -14,7 +14,6 @@ from fhnburst.manifolds import (
     VALIDITY_HALF_WIDTH,
     ManifoldExpansion,
     _eval_offset,
-    _eval_offset_deriv,
     b_coefficients,
     closed_form_a1,
     closed_form_a2,
@@ -225,7 +224,8 @@ class TestLowerBoundIntersection:
 
 def _scalar_theta_at_lower_bound(expansion, u_target=-1.0):
     """The scalar scan `theta_at_lower_bound` replaced: one Horner call per
-    scan point, stopping at the first sign change."""
+    scan point, stopping at the first sign change, then halving the bracket
+    until no double lies strictly inside it."""
     if expansion.branch != "stable":
         raise ValueError("the lower-bound intersection is defined for the stable branch")
     coeffs = expansion.coeffs
@@ -237,29 +237,20 @@ def _scalar_theta_at_lower_bound(expansion, u_target=-1.0):
         th = -VALIDITY_HALF_WIDTH * i / n_scan
         g = _eval_offset(coeffs, th) - u_target
         if (g <= 0.0) != (prev_g <= 0.0):
-            bracket = (th, prev_th, g, prev_g)
+            bracket = (th, prev_th)
             break
         prev_th, prev_g = th, g
     if bracket is None:
         raise NoIntersection("no sign change")
-    lo, hi, g_lo, _ = bracket
-    for _ in range(200):
+    lo, hi = bracket
+    while True:
         mid = 0.5 * (lo + hi)
-        gm = _eval_offset(coeffs, mid) - u_target
-        if (gm <= 0.0) == (g_lo <= 0.0):
-            lo, g_lo = mid, gm
+        if mid in (lo, hi):
+            return wrap_angle(expansion.theta_base + mid)
+        if _eval_offset(coeffs, mid) - u_target <= 0.0:
+            lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15:
-            break
-    th_star = 0.5 * (lo + hi)
-    for _ in range(4):
-        g = _eval_offset(coeffs, th_star) - u_target
-        dg = _eval_offset_deriv(coeffs, th_star)
-        if dg == 0.0:
-            break
-        th_star -= g / dg
-    return wrap_angle(expansion.theta_base + th_star)
 
 
 def _outcome(fn, expansion):

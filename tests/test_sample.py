@@ -34,19 +34,19 @@ def knot_tables(draw):
     return table, np.array(ts, dtype=float)
 
 
-def _sample_with(monkeypatch, sampler, traj, ts):
-    monkeypatch.setattr(fastpath, "_SAMPLER", sampler)
+def _sample_with(monkeypatch, backend, traj, ts):
+    monkeypatch.setattr(fastpath, "_IMPL", backend)
     return traj.sample(ts), traj.sample_deriv(ts)
 
 
 @given(case=knot_tables())
 @settings(max_examples=150, deadline=None)
-def test_matches_twin(c_sampler, case):
+def test_matches_twin(c_library, case):
     table, ts = case
     traj = Trajectory.from_knots(table)
     with pytest.MonkeyPatch.context() as mp:
-        got = _sample_with(mp, c_sampler, traj, ts)
-        want = _sample_with(mp, _kernel_py.sample_knots, traj, ts)
+        got = _sample_with(mp, c_library, traj, ts)
+        want = _sample_with(mp, _kernel_py, traj, ts)
     d = (table.shape[1] - 1) // 3
     # the twin vectorizes over the times in any order: it checks the
     # argsort and the reordering that the C path needs
@@ -57,15 +57,15 @@ def test_matches_twin(c_sampler, case):
         assert g.tobytes() == w.tobytes() == v.tobytes()
 
 
-def test_empty_and_knot_times(c_sampler):
+def test_empty_and_knot_times(c_library):
     # the C path at the knots returns the stored states bit for bit
     rng = np.random.default_rng(7)
     table = rng.normal(size=(5, 7))
     table[:, 0] = np.cumsum(rng.uniform(0.1, 2.0, 5))
     traj = Trajectory.from_knots(table)
     with pytest.MonkeyPatch.context() as mp:
-        empty = _sample_with(mp, c_sampler, traj, [])
-        at_knots = _sample_with(mp, c_sampler, traj, traj.times[::-1])
+        empty = _sample_with(mp, c_library, traj, [])
+        at_knots = _sample_with(mp, c_library, traj, traj.times[::-1])
     assert [arr.shape for arr in empty] == [(0, 2), (0, 2)]
     assert np.array_equal(at_knots[0], traj.states[::-1])
     assert np.allclose(at_knots[1], traj.derivs[::-1], rtol=1e-12, atol=1e-12)
@@ -73,11 +73,11 @@ def test_empty_and_knot_times(c_sampler):
 
 def test_compiled_backend_samples_through_fhn_sample(c_library, params, monkeypatch):
     if fastpath.active_backend() == "compiled":
-        library = fastpath._LIBRARY           # the library opened at import
-        assert fastpath._SAMPLER == library.sample_knots
+        library = fastpath._IMPL              # the library opened at import
+        assert isinstance(library, fastpath.Library)
     else:                      # built into a temporary directory by the fixture
         library = c_library
-        monkeypatch.setattr(fastpath, "_SAMPLER", library.sample_knots)
+        monkeypatch.setattr(fastpath, "_IMPL", library)
     calls = []
     fhn_sample = library.cdll.fhn_sample
     monkeypatch.setattr(library.cdll, "fhn_sample",

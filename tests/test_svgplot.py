@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fhnburst.contours import levelsets, spike_boundaries
-from fhnburst.svgplot import HEIGHT, MARGIN, PALETTE, WIDTH, _ticks, render_svg
+from fhnburst.svgplot import HEIGHT, MARGIN, PALETTE, WIDTH, _ticks, svg_document
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,7 +53,7 @@ def test_ticks_span_below_float_resolution(tmp_path):
 
 def _reference_render_svg(path, polylines, x_label, y_label, title="",
                           colors=None, bounds=None):
-    """The per-point writer `render_svg` replaced: Python min/max bounds and
+    """The per-point writer `svg_document` replaced: Python min/max bounds and
     one f-string per point."""
     polylines = [list(p) for p in polylines if len(p) > 0]
     if bounds is None:
@@ -164,11 +164,12 @@ def _near_ties():
 
 
 class TestRenderSvgMatchesReference:
+    """The text of `svg_document` against the per-point reference writer."""
+
     def _both(self, tmp_path, polylines, *args, **kwargs):
-        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
-        render_svg(str(new), polylines, *args, **kwargs)
+        ref = tmp_path / "ref.svg"
         _reference_render_svg(str(ref), polylines, *args, **kwargs)
-        return new.read_bytes(), ref.read_bytes()
+        return svg_document(polylines, *args, **kwargs).encode(), ref.read_bytes()
 
     def test_simulate_segments(self, tmp_path):
         lines = _simulate_segments()

@@ -62,6 +62,8 @@ class TestSweepSpec:
             dict(omega_range=(0.01, math.inf, 0.01), e_range=(0.5, 0.55, 0.05)),
             dict(omega_range=(0.01, 0.02, math.inf), e_range=(0.5, 0.55, 0.05)),
             dict(omega_range=(0.01, 0.02, 0.01), e_range=(-math.inf, 0.55, 0.05)),
+            # a sweep that would compute nothing
+            dict(omega_range=(0.01, 0.02, 0.01), e_range=(0.5, 0.55, 0.05), metrics=()),
         ],
     )
     def test_validation(self, kwargs):
@@ -118,17 +120,17 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(other, params, checkpoint_path=ck)
 
-    def test_resume_across_backends(self, params, c_kernel, tmp_path, monkeypatch):
+    def test_resume_across_backends(self, params, c_library, tmp_path, monkeypatch):
         # the kernels are bit-identical, so a checkpoint written on one resumes
         # on the other into the same CSV
         ck = str(tmp_path / "ck.jsonl")
         spec = SweepSpec(workers=1, **SMALL)
-        monkeypatch.setattr(fastpath, "_BACKEND", c_kernel)
+        monkeypatch.setattr(fastpath, "_IMPL", c_library)
         full = run_sweep(spec, params, checkpoint_path=ck).to_csv()
         lines = open(ck).read().splitlines()
         with open(ck, "w") as fh:
             fh.write("\n".join(lines[:4]) + "\n")
-        monkeypatch.setattr(fastpath, "_BACKEND", _kernel_py.integrate_forced)
+        monkeypatch.setattr(fastpath, "_IMPL", _kernel_py)
         assert run_sweep(spec, params, checkpoint_path=ck).to_csv() == full
 
     def test_torn_checkpoint_resumes(self, params, tmp_path, monkeypatch):
