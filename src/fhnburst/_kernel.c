@@ -9,22 +9,23 @@
  * refuses it unless fhn_abi_version() returns the version it expects, so a
  * library built from an older fhn_out layout is never used.  Bump
  * FHN_ABI_VERSION, and fastpath.KERNEL_ABI with it, whenever the arguments
- * or fhn_out change.  The kernel grows three buffers, which the caller
- * copies out and releases with fhn_free: the knot table, n_knots rows of
- * (t, x, y, fx, fy, d2x, d2y) whose last row is the end state (only that row
- * without store_knots; none when the start state is non-finite), the spike
- * times, the upward crossings of x = 1, and the minima, the times of the
- * local x-minima, both in time order and both only with detect_events,
- * each located by `bisect` until its bracket is at most 1e-12 wide or no
- * double lies strictly inside it.
- * fhn_out also carries the step counters n_accept, n_reject,
- * n_nonfinite_retry and h_min (see _kernel_py), and beside them
- * sq_integral, the integral of x^2 + y^2 over the stored knots (0 without
- * store_knots): each stored step adds h times the `gram_form` of x and y to
- * a Neumaier-compensated sum, divided by 55440 once at the end, as
- * _kernel_py.sq_integral does over the knot rows.  fhn_integrate returns the
- * status code (0 ok, 1 step-size underflow, 2 max steps exceeded, 3
- * non-finite state) or -1 when a buffer could not grow.
+ * or fhn_out change.  detect_events picks one of two runs.  A measurement
+ * run (detect_events != 0) grows three buffers, which the caller copies out
+ * and releases with fhn_free: the knot table, n_knots rows of (t, x, y, fx,
+ * fy, d2x, d2y) whose last row is the end state (none when the start state
+ * is non-finite), the spike times, the upward crossings of x = 1, and the
+ * minima, the times of the local x-minima, both in time order and each
+ * located by `bisect` until its bracket is at most 1e-12 wide or no double
+ * lies strictly inside it; it also sums sq_integral, the integral of
+ * x^2 + y^2 over the knots: each step adds h times the `gram_form` of x and
+ * y to a Neumaier-compensated sum, divided by 55440 once at the end, as
+ * _kernel_py.sq_integral does over the knot rows.  A burn-in run
+ * (detect_events == 0) keeps only the end state's row and leaves
+ * sq_integral 0.  Both fill the step counters n_accept, n_reject,
+ * n_nonfinite_retry and h_min (see _kernel_py).  The first step is
+ * 1e-4 * (t_end - t0), capped by max_step when max_step > 0.  fhn_integrate
+ * returns the status code (0 ok, 1 step-size underflow, 2 max steps
+ * exceeded, 3 non-finite state) or -1 when a buffer could not grow.
  *
  * The second entry point, fhn_sample, is the dense output: the quintic
  * Hermite interpolant of a knot table at sorted times, through the same
@@ -73,7 +74,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 5
+#define FHN_ABI_VERSION 6
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -210,16 +211,14 @@ void fhn_free(fhn_out *out)
 
 int fhn_integrate(double a, double b, double eps, double E, double omega,
                   double t0, double t_end, double x0, double y0,
-                  double rtol, double atol, double max_step, double first_step,
-                  long max_steps, int detect_events, int store_knots,
-                  fhn_out *out)
+                  double rtol, double atol, double max_step, long max_steps,
+                  int detect_events, fhn_out *out)
 {
     const fhn_params p = {a, b, eps, E, omega};
     double span = t_end - t0;
-    double h = first_step > 0.0 ? first_step : 1e-4 * span;
+    double h = 1e-4 * span;
     if (max_step > 0.0)
         h = fmin(h, max_step);
-    h = fmin(h, span);
     double hmax = max_step > 0.0 ? max_step : span;
 
     double t = t0, x = x0, y = y0, fx, fy;
@@ -233,7 +232,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
     double jxx = 1.0 - x * x;
     double d2x = ftx + jxx * fx - fy;
     double d2y = eps * fx - eps * b * fy;
-    if (store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
+    if (detect_events && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
 
     long n_steps = 0;
@@ -409,9 +408,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
                 if (push(&out->minima, &out->n_minima, &out->cap_minima, 1, &t_min))
                     return -1;
             }
-        }
 
-        if (store_knots) {
             double term = h_used * (gram_form(h_used, x, fx, d2x, x_new, fxn, d2xn)
                                     + gram_form(h_used, y, fy, d2y, y_new, fyn, d2yn));
             double s = sq_sum + term;
@@ -420,6 +417,9 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
             else
                 sq_comp += (term - s) + sq_sum;
             sq_sum = s;
+
+            if (push_knot(out, t_new, x_new, y_new, fxn, fyn, d2xn, d2yn))
+                return -1;
         }
 
         t = t_new;
@@ -431,8 +431,6 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         jxx = jxxn;
         d2x = d2xn;
         d2y = d2yn;
-        if (store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
-            return -1;
 
         fac = 0.9 * pow(err, -0.25);
         if (fac < 0.2)
@@ -448,7 +446,7 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
     }
 
     out->sq_integral = (sq_sum + sq_comp) / GRAM_DEN;
-    if (!store_knots && push_knot(out, t, x, y, fx, fy, d2x, d2y))
+    if (!detect_events && push_knot(out, t, x, y, fx, fy, d2x, d2y))
         return -1;
     return status;
 }

@@ -8,12 +8,16 @@ literals and copies this kernel operation for operation (same bisections
 and order of every sum), so the two backends return bit-identical results.
 Keep any algorithmic edit here in lockstep with _kernel.c.
 
-`integrate_forced` returns (status, knots, spikes, minima, stats, sq_integral):
+`integrate_forced` makes one of two runs, picked by detect_events: the
+measurement run (true) keeps every knot, locates the events and sums the
+integral; the burn-in run (false) keeps only the end state and the counters.
+Its first step is 1e-4 * (t_end - t0), capped by max_step when max_step > 0.
+It returns (status, knots, spikes, minima, stats, sq_integral):
 - status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
   state;
 - knots: an n x 7 array with rows (t, x, y, fx, fy, d2x, d2y), the state
-  and its first and second time derivatives at each accepted step; without
-  store_knots only the end state's row.  The last row is the end state; no
+  and its first and second time derivatives at each accepted step; in a
+  burn-in run only the end state's row.  The last row is the end state; no
   row means the start state was already non-finite;
 - spikes: the times of the upward crossings of x = 1, in time order (at
   most one per step, since the two half-steps cannot both cross upward);
@@ -23,15 +27,15 @@ Keep any algorithmic edit here in lockstep with _kernel.c.
   rejected by the error test), n_nonfinite_retry (attempts halved because a
   stage went non-finite) and h_min (the smallest accepted step, inf when
   none was accepted; the last step may be cut short to land on t_end);
-- sq_integral: the integral of x^2 + y^2 over the stored knots' span (0.0
-  without store_knots), exact on the quintic Hermite interpolant (see
-  `sq_integral`).  It travels beside the counters, which do not depend on
-  what the run stores.
+- sq_integral: the integral of x^2 + y^2 over the knots' span (0.0 in a
+  burn-in run), exact on the quintic Hermite interpolant (see
+  `sq_integral`).  It travels beside the counters, which are the same for
+  both runs.
 
-Spikes and minima are located only with detect_events, each by one
-bisection on the step's quintic Hermite interpolant (of x - 1 for a spike,
-of x' for a minimum) until the bracket is at most 1e-12 wide or no double
-lies strictly inside it (from t = 8192 on, one ulp of t is wider).
+Spikes and minima (measurement run only) are each located by one bisection
+on the step's quintic Hermite interpolant (of x - 1 for a spike, of x' for a
+minimum) until the bracket is at most 1e-12 wide or no double lies strictly
+inside it (from t = 8192 on, one ulp of t is wider).
 
 `sample_knots` is the twin of the C library's dense output `fhn_sample`,
 and `format_table` the twin of its exact table formatter.
@@ -152,14 +156,12 @@ def _bisect(g, lo, hi):
 def integrate_forced(
     a, b, eps, E, omega,
     t0, t_end, x0, y0,
-    rtol, atol, max_step, first_step,
-    max_steps, detect_events, store_knots,
+    rtol, atol, max_step, max_steps, detect_events,
 ):
     span = t_end - t0
-    h = first_step if first_step > 0.0 else 1e-4 * span
+    h = 1e-4 * span
     if max_step > 0.0:
         h = min(h, max_step)
-    h = min(h, span)
     hmax = max_step if max_step > 0.0 else span
 
     t = t0
@@ -341,6 +343,7 @@ def integrate_forced(
             if fx < 0.0 <= fxn:
                 minima.append(_bisect(
                     lambda tm: _hermite_dx((tm - t) / h_used, *coef), t, t_new))
+            knots.append((t_new, x_new, y_new, fxn, fyn, d2xn, d2yn))
 
         t = t_new
         x = x_new
@@ -351,8 +354,6 @@ def integrate_forced(
         jxx = jxxn
         d2x = d2xn
         d2y = d2yn
-        if store_knots:
-            knots.append((t, x, y, fx, fy, d2x, d2y))
 
         fac = SAFETY * err**-0.25
         if fac < FAC_MIN:
@@ -366,7 +367,7 @@ def integrate_forced(
         if h > hmax:
             h = hmax
 
-    if not store_knots:
+    if not detect_events:
         knots = [(t, x, y, fx, fy, d2x, d2y)]
     stats = dict(zip(STAT_NAMES, (n_accept, n_reject, n_nonfinite_retry, h_min)))
     return (status, np.asarray(knots), np.asarray(spikes, dtype=float),

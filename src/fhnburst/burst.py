@@ -64,17 +64,13 @@ def simulate_standard(
     t_meas = burn_in_periods * T
     if burn_in_periods > 0:
         burn = fastpath.integrate_forced(
-            params, forcing, (x0, y0), (0.0, t_meas), cfg,
-            detect_events=False, store_knots=False,
+            params, forcing, (x0, y0), (0.0, t_meas), cfg, detect_events=False,
         )
         x0, y0 = burn.states[-1]
-    traj = fastpath.integrate_forced(
+    return fastpath.integrate_forced(
         params, forcing, (x0, y0), (t_meas, t_meas + measure_periods * T), cfg,
-        detect_events=True, store_knots=True,
+        detect_events=True,
     )
-    traj.meta["measure_periods"] = measure_periods
-    traj.meta["burn_in_periods"] = burn_in_periods
-    return traj
 
 
 def count_spikes(trajectory: Trajectory, n_periods: int) -> int:
@@ -244,8 +240,7 @@ def burst_metrics(
 ) -> BurstMetrics:
     """Simulate once and compute every per-run measurement."""
     traj = simulate_standard(params, forcing, config)
-    n_periods = traj.meta["measure_periods"]
-    count = count_spikes(traj, n_periods)
+    count = count_spikes(traj, MEASURE_PERIODS)
     l2 = l2_norm(traj, forcing.period)
     seq = theta_sequence(traj)
     est = None

@@ -89,10 +89,12 @@ def _open_outputs(*paths):
     truncation and cut to what was written on success, so a call that fails
     before it writes leaves it as it was.  A path that names stdout's own
     file gets `sys.stdout`, so that it receives the table and the printed
-    text in order, and is never cut or removed.  The other handles are
+    text in order, and is never cut or removed.  Two paths that name one file
+    (two names for stdout included) raise ValueError.  The other handles are
     closed on exit; when the body or a close fails, the files this call
     created are removed."""
     handles, opened, created = [], [], []
+    named = {}   # (st_dev, st_ino) -> the first path that names the file
     done = False
     try:
         for path in paths:
@@ -101,13 +103,18 @@ def _open_outputs(*paths):
                 continue
             if _is_stdout(path):
                 handles.append(sys.stdout)
-                continue
-            try:
-                opened.append(open(path, "x", encoding="utf-8"))
-                created.append(path)
-            except FileExistsError:
-                opened.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
-            handles.append(opened[-1])
+            else:
+                try:
+                    opened.append(open(path, "x", encoding="utf-8"))
+                    created.append(path)
+                except FileExistsError:
+                    opened.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
+                handles.append(opened[-1])
+            st = os.fstat(1 if handles[-1] is sys.stdout else handles[-1].fileno())
+            key = (st.st_dev, st.st_ino)
+            if key in named:
+                raise ValueError(f"output paths {named[key]!r} and {path!r} name the same file")
+            named[key] = path
         yield handles
         for fh in opened:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or tty
@@ -236,7 +243,7 @@ def _cmd_estimate(args) -> int:
     forcing = Forcing(E=args.E, omega=args.omega)
     cfg = _config_from(args)
     traj = simulate_standard(params, forcing, cfg)
-    simulated = count_spikes(traj, traj.meta["measure_periods"])
+    simulated = count_spikes(traj, MEASURE_PERIODS)
     estimated = estimate_spike_count(params, forcing, traj, theta_sequence(traj))
     print(f"estimated={estimated} simulated={simulated}")
     return 0
@@ -261,13 +268,15 @@ SPEC_KEYS = {
 def _read_spec_file(path: str) -> dict:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad spec line (expected key = value): {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"spec key {key!r} set again on line {lineno} of {path}")
             out[key] = value
     return out
 

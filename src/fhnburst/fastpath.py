@@ -7,9 +7,10 @@ module `_kernel_py` of its pure-Python twins; the functions below dispatch
 through it.  The C code copies the twins operation for operation and is
 compiled without floating-point contraction, so both backends return
 bit-identical results:
-- the forced kernel (`integrate_forced`) returns a status, the knot table,
-  the spike times, the times of the x-minima, the step counters and the
-  integral of x^2 + y^2 over the knots (see `_kernel_py`);
+- the forced kernel (`integrate_forced`) makes a measurement run, which
+  returns the knot table, the spike times, the times of the x-minima and the
+  integral of x^2 + y^2 over the knots, or a burn-in run, which returns the
+  end state; both return a status and the step counters (see `_kernel_py`);
 - the dense output (`sample_knots`) evaluates a knot table's quintic
   Hermite interpolant at sorted times, with the one Hermite evaluator of
   each language (`hermite_x` / `hermite_dx` in C, the basis of `integrator`
@@ -34,7 +35,7 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 5          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 6          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 
 
@@ -58,40 +59,39 @@ def _copy(ptr, shape: tuple[int, ...]) -> np.ndarray:
     return np.ctypeslib.as_array(ptr, shape).copy()
 
 
+# (name, restype, argtypes) of each entry point of the C library; a test
+# checks every argument count against _kernel.c
+ENTRY_POINTS = (
+    ("fhn_abi_version", ctypes.c_int, []),
+    ("fhn_free", None, [ctypes.POINTER(_Out)]),
+    ("fhn_integrate", ctypes.c_int,
+     [ctypes.c_double] * 12 + [ctypes.c_long, ctypes.c_int, ctypes.POINTER(_Out)]),
+    ("fhn_sample", None, [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                          ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p]),
+    ("fhn_format_table", ctypes.c_long,
+     [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]),
+)
+
+
 class Library:
     """The C library at `path`, opened once: its ABI version checked and its
-    three entry points declared on the one handle `cdll`.  Its methods are
-    drop-ins for the twins `_kernel_py.integrate_forced` and
+    entry points (`ENTRY_POINTS`) declared on the one handle `cdll`.  Its
+    methods are drop-ins for the twins `_kernel_py.integrate_forced` and
     `_kernel_py.sample_knots` (same arguments, same results) and, but for
     returning None where its exact range ends, `_kernel_py.format_table`.
     Raises ImportError when the library was built for another ABI version."""
 
     def __init__(self, path: str):
         self.cdll = lib = ctypes.CDLL(path)
-        lib.fhn_abi_version.restype = ctypes.c_int
-        lib.fhn_abi_version.argtypes = []
-        version = lib.fhn_abi_version()
+        version = lib.fhn_abi_version()   # ctypes' default restype is int
         if version != KERNEL_ABI:
             raise ImportError(
                 f"{path} has kernel ABI {version}, expected {KERNEL_ABI}: rebuild it "
                 "with `python setup.py build_ext --inplace`"
             )
-        lib.fhn_integrate.restype = ctypes.c_int
-        lib.fhn_integrate.argtypes = (
-            [ctypes.c_double] * 13
-            + [ctypes.c_long, ctypes.c_int, ctypes.c_int, ctypes.POINTER(_Out)]
-        )
-        lib.fhn_free.restype = None
-        lib.fhn_free.argtypes = [ctypes.POINTER(_Out)]
-        lib.fhn_sample.restype = None
-        lib.fhn_sample.argtypes = [
-            ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-            ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p,
-        ]
-        lib.fhn_format_table.restype = ctypes.c_long
-        lib.fhn_format_table.argtypes = (
-            [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]
-        )
+        for name, restype, argtypes in ENTRY_POINTS:
+            func = getattr(lib, name)
+            func.restype, func.argtypes = restype, argtypes
 
     def integrate_forced(self, *args):
         """The forced kernel `fhn_integrate`."""
@@ -175,14 +175,15 @@ def integrate_forced(
     t_span: tuple[float, float],
     config: IntegratorConfig | None = None,
     detect_events: bool = True,
-    store_knots: bool = True,
 ) -> Trajectory:
     """Integrate the planar forced system on the active backend.
 
-    The trajectory's `spikes` and `minima` are the kernel's upward crossings
-    of x = 1 and local x-minima (empty without detect_events),
-    `sq_integral` is its integral of x^2 + y^2 over the knots, and
-    `meta["stats"]` holds its step counters.
+    With detect_events (the measurement run) the trajectory holds every
+    knot, its `spikes` and `minima` are the kernel's upward crossings of
+    x = 1 and local x-minima, and `sq_integral` is its integral of x^2 + y^2
+    over the knots.  Without it (the burn-in run) it holds only the end
+    state.  `meta` holds the params, the forcing and, under "stats", the
+    kernel's step counters.
     """
     cfg = config or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -194,18 +195,14 @@ def integrate_forced(
         t0, t_end, float(y0[0]), float(y0[1]),
         cfg.rel_tol, cfg.abs_tol,
         cfg.max_step if cfg.max_step is not None else -1.0,
-        cfg.first_step if cfg.first_step is not None else -1.0,
-        cfg.max_steps, detect_events, store_knots,
+        cfg.max_steps, detect_events,
     )
     traj = None
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
-        traj = Trajectory.from_knots(
-            knots, spikes, minima,
-            meta={"params": params, "forcing": forcing, "backend": active_backend(),
-                  "stats": stats},
-            sq_integral=sq_integral,
-        )
+        traj = Trajectory(knots, spikes, minima,
+                          meta={"params": params, "forcing": forcing, "stats": stats},
+                          sq_integral=sq_integral)
     t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row
 
     if status == 1:

@@ -15,6 +15,7 @@ trajectories on a fixed build.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,12 +69,12 @@ FAC_REJECT_MAX = 0.5
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step policy for one integration run."""
+    """Tolerances and step policy for one integration run.  Every run starts
+    with the step 1e-4 * span, capped by max_step."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float | None = None
-    first_step: float | None = None
     max_steps: int = 5_000_000
 
     def __post_init__(self):
@@ -81,6 +82,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must satisfy 0 < abs_tol <= rel_tol < 1e-2")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 def _hermite_weights(s):
@@ -136,9 +139,8 @@ class Trajectory:
 
     `knots` is the one knot table: n rows (t, y[d], y'[d], y''[d]), the
     solution and its first and second time derivative at each knot, with
-    strictly increasing t.  times, states, derivs and curvatures are column
-    views of it.  The forced kernel hands over its table as is
-    (`from_knots`); the constructor copies four arrays into a new one.
+    strictly increasing t, kept in place when it is a C-contiguous float
+    array.  times, states, derivs and curvatures are column views of it.
     spikes and minima hold the times of the upward crossings of x = 1 and of
     the local x-minima that the forced kernel located, in time order (both
     empty for runs of the generic `integrate`).  meta is free-form context
@@ -147,34 +149,10 @@ class Trajectory:
     span, None when not known.
     """
 
-    def __init__(self, times, states, derivs, curvatures, spikes=(), minima=(), meta=None,
-                 sq_integral=None):
-        times = np.asarray(times, dtype=float)
-        states, derivs, curvatures = (
-            np.asarray(arr, dtype=float) for arr in (states, derivs, curvatures))
-        if (
-            times.ndim != 1
-            or states.ndim != 2
-            or states.shape[0] != times.shape[0]
-            or derivs.shape != states.shape
-            or curvatures.shape != states.shape
-        ):
-            raise ValueError("knot arrays are inconsistent")
-        self._adopt(np.column_stack([times, states, derivs, curvatures]),
-                    spikes, minima, meta, sq_integral)
-
-    @classmethod
-    def from_knots(cls, knots, spikes=(), minima=(), meta=None, sq_integral=None):
-        """A trajectory over an n x (1 + 3d) knot table, kept in place when it
-        is a C-contiguous float array."""
-        traj = cls.__new__(cls)
-        traj._adopt(knots, spikes, minima, meta, sq_integral)
-        return traj
-
-    def _adopt(self, knots, spikes, minima, meta, sq_integral):
+    def __init__(self, knots, spikes=(), minima=(), meta=None, sq_integral=None):
         knots = np.ascontiguousarray(knots, dtype=float)
         if knots.ndim != 2 or knots.shape[1] < 4 or (knots.shape[1] - 1) % 3:
-            raise ValueError("knot arrays are inconsistent")
+            raise ValueError("the knot table must be n x (1 + 3d)")
         d = (knots.shape[1] - 1) // 3
         self.knots = knots
         self.times = knots[:, 0]
@@ -249,8 +227,7 @@ def integrate(
         raise NonFiniteState("initial state is not finite")
 
     max_step = cfg.max_step if cfg.max_step is not None else span
-    h = cfg.first_step if cfg.first_step is not None else 1e-4 * span
-    h = min(h, max_step, span)
+    h = min(1e-4 * span, max_step)
 
     t = t0
     f = np.asarray(rhs(t, y), dtype=float)
@@ -266,9 +243,7 @@ def integrate(
     knot_d2 = [d2.copy()]
 
     def trajectory() -> Trajectory:
-        return Trajectory(
-            np.array(knot_t), np.array(knot_y), np.array(knot_f), np.array(knot_d2)
-        )
+        return Trajectory(np.column_stack([knot_t, knot_y, knot_f, knot_d2]))
 
     n_steps = 0
     rejected = False

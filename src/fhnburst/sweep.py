@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import fastpath
 from .burst import burst_metrics
 from .errors import FhnBurstError, IncompleteGrid
 from .geometry import classify_region
@@ -105,15 +104,14 @@ CSV_HEADER = ",".join(CELL_FIELDS)
 
 
 class SweepGrid:
-    """Dense row-major grid of cell results plus provenance metadata."""
+    """Dense row-major grid of cell results."""
 
-    def __init__(self, spec: SweepSpec, params: ModelParams, meta=None):
+    def __init__(self, spec: SweepSpec, params: ModelParams):
         self.spec = spec
         self.params = params
         self.omegas = spec.omegas
         self.e_values = spec.e_values
         self.cells: list[CellResult | None] = [None] * spec.cell_count
-        self.meta = dict(meta) if meta else {}
 
     def index(self, i: int, j: int) -> int:
         return i * len(self.e_values) + j
@@ -243,9 +241,7 @@ def run_sweep(
     params = params or ModelParams()
     config = config or IntegratorConfig()
     fingerprint = spec_fingerprint(spec, params, config)
-    grid = SweepGrid(
-        spec, params, meta={"spec_hash": fingerprint, "backend": fastpath.active_backend()}
-    )
+    grid = SweepGrid(spec, params)
     omegas, e_values = grid.omegas, grid.e_values
     n_e = len(e_values)
 

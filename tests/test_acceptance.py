@@ -223,8 +223,7 @@ def test_criterion_08_formulation_equivalence(params):
 
     from fhnburst.fastpath import integrate_forced
 
-    planar = integrate_forced(params, BURST3, (x0, y0), (0.0, T), cfg,
-                              detect_events=False)
+    planar = integrate_forced(params, BURST3, (x0, y0), (0.0, T), cfg)
     s0 = to_shifted(StateXY(x=x0, y=y0, t=0.0), params, BURST3)
     rhs3, jac3, rhs_t3 = make_autonomous_callables(params, BURST3)
     shifted = integrate(rhs3, jac3, [s0.u, s0.v, s0.theta], (0.0, T), cfg,
@@ -240,7 +239,7 @@ def test_criterion_08_formulation_equivalence(params):
 
 
 def test_criterion_09_desk_diagram(params, desk_grids):
-    grid1, grid4 = desk_grids
+    grid1, grid4, (seconds1, seconds4) = desk_grids
     csv_equal = grid1.to_csv() == grid4.to_csv()
 
     boundaries = extract_boundaries(grid1)
@@ -260,14 +259,13 @@ def test_criterion_09_desk_diagram(params, desk_grids):
     report(
         "9", "desk-scale diagram: determinism, cusps, amplitude trend", ok,
         f"csv_equal={csv_equal}, cusps={n_cusps}, counts@omega=0.02={slice_counts}, "
-        f"sweep times {grid1.meta.get('elapsed', 0):.0f}s/1w "
-        f"{grid4.meta.get('elapsed', 0):.0f}s/4w",
+        f"sweep times {seconds1:.0f}s/1w {seconds4:.0f}s/4w",
     )
     assert ok
 
 
 def test_criterion_10_estimator_proximity(desk_grids):
-    grid1, _ = desk_grids
+    grid1 = desk_grids[0]
     counts = grid1.value_array("spike_count")
     est = grid1.value_array("est_count")
     omegas = grid1.omegas
@@ -283,17 +281,15 @@ def test_criterion_10_estimator_proximity(desk_grids):
 def test_criterion_11_l2_oracles(params):
     t0 = time.time()
     ts = np.linspace(0.0, 2.0 * math.pi, 2001)
-    const = Trajectory(
+    const = Trajectory(np.column_stack([
         ts, np.tile([3.0, 4.0], (len(ts), 1)), np.zeros((len(ts), 2)),
         np.zeros((len(ts), 2)),
-    )
+    ]))
     exact_five = l2_norm(const, 2.0 * math.pi) == 5.0
 
-    circle = Trajectory(
-        ts, np.column_stack([np.sin(ts), np.cos(ts)]),
-        np.column_stack([np.cos(ts), -np.sin(ts)]),
-        np.column_stack([-np.sin(ts), -np.cos(ts)]),
-    )
+    circle = Trajectory(np.column_stack([
+        ts, np.sin(ts), np.cos(ts), np.cos(ts), -np.sin(ts), -np.sin(ts), -np.cos(ts),
+    ]))
     unit = abs(l2_norm(circle, 2.0 * math.pi) - 1.0) <= 1e-8
 
     # the exact integral against an independent 40,000-point midpoint rule

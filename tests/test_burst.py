@@ -42,7 +42,7 @@ def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), meta=None):
     states = np.array([fn(t) for t in ts])
     derivs = np.array([dfn(t) for t in ts])
     curvs = np.array([d2fn(t) for t in ts])
-    return Trajectory(ts, states, derivs, curvs, spikes, meta=meta)
+    return Trajectory(np.column_stack([ts, states, derivs, curvs]), spikes, meta=meta)
 
 
 def _midpoint_l2(traj, a, b, n=40000):
@@ -128,8 +128,7 @@ class TestSimulateStandard:
         x0, y0 = burst3_traj.states[0]                # state after the burn-in
         run = _kernel_py.integrate_forced(
             params.a, params.b, params.eps, BURST3.E, BURST3.omega,
-            2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, T / 64.0, -1.0, 5_000_000,
-            True, True,
+            2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, T / 64.0, 5_000_000, True,
         )
         assert np.array_equal(times, run[2])
 
@@ -154,15 +153,15 @@ class TestSimulateStandard:
 class TestCountSpikes:
     def test_synthetic_events(self):
         ts = np.linspace(0.0, 10.0, 11)
-        zeros = np.zeros((11, 2))
-        traj = Trajectory(ts, zeros, zeros, zeros, [1.0, 2.0, 3.0, 6.0, 7.0])
+        zeros = np.zeros((11, 6))
+        traj = Trajectory(np.column_stack([ts, zeros]), [1.0, 2.0, 3.0, 6.0, 7.0])
         assert count_spikes(traj, 2) == 2          # floor(5 / 2)
         assert count_spikes(traj, 1) == 5
 
     def test_no_events(self):
         ts = np.linspace(0.0, 1.0, 5)
-        zeros = np.zeros((5, 2))
-        traj = Trajectory(ts, zeros, zeros, zeros)
+        zeros = np.zeros((5, 6))
+        traj = Trajectory(np.column_stack([ts, zeros]))
         assert traj.spikes.dtype == float and traj.spikes.shape == (0,)
         assert traj.minima.dtype == float and traj.minima.shape == (0,)
         assert count_spikes(traj, 2) == 0
@@ -203,10 +202,10 @@ class TestL2Norm:
     def test_matches_gauss_on_random_interval(self):
         rng = np.random.default_rng(7)
         t0, t1 = 1.3, 1.3 + 2.7
-        traj = Trajectory(
+        traj = Trajectory(np.column_stack([
             [t0, t1], rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
             rng.normal(size=(2, 2)),
-        )
+        ]))
         nodes, weights = np.polynomial.legendre.leggauss(6)
         s = traj.sample(t0 + 0.5 * (nodes + 1.0) * (t1 - t0))
         gauss = math.sqrt(float(0.5 * weights @ (s[:, 0] ** 2 + s[:, 1] ** 2)))
@@ -243,8 +242,7 @@ class TestL2Norm:
         if (E, omega) in QUIET_L2_DRIVES:
             assert traj.spikes.size == 0
         assert traj.sq_integral > 0.0
-        knots = np.column_stack([traj.times, traj.states, traj.derivs, traj.curvatures])
-        rebuilt = Trajectory.from_knots(knots, meta=traj.meta)
+        rebuilt = Trajectory(traj.knots, meta=traj.meta)
         assert rebuilt.sq_integral is None
         got = l2_norm(rebuilt, forcing.period)
         assert got.hex() == l2_norm(traj, forcing.period).hex()
@@ -257,10 +255,10 @@ class TestL2Norm:
         n = int(rng.integers(2, 400))
         h = 10.0 ** rng.uniform(-5.0, 2.0, size=n - 1)
         times = 3.0 + np.concatenate([[0.0], np.cumsum(h)])
-        traj = Trajectory(
+        traj = Trajectory(np.column_stack([
             times, rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
             rng.normal(size=(n, 2)),
-        )
+        ]))
         T = (times[-1] - times[0]) / 3.0
         want = _reference_l2_norm(traj, T)
         assert l2_norm(traj, T) == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -334,9 +332,9 @@ class TestThetaSequence:
 
     def test_missing_metadata(self):
         ts = np.linspace(0.0, 1.0, 5)
-        zeros = np.zeros((5, 2))
+        zeros = np.zeros((5, 6))
         with pytest.raises(ValueError):
-            theta_sequence(Trajectory(ts, zeros, zeros, zeros))
+            theta_sequence(Trajectory(np.column_stack([ts, zeros])))
 
 
 class TestClassifyCanard:

@@ -413,6 +413,10 @@ class TestOutputContract:
                      id="sweep-spec-missing"),
         pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"], "e_lo = 0.5\n", "'omega_lo'",
                      id="sweep-key-missing"),
+        # a spec key set twice
+        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
+                     TINY_SWEEP + "workers = 1\nworkers = 3\n", "'workers' set again on line 10",
+                     id="sweep-spec-key-twice"),
     ])
     def test_failure_leaves_nothing(self, capsys, tmp_path, argv, spec, match):
         fill = dict(tmp=tmp_path, missing=tmp_path / "missing")
@@ -426,6 +430,33 @@ class TestOutputContract:
         err = json.loads(line)["error"]
         assert err["type"] and match.format(**fill) in err["message"]
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.0149354", "--out", "{f}",
+                      "--svg", "{f}"], id="simulate-out-svg"),
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.0149354", "--out", "{f}",
+                      "--metrics-out", "{f}"], id="simulate-out-metrics"),
+        pytest.param(["simulate", "--E", "0.55", "--omega", "0.0149354", "--out", "/dev/stdout",
+                      "--svg", "/dev/stdout"], id="simulate-stdout-twice"),
+        pytest.param(["contours", "--grid", "{grid}", "--out", "{f}", "--svg", "{f}"],
+                     id="contours-out-svg"),
+    ])
+    def test_two_outputs_one_file(self, capsys, tmp_path, argv):
+        # refused before any work: a file the call created is removed, and
+        # an existing one is left as it was
+        grid, f = tmp_path / "grid.csv", tmp_path / "f"
+        grid.write_text("omega,E,status,spike_count,l2,est_count,region\n"
+                        "0.02,0.5,ok,1,1.5,1,II\n0.02,0.55,ok,2,1.6,2,II\n"
+                        "0.03,0.5,ok,1,1.4,1,II\n0.03,0.55,ok,1,1.5,1,II\n")
+        for old in (None, "old\n"):
+            if old:
+                f.write_text(old)
+            assert main([arg.format(f=f, grid=grid) for arg in argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "name the same file" in json.loads(captured.err)["error"]["message"]
+            assert sorted(tmp_path.iterdir()) == ([f, grid] if old else [grid])
+            assert not old or f.read_text() == old
 
     def test_argparse_error_leaves_nothing(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
@@ -442,7 +473,7 @@ class TestOutputContract:
         monkeypatch.setattr(sweep, "burst_metrics",
                             lambda *args, **kw: calls.append(args) or burst_metrics(*args, **kw))
         spec = tmp_path / "sweep.cfg"
-        spec.write_text(TINY_SWEEP.format(tmp=tmp_path) + "metrics = spike_count\n")
+        spec.write_text(TINY_SWEEP.format(tmp=tmp_path).replace("= region", "= spike_count"))
         argv = ["sweep", "--spec", str(spec), "--checkpoint", str(tmp_path / "ck.jsonl"),
                 "--out"]
         assert main([*argv, str(tmp_path / "missing" / "grid.csv")]) == 1

@@ -118,11 +118,11 @@ class TestGridIntegration:
         assert extract_boundaries(grid) == []
 
     def test_zero_levels_empty(self, desk_grids):
-        grid, _ = desk_grids
+        grid = desk_grids[0]
         assert l2_levelsets(grid, n_levels=0) == []
 
     def test_desk_grid_boundaries_and_levels(self, desk_grids):
-        grid, _ = desk_grids
+        grid = desk_grids[0]
         bounds = extract_boundaries(grid)
         levels = l2_levelsets(grid)
         assert bounds and levels
@@ -132,7 +132,7 @@ class TestGridIntegration:
     def test_level_sets_funnel_along_boundaries(self, desk_grids):
         # at least half the boundary vertices sit within two cells of an
         # l2 level-set vertex
-        grid, _ = desk_grids
+        grid = desk_grids[0]
         bounds = extract_boundaries(grid)
         levels = l2_levelsets(grid)
         cell_w = grid.omegas[1] - grid.omegas[0]

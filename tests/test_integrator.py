@@ -36,6 +36,23 @@ def _assert_same_run(got, want):
     assert float(got[5]).hex() == float(want[5]).hex()
 
 
+def _set(table, row, col, value):
+    table[row, col] = value
+    return table
+
+
+# ways to spoil a valid 6 x 7 knot table of a planar system
+BAD_TABLES = {
+    "3-4-nan": lambda table: _set(table, 3, 4, math.nan),     # a non-finite derivative
+    "3-0-2.0": lambda table: _set(table, 3, 0, 2.0),          # a repeated knot time
+    "one-curvature-missing": lambda table: table[:, :6],
+    "no-curvatures": lambda table: table[:, :5],
+    "times-only": lambda table: table[:, :1],
+    "one-row": lambda table: table[0],                        # no knot axis
+    "stacked": lambda table: table[None],
+}
+
+
 def _linear_problem():
     rhs = lambda t, y: -y
     jac = lambda t, y: np.array([[-1.0]])
@@ -51,11 +68,15 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(rel_tol=1e-1), dict(rel_tol=1e-8, abs_tol=1e-6), dict(abs_tol=0.0),
-         dict(max_step=0.0), dict(max_step=-1.0)],
+         dict(max_step=0.0), dict(max_step=-1.0),
+         dict(max_steps=1e6), dict(max_steps=0), dict(max_steps=-3)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_numpy_integer_max_steps(self):
+        assert IntegratorConfig(max_steps=np.int64(7)).max_steps == 7
 
 
 class TestLinearProblem:
@@ -93,9 +114,7 @@ class TestLinearProblem:
         errs = []
         hs = [0.1, 0.05, 0.025]
         for h in hs:
-            cfg = IntegratorConfig(
-                rel_tol=9e-3, abs_tol=9e-3, max_step=h, first_step=h
-            )
+            cfg = IntegratorConfig(rel_tol=9e-3, abs_tol=9e-3, max_step=h)
             traj = integrate(rhs, jac, [1.0], (0.0, 1.0), cfg, rhs_t=rhs_t)
             errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -130,12 +149,7 @@ class TestDenseOutput:
         d1 = poly.deriv(1)
         d2 = poly.deriv(2)
         knots = np.array([0.0, 0.35, 0.8, 1.4])
-        traj = Trajectory(
-            knots,
-            poly(knots)[:, None],
-            d1(knots)[:, None],
-            d2(knots)[:, None],
-        )
+        traj = Trajectory(np.column_stack([knots, poly(knots), d1(knots), d2(knots)]))
         ts = data.draw(
             st.lists(st.floats(0.0, 1.4), min_size=1, max_size=8), label="ts"
         )
@@ -164,24 +178,13 @@ class TestDenseOutput:
         # to interpolate on
         traj = integrate_forced(
             params, Forcing(E=0.5, omega=0.02), (-1.2, -0.6), (0.0, 10.0),
-            detect_events=False, store_knots=False,
+            detect_events=False,
         )
         assert traj.times.size == 1
         with pytest.raises(OutOfRange, match="two knots"):
             traj.sample([10.0])
         with pytest.raises(OutOfRange, match="two knots"):
             traj.sample_deriv([10.0])
-
-    @pytest.mark.parametrize("states, derivs, curvatures", [
-        ((2, 2), (3, 2), (2, 1)),      # sample() would broadcast these silently
-        ((2, 2), (2, 2), (2, 1)),
-        ((2, 2), (2, 1), (2, 2)),
-        ((2, 2), (2, 2), (2,)),
-        ((2,), (2,), (2,)),            # one row per knot, no component axis
-    ])
-    def test_mismatched_knot_shapes(self, states, derivs, curvatures):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Trajectory([0.0, 1.0], np.zeros(states), np.zeros(derivs), np.zeros(curvatures))
 
 
 class TestFailureModes:
@@ -247,12 +250,12 @@ class TestForcedSystemRuns:
             for E in np.linspace(0.15, 2.4, 4):
                 T = 2.0 * math.pi / omega
                 common = (params.a, params.b, params.eps, E, omega)
-                tols = (1e-8, 1e-10, T / 64.0, -1.0, 5_000_000)
-                burn = (*common, 0.0, 2.0 * T, x0, y0, *tols, False, False)
+                tols = (1e-8, 1e-10, T / 64.0, 5_000_000)
+                burn = (*common, 0.0, 2.0 * T, x0, y0, *tols, False)
                 want = _kernel_py.integrate_forced(*burn)
                 _assert_same_run(c_kernel(*burn), want)
                 xb, yb = want[1][-1, 1:3]             # state after the burn-in
-                meas = (*common, 2.0 * T, 4.0 * T, xb, yb, *tols, True, True)
+                meas = (*common, 2.0 * T, 4.0 * T, xb, yb, *tols, True)
                 want = _kernel_py.integrate_forced(*meas)
                 assert want[0] == 0
                 assert want[4]["n_accept"] == len(want[1]) - 1
@@ -280,7 +283,7 @@ class TestForcedSystemRuns:
     )
     def test_backends_agree_edge_cases(self, params, c_kernel, x0, y0, t0, max_steps, status):
         args = (params.a, params.b, params.eps, 0.5, 0.02, t0, t0 + 300.0, x0, y0,
-                1e-8, 1e-10, -1.0, -1.0, max_steps, True, True)
+                1e-8, 1e-10, -1.0, max_steps, True)
         want = _kernel_py.integrate_forced(*args)
         assert want[0] == status
         assert status != 0 or (len(want[2]) > 0 and len(want[3]) > 0)
@@ -298,7 +301,7 @@ class TestForcedSystemRuns:
         stats = traj.meta["stats"]
         assert stats["n_accept"] == len(traj.times) - 1
         burn = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period),
-                                detect_events=False, store_knots=False)
+                                detect_events=False)
         assert burn.meta["stats"] == stats
         assert burn.minima.shape == (0,) and burn.spikes.shape == (0,)
 
@@ -309,17 +312,13 @@ class TestForcedSystemRuns:
         assert table is not None and table.shape == (traj.times.size, _kernel_py.KNOT_WIDTH)
         assert all(arr.base is table for arr in (traj.states, traj.derivs, traj.curvatures))
 
-    @pytest.mark.parametrize("row, col, value", [
-        (3, 4, math.nan),           # a non-finite derivative
-        (3, 0, 2.0),                # a repeated knot time
-    ])
-    def test_knot_table_checked(self, row, col, value):
+    @pytest.mark.parametrize("spoil", list(BAD_TABLES.values()), ids=list(BAD_TABLES))
+    def test_knot_table_checked(self, spoil):
         table = np.random.default_rng(3).normal(size=(6, _kernel_py.KNOT_WIDTH))
         table[:, 0] = np.arange(6.0)
-        assert Trajectory.from_knots(table).times.size == 6
-        table[row, col] = value
+        assert Trajectory(table).times.size == 6
         with pytest.raises(ValueError):
-            Trajectory.from_knots(table)
+            Trajectory(spoil(table))
 
     def test_stale_library_refused(self, kernel_library, monkeypatch):
         fastpath.Library(kernel_library)           # the current ABI loads
@@ -333,12 +332,24 @@ class TestForcedSystemRuns:
         (version,) = re.findall(r"^#define FHN_ABI_VERSION (\d+)$", source, re.M)
         assert int(version) == fastpath.KERNEL_ABI
 
+    def test_entry_points_match_source(self):
+        # each C entry point takes as many parameters as fastpath declares,
+        # and fastpath declares every one: checked without a compiler
+        source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+        defined = dict(re.findall(r"^(?:int|long|void) (fhn_\w+)\(([^)]*)\)\s*\{", source, re.M))
+        declared = {name: argtypes for name, _, argtypes in fastpath.ENTRY_POINTS}
+        assert defined.keys() == declared.keys()
+        for name, params in defined.items():
+            n_params = 0 if params.strip() == "void" else params.count(",") + 1
+            assert n_params == len(declared[name]), name
+
     def test_c_library_compiles_without_warnings(self, c_compiler):
         # the flags of setup.py plus a warnings gate: a new warning fails here
         source = Path(fastpath.__file__).with_name("_kernel.c")
         proc = subprocess.run(
             [c_compiler, "-std=c99", "-ffp-contract=off", "-Wall", "-Wextra", "-Wpedantic",
-             "-Werror", "-fsyntax-only", str(source)],
+             "-Wshadow", "-Wstrict-prototypes", "-Wcast-qual", "-Wvla", "-Wdouble-promotion",
+             "-Wundef", "-Werror", "-fsyntax-only", str(source)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

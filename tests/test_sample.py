@@ -43,7 +43,7 @@ def _sample_with(monkeypatch, backend, traj, ts):
 @settings(max_examples=150, deadline=None)
 def test_matches_twin(c_library, case):
     table, ts = case
-    traj = Trajectory.from_knots(table)
+    traj = Trajectory(table)
     with pytest.MonkeyPatch.context() as mp:
         got = _sample_with(mp, c_library, traj, ts)
         want = _sample_with(mp, _kernel_py, traj, ts)
@@ -62,7 +62,7 @@ def test_empty_and_knot_times(c_library):
     rng = np.random.default_rng(7)
     table = rng.normal(size=(5, 7))
     table[:, 0] = np.cumsum(rng.uniform(0.1, 2.0, 5))
-    traj = Trajectory.from_knots(table)
+    traj = Trajectory(table)
     with pytest.MonkeyPatch.context() as mp:
         empty = _sample_with(mp, c_library, traj, [])
         at_knots = _sample_with(mp, c_library, traj, traj.times[::-1])
