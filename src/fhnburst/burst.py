@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernel_py, fastpath
-from .errors import NoFirstSpike, NoPassage
+from .errors import FhnBurstError, NoFirstSpike, NoPassage
 from .geometry import FoldedEquilibrium
 from .integrator import IntegratorConfig, Trajectory
 from .manifolds import solve_expansion, theta_at_lower_bound
@@ -232,6 +232,20 @@ def estimate_spike_count(
     return estimate_from_phases(theta_bound, theta_first, forcing.omega)
 
 
+def spike_estimate(
+    params: ModelParams, forcing: Forcing, trajectory: Trajectory, theta_seq
+) -> int | None:
+    """A drive's reported estimate: `estimate_spike_count`'s answer, 0 without
+    a first spike, None when another `FhnBurstError` (a manifold solve that
+    diverges, say) leaves no estimate."""
+    try:
+        return estimate_spike_count(params, forcing, trajectory, theta_seq)
+    except NoFirstSpike:
+        return 0
+    except FhnBurstError:
+        return None
+
+
 def burst_metrics(
     params: ModelParams,
     forcing: Forcing,
@@ -243,10 +257,5 @@ def burst_metrics(
     count = count_spikes(traj, MEASURE_PERIODS)
     l2 = l2_norm(traj, forcing.period)
     seq = theta_sequence(traj)
-    est = None
-    if with_estimate:
-        try:
-            est = estimate_spike_count(params, forcing, traj, seq)
-        except NoFirstSpike:
-            est = 0
+    est = spike_estimate(params, forcing, traj, seq) if with_estimate else None
     return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)

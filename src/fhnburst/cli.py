@@ -30,6 +30,7 @@ from .burst import (
     estimate_spike_count,
     l2_norm,
     simulate_standard,
+    spike_estimate,
     theta_sequence,
 )
 from .contours import N_LEVELS, levelsets, polylines_to_json, spike_boundaries
@@ -164,10 +165,6 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
     count = count_spikes(traj, n_periods)
     l2 = l2_norm(traj, forcing.period)
     seq = theta_sequence(traj)
-    try:
-        est = estimate_spike_count(params, forcing, traj, seq)
-    except FhnBurstError:
-        est = None
     metrics = {
         "omega": forcing.omega,
         "E": forcing.E,
@@ -175,7 +172,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
         "l2": l2,
         "n_theta": int(len(seq)),
         "theta_seq": [float(v) for v in wrap_angles(seq)],
-        "est_count": est,
+        "est_count": spike_estimate(params, forcing, traj, seq),
         "region": classify_region(params, forcing),
     }
     text = json.dumps(metrics, indent=2)
@@ -309,7 +306,7 @@ def _cmd_sweep(args) -> int:
     )
     params = _params_from(args)
     cfg = _config_from(args)
-    check_writable(v["out"])
+    check_writable(v["out"], v["checkpoint"])
     grid = run_sweep(spec, params, cfg, checkpoint_path=v["checkpoint"])
     write_grid_csv(grid, v["out"])
     n_err = sum(1 for c in grid.cells if c.status != "ok")

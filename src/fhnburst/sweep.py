@@ -9,7 +9,6 @@ rename.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
 import json
@@ -101,6 +100,8 @@ def _csv_field(v) -> str:
 
 CELL_FIELDS = tuple(f.name for f in fields(CellResult))
 CSV_HEADER = ",".join(CELL_FIELDS)
+# the type that parses each of CELL_FIELDS from a grid CSV; an empty field is None
+FIELD_TYPES = (float, float, str, int, float, int, str)
 
 
 class SweepGrid:
@@ -113,18 +114,9 @@ class SweepGrid:
         self.e_values = spec.e_values
         self.cells: list[CellResult | None] = [None] * spec.cell_count
 
-    def index(self, i: int, j: int) -> int:
-        return i * len(self.e_values) + j
-
-    def cell(self, i: int, j: int) -> CellResult | None:
-        return self.cells[self.index(i, j)]
-
     @property
     def complete(self) -> bool:
         return all(c is not None for c in self.cells)
-
-    def pending_indices(self) -> list[int]:
-        return [k for k, c in enumerate(self.cells) if c is None]
 
     def value_array(self, metric: str) -> np.ndarray:
         """Metric values as a (n_omega, n_e) float array, NaN where unavailable."""
@@ -201,10 +193,15 @@ def _write_atomic(path: str, chunks) -> None:
     os.replace(tmp, path)
 
 
-def check_writable(path: str) -> None:
+def check_writable(path: str, checkpoint_path: str | None) -> None:
     """Raise the OSError that `write_grid_csv(grid, path)` would meet, by
-    creating and removing its temporary file; called before a sweep's first
-    cell, it makes an output that cannot be written cost no work."""
+    creating and removing its temporary file, or ValueError when the CSV
+    would replace the checkpoint log; called before a sweep's first cell,
+    it makes an output that cannot be written cost no work."""
+    if checkpoint_path and (os.path.realpath(path) == os.path.realpath(checkpoint_path)
+                            or os.path.exists(path) and os.path.exists(checkpoint_path)
+                            and os.path.samefile(path, checkpoint_path)):
+        raise ValueError(f"output {path!r} and checkpoint {checkpoint_path!r} name the same file")
     if os.path.isdir(path):
         raise IsADirectoryError(f"output {path!r} is a directory")
     open(path + ".tmp", "w").close()
@@ -230,6 +227,19 @@ def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:
     return dict(_record_to_cell(json.loads(line)) for line in lines[1:] if line.strip())
 
 
+def _cell_results(tasks, n_tasks: int, workers: int):
+    """`_compute_cell` of each of the n_tasks tasks: in order in this process,
+    or in completion order from a pool of up to `workers` processes."""
+    workers = min(workers, n_tasks)
+    if workers < 2:
+        yield from map(_compute_cell, tasks)
+        return
+    import multiprocessing   # here, not at module level: 8 ms of `import fhnburst`
+    chunk = max(1, n_tasks // (workers * 8))
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap_unordered(_compute_cell, tasks, chunk)
+
+
 def run_sweep(
     spec: SweepSpec,
     params: ModelParams | None = None,
@@ -249,7 +259,7 @@ def run_sweep(
         for idx, cell in load_checkpoint(checkpoint_path, fingerprint).items():
             grid.cells[idx] = cell
 
-    pending = grid.pending_indices()
+    pending = [k for k, c in enumerate(grid.cells) if c is None]
     log_fh = None
     if checkpoint_path:
         log_fh = open(checkpoint_path, "a", encoding="utf-8")
@@ -262,31 +272,22 @@ def run_sweep(
             i, j = divmod(idx, n_e)
             yield idx, float(omegas[i]), float(e_values[j]), params, config, spec.metrics
 
-    workers = min(spec.workers, len(pending))
-    parallel = workers > 1
+    results = _cell_results(tasks(), len(pending), spec.workers)
     try:
-        if parallel:
-            import multiprocessing   # here, not at module level: 8 ms of `import fhnburst`
-        with (multiprocessing.Pool(workers) if parallel
-              else contextlib.nullcontext()) as pool:
-            if parallel:
-                chunk = max(1, len(pending) // (workers * 8))
-                results = pool.imap_unordered(_compute_cell, tasks(), chunk)
-            else:
-                results = map(_compute_cell, tasks())
-            since_flush = 0
-            for idx, cell in results:
-                grid.cells[idx] = cell
-                if log_fh:
-                    log_fh.write(_cell_to_record(idx, cell))
-                    since_flush += 1
-                    if since_flush >= DEFAULT_FLUSH_EVERY:
-                        log_fh.flush()
-                        os.fsync(log_fh.fileno())
-                        since_flush = 0
-                if progress:
-                    progress(idx, cell)
+        since_flush = 0
+        for idx, cell in results:
+            grid.cells[idx] = cell
+            if log_fh:
+                log_fh.write(_cell_to_record(idx, cell))
+                since_flush += 1
+                if since_flush >= DEFAULT_FLUSH_EVERY:
+                    log_fh.flush()
+                    os.fsync(log_fh.fileno())
+                    since_flush = 0
+            if progress:
+                progress(idx, cell)
     finally:
+        results.close()   # stops the pool now, not when the generator is collected
         if log_fh:
             log_fh.flush()
             os.fsync(log_fh.fileno())
@@ -322,17 +323,8 @@ def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                     f"grid CSV line {lineno}: expected {len(CELL_FIELDS)} fields, "
                     f"got {len(parts)}"
                 )
-            rows.append(
-                {
-                    "omega": float(parts[0]),
-                    "E": float(parts[1]),
-                    "status": parts[2],
-                    "spike_count": int(parts[3]) if parts[3] else None,
-                    "l2": float(parts[4]) if parts[4] else None,
-                    "est_count": int(parts[5]) if parts[5] else None,
-                    "region": parts[6] or None,
-                }
-            )
+            rows.append({name: cast(text) if text else None
+                         for name, cast, text in zip(CELL_FIELDS, FIELD_TYPES, parts)})
     if not rows:
         raise ValueError(f"grid CSV {path!r} has no rows")
     omegas = np.unique([r["omega"] for r in rows])

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhnburst import _kernel_py, cli, fastpath, sweep
+from fhnburst import _kernel_py, burst, cli, fastpath, sweep
 from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
+from fhnburst.errors import NewtonDiverged
 from fhnburst.manifolds import eval_manifold, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
 from fhnburst.svgplot import svg_document
@@ -118,6 +119,21 @@ class TestSimulate:
         assert out_csv.read_bytes() == ref_csv.read_bytes()
         assert out_svg.read_bytes() == ref_svg.read_bytes()
 
+    def test_est_count_without_first_spike(self, capsys):
+        # a drive without a spike reports an estimate of 0, as a sweep cell does
+        assert main(["simulate", "--E", "0", "--omega", "0.0149354"]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["spike_count"] == 0 and metrics["est_count"] == 0
+
+    def test_est_count_null_when_estimate_fails(self, capsys, monkeypatch):
+        def diverged(*args, **kw):
+            raise NewtonDiverged("synthetic failure")
+
+        monkeypatch.setattr(burst, "solve_expansion", diverged)
+        assert main(["simulate", "--E", "0.55", "--omega", "0.0149354"]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["spike_count"] == 3 and metrics["est_count"] is None
+
 
 class TestEquilibria:
     def test_json_document(self, capsys, tmp_path):
@@ -184,6 +200,11 @@ class TestEstimate:
     def test_three_spike_drive(self, capsys):
         assert main(["estimate", "--E", "0.55", "--omega", "0.0149354"]) == 0
         assert capsys.readouterr().out.strip() == "estimated=3 simulated=3"
+
+    def test_no_first_spike_is_an_error(self, capsys):
+        # the estimate command reports the estimator's own answer or error
+        assert main(["estimate", "--E", "0", "--omega", "0.0149354"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NoFirstSpike"
 
 
 class TestSweepAndContours:
@@ -457,6 +478,29 @@ class TestOutputContract:
             assert "name the same file" in json.loads(captured.err)["error"]["message"]
             assert sorted(tmp_path.iterdir()) == ([f, grid] if old else [grid])
             assert not old or f.read_text() == old
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_sweep_out_is_checkpoint(self, capsys, tmp_path, link):
+        # the grid CSV would replace the checkpoint log: refused before the
+        # log is opened, and a log that exists is left as it was
+        spec, ck = tmp_path / "sweep.cfg", tmp_path / "ck.jsonl"
+        spec.write_text(TINY_SWEEP.format(tmp=tmp_path))
+        out = tmp_path / "out.csv" if link else ck
+        if link:
+            out.symlink_to(ck)
+        argv = ["sweep", "--spec", str(spec), "--checkpoint", str(ck), "--out"]
+        for existing in (False, True):
+            if existing:
+                assert main([*argv, str(tmp_path / "grid.csv")]) == 0
+                capsys.readouterr()
+            before = sorted(tmp_path.iterdir())
+            log = ck.read_bytes() if existing else None
+            assert main([*argv, str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "name the same file" in json.loads(captured.err)["error"]["message"]
+            assert sorted(tmp_path.iterdir()) == before
+            assert not existing or ck.read_bytes() == log
 
     def test_argparse_error_leaves_nothing(self, capsys, tmp_path):
         out = tmp_path / "x.csv"

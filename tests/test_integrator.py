@@ -1,6 +1,8 @@
 import math
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,12 @@ from fhnburst.errors import (
     MaxStepsExceeded,
     NonFiniteState,
     OutOfRange,
+    StepSizeUnderflow,
 )
 from fhnburst.fastpath import active_backend, integrate_forced
 from fhnburst.integrator import IntegratorConfig, Trajectory, integrate
 from fhnburst.model import Forcing, unforced_equilibrium
+from kernel_lane import AGREEMENT_DRIVES, EDGE_DRIVES, edge_args, lane, standard_args
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 
@@ -244,46 +248,29 @@ class TestForcedSystemRuns:
     def test_backends_agree(self, params, c_kernel):
         # the C kernel must reproduce the pure twin bit for bit: burn-in and
         # measurement runs of the standard protocol over a 6 x 4 drive grid
-        x0, y0 = unforced_equilibrium(params)
+        start = unforced_equilibrium(params)
         n_spikes = n_minima = n_rejecting = 0
-        for omega in np.linspace(0.006, 0.06, 6):
-            for E in np.linspace(0.15, 2.4, 4):
-                T = 2.0 * math.pi / omega
-                common = (params.a, params.b, params.eps, E, omega)
-                tols = (1e-8, 1e-10, T / 64.0, 5_000_000)
-                burn = (*common, 0.0, 2.0 * T, x0, y0, *tols, False)
-                want = _kernel_py.integrate_forced(*burn)
-                _assert_same_run(c_kernel(*burn), want)
-                xb, yb = want[1][-1, 1:3]             # state after the burn-in
-                meas = (*common, 2.0 * T, 4.0 * T, xb, yb, *tols, True)
-                want = _kernel_py.integrate_forced(*meas)
-                assert want[0] == 0
-                assert want[4]["n_accept"] == len(want[1]) - 1
-                assert want[5] > 0.0                 # the integral was summed
-                _assert_same_run(c_kernel(*meas), want)
-                n_spikes += len(want[2])
-                n_minima += len(want[3])
-                n_rejecting += want[4]["n_reject"] > 0
+        for omega, E in AGREEMENT_DRIVES:
+            burn = (*standard_args(params, omega, E, start, False), False)
+            want = _kernel_py.integrate_forced(*burn)
+            _assert_same_run(c_kernel(*burn), want)
+            end = want[1][-1, 1:3]                    # state after the burn-in
+            meas = (*standard_args(params, omega, E, end, True), True)
+            want = _kernel_py.integrate_forced(*meas)
+            assert want[0] == 0
+            assert want[4]["n_accept"] == len(want[1]) - 1
+            assert want[5] > 0.0                     # the integral was summed
+            _assert_same_run(c_kernel(*meas), want)
+            n_spikes += len(want[2])
+            n_minima += len(want[3])
+            n_rejecting += want[4]["n_reject"] > 0
         assert n_spikes > 0                       # spike times were compared
         assert n_minima > 0                       # minimum times were compared
         assert n_rejecting > 0                    # the reject counter was exercised
 
-    @pytest.mark.parametrize(
-        "x0, y0, t0, max_steps, status",
-        [
-            (-1.2, -0.6, 0.0, 50, 2),            # step budget exhausted
-            (1e10, 0.0, 0.0, 100_000, 1),        # step size underflow
-            (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
-            (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
-            # from t = 8192 on one ulp of t exceeds the 1e-12 bisection
-            # tolerance; event location must still stop (a bracket can stall
-            # one ulp wide, with no double strictly inside it)
-            (-1.2, -0.6, 8200.0, 100_000, 0),
-        ],
-    )
+    @pytest.mark.parametrize("x0, y0, t0, max_steps, status", EDGE_DRIVES)
     def test_backends_agree_edge_cases(self, params, c_kernel, x0, y0, t0, max_steps, status):
-        args = (params.a, params.b, params.eps, 0.5, 0.02, t0, t0 + 300.0, x0, y0,
-                1e-8, 1e-10, -1.0, max_steps, True)
+        args = (*edge_args(params, x0, y0, t0, max_steps), True)
         want = _kernel_py.integrate_forced(*args)
         assert want[0] == status
         assert status != 0 or (len(want[2]) > 0 and len(want[3]) > 0)
@@ -293,6 +280,34 @@ class TestForcedSystemRuns:
         if status == 3 and len(want[1]):          # went non-finite inside the loop
             assert want[4]["n_nonfinite_retry"] > 0
         _assert_same_run(c_kernel(*args), want)
+
+    @pytest.mark.parametrize("detect_events", [True, False], ids=["measure", "burn-in"])
+    def test_failure_statuses_raise_typed_errors(self, params, c_library, monkeypatch,
+                                                 detect_events):
+        # each failure status of the kernel becomes its error, with the same
+        # type, message and partial trajectory on both backends
+        cases = [
+            ((-1.2, -0.6), (0.0, BURST3.period), IntegratorConfig(max_steps=5)),
+            ((math.nan, 0.0), (0.0, BURST3.period), None),
+            ((-1.2, -0.6), (1e6, 1e6 + 1e-9), None),
+        ]
+        raised = {}
+        for name, backend in {"compiled": c_library, "pure": _kernel_py}.items():
+            monkeypatch.setattr(fastpath, "_IMPL", backend)
+            raised[name] = []
+            for y0, t_span, cfg in cases:
+                with pytest.raises(IntegrationError) as info:
+                    integrate_forced(params, BURST3, y0, t_span, cfg, detect_events)
+                partial = info.value.trajectory
+                raised[name].append((type(info.value), str(info.value),
+                                     None if partial is None else partial.knots.tolist()))
+        assert raised["compiled"] == raised["pure"]
+        steps, nonfinite, underflow = raised["pure"]
+        assert steps[0] is MaxStepsExceeded
+        assert re.fullmatch(r"exceeded 5 steps at t=0\.1008\d+", steps[1])
+        assert (len(steps[2]) == 5) if detect_events else steps[2] is None
+        assert nonfinite == (NonFiniteState, "state became non-finite near t=0.0", None)
+        assert underflow == (StepSizeUnderflow, "step size underflow at t=1000000.0", None)
 
     def test_step_counters(self, params):
         # the counters reach Trajectory.meta and do not depend on what the
@@ -353,6 +368,36 @@ class TestForcedSystemRuns:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_c_library_clean_under_sanitizers(self, c_compiler, c_library, tmp_path):
+        # the lane in a child interpreter with AddressSanitizer and
+        # UndefinedBehaviorSanitizer preloaded: a memory error or undefined
+        # behaviour aborts the child, and its results are the plain build's
+        sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        (tmp_path / "probe.c").write_text("int main(void) { return 0; }\n")
+        runtimes = [subprocess.run([c_compiler, f"-print-file-name={name}"], capture_output=True,
+                                   text=True).stdout.strip() for name in ("libasan.so", "libubsan.so")]
+        probe = subprocess.run([c_compiler, *sanitize, "-o", str(tmp_path / "probe"),
+                                str(tmp_path / "probe.c")], capture_output=True)
+        if probe.returncode or not all(os.path.isfile(path) for path in runtimes):
+            pytest.skip("the C compiler cannot link the sanitizer runtimes")
+        source = Path(fastpath.__file__).with_name("_kernel.c")
+        library = tmp_path / "_kernel_sanitized.so"
+        build = subprocess.run(
+            [c_compiler, "-std=c99", "-ffp-contract=off", "-Wall", "-Wextra", "-Wpedantic",
+             "-Werror", *sanitize, "-shared", "-fPIC", "-o", str(library), str(source)],
+            capture_output=True, text=True,
+        )
+        assert build.returncode == 0, build.stderr
+        src = str(source.resolve().parents[1])
+        env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+                   OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        lane_script = Path(__file__).with_name("kernel_lane.py")
+        child = subprocess.run([sys.executable, str(lane_script), str(library)], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr[-4000:]
+        assert child.stdout.strip() == lane(c_library)
 
     def test_generic_path_matches_kernel(self, params):
         # reference numpy stepper vs specialized kernel on one period

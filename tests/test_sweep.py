@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import fhnburst.sweep as sweep_mod
-from fhnburst import _kernel_py, fastpath
+from fhnburst import _kernel_py, burst, fastpath
 from fhnburst.burst import burst_metrics
-from fhnburst.errors import IncompleteGrid, NonFiniteState
+from fhnburst.errors import IncompleteGrid, NewtonDiverged, NonFiniteState
 from fhnburst.geometry import classify_region
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import (
@@ -81,7 +81,7 @@ class TestRunSweep:
         spec = SweepSpec(omega_range=(0.02, 0.0201, 0.01), e_range=(0.5, 0.501, 0.01))
         assert spec.cell_count == 1
         grid = run_sweep(spec, params)
-        cell = grid.cell(0, 0)
+        cell = grid.cells[0]
         m = burst_metrics(params, f)
         assert cell.status == "ok"
         assert cell.spike_count == m.spike_count
@@ -175,6 +175,41 @@ class TestRunSweep:
         assert all(c.region is not None for c in failed)   # closed-form part still fills
         counts = grid.value_array("spike_count")
         assert np.isnan(counts).sum() == len(failed)
+
+    def test_failed_estimate_keeps_measurements(self, params, monkeypatch):
+        # an estimate that cannot be made leaves est_count empty; the cell is
+        # ok and keeps the spike counts and L2 norms that its drive measured
+        measured = run_sweep(SweepSpec(workers=1, metrics=("spike_count", "l2"), **SMALL),
+                             params)
+
+        def diverged(*args, **kw):
+            raise NewtonDiverged("synthetic failure")
+
+        monkeypatch.setattr(burst, "solve_expansion", diverged)
+        grid = run_sweep(SweepSpec(workers=1, **SMALL), params)
+        assert {c.status for c in grid.cells} == {"ok"}
+        assert all(c.est_count is None for c in grid.cells)
+        assert [(c.spike_count, c.l2) for c in grid.cells] == [
+            (c.spike_count, c.l2) for c in measured.cells]
+
+    def test_checkpoint_flushed_and_progress_reported(self, params, tmp_path, monkeypatch):
+        # every DEFAULT_FLUSH_EVERY records the log reaches the file, and
+        # progress sees each computed cell once, after its record
+        ck = tmp_path / "ck.jsonl"
+        monkeypatch.setattr(sweep_mod, "DEFAULT_FLUSH_EVERY", 3)
+        spec = SweepSpec(workers=1, omega_range=(0.01, 0.04, 0.01),
+                         e_range=(0.40, 0.56, 0.04), metrics=("region",))
+        seen = []
+
+        def progress(idx, cell):
+            seen.append((idx, cell))
+            if len(seen) % 3 == 0:
+                records = ck.read_text().splitlines()[1:]
+                assert [json.loads(r)["i"] for r in records] == [i for i, _ in seen]
+
+        grid = run_sweep(spec, params, checkpoint_path=str(ck), progress=progress)
+        assert spec.cell_count == 20
+        assert seen == list(enumerate(grid.cells))
 
     def test_pool_sized_by_pending_cells(self, params, monkeypatch):
         sizes = []
