@@ -36,7 +36,8 @@
  * The third, fhn_format_table, writes a table of doubles as "%.17g" or
  * "%.2f" text into the caller's buffer, byte for byte what
  * _kernel_py.format_table writes, and returns its length, or -1 when a
- * value lies outside its exact range (see the comment above it).
+ * value lies outside its exact range or the buffer is shorter than its
+ * capacity rule asks (see the comment above it).
  */
 #include <math.h>
 #include <stdint.h>
@@ -74,7 +75,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 6
+#define FHN_ABI_VERSION 7
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -494,15 +495,29 @@ void fhn_sample(const double *knots, long n, long d, const double *ts, long m,
  * For %.17g, q = 16 - X with X = floor(log10 |v|) in [-16, 15]; the first
  * estimate of X is X or X + 1, never lower, so q <= 32 also after its
  * correction, and m 5^q < 2^53 5^32 < 2^128.  For %.2f, q = 2 and
- * m 25 < 2^58.  For any other value or
- * spec, or a buffer shorter than the table, fhn_format_table returns -1
- * and writes nothing the caller may use; without __SIZEOF_INT128__ it
- * returns -1 for every table.
+ * m 25 < 2^58.  The digits are written two at a time from DIGIT_PAIRS into
+ * a local array and copied out in fixed FMT_BLOCK-byte blocks; the output
+ * then advances by the run's real length, so a block may write up to
+ * FMT_SLACK bytes past a value's FMT_MAX_LEN, which the next value or
+ * separator overwrites or which lie past the returned length.
+ *
+ * Capacity: before each row, the space left in buf must hold a worst-case
+ * row and the slack, k (FMT_MAX_LEN + strlen(sep)) + strlen(end) +
+ * FMT_SLACK bytes, or fhn_format_table returns -1.  So a cap of
+ * n (k (FMT_MAX_LEN + strlen(sep)) + strlen(end)) + FMT_SLACK always
+ * suffices (fastpath.format_capacity), and a cap shorter than the text
+ * always gets -1.  For any other value or spec, or a cap too short by
+ * that rule, fhn_format_table returns -1 and writes nothing the caller may
+ * use; without __SIZEOF_INT128__ it returns -1 for every table.
  */
 #define FMT_17G_LO 1e-16
 #define FMT_17G_HI 1e16
 #define FMT_2F_HI 1e15
 #define FMT_MAX_LEN 23   /* the longest value text, "-1.2345678901234567e-16" */
+#define FMT_BLOCK 16     /* the width of a digit-run copy */
+/* the farthest write past FMT_MAX_LEN: "-" 16 integer digits "." and a
+ * block of fraction digits reach 1 + 16 + 1 + FMT_BLOCK = 34 bytes */
+#define FMT_SLACK 11
 
 #ifdef __SIZEOF_INT128__
 __extension__ typedef unsigned __int128 u128;
@@ -517,6 +532,20 @@ static const uint64_t POW5[28] = {
     7450580596923828125ULL,
 };
 static const uint64_t TEN16 = 10000000000000000ULL;
+static const uint32_t TEN8 = 100000000U;
+
+/* "00" "01" ... "99": the two digits of i at DIGIT_PAIRS + 2 i */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809"
+    "10111213141516171819"
+    "20212223242526272829"
+    "30313233343536373839"
+    "40414243444546474849"
+    "50515253545556575859"
+    "60616263646566676869"
+    "70717273747576777879"
+    "80818283848586878889"
+    "90919293949596979899";
 
 /* floor(n log10(2)) for |n| <= 1000 */
 static int floor_log10_pow2(int n)
@@ -534,24 +563,14 @@ static u128 shift_round(u128 p, int s, u128 *fl)
     return q + (rem > half || (rem == half && (q & 1)));
 }
 
-/* write the decimal digits of d, exactly `width` of them (leading zeros) */
-static char *put_digits(char *dst, uint64_t d, int width)
+/* write the 8 decimal digits of d < 10^8 (leading zeros), as four pairs */
+static void put_8digits(char *dst, uint32_t d)
 {
-    for (int i = width - 1; i >= 0; i--) {
-        dst[i] = (char)('0' + d % 10);
-        d /= 10;
-    }
-    return dst + width;
-}
-
-static int digit_count(uint64_t d)
-{
-    int n = 1;
-    while (d >= 10) {
-        d /= 10;
-        n++;
-    }
-    return n;
+    uint32_t hi = d / 10000, lo = d % 10000;
+    memcpy(dst, DIGIT_PAIRS + 2 * (hi / 100), 2);
+    memcpy(dst + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    memcpy(dst + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+    memcpy(dst + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
 }
 
 /* %.17g of the finite non-zero |v| = m 2^e, 10^-16 <= |v| < 10^16 */
@@ -580,51 +599,65 @@ static char *put_17g(char *dst, uint64_t m, int e)
         }
         break;
     }
-    char digits[17];
-    put_digits(digits, d, 17);
+    /* the 17 digits as 1 + 8 + 8; the rest of the array feeds the blocks */
+    char digits[2 * FMT_BLOCK] = {0};
+    uint64_t rest = d % TEN16;
+    digits[0] = (char)('0' + d / TEN16);
+    put_8digits(digits + 1, (uint32_t)(rest / TEN8));
+    put_8digits(digits + 9, (uint32_t)(rest % TEN8));
     int nd = 17;
     while (digits[nd - 1] == '0')
         nd--;
     if (x < -4) {   /* d.ddde-XX */
-        *dst++ = digits[0];
-        if (nd > 1) {
-            *dst++ = '.';
-            memcpy(dst, digits + 1, nd - 1);
-            dst += nd - 1;
-        }
-        *dst++ = 'e';
-        *dst++ = '-';
-        return put_digits(dst, (uint64_t)-x, 2);
+        dst[0] = digits[0];
+        dst[1] = '.';
+        memcpy(dst + 2, digits + 1, FMT_BLOCK);
+        dst += nd > 1 ? nd + 1 : 1;
+        memcpy(dst, "e-", 2);
+        memcpy(dst + 2, DIGIT_PAIRS + 2 * -x, 2);
+        return dst + 4;
     }
     if (x < 0) {   /* 0.000ddd */
-        *dst++ = '0';
-        *dst++ = '.';
-        memset(dst, '0', -x - 1);
-        dst += -x - 1;
-        memcpy(dst, digits, nd);
+        memcpy(dst, "0.000", 5);
+        dst += 1 - x;
+        memcpy(dst, digits, 17);   /* all 17 digits */
         return dst + nd;
     }
-    memcpy(dst, digits, x + 1);   /* ddd.ddd, the integer part in full */
+    memcpy(dst, digits, FMT_BLOCK);   /* ddd.ddd, the integer part in full */
     dst += x + 1;
-    if (nd > x + 1) {
-        *dst++ = '.';
-        memcpy(dst, digits + x + 1, nd - x - 1);
-        dst += nd - x - 1;
-    }
-    return dst;
+    *dst = '.';
+    memcpy(dst + 1, digits + x + 1, FMT_BLOCK);
+    return nd > x + 1 ? dst + nd - x : dst;
 }
 
 /* %.2f of the finite |v| = m 2^e < 10^15 < 2^50, so s = -(e + 2) >= 3 */
 static char *put_2f(char *dst, uint64_t m, int e)
 {
     int s = -(e + 2);
-    u128 fl;
-    /* |v| 100 = m 25 2^-s rounded; m 25 < 2^58 < 2^(s - 1) for s > 60 */
-    uint64_t d = s > 60 ? 0 : (uint64_t)shift_round((u128)m * 25, s, &fl);
-    uint64_t whole = d / 100;
-    dst = put_digits(dst, whole, digit_count(whole));
-    *dst++ = '.';
-    return put_digits(dst, d % 100, 2);
+    /* |v| 100 = m 25 2^-s rounded half to even, in 64 bits as m 25 < 2^58;
+     * it is 0 for s > 59, where m 25 < 2^(s - 1) */
+    uint64_t p = m * 25, d = 0;
+    if (s < 60) {
+        uint64_t q = p >> s, rem = p & ((1ULL << s) - 1), half = 1ULL << (s - 1);
+        d = q + (rem > half || (rem == half && (q & 1)));
+    }
+    uint64_t whole = d / 100;   /* < 10^15: at most 16 digits with leading zeros */
+    char digits[2 * FMT_BLOCK] = {0};
+    int first = 8;
+    if (whole < TEN8) {
+        put_8digits(digits + 8, (uint32_t)whole);
+    } else {
+        put_8digits(digits, (uint32_t)(whole / TEN8));
+        put_8digits(digits + 8, (uint32_t)(whole % TEN8));
+        first = 0;
+    }
+    while (first < 15 && digits[first] == '0')
+        first++;
+    memcpy(dst, digits + first, FMT_BLOCK);
+    dst += 16 - first;
+    *dst = '.';
+    memcpy(dst + 1, DIGIT_PAIRS + 2 * (d % 100), 2);
+    return dst + 3;
 }
 
 /* the value's text at dst, or NULL when the exact path does not cover it */
@@ -661,6 +694,17 @@ static char *put_value(char *dst, double v, int fixed2)
     }
     return put_17g(dst, m, e);
 }
+
+/* the len bytes of s at dst; one byte is a single store */
+static char *put_text(char *dst, const char *s, long len)
+{
+    if (len == 1) {
+        *dst = *s;
+        return dst + 1;
+    }
+    memcpy(dst, s, (size_t)len);
+    return dst + len;
+}
 #endif
 
 long fhn_format_table(const double *values, long n, long k, const char *spec,
@@ -675,22 +719,20 @@ long fhn_format_table(const double *values, long n, long k, const char *spec,
     else
         return -1;
     long len_sep = (long)strlen(sep), len_end = (long)strlen(end);
-    long row_cap = k * (FMT_MAX_LEN + len_sep) + len_end;
+    long row_cap = k * (FMT_MAX_LEN + len_sep) + len_end + FMT_SLACK;
     char *dst = buf;
     for (long i = 0; i < n; i++) {
-        if (buf + cap - dst < row_cap)
+        if (cap - (dst - buf) < row_cap)
             return -1;
+        const double *row = values + i * k;
         for (long j = 0; j < k; j++) {
-            dst = put_value(dst, values[i * k + j], fixed2);
+            if (j > 0)
+                dst = put_text(dst, sep, len_sep);
+            dst = put_value(dst, row[j], fixed2);
             if (!dst)
                 return -1;
-            if (j + 1 < k) {
-                memcpy(dst, sep, len_sep);
-                dst += len_sep;
-            }
         }
-        memcpy(dst, end, len_end);
-        dst += len_end;
+        dst = put_text(dst, end, len_end);
     }
     return (long)(dst - buf);
 #else

@@ -35,8 +35,17 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 6          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 7          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
+FORMAT_SLACK = 11       # FMT_SLACK in _kernel.c: how far its block copies reach past it
+
+
+def format_capacity(n: int, k: int, sep: bytes, end: bytes) -> int:
+    """The buffer size that always suffices for `fhn_format_table` on an
+    n x k table: before each row it asks for a worst-case row, k times
+    FORMAT_WIDTH + len(sep) bytes and end, plus FORMAT_SLACK bytes, and
+    returns -1 without them."""
+    return n * (k * (FORMAT_WIDTH + len(sep)) + len(end)) + FORMAT_SLACK
 
 
 class _Out(ctypes.Structure):
@@ -69,7 +78,8 @@ ENTRY_POINTS = (
     ("fhn_sample", None, [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
                           ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p]),
     ("fhn_format_table", ctypes.c_long,
-     [_DOUBLE_P, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 4 + [ctypes.c_long]),
+     [ctypes.c_void_p, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 3
+     + [ctypes.c_void_p, ctypes.c_long]),
 )
 
 
@@ -124,15 +134,16 @@ class Library:
 
     def format_table(self, table, spec: str, sep: str, end: str) -> str | None:
         """The exact table formatter `fhn_format_table`, or None when a value
-        of the table lies outside its exact range."""
+        of the table lies outside its exact range.  It writes into an
+        uninitialised buffer of `format_capacity` bytes, and the text is
+        decoded from it with one copy."""
         values = np.ascontiguousarray(table, dtype=float)
         n, k = values.shape
         spec_b, sep_b, end_b = spec.encode(), sep.encode(), end.encode()
-        cap = n * (k * (FORMAT_WIDTH + len(sep_b)) + len(end_b))
-        buf = ctypes.create_string_buffer(cap)
-        size = self.cdll.fhn_format_table(values.ctypes.data_as(_DOUBLE_P), n, k,
-                                          spec_b, sep_b, end_b, buf, cap)
-        return ctypes.string_at(buf, size).decode() if size >= 0 else None
+        buf = np.empty(format_capacity(n, k, sep_b, end_b), np.uint8)
+        size = self.cdll.fhn_format_table(values.ctypes.data, n, k, spec_b, sep_b, end_b,
+                                          buf.ctypes.data, buf.size)
+        return str(memoryview(buf)[:size], "utf-8") if size >= 0 else None
 
 
 def _find_library() -> Library | None:

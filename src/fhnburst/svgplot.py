@@ -53,8 +53,9 @@ def svg_document(
     if bounds is None:
         if polylines:
             pts = np.concatenate(polylines)
-            x_lo, y_lo = pts.min(axis=0).tolist()
-            x_hi, y_hi = pts.max(axis=0).tolist()
+            xs, ys = pts[:, 0], pts[:, 1]   # 1-D reductions beat axis=0 on (n, 2)
+            x_lo, x_hi = float(xs.min()), float(xs.max())
+            y_lo, y_hi = float(ys.min()), float(ys.max())
         else:
             x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     else:

@@ -7,14 +7,13 @@ at LIBRARY through `fastpath.Library`, which checks its ABI version, runs
 child interpreter with the sanitizer runtimes preloaded.  This module
 imports numpy and fhnburst only, to keep that child's start-up short.
 """
-import ctypes
 import hashlib
 import math
 import sys
 
 import numpy as np
 
-from fhnburst import fastpath
+from fhnburst import _kernel_py, fastpath
 from fhnburst.model import ModelParams, unforced_equilibrium
 
 # (omega, E) of the standard protocol's burn-in and measurement runs that
@@ -52,15 +51,31 @@ def edge_args(params, x0, y0, t0, max_steps):
             1e-8, 1e-10, -1.0, max_steps)
 
 
+def worst_case_tables(rng):
+    """(spec, table) pairs whose values all have their spec's longest text:
+    %.17g of 10^-16 < -v < 10^-15 with 17 significant digits (23 bytes) and
+    %.2f of 10^15 - 1000 < -v < 10^15 (19 bytes), as 4 x 5 tables and as
+    one row whose last value, -1234567890123456.8 for %.17g, makes the
+    formatter's farthest block copy (see FMT_SLACK in _kernel.c)."""
+    tiny = -rng.uniform(1.0, 9.99, 200) * 1e-16
+    tiny = tiny[[len("%.17g" % v) == fastpath.FORMAT_WIDTH for v in tiny.tolist()]][:20]
+    huge = -(1e15 - rng.uniform(1.0, 1000.0, 20))
+    return [("%.17g", tiny.reshape(4, 5)), ("%.17g", np.r_[tiny[:4], -1234567890123456.8][None]),
+            ("%.2f", huge.reshape(4, 5)), ("%.2f", huge[None])]
+
+
 def lane(library: fastpath.Library) -> str:
     """Run every entry point of library and return the digest of the results.
 
     Each agreement and edge-case drive runs as a measurement run and as a
     burn-in run, with its own step budget and with max_steps 5; each knot
     table of two or more rows is sampled, states and derivatives, at random
-    sorted times and its two ends; and 100 random tables are formatted with
+    sorted times and its two ends; 100 random tables are formatted with
     each spec, and once more into a buffer one byte shorter than the text,
-    which must return -1.
+    which must return -1; and the `worst_case_tables` are formatted with
+    one-byte, multi-byte and empty separators, each into a buffer of exactly
+    `fastpath.format_capacity` bytes, so a block copy past its end is
+    reported.
     """
     params = ModelParams()
     rng = np.random.default_rng(2024)
@@ -91,11 +106,15 @@ def lane(library: fastpath.Library) -> str:
             text = library.format_table(table, spec, ",", "\n")
             digest.update(repr(text).encode())
             if text is not None:   # the exact path covers the table
-                cap = len(text) - 1
-                size = library.cdll.fhn_format_table(
-                    table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)), n, k,
-                    spec.encode(), b",", b"\n", ctypes.create_string_buffer(cap), cap)
+                short = np.empty(len(text) - 1, np.uint8)
+                size = library.cdll.fhn_format_table(table.ctypes.data, n, k, spec.encode(),
+                                                     b",", b"\n", short.ctypes.data, short.size)
                 assert size == -1, (spec, n, k, size)
+    for spec, table in worst_case_tables(rng):
+        for sep, end in ((",", "\n"), (", ", ";\n"), ("", "")):
+            text = library.format_table(table, spec, sep, end)
+            assert text == _kernel_py.format_table(table, spec, sep, end), (spec, sep, end)
+            digest.update(text.encode())
     return digest.hexdigest()
 
 

@@ -2,13 +2,15 @@
 the `%` call of `_kernel_py.format_table`: the same text on every value the
 exact path covers, and a refusal of any table holding another value."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhnburst import _kernel_py
+from fhnburst import _kernel_py, fastpath
 
 SPECS = ("%.17g", "%.2f")
 
@@ -60,6 +62,39 @@ def test_edge_values(c_formatter, spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_empty_table(c_formatter, spec):
     assert c_formatter(np.empty((0, 3)), spec, ",", "\n") == ""
+
+
+def test_constants_match_source():
+    # fastpath sizes the buffer from the C formatter's constants: checked
+    # without a compiler, with the derivation of the slack in its comment
+    source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+    defines = {name: int(value) for name, value in
+               re.findall(r"^#define (FMT_\w+) (\d+)\b", source, re.M)}
+    assert defines["FMT_MAX_LEN"] == fastpath.FORMAT_WIDTH
+    assert defines["FMT_SLACK"] == fastpath.FORMAT_SLACK
+    # "-", 16 integer digits, "." and a block of fraction digits
+    assert 1 + 16 + 1 + defines["FMT_BLOCK"] == defines["FMT_MAX_LEN"] + defines["FMT_SLACK"]
+
+
+@pytest.mark.parametrize("spec, value", [("%.17g", -1.2345678901234567e-16),
+                                         ("%.2f", -999999999999999.9)])
+@pytest.mark.parametrize("sep, end", [(",", "\n"), (", ", ";\n"), ("", "")])
+def test_documented_capacity(c_library, spec, value, sep, end):
+    # a table of the spec's longest texts fits exactly format_capacity
+    # bytes; a one-row table one byte short of it is refused
+    sep_b, end_b = sep.encode(), end.encode()
+
+    def write(table, cap):
+        buf = np.empty(cap, np.uint8)
+        size = c_library.cdll.fhn_format_table(table.ctypes.data, *table.shape, spec.encode(),
+                                               sep_b, end_b, buf.ctypes.data, cap)
+        return None if size < 0 else bytes(buf[:size])
+
+    assert len(spec % value) == {"%.17g": fastpath.FORMAT_WIDTH, "%.2f": 19}[spec]
+    table = np.full((3, 4), value)
+    text = _kernel_py.format_table(table, spec, sep, end)
+    assert write(table, fastpath.format_capacity(3, 4, sep_b, end_b)) == text.encode()
+    assert write(table[:1], fastpath.format_capacity(1, 4, sep_b, end_b) - 1) is None
 
 
 def test_other_spec_refused(c_formatter):

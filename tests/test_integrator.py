@@ -281,6 +281,25 @@ class TestForcedSystemRuns:
             assert want[4]["n_nonfinite_retry"] > 0
         _assert_same_run(c_kernel(*args), want)
 
+    @given(E=st.floats(0.0, 2.5), omega=st.floats(0.005, 0.08),
+           x0=st.floats(-2.5, 2.5), y0=st.floats(-1.0, 1.5),
+           start=st.floats(0.0, 2.0), span=st.floats(1e-3, 0.25),
+           rel_tol=st.floats(-10.0, -3.0).map(lambda p: 10.0 ** p),
+           abs_tol=st.floats(-12.0, -4.0).map(lambda p: 10.0 ** p),
+           max_step=st.one_of(st.just(-1.0), st.floats(1e-3, 20.0)),
+           max_steps=st.integers(1, 400), detect_events=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_backends_agree_on_random_drives(self, params, c_kernel, E, omega, x0, y0, start,
+                                             span, rel_tol, abs_tol, max_step, max_steps,
+                                             detect_events):
+        # short random drives: start and span are fractions of the period,
+        # and max_steps keeps the twin cheap
+        T = 2.0 * math.pi / omega
+        t0 = start * T
+        args = (params.a, params.b, params.eps, E, omega, t0, t0 + span * T, x0, y0,
+                rel_tol, abs_tol, max_step, max_steps, detect_events)
+        _assert_same_run(c_kernel(*args), _kernel_py.integrate_forced(*args))
+
     @pytest.mark.parametrize("detect_events", [True, False], ids=["measure", "burn-in"])
     def test_failure_statuses_raise_typed_errors(self, params, c_library, monkeypatch,
                                                  detect_events):

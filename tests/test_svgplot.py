@@ -206,6 +206,18 @@ class TestRenderSvgMatchesReference:
         assert new == ref
 
     @pytest.mark.parametrize("polylines", [
+        [[(0.0, -0.0), (0.5, 0.25)], [(-0.0, 0.0), (1.0, 2.0)]],
+        [[(-1.0, -2.0), (-0.0, 0.0)], [(0.0, -0.0), (-0.5, -1.0)]],
+        [[(0.0, -0.0), (-0.0, 0.0)], [(-0.0, -0.0), (0.0, 0.0)]],
+    ], ids=["zeros-at-minimum", "zeros-at-maximum", "only-zeros"])
+    def test_signed_zero_bounds(self, tmp_path, polylines):
+        # numpy's reductions keep the later of two equal zeros and Python's
+        # min/max the earlier; the padding makes the sign of a zero bound
+        # vanish, so the text is the same
+        new, ref = self._both(tmp_path, polylines, "x", "y")
+        assert new == ref
+
+    @pytest.mark.parametrize("polylines", [
         [[], [(0.0, 1.0), (2.0, -3.0), (2.5, 0.25)], np.empty((0, 2))],
         [[]],
         [],
