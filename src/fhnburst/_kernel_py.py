@@ -404,9 +404,11 @@ def sample_knots(knots, ts, deriv):
 
 
 def format_table(table, spec, sep, end):
-    """The text of an n x k float table: each row is its k values formatted
-    with `spec`, joined by `sep` and followed by `end`, all in one `%` call.
-    fhn_format_table in _kernel.c writes the same bytes for "%.17g" and
-    "%.2f" by exact integer arithmetic, on the values its range covers."""
+    """The bytes of an n x k float table: each row is its k values formatted
+    with `spec`, joined by `sep` and followed by `end`, all in one `%` call
+    whose text is encoded as ASCII.  fhn_format_table in _kernel.c writes
+    the same bytes for "%.17g" and "%.2f" by exact integer arithmetic, on
+    the values its range covers."""
     n, k = table.shape
-    return (sep.join([spec] * k) + end) * n % tuple(table.ravel().tolist())
+    text = (sep.join([spec] * k) + end) * n % tuple(table.ravel().tolist())
+    return text.encode("ascii")

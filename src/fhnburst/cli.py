@@ -7,7 +7,9 @@ deterministic; output files are the only side effects.  A command opens its
 output files before it does any work and prints its stdout only once they
 are written; when it fails, it removes the files it created and leaves a
 file that existed as it was, unless writing that file itself failed.  An
-output path that names stdout's own file is written through stdout.
+output path that names stdout's own file is written through stdout.  Output
+files are binary: the tables arrive as the bytes of `fastpath.format_table`
+and `svgplot.svg_document`, and JSON text is encoded as UTF-8.
 """
 from __future__ import annotations
 
@@ -85,15 +87,17 @@ def _is_stdout(path: str) -> bool:
 
 @contextlib.contextmanager
 def _open_outputs(*paths):
-    """Open each output path for writing, and yield the handles in order
-    (None for a path that is None).  A file that exists is opened without
-    truncation and cut to what was written on success, so a call that fails
-    before it writes leaves it as it was.  A path that names stdout's own
-    file gets `sys.stdout`, so that it receives the table and the printed
-    text in order, and is never cut or removed.  Two paths that name one file
-    (two names for stdout included) raise ValueError.  The other handles are
-    closed on exit; when the body or a close fails, the files this call
-    created are removed."""
+    """Open each output path for binary writing, and yield the handles in
+    order (None for a path that is None).  A file that exists is opened
+    without truncation and cut to what was written on success, so a call that
+    fails before it writes leaves it as it was.  A path that names stdout's
+    own file gets a handle on fd 1, opened once the text already printed is
+    flushed and closed (fd 1 left open) on exit, so that it receives the
+    table and the printed text in order whatever `sys.stdout` is, and is
+    never cut or removed.  Two paths that name one file (two names for
+    stdout included) raise ValueError.  Every handle is closed on exit;
+    when the body or a close fails, the files this call created are
+    removed."""
     handles, opened, created = [], [], []
     named = {}   # (st_dev, st_ino) -> the first path that names the file
     done = False
@@ -103,22 +107,25 @@ def _open_outputs(*paths):
                 handles.append(None)
                 continue
             if _is_stdout(path):
-                handles.append(sys.stdout)
+                sys.stdout.flush()
+                fh = open(1, "wb", closefd=False)
             else:
                 try:
-                    opened.append(open(path, "x", encoding="utf-8"))
+                    fh = open(path, "xb")
                     created.append(path)
                 except FileExistsError:
-                    opened.append(open(os.open(path, os.O_WRONLY), "w", encoding="utf-8"))
-                handles.append(opened[-1])
-            st = os.fstat(1 if handles[-1] is sys.stdout else handles[-1].fileno())
+                    fh = open(os.open(path, os.O_WRONLY), "wb")
+            opened.append(fh)
+            handles.append(fh)
+            st = os.fstat(fh.fileno())
             key = (st.st_dev, st.st_ino)
             if key in named:
                 raise ValueError(f"output paths {named[key]!r} and {path!r} name the same file")
             named[key] = path
         yield handles
         for fh in opened:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):   # not a pipe or tty
+            # not stdout, a pipe or a tty
+            if fh.raw.closefd and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
             fh.close()
         done = True
@@ -134,8 +141,8 @@ def _open_outputs(*paths):
 
 def _write_csv(fh, header: str, *columns) -> None:
     """Write float columns under a header line, each value as %.17g, with one
-    `fastpath.format_table` call for the whole table."""
-    fh.write(header + "\n")
+    `fastpath.format_table` call for the whole table, to a binary handle."""
+    fh.write(header.encode() + b"\n")
     fh.write(format_table(np.column_stack(columns), "%.17g", ",", "\n"))
 
 
@@ -184,7 +191,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
     if csv_fh:
         _write_csv(csv_fh, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
     if metrics_fh:
-        metrics_fh.write(text)
+        metrics_fh.write(text.encode())
     if svg_fh:
         # one polyline per forcing period: split where theta wraps back
         wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1
@@ -203,7 +210,7 @@ def _cmd_equilibria(args) -> int:
         forcing = Forcing(E=args.E, omega=args.omega)
         text = json.dumps(equilibria_report(params, forcing), indent=2)
         if fh:
-            fh.write(text + "\n")
+            fh.write(text.encode() + b"\n")
     print(text)
     return 0
 
@@ -324,7 +331,7 @@ def _cmd_contours(args) -> int:
             "l2_level_sets": polylines_to_json(level_lines),
         })
         if out_fh:
-            out_fh.write(text + "\n")
+            out_fh.write(text.encode() + b"\n")
         if svg_fh:
             lines = level_lines + boundaries
             colors = ["#9ecae1"] * len(level_lines) + ["#d62728"] * len(boundaries)
@@ -411,8 +418,10 @@ def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FhnBurstError, ValueError, OSError) as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    except (FhnBurstError, ValueError, OSError, MemoryError) as exc:
+        # numpy's private _ArrayMemoryError is reported as the MemoryError it is
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        payload = {"error": {"type": name, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

@@ -55,12 +55,16 @@ class FoldThresholds:
     e_2star_right: float
 
 
+# the rule of the fold thresholds' domain, mu = b(a + 2/3) - 1 > 0
+_FOLD_DOMAIN = "fold thresholds require b*(a + 2/3) > 1"
+
+
 def fold_thresholds(params: ModelParams, delta: float) -> FoldThresholds:
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
     mu = mu_constant(params)
     if mu <= 0.0:
-        raise DomainError("fold thresholds require b*(a + 2/3) > 1")
+        raise DomainError(_FOLD_DOMAIN)
     root = math.hypot(params.b, delta)
     g2 = cubic_G(2.0, params)
     e_star_left = mu / root
@@ -135,10 +139,13 @@ def _eig_pair(delta: float, u_star: float, det: float):
 def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquilibrium]:
     """All folded equilibria for the given drive: 0, 2, or 4 of them.
 
-    Raises SaddleNodeBoundary within BOUNDARY_TOL of an existence threshold,
-    where the saddle and node coalesce (excluded degenerate case).
+    Raises DomainError outside b(a + 2/3) > 1, where `classify_region`
+    does, and SaddleNodeBoundary within BOUNDARY_TOL of an existence
+    threshold, where the saddle and node coalesce (excluded degenerate case).
     """
     dc = derived_constants(params, forcing)
+    if dc.mu <= 0.0:
+        raise DomainError(_FOLD_DOMAIN)
     delta = forcing.delta(params)
     if dc.r_delta <= 0.0:
         return []

@@ -85,9 +85,18 @@ def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
 
 
 def saddle_eigenvalues(params: ModelParams, forcing: Forcing) -> tuple[float, float]:
-    """Exact (stable, unstable) eigenvalues of the left folded saddle."""
-    dc = derived_constants(params, forcing)
+    """Exact (stable, unstable) eigenvalues of the left folded saddle.
+
+    Raises DomainError outside b(a + 2/3) > 1 and NoSaddle at or below the
+    saddle-existence threshold, where there is no saddle.
+    """
     delta = forcing.delta(params)
+    th = fold_thresholds(params, delta)
+    if forcing.E <= th.e_star_left:
+        raise NoSaddle(
+            f"no folded saddle: E={forcing.E} <= existence threshold {th.e_star_left:.6g}"
+        )
+    dc = derived_constants(params, forcing)
     c = math.sqrt(dc.r_delta * dc.r_delta - dc.mu * dc.mu)
     root = math.sqrt(1.0 + 8.0 * delta * c)
     return -0.5 - 0.5 * root, -0.5 + 0.5 * root
@@ -120,12 +129,6 @@ def solve_expansion(
     delta = forcing.delta(params)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    th = fold_thresholds(params, delta)
-    if forcing.E <= th.e_star_left:
-        raise NoSaddle(
-            f"no folded saddle: E={forcing.E} <= existence threshold {th.e_star_left:.6g}"
-        )
-
     lam_stable, lam_unstable = saddle_eigenvalues(params, forcing)
     lam = lam_stable if branch == "stable" else lam_unstable
     c_const = math.sqrt(dc.r_delta**2 - dc.mu**2)

@@ -40,14 +40,15 @@ def svg_document(
     title: str = "",
     colors=None,
     bounds=None,
-) -> str:
-    """The text of a fixed-size SVG plot of (x, y) polylines with linear axes.
+) -> bytes:
+    """The bytes of a fixed-size SVG plot of (x, y) polylines with linear axes.
 
     polylines: iterable of point sequences, each a list of (x, y) pairs or an
     (n, 2) array; empty ones are skipped. colors: optional per-line color;
     bounds: optional (x_lo, x_hi, y_lo, y_hi) override, else the range of
     the points. The points are scaled as numpy columns and each polyline is
-    formatted with one `fastpath.format_table` call, "%.2f,%.2f" per point.
+    formatted with one `fastpath.format_table` call, "%.2f,%.2f" per point;
+    its bytes are copied out before the next call reuses the buffer.
     """
     polylines = [np.asarray(p, dtype=float) for p in polylines if len(p) > 0]
     if bounds is None:
@@ -113,12 +114,13 @@ def svg_document(
         f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2})">{y_label}</text>'
     )
+    chunks = [("\n".join(parts) + "\n").encode()]
     for k, line in enumerate(polylines):
         color = (colors[k] if colors else PALETTE[k % len(PALETTE)])
         xy = np.column_stack([sx(line[:, 0]), sy(line[:, 1])])
-        pts = format_table(xy, "%.2f", ",", " ")[:-1]   # no space after the last point
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.1"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        # copied out, without the space after the last point
+        pts = bytes(memoryview(format_table(xy, "%.2f", ",", " "))[:-1])
+        chunks += [b'<polyline points="', pts,
+                   f'" fill="none" stroke="{color}" stroke-width="1.1"/>\n'.encode()]
+    chunks.append(b"</svg>\n")
+    return b"".join(chunks)

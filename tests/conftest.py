@@ -66,7 +66,7 @@ def c_kernel(c_library):
 
 @pytest.fixture(scope="session")
 def c_formatter(c_library):
-    """The C table formatter: `_kernel_py.format_table`'s text, or None when
+    """The C table formatter: `_kernel_py.format_table`'s bytes, or None when
     a value lies outside its exact range."""
     return c_library.format_table
 

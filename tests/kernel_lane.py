@@ -64,6 +64,19 @@ def worst_case_tables(rng):
             ("%.2f", huge.reshape(4, 5)), ("%.2f", huge[None])]
 
 
+def format_exact(library: fastpath.Library, table, spec, sep, end, cap=None):
+    """The bytes `fhn_format_table` writes for a C-contiguous float table into
+    a new buffer of exactly cap bytes (by default `fastpath.format_capacity`),
+    or None when it returns -1."""
+    n, k = table.shape
+    spec_b, sep_b, end_b = spec.encode(), sep.encode(), end.encode()
+    buf = np.empty(fastpath.format_capacity(n, k, sep_b, end_b) if cap is None else cap, np.uint8)
+    size = library.cdll.fhn_format_table(table.ctypes.data, n, k, spec_b, sep_b, end_b,
+                                         buf.ctypes.data, buf.size)
+    assert size >= -1, size
+    return buf[:size].tobytes() if size >= 0 else None
+
+
 def lane(library: fastpath.Library) -> str:
     """Run every entry point of library and return the digest of the results.
 
@@ -73,9 +86,9 @@ def lane(library: fastpath.Library) -> str:
     sorted times and its two ends; 100 random tables are formatted with
     each spec, and once more into a buffer one byte shorter than the text,
     which must return -1; and the `worst_case_tables` are formatted with
-    one-byte, multi-byte and empty separators, each into a buffer of exactly
-    `fastpath.format_capacity` bytes, so a block copy past its end is
-    reported.
+    one-byte, multi-byte and empty separators.  Every table is formatted
+    by `format_exact` into a buffer of exactly its capacity, so a block
+    copy past the end is reported.
     """
     params = ModelParams()
     rng = np.random.default_rng(2024)
@@ -103,18 +116,16 @@ def lane(library: fastpath.Library) -> str:
         table = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-12, 13, size=(n, k))
         table.flat[rng.integers(table.size, size=3)] = rng.choice([0.0, -0.0, np.nan, np.inf])
         for spec in ("%.17g", "%.2f"):
-            text = library.format_table(table, spec, ",", "\n")
-            digest.update(repr(text).encode())
+            text = format_exact(library, table, spec, ",", "\n")
+            digest.update(b"refused" if text is None else text)
             if text is not None:   # the exact path covers the table
-                short = np.empty(len(text) - 1, np.uint8)
-                size = library.cdll.fhn_format_table(table.ctypes.data, n, k, spec.encode(),
-                                                     b",", b"\n", short.ctypes.data, short.size)
-                assert size == -1, (spec, n, k, size)
+                short = format_exact(library, table, spec, ",", "\n", len(text) - 1)
+                assert short is None, (spec, n, k)
     for spec, table in worst_case_tables(rng):
         for sep, end in ((",", "\n"), (", ", ";\n"), ("", "")):
-            text = library.format_table(table, spec, sep, end)
+            text = format_exact(library, table, spec, sep, end)
             assert text == _kernel_py.format_table(table, spec, sep, end), (spec, sep, end)
-            digest.update(text.encode())
+            digest.update(text)
     return digest.hexdigest()
 
 

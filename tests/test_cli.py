@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -44,7 +46,7 @@ def _reference_simulate_files(params, forcing, csv_path, svg_path):
         seg.append((th, xv))
     if seg:
         lines.append(seg)
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with open(svg_path, "wb") as fh:
         fh.write(svg_document(
             lines, "theta", "x",
             title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
@@ -178,7 +180,7 @@ class TestManifold:
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("odd", [1e-300, -1e20, 1e-16])
+    @pytest.mark.parametrize("odd", [1e-300, -1e20, 1e-16, 1e300])
     def test_out_of_range_value(self, tmp_path, c_formatter_calls, odd):
         # one value outside the C formatter's %.17g range: it refuses the
         # table and the `%` twin writes all of it
@@ -186,7 +188,7 @@ class TestCsvWriter:
         xs, ys = np.sin(ts), np.cos(ts)
         xs[3] = odd
         out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb") as fh:
             cli._write_csv(fh, "t,x,y", ts, xs, ys)
         with open(ref, "w", encoding="utf-8") as fh:
             fh.write("t,x,y\n")
@@ -452,6 +454,33 @@ class TestOutputContract:
         assert err["type"] and match.format(**fill) in err["message"]
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_unallocatable_table(self, capsys, tmp_path):
+        # 2e13 samples ask numpy for 146 TiB, which it refuses at once: the
+        # MemoryError is reported like any other failure
+        paths = [str(tmp_path / name) for name in ("x.csv", "x.json", "x.svg")]
+        assert main(["simulate", "--E", "0.47", "--omega", "0.025",
+                     "--samples-per-period", "10000000000000", "--out", paths[0],
+                     "--metrics-out", paths[1], "--svg", paths[2]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "MemoryError" and "TiB" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_path_under_text_stdout(self, capfd):
+        # an in-process caller that swaps sys.stdout for a text stream, which
+        # has no binary buffer: the table still reaches fd 1 and the printed
+        # text the stream
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+                         "--samples", "2", "--out", "/dev/stdout"]) == 0
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines(keepends=True)
+        assert len(lines) == 3 and lines[0] == "theta,u,x\n"
+        assert json.loads(text.getvalue())
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--E", "0.55", "--omega", "0.0149354", "--out", "{f}",
                       "--svg", "{f}"], id="simulate-out-svg"),
@@ -636,4 +665,28 @@ def test_simulate_files_identical_on_both_backends(c_library, monkeypatch, capsy
                      *(arg for flag, path in zip(("--out", "--metrics-out", "--svg"), paths)
                        for arg in (flag, str(path)))]) == 0
         written[name] = [capsys.readouterr().out] + [p.read_bytes() for p in paths]
+    assert written["compiled"] == written["pure"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+                  "--out", "{stem}.csv"], id="manifold-out"),
+    pytest.param(["manifold", "--E", "0.55", "--omega", "0.0149354", "--branch", "unstable",
+                  "--samples", "1001", "--out", "{stem}.csv"], id="manifold-unstable-out"),
+    pytest.param(["contours", "--grid", "{grid}", "--out", "{stem}.json", "--svg",
+                  "{stem}.svg"], id="contours-svg"),
+])
+def test_files_identical_on_both_backends(c_library, monkeypatch, capsys, tmp_path, argv):
+    grid = tmp_path / "grid.csv"
+    spec = SweepSpec(omega_range=(0.01, 0.04, 0.01), e_range=(0.40, 0.55, 0.05),
+                     metrics=("spike_count", "l2"))
+    write_grid_csv(run_sweep(spec, ModelParams()), str(grid))
+    written = {}
+    for name, backend in {"compiled": c_library, "pure": _kernel_py}.items():
+        monkeypatch.setattr(fastpath, "_IMPL", backend)
+        stem = tmp_path / name
+        assert main([arg.format(stem=stem, grid=grid) for arg in argv]) == 0
+        files = sorted(tmp_path.glob(f"{name}.*"))
+        assert files and all(p.stat().st_size for p in files)
+        written[name] = [capsys.readouterr().out] + [p.read_bytes() for p in files]
     assert written["compiled"] == written["pure"]

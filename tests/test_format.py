@@ -3,6 +3,7 @@ the `%` call of `_kernel_py.format_table`: the same text on every value the
 exact path covers, and a refusal of any table holding another value."""
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_edge_values(c_formatter, spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_empty_table(c_formatter, spec):
-    assert c_formatter(np.empty((0, 3)), spec, ",", "\n") == ""
+    assert c_formatter(np.empty((0, 3)), spec, ",", "\n") == b""
 
 
 def test_constants_match_source():
@@ -93,8 +94,29 @@ def test_documented_capacity(c_library, spec, value, sep, end):
     assert len(spec % value) == {"%.17g": fastpath.FORMAT_WIDTH, "%.2f": 19}[spec]
     table = np.full((3, 4), value)
     text = _kernel_py.format_table(table, spec, sep, end)
-    assert write(table, fastpath.format_capacity(3, 4, sep_b, end_b)) == text.encode()
+    assert write(table, fastpath.format_capacity(3, 4, sep_b, end_b)) == text
     assert write(table[:1], fastpath.format_capacity(1, 4, sep_b, end_b) - 1) is None
+
+
+def test_threads_keep_their_own_buffer(c_formatter):
+    # ctypes releases the GIL during the C call, so two threads formatting
+    # at once must not write into one buffer
+    tables = [np.full((2000, 4), v) for v in (1.5, -2.25)]
+    want = [_kernel_py.format_table(t, "%.17g", ",", "\n") for t in tables]
+
+    def same_bytes(i):
+        return all(c_formatter(tables[i], "%.17g", ",", "\n") == want[i] for _ in range(50))
+
+    with ThreadPoolExecutor(2) as pool:
+        assert all(pool.map(same_bytes, [0, 1] * 4))
+
+
+def test_kept_buffer_is_reused(c_formatter):
+    # a thread's next table overwrites the view of its last one
+    first = c_formatter(np.full((3, 2), 1.25), "%.2f", ",", "\n")
+    assert first == b"1.25,1.25\n" * 3
+    c_formatter(np.full((3, 2), 7.5), "%.2f", ",", "\n")
+    assert first == b"7.50,7.50\n" * 3
 
 
 def test_other_spec_refused(c_formatter):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -169,7 +170,7 @@ class TestRenderSvgMatchesReference:
     def _both(self, tmp_path, polylines, *args, **kwargs):
         ref = tmp_path / "ref.svg"
         _reference_render_svg(str(ref), polylines, *args, **kwargs)
-        return svg_document(polylines, *args, **kwargs).encode(), ref.read_bytes()
+        return svg_document(polylines, *args, **kwargs), ref.read_bytes()
 
     def test_simulate_segments(self, tmp_path):
         lines = _simulate_segments()
@@ -225,3 +226,33 @@ class TestRenderSvgMatchesReference:
     def test_empty_polylines(self, tmp_path, polylines):
         new, ref = self._both(tmp_path, polylines, "a", "b")
         assert new == ref
+
+
+class TestPolylineBytes:
+    """The points of each polyline, as the C formatter or its twin writes them."""
+
+    def _points(self, tmp_path, lines):
+        """Each polyline's points in the document, which must hold the
+        reference writer's bytes."""
+        ref = tmp_path / "ref.svg"
+        _reference_render_svg(str(ref), lines, "x", "y", bounds=(0.0, 1.0, 0.0, 1.0))
+        doc = svg_document(lines, "x", "y", bounds=(0.0, 1.0, 0.0, 1.0))
+        assert doc == ref.read_bytes()
+        return re.findall(rb'points="([^"]*)"', doc)
+
+    def test_far_point_written_by_twin(self, tmp_path, c_formatter_calls):
+        # 1e300 scales to a pixel far beyond the C formatter's %.2f range,
+        # so the `%` twin writes that polyline's bytes
+        lines = [[(0.2, 0.3), (1e300, 0.5), (0.7, 0.9)], [(0.1, 0.1), (0.9, 0.4)]]
+        points = self._points(tmp_path, lines)
+        assert [data is None for data in c_formatter_calls] == [True, False]
+        assert len(points) == 2 and len(points[0]) > 300
+
+    def test_each_polyline_keeps_its_points(self, tmp_path, c_formatter_calls):
+        # the C formatter writes every polyline into the thread's one
+        # buffer, so each one's bytes must be copied out before the next
+        lines = [np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, k / 4.0)])
+                 for k, n in enumerate((5, 3, 7))]
+        points = self._points(tmp_path, lines)
+        assert len(c_formatter_calls) == 3 and None not in c_formatter_calls
+        assert [len(p.split(b" ")) for p in points] == [5, 3, 7] and len(set(points)) == 3
