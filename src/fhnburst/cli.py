@@ -322,6 +322,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_contours(args) -> int:
+    _require_positive(args.levels, "--levels")
     with _open_outputs(args.out, args.svg) as (out_fh, svg_fh):
         xs, ys, arrays = grid_from_rows(*load_grid_csv(args.grid))
         boundaries = spike_boundaries(xs, ys, arrays["spike_count"])

@@ -5,9 +5,12 @@ u = a1*th + a2*th^2 + ... + a5*th^5 in the phase offset th measured from the
 saddle angle.  Matching series coefficients of the reduced-flow direction
 field gives five nonlinear equations k*a_k = b_{k-1}(a).  The system is
 triangular: a1 is fixed by the branch eigenvalue, and equation k is linear in
-a_k once a1..a_(k-1) are known, so forward substitution solves it.  A
-finite-difference Newton iteration then polishes the result to the residual
-tolerance; it rarely has a step to take.
+a_k once a1..a_(k-1) are known, so forward substitution solves it.  Each
+b_k has one function, which reads only a1..a_(k+1): the substitution
+evaluates just the b_(k-1) of the equation it solves, and the residual check
+evaluates all five once, through `b_coefficients`.  A finite-difference
+Newton iteration then polishes the result to the residual tolerance; it
+rarely has a step to take.
 """
 from __future__ import annotations
 
@@ -38,28 +41,27 @@ class ManifoldExpansion:
     residual: float                  # worst equation residual of the solve
 
 
-def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
-    """Series coefficients b0..b4 of du/dth on the manifold graph.
+def _b0(a1, C, delta, mu, b):
+    return (a1 + C) / (2.0 * a1 * delta)
 
-    a is the 5-vector (a1..a5) of graph coefficients; b is the recovery
-    coupling of the model.  Raises ZeroDivisionError when a1 = 0.
-    """
-    a1, a2, a3, a4, a5 = (float(v) for v in a)
-    if a1 == 0.0:
-        raise ZeroDivisionError("a1 must be nonzero")
-    C = math.sqrt(max(r_delta * r_delta - mu * mu, 0.0))
 
-    b0 = (a1 + C) / (2.0 * a1 * delta)
-    b1 = (-2.0 * a1**3 * b + a1**3 + a1**2 * C + a1 * mu - 2.0 * a2 * C) / (
+def _b1(a1, a2, C, delta, mu, b):
+    return (-2.0 * a1**3 * b + a1**3 + a1**2 * C + a1 * mu - 2.0 * a2 * C) / (
         4.0 * a1**2 * delta
     )
-    b2 = (
+
+
+def _b2(a1, a2, a3, C, delta, mu, b):
+    return (
         -2.0 * a1**5 * b + 3.0 * a1**5 + 3.0 * a1**4 * C
         - 12.0 * a1**3 * a2 * b + 6.0 * a1**3 * a2 + 3.0 * a1**3 * mu
         - 2.0 * a1**2 * C - 6.0 * a1 * a2 * mu - 12.0 * a1 * a3 * C
         + 12.0 * a2**2 * C
     ) / (24.0 * a1**3 * delta)
-    b3 = (
+
+
+def _b3(a1, a2, a3, a4, C, delta, mu, b):
+    return (
         -2.0 * a1**7 * b + 3.0 * a1**7 + 3.0 * a1**6 * C
         - 8.0 * a1**5 * a2 * b + 12.0 * a1**5 * a2 + 3.0 * a1**5 * mu
         + 6.0 * a1**4 * a2 * C - 24.0 * a1**4 * a3 * b + 12.0 * a1**4 * a3
@@ -67,7 +69,10 @@ def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
         - 12.0 * a1**2 * a3 * mu - 24.0 * a1**2 * a4 * C
         + 12.0 * a1 * a2**2 * mu + 48.0 * a1 * a2 * a3 * C - 24.0 * a2**3 * C
     ) / (48.0 * a1**4 * delta)
-    b4 = (
+
+
+def _b4(a1, a2, a3, a4, a5, C, delta, mu, b):
+    return (
         -10.0 * a1**9 * b + 15.0 * a1**9 + 15.0 * a1**8 * C
         - 60.0 * a1**7 * a2 * b + 90.0 * a1**7 * a2 + 15.0 * a1**7 * mu
         + 60.0 * a1**6 * a2 * C - 80.0 * a1**6 * a3 * b + 120.0 * a1**6 * a3
@@ -81,7 +86,34 @@ def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
         - 120.0 * a1 * a2**3 * mu - 720.0 * a1 * a2**2 * a3 * C
         + 240.0 * a2**4 * C
     ) / (480.0 * a1**5 * delta)
-    return b0, b1, b2, b3, b4
+
+
+# _B_TERMS[k] is b_k(a1, .., a_(k+1), C, delta, mu, b)
+_B_TERMS = (_b0, _b1, _b2, _b3, _b4)
+
+
+def _amplitude_const(r_delta: float, mu: float) -> float:
+    """C = sqrt(R_delta^2 - mu^2), zero where rounding leaves it negative."""
+    return math.sqrt(max(r_delta * r_delta - mu * mu, 0.0))
+
+
+def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
+    """Series coefficients b0..b4 of du/dth on the manifold graph.
+
+    a is the 5-vector (a1..a5) of graph coefficients; b is the recovery
+    coupling of the model.  Raises ZeroDivisionError when a1 = 0.
+    """
+    a1, a2, a3, a4, a5 = (float(v) for v in a)
+    if a1 == 0.0:
+        raise ZeroDivisionError("a1 must be nonzero")
+    C = _amplitude_const(r_delta, mu)
+    return (
+        _b0(a1, C, delta, mu, b),
+        _b1(a1, a2, C, delta, mu, b),
+        _b2(a1, a2, a3, C, delta, mu, b),
+        _b3(a1, a2, a3, a4, C, delta, mu, b),
+        _b4(a1, a2, a3, a4, a5, C, delta, mu, b),
+    )
 
 
 def saddle_eigenvalues(params: ModelParams, forcing: Forcing) -> tuple[float, float]:
@@ -118,7 +150,8 @@ def solve_expansion(
     """Solve the five coefficient equations for one branch.
 
     a1 = -lam/(2 delta) with lam the branch eigenvalue; for k = 2..5,
-    b_(k-1) is P at a_k = 0 and P + Q at a_k = 1, so a_k = P / (k - Q).
+    b_(k-1) is P at a_k = 0 and P + Q at a_k = 1, so a_k = P / (k - Q),
+    and only that b_(k-1) is evaluated.
     Newton iteration (at most max_iter steps) then polishes the substituted
     coefficients until the worst residual is <= NEWTON_TOL; inside the
     studied parameter range it almost never needs a step.
@@ -138,12 +171,16 @@ def solve_expansion(
         bs = b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)
         return np.array([(k + 1.0) * a[k] - bs[k] for k in range(5)])
 
-    a = np.array([closed_form_a1(lam, delta), 0.0, 0.0, 0.0, 0.0])
+    # a1..a_(k-1) as plain floats, as b_coefficients unpacks them; b_(k-1)
+    # reads a1..a_k, so it alone is evaluated at a_k = 0 and a_k = 1
+    C = _amplitude_const(dc.r_delta, dc.mu)
+    a = [float(closed_form_a1(lam, delta))]
     for k in range(2, 6):
-        p = b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)[k - 1]
-        a[k - 1] = 1.0
-        q = b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)[k - 1] - p
-        a[k - 1] = p / (k - q)
+        b_prev = _B_TERMS[k - 1]
+        p = b_prev(*a, 0.0, C, delta, dc.mu, params.b)
+        q = b_prev(*a, 1.0, C, delta, dc.mu, params.b) - p
+        a.append(float(p / (k - q)))
+    a = np.array(a)
     res = residual(a)
     for _ in range(max_iter):
         if float(np.max(np.abs(res))) <= NEWTON_TOL:

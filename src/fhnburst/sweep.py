@@ -175,8 +175,20 @@ def _cell_to_record(idx: int, cell: CellResult) -> str:
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
-def _record_to_cell(rec: dict) -> tuple[int, CellResult]:
-    return rec["i"], CellResult(**{name: rec[name] for name in CELL_FIELDS})
+def _record_to_cell(rec, lineno: int, cell_count: int) -> tuple[int, CellResult]:
+    """The index and cell of one checkpoint record; ValueError naming the line
+    when the record is not an object with an in-range `i` and every cell field."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"checkpoint line {lineno}: record is not an object")
+    missing = [name for name in ("i",) + CELL_FIELDS if name not in rec]
+    if missing:
+        raise ValueError(f"checkpoint line {lineno}: record lacks {', '.join(missing)}")
+    idx = rec["i"]
+    if type(idx) is not int or not 0 <= idx < cell_count:
+        raise ValueError(
+            f"checkpoint line {lineno}: cell index {idx!r} is not an integer in [0, {cell_count})"
+        )
+    return idx, CellResult(**{name: rec[name] for name in CELL_FIELDS})
 
 
 def _checkpoint_header(fingerprint: str) -> str:
@@ -208,9 +220,18 @@ def check_writable(path: str, checkpoint_path: str | None) -> None:
     os.remove(path + ".tmp")
 
 
-def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:
-    """Completed cells from a record log; rejects a mismatched fingerprint.
+def _json_line(line: str, lineno: int):
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint line {lineno}: {exc}") from None
 
+
+def load_checkpoint(path: str, fingerprint: str, cell_count: int) -> dict[int, CellResult]:
+    """Completed cells from a record log of a grid of cell_count cells.
+
+    Rejects, with a ValueError that names the line, a mismatched fingerprint,
+    a header that is not an object with `spec_hash`, and a malformed record.
     A crash can leave the last record unterminated: it is ignored and cut
     off the file, so that appending resumes on a line boundary.
     """
@@ -222,9 +243,15 @@ def load_checkpoint(path: str, fingerprint: str) -> dict[int, CellResult]:
     lines = data[:end].decode("utf-8").splitlines()
     if not lines:
         return {}
-    if json.loads(lines[0]).get("spec_hash") != fingerprint:
+    header = _json_line(lines[0], 1)
+    if not isinstance(header, dict) or "spec_hash" not in header:
+        raise ValueError("checkpoint line 1: header is not an object with spec_hash")
+    if header["spec_hash"] != fingerprint:
         raise ValueError("checkpoint does not match this sweep specification")
-    return dict(_record_to_cell(json.loads(line)) for line in lines[1:] if line.strip())
+    return dict(
+        _record_to_cell(_json_line(line, lineno), lineno, cell_count)
+        for lineno, line in enumerate(lines[1:], start=2) if line.strip()
+    )
 
 
 def _cell_results(tasks, n_tasks: int, workers: int):
@@ -256,7 +283,7 @@ def run_sweep(
     n_e = len(e_values)
 
     if checkpoint_path and os.path.exists(checkpoint_path):
-        for idx, cell in load_checkpoint(checkpoint_path, fingerprint).items():
+        for idx, cell in load_checkpoint(checkpoint_path, fingerprint, spec.cell_count).items():
             grid.cells[idx] = cell
 
     pending = [k for k, c in enumerate(grid.cells) if c is None]

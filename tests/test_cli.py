@@ -410,6 +410,11 @@ class TestOutputContract:
                      id="sweep-workers-zero"),
         pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--metrics", " , "], TINY_SWEEP,
                      "no metrics", id="sweep-metrics-empty"),
+        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "0",
+                      "--out", "{tmp}/c.json", "--svg", "{tmp}/c.svg"], None, "--levels must",
+                     id="contours-levels-zero"),
+        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "-3"], None,
+                     "--levels must", id="contours-levels-negative"),
         pytest.param(["estimate", "--E", "0.55", "--omega", "0.02", "--rel-tol", "0.5"],
                      None, "tolerances", id="estimate-rel-tol-too-large"),
         pytest.param(["equilibria", "--E", "-0.1", "--omega", "0.02", "--out", "{tmp}/x.json"],

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhnburst.errors import (
@@ -11,6 +11,7 @@ from fhnburst.errors import (
 )
 from fhnburst.geometry import classify_region, fold_thresholds
 from fhnburst.manifolds import (
+    NEWTON_TOL,
     VALIDITY_HALF_WIDTH,
     ManifoldExpansion,
     _eval_offset,
@@ -300,7 +301,58 @@ class TestLowerBoundScanMatchesScalar:
             assert offset == pytest.approx(root, rel=1e-3)
 
 
+def _full_b_substitution(branch, params, forcing):
+    """Forward substitution that evaluates all five b's at a_k = 0 and at
+    a_k = 1 and keeps b_(k-1): the coefficients and their worst residual."""
+    dc = derived_constants(params, forcing)
+    delta = forcing.delta(params)
+    lam_s, lam_u = saddle_eigenvalues(params, forcing)
+    lam = lam_s if branch == "stable" else lam_u
+
+    def bs(a):
+        return b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)
+
+    a = np.array([closed_form_a1(lam, delta), 0.0, 0.0, 0.0, 0.0])
+    for k in range(2, 6):
+        p = bs(a)[k - 1]
+        a[k - 1] = 1.0
+        q = bs(a)[k - 1] - p
+        a[k - 1] = p / (k - q)
+    b_all = bs(a)
+    res = np.array([(k + 1.0) * a[k] - b_all[k] for k in range(5)])
+    return tuple(float(v) for v in a), float(np.max(np.abs(res)))
+
+
 class TestForwardSubstitution:
+    @given(
+        omega=st.floats(0.006, 0.06),
+        E=st.floats(0.15, 2.4),
+        branch=st.sampled_from(["stable", "unstable"]),
+    )
+    @example(omega=POLISHED_DRIVE.omega, E=POLISHED_DRIVE.E, branch="stable")
+    @example(omega=DEFECT_DRIVE.omega, E=DEFECT_DRIVE.E, branch="unstable")
+    @example(omega=0.06, E=0.15, branch="stable")
+    @settings(max_examples=150, deadline=None)
+    def test_per_equation_substitution_keeps_every_bit(self, omega, E, branch):
+        # the atlas box, both branches: the solve's substitution gives the
+        # full-b substitution's coefficients with ==, and where that alone
+        # misses NEWTON_TOL (or raises) the unpolished solve raises the same
+        params = ModelParams()
+        forcing = Forcing(E=E, omega=omega)
+        try:
+            coeffs, residual = _full_b_substitution(branch, params, forcing)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                solve_expansion(branch, params, forcing, max_iter=0)
+            return
+        if residual > NEWTON_TOL:
+            with pytest.raises(NewtonDiverged):
+                solve_expansion(branch, params, forcing, max_iter=0)
+            return
+        exp = solve_expansion(branch, params, forcing, max_iter=0)
+        assert exp.coeffs == coeffs
+        assert exp.residual == residual
+
     def test_substitution_alone_on_region_ii_grid(self, params):
         for f in _region_ii_grid(params, 10):
             for branch in ("stable", "unstable"):

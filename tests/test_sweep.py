@@ -258,6 +258,89 @@ class TestRunSweep:
                    for c in region_only.cells)
 
 
+# a 2x2 sweep whose one metric, the region label, needs no simulation
+TINY = dict(omega_range=(0.02, 0.03, 0.01), e_range=(0.5, 0.55, 0.05), metrics=("region",))
+
+
+def _drop(key):
+    def edit(rec):
+        del rec[key]
+        return rec
+    return edit
+
+
+def _with_index(i):
+    return lambda rec: {**rec, "i": i}
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint line of the wrong shape is refused with a ValueError that
+    names the line, before any cell runs and without touching the log."""
+
+    @staticmethod
+    def _log(params, tmp_path, header=None, record=None) -> Path:
+        """The header and first record of a finished TINY sweep's log, the
+        header replaced by `header` and the record edited by `record`."""
+        ck = tmp_path / "ck.jsonl"
+        run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
+        head, first = ck.read_text().splitlines()[:2]
+        rec = json.loads(first)
+        lines = [head if header is None else header,
+                 first if record is None else json.dumps(record(rec))]
+        ck.write_text("\n".join(lines) + "\n")
+        return ck
+
+    @pytest.mark.parametrize("header, record, match", [
+        pytest.param("[]", None, "line 1: header is not an object", id="header-array"),
+        pytest.param('{"format": 1}', None, "line 1: header is not an object",
+                     id="header-without-hash"),
+        pytest.param("{", None, "line 1: ", id="header-not-json"),
+        pytest.param(None, lambda rec: [rec], "line 2: record is not an object",
+                     id="record-array"),
+        pytest.param(None, _drop("E"), "line 2: record lacks E", id="record-without-E"),
+        pytest.param(None, _drop("i"), "line 2: record lacks i", id="record-without-i"),
+        pytest.param(None, _with_index(99), r"line 2: cell index 99 is not an integer in \[0, 4\)",
+                     id="index-past-grid"),
+        pytest.param(None, _with_index(-1), "line 2: cell index -1", id="index-negative"),
+        pytest.param(None, _with_index(1.0), "line 2: cell index 1.0", id="index-float"),
+        pytest.param(None, _with_index(True), "line 2: cell index True", id="index-bool"),
+        pytest.param(None, _with_index("0"), "line 2: cell index '0'", id="index-string"),
+    ])
+    def test_refused(self, params, tmp_path, header, record, match):
+        ck = self._log(params, tmp_path, header, record)
+        log = ck.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
+        assert ck.read_bytes() == log
+
+    def test_malformed_middle_line(self, params, tmp_path):
+        # only the last line may be torn; a broken line before it is refused
+        ck = self._log(params, tmp_path)
+        ck.write_text(ck.read_text() + "{oops\n" + ck.read_text().splitlines()[1] + "\n")
+        with pytest.raises(ValueError, match="line 3: "):
+            run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
+
+    def test_sweep_command_reports_it(self, params, tmp_path, capsys):
+        from fhnburst.cli import main
+
+        ck = self._log(params, tmp_path, record=_with_index(-1))
+        log = ck.read_bytes()
+        out = tmp_path / "grid.csv"
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
+                        "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
+                        f"out = {out}\n")
+        assert main(["sweep", "--spec", str(spec), "--workers", "1",
+                     "--checkpoint", str(ck)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("checkpoint line 2: cell index -1")
+        assert not out.exists() and ck.read_bytes() == log
+
+
 class TestCsv:
     def test_header_and_shape(self, params):
         spec = SweepSpec(workers=1, **SMALL)
@@ -313,7 +396,7 @@ class TestCsv:
         with open(path, "a") as fh:
             fh.write('{"E": 0.6, "i": 1, "l2": null, "omega": 0.02, "region": null, '
                      '"spike_count": null, "est_count": null, "status": "ok", "wall_ms": 2.5}\n')
-        cells = load_checkpoint(str(path), "abc")
+        cells = load_checkpoint(str(path), "abc", 2)
         assert cells == {0: grid.cells[0], 1: CellResult(0.02, 0.6, "ok")}
 
     @pytest.mark.parametrize("idx, cell", [
