@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernel_py, fastpath
 from .errors import FhnBurstError, NoFirstSpike, NoPassage
-from .geometry import FoldedEquilibrium
+from .geometry import FoldedEquilibrium, folded_equilibria
 from .integrator import IntegratorConfig, Trajectory
 from .manifolds import solve_expansion, theta_at_lower_bound
 from .model import Forcing, ModelParams, TWO_PI, unforced_equilibrium, wrap_angle
@@ -115,16 +115,10 @@ def lower_return_times(trajectory: Trajectory) -> np.ndarray:
     return t_min[trajectory.sample(t_min)[:, 0] <= LOWER_RETURN_DEPTH]
 
 
-def _omega(trajectory: Trajectory) -> float:
-    forcing: Forcing = trajectory.meta.get("forcing")
-    if forcing is None:
-        raise ValueError("trajectory carries no forcing metadata")
-    return forcing.omega
-
-
-def theta_sequence(trajectory: Trajectory) -> np.ndarray:
-    """Unwrapped phase at each local-minimum return to the lower bound."""
-    return _omega(trajectory) * lower_return_times(trajectory)
+def theta_sequence(trajectory: Trajectory, omega: float) -> np.ndarray:
+    """Unwrapped phase, at forcing frequency omega, of each local-minimum
+    return to the lower bound."""
+    return omega * lower_return_times(trajectory)
 
 
 def _site_equilibrium(equilibria, site: str) -> FoldedEquilibrium:
@@ -138,23 +132,24 @@ def _site_equilibrium(equilibria, site: str) -> FoldedEquilibrium:
     raise NoPassage(f"no left-fold {site} equilibrium for these parameters")
 
 
-def classify_canard(trajectory: Trajectory, equilibria, site: str) -> CanardClass:
-    """Classify the jump that follows the first passage of the site's phase.
+def classify_canard(
+    params: ModelParams, forcing: Forcing, trajectory: Trajectory, site: str
+) -> CanardClass:
+    """Classify the jump that follows the first passage of the site's phase
+    on a trajectory of the drive (params, forcing).
 
-    Watches x(t) from the moment the forcing phase crosses the folded
-    equilibrium's angle.  A first exit of the trimmed repelling window
-    (-1 + CANARD_MARGIN, 1 - CANARD_MARGIN) decides the outcome: an upward
-    exit that reaches x = 1 is a jump_across when the accumulated window
-    dwell exceeds the fast-timescale yardstick 1/eps and a fold_jump
-    otherwise; a downward exit after entering the window is a jump_back.
+    Watches x(t) from the moment the forcing phase crosses the angle of the
+    drive's own left-fold equilibrium of that site (`folded_equilibria`);
+    NoPassage when the drive has none.  A first exit of the trimmed
+    repelling window (-1 + CANARD_MARGIN, 1 - CANARD_MARGIN) decides the
+    outcome: an upward exit that reaches x = 1 is a jump_across when the
+    accumulated window dwell exceeds the fast-timescale yardstick 1/eps and
+    a fold_jump otherwise; a downward exit after entering the window is a
+    jump_back.
     """
     if site not in ("node", "saddle"):
         raise ValueError("site must be 'node' or 'saddle'")
-    params: ModelParams = trajectory.meta.get("params")
-    forcing: Forcing = trajectory.meta.get("forcing")
-    if params is None or forcing is None:
-        raise ValueError("trajectory carries no model metadata")
-    eq = _site_equilibrium(equilibria, site)
+    eq = _site_equilibrium(folded_equilibria(params, forcing), site)
 
     omega = forcing.omega
     T = forcing.period
@@ -193,10 +188,9 @@ def _jump_outcome(xs, dt: float, dwell_threshold: float) -> str | None:
     return "jump_across" if dwell[first] > dwell_threshold else "fold_jump"
 
 
-def first_return_phase(trajectory: Trajectory, theta_seq) -> float:
+def first_return_phase(trajectory: Trajectory, theta_seq, omega: float) -> float:
     """Unwrapped phase of the first lower-bound return after the first spike;
-    theta_seq is the trajectory's `theta_sequence`."""
-    omega = _omega(trajectory)
+    theta_seq is the trajectory's `theta_sequence` at forcing frequency omega."""
     if not trajectory.spikes.size:
         raise NoFirstSpike("no spike in the measurement window")
     theta_spike = omega * trajectory.spikes[0]
@@ -226,7 +220,7 @@ def estimate_spike_count(
 ) -> int:
     """Spike-count estimate for a simulated trajectory and its
     `theta_sequence`."""
-    theta_first = first_return_phase(trajectory, theta_seq)
+    theta_first = first_return_phase(trajectory, theta_seq, forcing.omega)
     expansion = solve_expansion("stable", params, forcing)
     theta_bound = theta_at_lower_bound(expansion)
     return estimate_from_phases(theta_bound, theta_first, forcing.omega)
@@ -256,6 +250,6 @@ def burst_metrics(
     traj = simulate_standard(params, forcing, config)
     count = count_spikes(traj, MEASURE_PERIODS)
     l2 = l2_norm(traj, forcing.period)
-    seq = theta_sequence(traj)
+    seq = theta_sequence(traj, forcing.omega)
     est = spike_estimate(params, forcing, traj, seq) if with_estimate else None
     return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)

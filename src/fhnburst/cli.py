@@ -171,7 +171,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
     n_periods = args.periods
     count = count_spikes(traj, n_periods)
     l2 = l2_norm(traj, forcing.period)
-    seq = theta_sequence(traj)
+    seq = theta_sequence(traj, forcing.omega)
     metrics = {
         "omega": forcing.omega,
         "E": forcing.E,
@@ -248,7 +248,7 @@ def _cmd_estimate(args) -> int:
     cfg = _config_from(args)
     traj = simulate_standard(params, forcing, cfg)
     simulated = count_spikes(traj, MEASURE_PERIODS)
-    estimated = estimate_spike_count(params, forcing, traj, theta_sequence(traj))
+    estimated = estimate_spike_count(params, forcing, traj, theta_sequence(traj, forcing.omega))
     print(f"estimated={estimated} simulated={simulated}")
     return 0
 

@@ -210,8 +210,7 @@ def integrate_forced(
     knot, its `spikes` and `minima` are the kernel's upward crossings of
     x = 1 and local x-minima, and `sq_integral` is its integral of x^2 + y^2
     over the knots.  Without it (the burn-in run) it holds only the end
-    state.  `meta` holds the params, the forcing and, under "stats", the
-    kernel's step counters.
+    state.  Either way its `stats` are the kernel's step counters.
     """
     cfg = config or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -228,9 +227,7 @@ def integrate_forced(
     traj = None
     n = len(knots)
     if n >= 2 or (n == 1 and status == 0):
-        traj = Trajectory(knots, spikes, minima,
-                          meta={"params": params, "forcing": forcing, "stats": stats},
-                          sq_integral=sq_integral)
+        traj = Trajectory(knots, spikes, minima, stats, sq_integral)
     t_fin = float(knots[-1, 0]) if n else t0  # the end state is the last row
 
     if status == 1:

@@ -143,13 +143,13 @@ class Trajectory:
     array.  times, states, derivs and curvatures are column views of it.
     spikes and minima hold the times of the upward crossings of x = 1 and of
     the local x-minima that the forced kernel located, in time order (both
-    empty for runs of the generic `integrate`).  meta is free-form context
-    (e.g. the forcing that produced the run and the kernel's step counters).
-    sq_integral is the forced kernel's integral of x^2 + y^2 over the knots'
-    span, None when not known.
+    empty for runs of the generic `integrate`).  stats holds the forced
+    kernel's step counters, keyed by `_kernel_py.STAT_NAMES`, and
+    sq_integral its integral of x^2 + y^2 over the knots' span; both are
+    None when not known.
     """
 
-    def __init__(self, knots, spikes=(), minima=(), meta=None, sq_integral=None):
+    def __init__(self, knots, spikes=(), minima=(), stats=None, sq_integral=None):
         knots = np.ascontiguousarray(knots, dtype=float)
         if knots.ndim != 2 or knots.shape[1] < 4 or (knots.shape[1] - 1) % 3:
             raise ValueError("the knot table must be n x (1 + 3d)")
@@ -161,7 +161,7 @@ class Trajectory:
         self.curvatures = knots[:, 1 + 2 * d:]
         self.spikes = np.asarray(spikes, dtype=float)
         self.minima = np.asarray(minima, dtype=float)
-        self.meta = dict(meta) if meta else {}
+        self.stats: dict[str, float] | None = stats
         self.sq_integral = sq_integral
         if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("knot times must be strictly increasing")

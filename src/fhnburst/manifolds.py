@@ -37,7 +37,7 @@ class ManifoldExpansion:
     branch: str                      # "stable" | "unstable"
     theta_base: float                # saddle angle, in [0, 2*pi)
     coeffs: tuple[float, float, float, float, float]
-    c_const: float                   # sqrt(R_delta^2 - mu^2)
+    c_const: float                   # C = sqrt(R_delta^2 - mu^2), as the b_k use it
     residual: float                  # worst equation residual of the solve
 
 
@@ -129,8 +129,7 @@ def saddle_eigenvalues(params: ModelParams, forcing: Forcing) -> tuple[float, fl
             f"no folded saddle: E={forcing.E} <= existence threshold {th.e_star_left:.6g}"
         )
     dc = derived_constants(params, forcing)
-    c = math.sqrt(dc.r_delta * dc.r_delta - dc.mu * dc.mu)
-    root = math.sqrt(1.0 + 8.0 * delta * c)
+    root = math.sqrt(1.0 + 8.0 * delta * _amplitude_const(dc.r_delta, dc.mu))
     return -0.5 - 0.5 * root, -0.5 + 0.5 * root
 
 
@@ -160,11 +159,9 @@ def solve_expansion(
         raise ValueError("branch must be 'stable' or 'unstable'")
     dc = derived_constants(params, forcing)
     delta = forcing.delta(params)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
     lam_stable, lam_unstable = saddle_eigenvalues(params, forcing)
     lam = lam_stable if branch == "stable" else lam_unstable
-    c_const = math.sqrt(dc.r_delta**2 - dc.mu**2)
+    C = _amplitude_const(dc.r_delta, dc.mu)
     theta_base = wrap_angle(dc.phi_delta + math.acos(dc.mu / dc.r_delta))
 
     def residual(a):
@@ -173,7 +170,6 @@ def solve_expansion(
 
     # a1..a_(k-1) as plain floats, as b_coefficients unpacks them; b_(k-1)
     # reads a1..a_k, so it alone is evaluated at a_k = 0 and a_k = 1
-    C = _amplitude_const(dc.r_delta, dc.mu)
     a = [float(closed_form_a1(lam, delta))]
     for k in range(2, 6):
         b_prev = _B_TERMS[k - 1]
@@ -206,7 +202,7 @@ def solve_expansion(
         branch=branch,
         theta_base=theta_base,
         coeffs=tuple(float(v) for v in a),
-        c_const=c_const,
+        c_const=C,
         residual=float(np.max(np.abs(res))),
     )
 

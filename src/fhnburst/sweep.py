@@ -100,7 +100,8 @@ def _csv_field(v) -> str:
 
 CELL_FIELDS = tuple(f.name for f in fields(CellResult))
 CSV_HEADER = ",".join(CELL_FIELDS)
-# the type that parses each of CELL_FIELDS from a grid CSV; an empty field is None
+# the type of each of CELL_FIELDS: it parses the field from a grid CSV (an empty
+# field is None) and is the field's type in a checkpoint record
 FIELD_TYPES = (float, float, str, int, float, int, str)
 
 
@@ -175,20 +176,34 @@ def _cell_to_record(idx: int, cell: CellResult) -> str:
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
-def _record_to_cell(rec, lineno: int, cell_count: int) -> tuple[int, CellResult]:
-    """The index and cell of one checkpoint record; ValueError naming the line
-    when the record is not an object with an in-range `i` and every cell field."""
+def _record_to_cell(rec, lineno: int, omegas, e_values) -> tuple[int, CellResult]:
+    """The index and cell of one checkpoint record of the grid on the axes
+    (omegas, e_values); ValueError naming the line unless the record is an
+    object with an in-range `i` and every cell field, each None or of its
+    `FIELD_TYPES` type (status not None), omega and E those of cell `i`."""
     if not isinstance(rec, dict):
         raise ValueError(f"checkpoint line {lineno}: record is not an object")
     missing = [name for name in ("i",) + CELL_FIELDS if name not in rec]
     if missing:
         raise ValueError(f"checkpoint line {lineno}: record lacks {', '.join(missing)}")
     idx = rec["i"]
+    n_e = len(e_values)
+    cell_count = len(omegas) * n_e
     if type(idx) is not int or not 0 <= idx < cell_count:
         raise ValueError(
             f"checkpoint line {lineno}: cell index {idx!r} is not an integer in [0, {cell_count})"
         )
-    return idx, CellResult(**{name: rec[name] for name in CELL_FIELDS})
+    values = [rec[name] for name in CELL_FIELDS]
+    wrong = [name for name, v, cast in zip(CELL_FIELDS, values, FIELD_TYPES)
+             if type(v) is not cast and (v is not None or name == "status")]
+    if wrong:
+        raise ValueError(f"checkpoint line {lineno}: {', '.join(wrong)} of the wrong type")
+    i, j = divmod(idx, n_e)
+    omega, e_val = float(omegas[i]), float(e_values[j])
+    if values[0] != omega or values[1] != e_val:
+        raise ValueError(f"checkpoint line {lineno}: cell {idx} is at omega={omega!r}, "
+                         f"E={e_val!r}, not at omega={values[0]!r}, E={values[1]!r}")
+    return idx, CellResult(*values)
 
 
 def _checkpoint_header(fingerprint: str) -> str:
@@ -227,8 +242,8 @@ def _json_line(line: str, lineno: int):
         raise ValueError(f"checkpoint line {lineno}: {exc}") from None
 
 
-def load_checkpoint(path: str, fingerprint: str, cell_count: int) -> dict[int, CellResult]:
-    """Completed cells from a record log of a grid of cell_count cells.
+def load_checkpoint(path: str, fingerprint: str, omegas, e_values) -> dict[int, CellResult]:
+    """Completed cells from a record log of the grid on the axes (omegas, e_values).
 
     Rejects, with a ValueError that names the line, a mismatched fingerprint,
     a header that is not an object with `spec_hash`, and a malformed record.
@@ -249,7 +264,7 @@ def load_checkpoint(path: str, fingerprint: str, cell_count: int) -> dict[int, C
     if header["spec_hash"] != fingerprint:
         raise ValueError("checkpoint does not match this sweep specification")
     return dict(
-        _record_to_cell(_json_line(line, lineno), lineno, cell_count)
+        _record_to_cell(_json_line(line, lineno), lineno, omegas, e_values)
         for lineno, line in enumerate(lines[1:], start=2) if line.strip()
     )
 
@@ -283,7 +298,7 @@ def run_sweep(
     n_e = len(e_values)
 
     if checkpoint_path and os.path.exists(checkpoint_path):
-        for idx, cell in load_checkpoint(checkpoint_path, fingerprint, spec.cell_count).items():
+        for idx, cell in load_checkpoint(checkpoint_path, fingerprint, omegas, e_values).items():
             grid.cells[idx] = cell
 
     pending = [k for k, c in enumerate(grid.cells) if c is None]

@@ -120,8 +120,7 @@ def test_criterion_03_saddle_transition(params):
     for omega in (0.02206875, 0.0220625):
         f = Forcing(E=0.482, omega=omega)
         traj = simulate_standard(params, f)
-        eqs = folded_equilibria(params, f)
-        outcomes[omega] = classify_canard(traj, eqs, "saddle").outcome
+        outcomes[omega] = classify_canard(params, f, traj, "saddle").outcome
         counts[omega] = count_spikes(traj, 2)
     ok = (
         outcomes[0.02206875] == "jump_back"
@@ -140,7 +139,7 @@ def test_criterion_04_node_transition(params):
     for omega in expected:
         f = Forcing(E=0.482, omega=omega)
         traj = simulate_standard(params, f)
-        got[omega] = classify_canard(traj, folded_equilibria(params, f), "node").outcome
+        got[omega] = classify_canard(params, f, traj, "node").outcome
     ok = got == expected
     report("4", "node-canard spike adding", ok, f"{got}, {time.time() - t0:.2f}s")
     assert ok

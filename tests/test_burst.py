@@ -19,7 +19,7 @@ from fhnburst.burst import (
     theta_sequence,
 )
 from fhnburst.cli import main
-from fhnburst.errors import NoFirstSpike
+from fhnburst.errors import NoFirstSpike, NoPassage
 from fhnburst.geometry import folded_equilibria
 from fhnburst.integrator import (
     HERMITE_GRAM_DEN,
@@ -36,13 +36,13 @@ E_TRANS = 0.482
 HERMITE_GRAM = np.array(HERMITE_GRAM_INT) / HERMITE_GRAM_DEN
 
 
-def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), meta=None):
+def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), minima=()):
     """Trajectory built from exact (vector) callables for quadrature tests."""
     ts = np.linspace(t0, t1, n)
     states = np.array([fn(t) for t in ts])
     derivs = np.array([dfn(t) for t in ts])
     curvs = np.array([d2fn(t) for t in ts])
-    return Trajectory(np.column_stack([ts, states, derivs, curvs]), spikes, meta=meta)
+    return Trajectory(np.column_stack([ts, states, derivs, curvs]), spikes, minima)
 
 
 def _midpoint_l2(traj, a, b, n=40000):
@@ -135,7 +135,7 @@ class TestSimulateStandard:
     def test_quiet_drive_no_spikes(self, params):
         traj = simulate_standard(params, Forcing(E=0.0, omega=BURST3.omega))
         assert count_spikes(traj, 2) == 0
-        assert len(theta_sequence(traj)) == 0
+        assert len(theta_sequence(traj, BURST3.omega)) == 0
 
     def test_burn_in_extension_stable(self, params):
         base = simulate_standard(params, BURST3, burn_in_periods=2)
@@ -242,7 +242,7 @@ class TestL2Norm:
         if (E, omega) in QUIET_L2_DRIVES:
             assert traj.spikes.size == 0
         assert traj.sq_integral > 0.0
-        rebuilt = Trajectory(traj.knots, meta=traj.meta)
+        rebuilt = Trajectory(traj.knots)
         assert rebuilt.sq_integral is None
         got = l2_norm(rebuilt, forcing.period)
         assert got.hex() == l2_norm(traj, forcing.period).hex()
@@ -266,15 +266,15 @@ class TestL2Norm:
 
 class TestThetaSequence:
     def test_three_returns_per_period(self, burst3_traj):
-        seq = theta_sequence(burst3_traj)
+        seq = theta_sequence(burst3_traj, BURST3.omega)
         assert len(seq) == 6            # three per measured period
 
     def test_strictly_increasing(self, burst3_traj):
-        seq = theta_sequence(burst3_traj)
+        seq = theta_sequence(burst3_traj, BURST3.omega)
         assert np.all(np.diff(seq) > 0.0)
 
     def test_wrapped_values(self, burst3_traj):
-        wrapped = wrap_angles(theta_sequence(burst3_traj))
+        wrapped = wrap_angles(theta_sequence(burst3_traj, BURST3.omega))
         assert np.all((wrapped >= 0.0) & (wrapped < TWO_PI))
         # the two periods give the same wrapped return phases
         assert np.allclose(wrapped[:3], wrapped[3:], atol=1e-3)
@@ -330,11 +330,19 @@ class TestThetaSequence:
         out = lower_return_times(traj)
         assert out.dtype == float and out.shape == (0,)
 
-    def test_missing_metadata(self):
-        ts = np.linspace(0.0, 1.0, 5)
-        zeros = np.zeros((5, 6))
-        with pytest.raises(ValueError):
-            theta_sequence(Trajectory(np.column_stack([ts, zeros])))
+    def test_hand_built_minima(self):
+        # no kernel made this trajectory: its minima and the drive's omega,
+        # passed in, are all the phase sequence needs; the minimum at t = pi
+        # (x = -0.4) is above the depth cut, the one at 2*pi (x = -1.6) below
+        traj = _analytic_trajectory(
+            lambda t: (-math.cos(2.0 * t) - 0.6 * math.cos(t), 0.0),
+            lambda t: (2.0 * math.sin(2.0 * t) + 0.6 * math.sin(t), 0.0),
+            lambda t: (4.0 * math.cos(2.0 * t) + 0.6 * math.cos(t), 0.0),
+            1.0, 7.0, n=601, minima=[math.pi, 2.0 * math.pi],
+        )
+        returns = lower_return_times(traj)
+        assert returns.tolist() == [2.0 * math.pi]
+        assert np.array_equal(theta_sequence(traj, 0.025), 0.025 * returns)
 
 
 class TestClassifyCanard:
@@ -352,8 +360,7 @@ class TestClassifyCanard:
     def test_reference_transitions(self, params, omega, site, expected):
         f = Forcing(E=E_TRANS, omega=omega)
         traj = simulate_standard(params, f)
-        eqs = folded_equilibria(params, f)
-        got = classify_canard(traj, eqs, site)
+        got = classify_canard(params, f, traj, site)
         assert got == CanardClass(site=site, outcome=expected)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -390,7 +397,17 @@ class TestClassifyCanard:
 
     def test_bad_site(self, params, burst3_traj):
         with pytest.raises(ValueError):
-            classify_canard(burst3_traj, folded_equilibria(params, BURST3), "focus")
+            classify_canard(params, BURST3, burst3_traj, "focus")
+
+    @pytest.mark.parametrize("site", ["saddle", "node"])
+    def test_no_equilibrium_below_existence_threshold(self, params, site):
+        # the drive's own equilibria decide: below the saddle-existence
+        # threshold it has none, on the left fold or elsewhere
+        quiet = Forcing(E=0.1, omega=BURST3.omega)
+        assert folded_equilibria(params, quiet) == []
+        traj = simulate_standard(params, quiet)
+        with pytest.raises(NoPassage, match=f"no left-fold {site} equilibrium"):
+            classify_canard(params, quiet, traj, site)
 
     def test_node_switch_is_single_and_sharp(self, params):
         # along the node segment the outcome flips exactly once; locate the
@@ -400,7 +417,7 @@ class TestClassifyCanard:
         def outcome(omega):
             f = Forcing(E=E_TRANS, omega=omega)
             traj = simulate_standard(params, f)
-            return classify_canard(traj, folded_equilibria(params, f), "node").outcome
+            return classify_canard(params, f, traj, "node").outcome
 
         assert outcome(lo) == "jump_back"
         assert outcome(hi) == "jump_across"
@@ -430,15 +447,16 @@ class TestEstimator:
         assert DEFAULT_F_BURST == 27.0
 
     def test_estimate_matches_simulation(self, params, burst3_traj):
-        est = estimate_spike_count(params, BURST3, burst3_traj, theta_sequence(burst3_traj))
+        seq = theta_sequence(burst3_traj, BURST3.omega)
+        est = estimate_spike_count(params, BURST3, burst3_traj, seq)
         assert est == count_spikes(burst3_traj, 2) == 3
 
     def test_no_spike_raises(self, params):
         quiet = Forcing(E=0.0, omega=BURST3.omega)
         traj = simulate_standard(params, quiet)
-        seq = theta_sequence(traj)
+        seq = theta_sequence(traj, quiet.omega)
         with pytest.raises(NoFirstSpike):
-            first_return_phase(traj, seq)
+            first_return_phase(traj, seq, quiet.omega)
         with pytest.raises(NoFirstSpike):
             estimate_spike_count(params, quiet, traj, seq)
 

@@ -329,14 +329,14 @@ class TestForcedSystemRuns:
         assert underflow == (StepSizeUnderflow, "step size underflow at t=1000000.0", None)
 
     def test_step_counters(self, params):
-        # the counters reach Trajectory.meta and do not depend on what the
+        # the counters reach Trajectory.stats and do not depend on what the
         # run records
         traj = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period))
-        stats = traj.meta["stats"]
+        stats = traj.stats
         assert stats["n_accept"] == len(traj.times) - 1
         burn = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period),
                                 detect_events=False)
-        assert burn.meta["stats"] == stats
+        assert burn.stats == stats
         assert burn.minima.shape == (0,) and burn.spikes.shape == (0,)
 
     def test_knot_table_kept_in_place(self, params):

@@ -36,6 +36,8 @@ RII_DRIVE = Forcing(E=0.482, omega=0.02)    # delta = 0.25, region II
 # saddle-existence threshold) no iteration reaches NEWTON_TOL
 POLISHED_DRIVE = Forcing(E=0.30566037735849055, omega=0.006)
 DEFECT_DRIVE = Forcing(E=0.27735849056603773, omega=0.02094339622641509)
+# a drive in the atlas box where r_delta**2 and r_delta * r_delta differ by an ulp
+ULP_DRIVE = Forcing(E=0.4188679245283019, omega=0.015849056603773587)
 
 
 def _region_ii_grid(params, n=10):
@@ -141,6 +143,14 @@ class TestSolveExpansion:
             )
             for k in range(5):
                 assert (k + 1.0) * exp.coeffs[k] == pytest.approx(bs[k], abs=1e-10)
+
+    def test_c_const_is_the_solves_amplitude(self, params):
+        # c_const is the C that the b_k of the solve were evaluated with
+        dc = derived_constants(params, ULP_DRIVE)
+        assert dc.r_delta**2 != dc.r_delta * dc.r_delta
+        exp = solve_expansion("stable", params, ULP_DRIVE)
+        want = math.sqrt(dc.r_delta * dc.r_delta - dc.mu * dc.mu)
+        assert exp.c_const == want == 0.2544209008351267
 
     def test_serialization(self, params):
         exp = solve_expansion("stable", params, RII_DRIVE)

@@ -83,7 +83,7 @@ def test_compiled_backend_samples_through_fhn_sample(c_library, params, monkeypa
     monkeypatch.setattr(library.cdll, "fhn_sample",
                         lambda *args: calls.append(args[4:6]) or fhn_sample(*args))
     traj = simulate_standard(params, Forcing(E=0.55, omega=0.0149354))
-    assert theta_sequence(traj).size == 6
+    assert theta_sequence(traj, 0.0149354).size == 6
     t0, t1 = traj.t_span
     states = traj.sample(np.linspace(t0, t1, 4001))
     traj.sample_deriv([t1, t0])

@@ -273,6 +273,10 @@ def _with_index(i):
     return lambda rec: {**rec, "i": i}
 
 
+def _with(**fields):
+    return lambda rec: {**rec, **fields}
+
+
 class TestMalformedCheckpoint:
     """A checkpoint line of the wrong shape is refused with a ValueError that
     names the line, before any cell runs and without touching the log."""
@@ -305,6 +309,26 @@ class TestMalformedCheckpoint:
         pytest.param(None, _with_index(1.0), "line 2: cell index 1.0", id="index-float"),
         pytest.param(None, _with_index(True), "line 2: cell index True", id="index-bool"),
         pytest.param(None, _with_index("0"), "line 2: cell index '0'", id="index-string"),
+        pytest.param(None, _with(omega=9.9, E=9.9, spike_count="many"),
+                     "line 2: spike_count of the wrong type", id="count-string"),
+        pytest.param(None, _with(spike_count=True), "line 2: spike_count of the wrong type",
+                     id="count-bool"),
+        pytest.param(None, _with(est_count=3.0), "line 2: est_count of the wrong type",
+                     id="estimate-float"),
+        pytest.param(None, _with(l2=1, region=2), "line 2: l2, region of the wrong type",
+                     id="l2-int-region-int"),
+        pytest.param(None, _with(status=None), "line 2: status of the wrong type",
+                     id="status-null"),
+        pytest.param(None, _with(omega="0.02"), "line 2: omega of the wrong type",
+                     id="omega-string"),
+        pytest.param(None, _with(omega=9.9, E=9.9),
+                     r"line 2: cell 0 is at omega=0\.02, E=0\.5, not at omega=9\.9, E=9\.9",
+                     id="off-grid"),
+        pytest.param(None, _with(E=None), r"line 2: cell 0 is at .* not at omega=0\.02, E=None",
+                     id="E-null"),
+        pytest.param(None, _with_index(1),
+                     r"line 2: cell 1 is at omega=0\.02, E=0\.55, not at omega=0\.02, E=0\.5",
+                     id="another-cell"),
     ])
     def test_refused(self, params, tmp_path, header, record, match):
         ck = self._log(params, tmp_path, header, record)
@@ -320,10 +344,13 @@ class TestMalformedCheckpoint:
         with pytest.raises(ValueError, match="line 3: "):
             run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
 
-    def test_sweep_command_reports_it(self, params, tmp_path, capsys):
+    def _sweep_command_error(self, params, tmp_path, capsys, record) -> str:
+        """The error message of `fhnburst sweep --checkpoint` on a TINY log
+        whose first record is edited by `record`: exit 1, one JSON line on
+        stderr, no CSV written and the log untouched."""
         from fhnburst.cli import main
 
-        ck = self._log(params, tmp_path, record=_with_index(-1))
+        ck = self._log(params, tmp_path, record=record)
         log = ck.read_bytes()
         out = tmp_path / "grid.csv"
         spec = tmp_path / "sweep.cfg"
@@ -337,8 +364,16 @@ class TestMalformedCheckpoint:
         (line,) = captured.err.splitlines()
         err = json.loads(line)["error"]
         assert err["type"] == "ValueError"
-        assert err["message"].startswith("checkpoint line 2: cell index -1")
         assert not out.exists() and ck.read_bytes() == log
+        return err["message"]
+
+    def test_sweep_command_reports_it(self, params, tmp_path, capsys):
+        message = self._sweep_command_error(params, tmp_path, capsys, _with_index(-1))
+        assert message.startswith("checkpoint line 2: cell index -1")
+
+    def test_sweep_command_reports_off_grid_record(self, params, tmp_path, capsys):
+        message = self._sweep_command_error(params, tmp_path, capsys, _with(omega=9.9, E=9.9))
+        assert message.startswith("checkpoint line 2: cell 0 is at omega=0.02, E=0.5, not at")
 
 
 class TestCsv:
@@ -396,7 +431,7 @@ class TestCsv:
         with open(path, "a") as fh:
             fh.write('{"E": 0.6, "i": 1, "l2": null, "omega": 0.02, "region": null, '
                      '"spike_count": null, "est_count": null, "status": "ok", "wall_ms": 2.5}\n')
-        cells = load_checkpoint(str(path), "abc", 2)
+        cells = load_checkpoint(str(path), "abc", grid.omegas, grid.e_values)
         assert cells == {0: grid.cells[0], 1: CellResult(0.02, 0.6, "ok")}
 
     @pytest.mark.parametrize("idx, cell", [
