@@ -180,7 +180,8 @@ def _record_to_cell(rec, lineno: int, omegas, e_values) -> tuple[int, CellResult
     """The index and cell of one checkpoint record of the grid on the axes
     (omegas, e_values); ValueError naming the line unless the record is an
     object with an in-range `i` and every cell field, each None or of its
-    `FIELD_TYPES` type (status not None), omega and E those of cell `i`."""
+    `FIELD_TYPES` type (status not None), omega and E those of cell `i`,
+    status `ok` or `err:<Name>`, and a failed cell's simulated metrics None."""
     if not isinstance(rec, dict):
         raise ValueError(f"checkpoint line {lineno}: record is not an object")
     missing = [name for name in ("i",) + CELL_FIELDS if name not in rec]
@@ -198,6 +199,15 @@ def _record_to_cell(rec, lineno: int, omegas, e_values) -> tuple[int, CellResult
              if type(v) is not cast and (v is not None or name == "status")]
     if wrong:
         raise ValueError(f"checkpoint line {lineno}: {', '.join(wrong)} of the wrong type")
+    status = values[2]
+    if status != "ok":
+        if not (status.startswith("err:") and status[4:].isidentifier()):
+            raise ValueError(
+                f"checkpoint line {lineno}: status {status!r} is not ok or err:<Name>"
+            )
+        kept = [name for name in SIMULATED_METRICS if rec[name] is not None]
+        if kept:
+            raise ValueError(f"checkpoint line {lineno}: failed cell has {', '.join(kept)}")
     i, j = divmod(idx, n_e)
     omega, e_val = float(omegas[i]), float(e_values[j])
     if values[0] != omega or values[1] != e_val:

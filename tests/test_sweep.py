@@ -329,6 +329,17 @@ class TestMalformedCheckpoint:
         pytest.param(None, _with_index(1),
                      r"line 2: cell 1 is at omega=0\.02, E=0\.55, not at omega=0\.02, E=0\.5",
                      id="another-cell"),
+        pytest.param(None, _with(status="bogus", region=None),
+                     "line 2: status 'bogus' is not ok or err:<Name>", id="status-bogus"),
+        pytest.param(None, _with(status="err:"), "line 2: status 'err:' is not ok",
+                     id="status-err-without-name"),
+        pytest.param(None, _with(status="err:No Saddle"), "line 2: status 'err:No Saddle'",
+                     id="status-err-not-identifier"),
+        pytest.param(None, _with(status="OK"), "line 2: status 'OK'", id="status-upper-case"),
+        pytest.param(None, _with(status="err:NoSaddle", spike_count=3),
+                     "line 2: failed cell has spike_count", id="err-with-count"),
+        pytest.param(None, _with(status="err:NoSaddle", l2=1.5, est_count=2),
+                     "line 2: failed cell has l2, est_count", id="err-with-l2-estimate"),
     ])
     def test_refused(self, params, tmp_path, header, record, match):
         ck = self._log(params, tmp_path, header, record)
@@ -336,6 +347,12 @@ class TestMalformedCheckpoint:
         with pytest.raises(ValueError, match=match):
             run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
         assert ck.read_bytes() == log
+
+    def test_failed_cell_resumes(self, params, tmp_path):
+        # an err:<Name> record with its region is a cell the sweep can write
+        ck = self._log(params, tmp_path, record=_with(status="err:NoSaddle"))
+        grid = run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
+        assert grid.to_csv().splitlines()[1] == "0.02,0.5,err:NoSaddle,,,,II"
 
     def test_malformed_middle_line(self, params, tmp_path):
         # only the last line may be torn; a broken line before it is refused
