@@ -38,6 +38,12 @@
  * _kernel_py.format_table writes, and returns its length, or -1 when a
  * value lies outside its exact range or the buffer is shorter than its
  * capacity rule asks (see the comment above it).
+ *
+ * The fourth, fhn_bound_phase, finds the phase offset where the folded
+ * saddle's stable manifold, the quintic u = a1 th + ... + a5 th^5, first
+ * reaches the lower bound, scanning a caller's grid of offsets from the
+ * saddle outward and halving the bracket it finds (see the comment above
+ * it).  Its twin is _kernel_py.bound_phase.
  */
 #include <math.h>
 #include <stdint.h>
@@ -75,7 +81,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 7
+#define FHN_ABI_VERSION 8
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 
@@ -740,4 +746,44 @@ long fhn_format_table(const double *values, long n, long k, const char *spec,
     (void)buf; (void)cap;
     return -1;
 #endif
+}
+
+/* ---------------------------------------------------------------------------
+ * Lower-bound phase, the twin of _kernel_py.bound_phase: the n finite
+ * offsets run from the saddle (offset 0, where u = 0 lies above the bound)
+ * outward.  g(th) = th (a1 + th (a2 + th (a3 + th (a4 + th a5)))) - bound,
+ * the Horner expression of manifolds._eval_offset, is evaluated at each
+ * offset in turn until the first with g <= 0 (numpy's argmax of
+ * g <= 0; a NaN compares false, so it never ends the scan).  That offset
+ * and the one before it, or 0.0 for the first, bracket the root, which is
+ * halved as geometry.bisect_root halves it: *th gets the last midpoint,
+ * once no double lies strictly inside the bracket.  Returns 0, or 1 with
+ * *th untouched when no offset lies at or below the bound.
+ */
+static double bound_gap(double a1, double a2, double a3, double a4, double a5,
+                        double bound, double t)
+{
+    return t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))) - bound;
+}
+
+int fhn_bound_phase(double a1, double a2, double a3, double a4, double a5,
+                    double bound, const double *offsets, long n, double *th)
+{
+    long i = 0;
+    while (i < n && !(bound_gap(a1, a2, a3, a4, a5, bound, offsets[i]) <= 0.0))
+        i++;
+    if (i == n)
+        return 1;
+    double lo = offsets[i], hi = i ? offsets[i - 1] : 0.0;
+    for (;;) {
+        double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi) {
+            *th = mid;
+            return 0;
+        }
+        if (bound_gap(a1, a2, a3, a4, a5, bound, mid) > 0.0)
+            hi = mid;
+        else
+            lo = mid;
+    }
 }

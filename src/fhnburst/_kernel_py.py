@@ -38,7 +38,8 @@ minimum) until the bracket is at most 1e-12 wide or no double lies strictly
 inside it (from t = 8192 on, one ulp of t is wider).
 
 `sample_knots` is the twin of the C library's dense output `fhn_sample`,
-and `format_table` the twin of its exact table formatter.
+`format_table` the twin of its exact table formatter and `bound_phase` the
+twin of its lower-bound phase `fhn_bound_phase`.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import math
 
 import numpy as np
 
+from .geometry import bisect_root
 from .integrator import (
     FAC_MAX,
     FAC_MIN,
@@ -412,3 +414,25 @@ def format_table(table, spec, sep, end):
     n, k = table.shape
     text = (sep.join([spec] * k) + end) * n % tuple(table.ravel().tolist())
     return text.encode("ascii")
+
+
+def bound_phase(coeffs, bound, offsets):
+    """The offset where u(th) = a1 th + ... + a5 th^5 first reaches the
+    bound, or None when no offset of the grid lies at or below it.  The
+    finite offsets run from the saddle (th = 0, where u = 0 lies above the
+    bound) outward and are evaluated at once (Horner on an array); the
+    first at or below the bound ends the first sign change, and that
+    bracket, closed by the offset before it or by 0.0, goes to
+    `bisect_root`."""
+    a1, a2, a3, a4, a5 = coeffs
+    u = offsets * (a1 + offsets * (a2 + offsets * (a3 + offsets * (a4 + offsets * a5))))
+    below = u - bound <= 0.0
+    i = int(below.argmax())
+    if not below[i]:
+        return None
+
+    def g(th):   # the same Horner expression on one offset
+        return th * (a1 + th * (a2 + th * (a3 + th * (a4 + th * a5)))) - bound
+
+    hi = float(offsets[i - 1]) if i else 0.0
+    return bisect_root(g, float(offsets[i]), hi)

@@ -17,7 +17,11 @@ bit-identical results:
   in numpy); `Trajectory.sample` and `sample_deriv` call it;
 - `format_table` gives the bytes of the twin's `%` call; the C formatter
   writes them when it covers every value of the table, and the twin writes
-  the whole table when it does not.
+  the whole table when it does not;
+- the lower-bound phase (`bound_phase`) scans a grid of phase offsets for
+  the first where the stable manifold's quintic reaches the bound and
+  bisects that bracket; `manifolds.theta_at_lower_bound` calls it on its
+  fixed grid `_SCAN_OFFSETS`.
 A library whose `fhn_abi_version()` is not `KERNEL_ABI` (built from an
 older `_kernel.c`) is refused like one that does not load.
 """
@@ -36,7 +40,7 @@ from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 7          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 8          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 FORMAT_SLACK = 11       # FMT_SLACK in _kernel.c: how far its block copies reach past it
 FORMAT_KEEP = 1 << 20   # the largest format buffer a thread keeps for its next table
@@ -82,14 +86,17 @@ ENTRY_POINTS = (
     ("fhn_format_table", ctypes.c_long,
      [ctypes.c_void_p, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 3
      + [ctypes.c_void_p, ctypes.c_long]),
+    ("fhn_bound_phase", ctypes.c_int,
+     [ctypes.c_double] * 6 + [ctypes.c_void_p, ctypes.c_long, ctypes.POINTER(ctypes.c_double)]),
 )
 
 
 class Library:
     """The C library at `path`, opened once: its ABI version checked and its
     entry points (`ENTRY_POINTS`) declared on the one handle `cdll`.  Its
-    methods are drop-ins for the twins `_kernel_py.integrate_forced` and
-    `_kernel_py.sample_knots` (same arguments, same results) and, but for
+    methods are drop-ins for the twins `_kernel_py.integrate_forced`,
+    `_kernel_py.sample_knots` and `_kernel_py.bound_phase` (same arguments,
+    same results) and, but for
     returning None where its exact range ends and returning a view that
     the next call overwrites, `_kernel_py.format_table`.
     Raises ImportError when the library was built for another ABI version."""
@@ -106,6 +113,7 @@ class Library:
             func = getattr(lib, name)
             func.restype, func.argtypes = restype, argtypes
         self._format_buffers = threading.local()
+        self._grid = (None, None, 0)   # the last grid of bound_phase, its C copy's address
 
     def integrate_forced(self, *args):
         """The forced kernel `fhn_integrate`."""
@@ -135,6 +143,20 @@ class Library:
             self.cdll.fhn_sample(knots.ctypes.data, n, d, ts.ctypes.data, ts.size,
                                  bool(deriv), out.ctypes.data)
         return out
+
+    def bound_phase(self, coeffs, bound: float, offsets) -> float | None:
+        """The lower-bound phase `fhn_bound_phase` on the grid offsets.  A
+        grid's address is taken on its first call and kept with it until
+        another grid comes, since reading it costs 2 µs of a 5 µs call: the
+        one grid of `manifolds` is looked up once."""
+        grid, data, address = self._grid
+        if grid is not offsets:
+            data = np.ascontiguousarray(offsets, dtype=float)
+            address = data.ctypes.data
+            self._grid = offsets, data, address   # one tuple, so threads see a whole entry
+        th = ctypes.c_double()
+        status = self.cdll.fhn_bound_phase(*coeffs, bound, address, data.size, ctypes.byref(th))
+        return None if status else th.value
 
     def format_table(self, table, spec: str, sep: str, end: str) -> memoryview | None:
         """The exact table formatter `fhn_format_table`, or None when a value
@@ -194,6 +216,15 @@ def format_table(table, spec: str, sep: str, end: str) -> bytes | memoryview:
     as bytes."""
     data = _IMPL.format_table(table, spec, sep, end)
     return _kernel_py.format_table(table, spec, sep, end) if data is None else data
+
+
+def bound_phase(coeffs, bound: float, offsets) -> float | None:
+    """`_kernel_py.bound_phase(coeffs, bound, offsets)` on the active
+    backend: the offset where the quintic with coefficients a1..a5 first
+    reaches the bound, scanning the finite offsets from the saddle outward
+    and bisecting that bracket, or None when no offset lies at or below
+    the bound."""
+    return _IMPL.bound_phase(coeffs, bound, offsets)
 
 
 def integrate_forced(

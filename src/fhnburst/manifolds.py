@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fastpath
 from .errors import NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
-from .geometry import bisect_root, fold_thresholds
+from .geometry import fold_thresholds
 from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
@@ -249,25 +250,18 @@ def theta_at_lower_bound(expansion: ManifoldExpansion) -> float:
 
     The relevant intersection lies on the backward-phase side of the saddle.
     The offsets th_i = -(pi/2) i / 4001, i = 1..4001 (`_SCAN_OFFSETS`), are
-    evaluated at once (Horner on an array).  u(0) = 0 lies above the bound,
-    so the first scan point at or below it ends the first sign change from
-    the saddle outward, and that bracket goes to `bisect_root`.
+    evaluated from the saddle outward with `_eval_offset`'s Horner
+    expression.  u(0) = 0 lies above the bound, so the first scan point at
+    or below it ends the first sign change, and that bracket is halved as
+    `bisect_root` halves it.  `fastpath.bound_phase` does both on the
+    active backend: the C library's `fhn_bound_phase` or its numpy twin
+    `_kernel_py.bound_phase`, bit for bit the same.
     """
     if expansion.branch != "stable":
         raise ValueError("the lower-bound intersection is defined for the stable branch")
-    a1, a2, a3, a4, a5 = coeffs = expansion.coeffs
-    bound = LOWER_BOUND_U
-
-    below = _eval_offset(coeffs, _SCAN_OFFSETS) - bound <= 0.0
-    i = int(below.argmax())
-    if not below[i]:
+    th_star = fastpath.bound_phase(expansion.coeffs, LOWER_BOUND_U, _SCAN_OFFSETS)
+    if th_star is None:
         raise NoIntersection(
             "stable branch does not reach the lower bound inside the validity window"
         )
-
-    def g(th):   # _eval_offset(coeffs, th) - bound, with the coefficients as locals
-        return th * (a1 + th * (a2 + th * (a3 + th * (a4 + th * a5)))) - bound
-
-    hi = float(_SCAN_OFFSETS[i - 1]) if i else 0.0
-    th_star = bisect_root(g, float(_SCAN_OFFSETS[i]), hi)
     return wrap_angle(expansion.theta_base + th_star)

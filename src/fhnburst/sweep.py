@@ -176,12 +176,13 @@ def _cell_to_record(idx: int, cell: CellResult) -> str:
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
-def _record_to_cell(rec, lineno: int, omegas, e_values) -> tuple[int, CellResult]:
+def _record_to_cell(rec, lineno: int, omegas, e_values, required) -> tuple[int, CellResult]:
     """The index and cell of one checkpoint record of the grid on the axes
     (omegas, e_values); ValueError naming the line unless the record is an
     object with an in-range `i` and every cell field, each None or of its
     `FIELD_TYPES` type (status not None), omega and E those of cell `i`,
-    status `ok` or `err:<Name>`, and a failed cell's simulated metrics None."""
+    status `ok` or `err:<Name>`, a failed cell's simulated metrics None and
+    an ok cell's `required` metrics not None."""
     if not isinstance(rec, dict):
         raise ValueError(f"checkpoint line {lineno}: record is not an object")
     missing = [name for name in ("i",) + CELL_FIELDS if name not in rec]
@@ -208,6 +209,10 @@ def _record_to_cell(rec, lineno: int, omegas, e_values) -> tuple[int, CellResult
         kept = [name for name in SIMULATED_METRICS if rec[name] is not None]
         if kept:
             raise ValueError(f"checkpoint line {lineno}: failed cell has {', '.join(kept)}")
+    else:
+        null = [name for name in required if rec[name] is None]
+        if null:
+            raise ValueError(f"checkpoint line {lineno}: ok cell lacks {', '.join(null)}")
     i, j = divmod(idx, n_e)
     omega, e_val = float(omegas[i]), float(e_values[j])
     if values[0] != omega or values[1] != e_val:
@@ -252,14 +257,19 @@ def _json_line(line: str, lineno: int):
         raise ValueError(f"checkpoint line {lineno}: {exc}") from None
 
 
-def load_checkpoint(path: str, fingerprint: str, omegas, e_values) -> dict[int, CellResult]:
+def load_checkpoint(path: str, fingerprint: str, omegas, e_values,
+                    metrics=()) -> dict[int, CellResult]:
     """Completed cells from a record log of the grid on the axes (omegas, e_values).
 
     Rejects, with a ValueError that names the line, a mismatched fingerprint,
-    a header that is not an object with `spec_hash`, and a malformed record.
-    A crash can leave the last record unterminated: it is ignored and cut
-    off the file, so that appending resumes on a line boundary.
+    a header that is not an object with `spec_hash`, and a malformed record,
+    which includes an ok record with a null `spike_count`, `l2` or `region`
+    that `metrics` (the spec's) asks for.  A null `est_count` stays legal: it
+    records an estimator failure.  A crash can leave the last record
+    unterminated: it is ignored and cut off the file, so that appending
+    resumes on a line boundary.
     """
+    required = [name for name in ALL_METRICS if name in metrics and name != "est_count"]
     with open(path, "r+b") as fh:
         data = fh.read()
         end = data.rfind(b"\n") + 1
@@ -274,7 +284,7 @@ def load_checkpoint(path: str, fingerprint: str, omegas, e_values) -> dict[int, 
     if header["spec_hash"] != fingerprint:
         raise ValueError("checkpoint does not match this sweep specification")
     return dict(
-        _record_to_cell(_json_line(line, lineno), lineno, omegas, e_values)
+        _record_to_cell(_json_line(line, lineno), lineno, omegas, e_values, required)
         for lineno, line in enumerate(lines[1:], start=2) if line.strip()
     )
 
@@ -308,7 +318,8 @@ def run_sweep(
     n_e = len(e_values)
 
     if checkpoint_path and os.path.exists(checkpoint_path):
-        for idx, cell in load_checkpoint(checkpoint_path, fingerprint, omegas, e_values).items():
+        for idx, cell in load_checkpoint(checkpoint_path, fingerprint, omegas, e_values,
+                                         spec.metrics).items():
             grid.cells[idx] = cell
 
     pending = [k for k, c in enumerate(grid.cells) if c is None]

@@ -13,6 +13,18 @@ from fhnburst import ModelParams, fastpath
 from fhnburst.sweep import SweepSpec, run_sweep
 
 
+def pytest_report_header(config):
+    """Name the backend the run measures: a run without the built library
+    tests the pure twins, and its wall time is theirs."""
+    return f"fhnburst backend: {fastpath.active_backend()} (KERNEL_ABI {fastpath.KERNEL_ABI})"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """-q prints no header, so a quiet run names the backend at its end."""
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 @pytest.fixture(scope="session")
 def params():
     return ModelParams()

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from fhnburst import _kernel_py, fastpath
+from fhnburst import _kernel_py, fastpath, manifolds
 from fhnburst.model import ModelParams, unforced_equilibrium
 
 # (omega, E) of the standard protocol's burn-in and measurement runs that
@@ -32,6 +32,19 @@ EDGE_DRIVES = [
     # tolerance; event location must still stop (a bracket can stall
     # one ulp wide, with no double strictly inside it)
     (-1.2, -0.6, 8200.0, 100_000, 0),
+]
+
+
+# stable-branch coefficients (a1..a5) for the lower-bound phase at u = -1
+BOUND_PHASE_CASES = [
+    (2.0, 0.0, 0.0, 0.0, 0.0),          # linear: the root at -0.5
+    (1.0e4, 3.0e3, 0.0, 0.0, 0.0),      # past the bound at the first offset
+    (0.1, 0.0, 0.0, 0.0, 0.0),          # never reaches the bound
+    (math.nan, 1.0, 1.0, 1.0, 1.0),     # NaN compares false: no intersection
+    (1.0, math.inf, 0.0, 0.0, 0.0),     # u = -inf at the first offset
+    (math.inf, -math.inf, 0.0, 0.0, 0.0),   # inf - inf: NaN everywhere
+    (2.5603478486541107, -0.32797644751340277, 0.8353409929208083,
+     0.48813668488897355, 0.7719180282689297),   # region III, E=0.9, omega=0.02
 ]
 
 
@@ -88,7 +101,10 @@ def lane(library: fastpath.Library) -> str:
     which must return -1; and the `worst_case_tables` are formatted with
     one-byte, multi-byte and empty separators.  Every table is formatted
     by `format_exact` into a buffer of exactly its capacity, so a block
-    copy past the end is reported.
+    copy past the end is reported.  The lower-bound phase runs on 200
+    random coefficient sets and on `BOUND_PHASE_CASES`, on the module's
+    scan grid (its last point read by the no-intersection cases) and on a
+    one-point grid.
     """
     params = ModelParams()
     rng = np.random.default_rng(2024)
@@ -126,6 +142,12 @@ def lane(library: fastpath.Library) -> str:
             text = format_exact(library, table, spec, sep, end)
             assert text == _kernel_py.format_table(table, spec, sep, end), (spec, sep, end)
             digest.update(text)
+    grids = (manifolds._SCAN_OFFSETS, manifolds._SCAN_OFFSETS[:1].copy())
+    coeff_sets = BOUND_PHASE_CASES + [tuple(c) for c in rng.normal(size=(200, 5)) * 3.0]
+    for coeffs in coeff_sets:
+        for offsets in grids:
+            phase = library.bound_phase(coeffs, manifolds.LOWER_BOUND_U, offsets)
+            digest.update(b"none" if phase is None else phase.hex().encode())
     return digest.hexdigest()
 
 

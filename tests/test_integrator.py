@@ -354,6 +354,13 @@ class TestForcedSystemRuns:
         with pytest.raises(ValueError):
             Trajectory(spoil(table))
 
+    def test_report_header_names_the_backend(self, request):
+        # the run's header says which backend the tests measure
+        lines = request.config.hook.pytest_report_header(
+            config=request.config, start_path=request.config.rootpath)
+        want = f"fhnburst backend: {active_backend()} (KERNEL_ABI {fastpath.KERNEL_ABI})"
+        assert want in lines
+
     def test_stale_library_refused(self, kernel_library, monkeypatch):
         fastpath.Library(kernel_library)           # the current ABI loads
         monkeypatch.setattr(fastpath, "KERNEL_ABI", fastpath.KERNEL_ABI + 1)

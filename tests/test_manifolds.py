@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhnburst import manifolds
+from fhnburst import _kernel_py, fastpath, manifolds
 from fhnburst.errors import (
     FhnBurstError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity,
 )
@@ -28,6 +28,7 @@ from fhnburst.model import (
     TWO_PI, Forcing, ModelParams, derived_constants, mu_constant, wrap_angle,
 )
 
+from kernel_lane import BOUND_PHASE_CASES
 from seriestools import direction_field_ratio, series_b_coefficients
 
 RII_DRIVE = Forcing(E=0.482, omega=0.02)    # delta = 0.25, region II
@@ -310,6 +311,97 @@ class TestLowerBoundScanMatchesScalar:
         else:
             offset = math.remainder(got - exp.theta_base, TWO_PI)
             assert offset == pytest.approx(root, rel=1e-3)
+
+
+def _twin_bound_phase(coeffs, bound=manifolds.LOWER_BOUND_U, offsets=None):
+    """`_kernel_py.bound_phase` on the module's scan grid (by default); numpy
+    warns where C is silent (inf - inf, an overflow), so warnings are off."""
+    with np.errstate(all="ignore"):
+        return _kernel_py.bound_phase(
+            coeffs, bound, manifolds._SCAN_OFFSETS if offsets is None else offsets)
+
+
+def _random_coefficients(rng, n):
+    """n coefficient 5-tuples: normal values over six decades, with a5 = 0,
+    NaN, +-inf or -0.0 put in at random places."""
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    cases = []
+    for _ in range(n):
+        coeffs = rng.normal(size=5) * 10.0 ** rng.integers(-2, 4, size=5)
+        kind = rng.integers(4)
+        if kind == 1:
+            coeffs[4] = 0.0
+        elif kind == 2:
+            coeffs[rng.integers(5)] = special[rng.integers(len(special))]
+        cases.append(tuple(coeffs.tolist()))
+    return cases
+
+
+class TestBoundPhaseBackends:
+    """`fhn_bound_phase` of the C library from `kernel_library` (built when
+    it is not loaded, so these never compare the twin with itself) against
+    its twin `_kernel_py.bound_phase`, with ==."""
+
+    def test_random_coefficients(self, c_library):
+        grid = manifolds._SCAN_OFFSETS
+        linear, first, flat, nan = BOUND_PHASE_CASES[:4]
+        seen = {"root": 0, "first": 0, "none": 0}
+        for coeffs in BOUND_PHASE_CASES + _random_coefficients(np.random.default_rng(25), 3000):
+            for bound in (manifolds.LOWER_BOUND_U, -0.25, -40.0):
+                got = c_library.bound_phase(coeffs, bound, grid)
+                assert got == _twin_bound_phase(coeffs, bound), (coeffs, bound)
+                if got is None:
+                    seen["none"] += 1
+                else:
+                    seen["first" if got >= grid[0] else "root"] += 1
+        assert c_library.bound_phase(linear, -1.0, grid) == -0.5
+        assert c_library.bound_phase(first, -1.0, grid) >= grid[0]
+        assert c_library.bound_phase(flat, -1.0, grid) is None
+        assert c_library.bound_phase(nan, -1.0, grid) is None
+        assert min(seen.values()) > 50, seen
+
+    def test_bound_touched_at_an_offset(self, c_library):
+        # u = th + a2 th^2 has its minimum at offset 100 and the bound is u
+        # there, to the bit: g = 0 ends the scan at that offset, and no
+        # later offset lies below the bound
+        grid = manifolds._SCAN_OFFSETS
+        th = float(grid[100])
+        coeffs = (1.0, -0.5 / th, 0.0, 0.0, 0.0)
+        bound = _eval_offset(coeffs, th)
+        got = c_library.bound_phase(coeffs, bound, grid)
+        assert got == _twin_bound_phase(coeffs, bound)
+        assert grid[100] <= got < grid[99]
+
+    def test_other_grids(self, c_library):
+        # a grid's address is kept until another grid comes: a view, a
+        # strided slice and a short copy each get their own results
+        grid = manifolds._SCAN_OFFSETS
+        coeffs = BOUND_PHASE_CASES[-1]
+        for offsets in (grid, grid[::3], grid[:100].copy(), grid[:917], grid, grid[::-1][:5]):
+            got = c_library.bound_phase(coeffs, manifolds.LOWER_BOUND_U, offsets)
+            assert got == _twin_bound_phase(coeffs, offsets=offsets), offsets.size
+
+    @given(omega=st.floats(0.004, 0.08), E=st.floats(0.15, 2.6))
+    @example(omega=0.076, E=0.2)                  # no intersection
+    @example(omega=POLISHED_DRIVE.omega, E=POLISHED_DRIVE.E)
+    @settings(max_examples=300, deadline=None)
+    def test_stable_solves(self, c_library, omega, E):
+        # the bound phase of a stable solve is the same on both backends, and
+        # so is theta_at_lower_bound, its result or its error
+        try:
+            exp = solve_expansion("stable", ModelParams(), Forcing(E=E, omega=omega))
+        except FhnBurstError:
+            return
+        got = c_library.bound_phase(exp.coeffs, manifolds.LOWER_BOUND_U,
+                                    manifolds._SCAN_OFFSETS)
+        assert got == _twin_bound_phase(exp.coeffs)
+        outcomes = []
+        for backend in (c_library, _kernel_py):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fastpath, "_IMPL", backend)
+                outcomes.append(_outcome(theta_at_lower_bound, exp))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is NoIntersection) == (got is None)
 
 
 def _full_b_substitution(branch, params, forcing):

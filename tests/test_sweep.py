@@ -262,6 +262,10 @@ class TestRunSweep:
 TINY = dict(omega_range=(0.02, 0.03, 0.01), e_range=(0.5, 0.55, 0.05), metrics=("region",))
 
 
+def _tiny_spec(*metrics):
+    return SweepSpec(workers=1, **{**TINY, "metrics": metrics})
+
+
 def _drop(key):
     def edit(rec):
         del rec[key]
@@ -282,11 +286,12 @@ class TestMalformedCheckpoint:
     names the line, before any cell runs and without touching the log."""
 
     @staticmethod
-    def _log(params, tmp_path, header=None, record=None) -> Path:
-        """The header and first record of a finished TINY sweep's log, the
-        header replaced by `header` and the record edited by `record`."""
+    def _log(params, tmp_path, header=None, record=None, spec=None) -> Path:
+        """The header and first record of a finished sweep's log (by default
+        TINY's), the header replaced by `header` and the record edited by
+        `record`."""
         ck = tmp_path / "ck.jsonl"
-        run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
+        run_sweep(spec or SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
         head, first = ck.read_text().splitlines()[:2]
         rec = json.loads(first)
         lines = [head if header is None else header,
@@ -353,6 +358,43 @@ class TestMalformedCheckpoint:
         ck = self._log(params, tmp_path, record=_with(status="err:NoSaddle"))
         grid = run_sweep(SweepSpec(workers=1, **TINY), params, checkpoint_path=str(ck))
         assert grid.to_csv().splitlines()[1] == "0.02,0.5,err:NoSaddle,,,,II"
+
+    @pytest.mark.parametrize("metrics, record, match", [
+        pytest.param(("spike_count", "l2"), _with(spike_count=None, l2=None),
+                     "line 2: ok cell lacks spike_count, l2", id="count-and-l2"),
+        pytest.param(("spike_count", "l2"), _with(l2=None), "line 2: ok cell lacks l2",
+                     id="l2"),
+        pytest.param(("region",), _with(region=None), "line 2: ok cell lacks region",
+                     id="region"),
+        pytest.param(("spike_count", "l2", "est_count", "region"),
+                     _with(spike_count=None, est_count=None, region=None),
+                     "line 2: ok cell lacks spike_count, region", id="all-metrics"),
+    ])
+    def test_ok_record_without_an_asked_metric_refused(self, params, tmp_path, metrics,
+                                                        record, match):
+        # a sweep writes no null there, so the record is refused before it
+        # could resume into a row with empty fields
+        spec = _tiny_spec(*metrics)
+        ck = self._log(params, tmp_path, record=record, spec=spec)
+        log = ck.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            run_sweep(spec, params, checkpoint_path=str(ck))
+        assert ck.read_bytes() == log
+
+    @pytest.mark.parametrize("metrics, record, row", [
+        pytest.param(("spike_count", "l2", "est_count", "region"), _with(est_count=None),
+                     "0.02,0.5,ok,3,1.25,,II", id="estimator-failure"),
+        pytest.param(("spike_count", "l2"), _with(region=None, est_count=None),
+                     "0.02,0.5,ok,3,1.25,,", id="metrics-not-asked"),
+    ])
+    def test_ok_record_with_a_legal_null_resumes(self, params, tmp_path, metrics, record, row):
+        # a null est_count records an estimator failure, and a metric the
+        # spec does not ask for is always null
+        spec = _tiny_spec(*metrics)
+        ck = self._log(params, tmp_path, record=lambda rec: record(
+            {**rec, "spike_count": 3, "l2": 1.25}), spec=spec)
+        grid = run_sweep(spec, params, checkpoint_path=str(ck))
+        assert grid.to_csv().splitlines()[1] == row
 
     def test_malformed_middle_line(self, params, tmp_path):
         # only the last line may be torn; a broken line before it is refused
