@@ -59,15 +59,21 @@ class FoldThresholds:
 _FOLD_DOMAIN = "fold thresholds require b*(a + 2/3) > 1"
 
 
-def fold_thresholds(params: ModelParams, delta: float) -> FoldThresholds:
+def _left_threshold(params: ModelParams, delta: float) -> tuple[float, float, float]:
+    """(mu, hypot(b, delta), e_star_left), with the fold thresholds' domain
+    checks: the saddle-existence test needs only e_star_left."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
     mu = mu_constant(params)
     if mu <= 0.0:
         raise DomainError(_FOLD_DOMAIN)
     root = math.hypot(params.b, delta)
+    return mu, root, mu / root
+
+
+def fold_thresholds(params: ModelParams, delta: float) -> FoldThresholds:
+    mu, root, e_star_left = _left_threshold(params, delta)
     g2 = cubic_G(2.0, params)
-    e_star_left = mu / root
     e_star_right = g2 / root
     bump = 1.0 / (64.0 * delta * delta)
     e_2star_left = math.sqrt((mu * mu + bump)) / root

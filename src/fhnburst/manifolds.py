@@ -6,13 +6,16 @@ saddle angle.  Matching series coefficients of the reduced-flow direction
 field gives five nonlinear equations k*a_k = b_{k-1}(a).  The system is
 triangular: a1 is fixed by the branch eigenvalue, and equation k is linear in
 a_k once a1..a_(k-1) are known, so forward substitution solves it.  Each
-b_k has one function, which reads only a1..a_(k+1): the substitution
-evaluates just the b_(k-1) of the equation it solves, and the residual check
-evaluates all five once, through `b_coefficients`.  The solve stays in plain
-floats: only when that check fails (a residual above the tolerance, or NaN)
-are the coefficients put into numpy arrays for a finite-difference Newton
-polish, which runs on 631 of the 48,634 saddle solves of the atlas master
-lattice.
+b_k has one function, which reads only a1..a_(k+1) and takes each power of
+them once per call, into a local, with every product and sum in the order
+of the written polynomial.  The substitution evaluates just the b_(k-1) of
+the equation it solves, and the residual check evaluates all five once,
+through `b_coefficients`.  The check that a saddle exists computes only the
+left existence threshold (`geometry._left_threshold`), not all four fold
+thresholds.  The solve stays in plain floats: only when the residual check
+fails (a residual above the tolerance, or NaN) are the coefficients put into
+numpy arrays for a finite-difference Newton polish, which runs on 631 of the
+48,634 saddle solves of the atlas master lattice.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import fastpath
 from .errors import NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
-from .geometry import fold_thresholds
+from .geometry import _left_threshold
 from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
@@ -53,46 +56,68 @@ def _b0(a1, C, delta, mu, b):
 
 
 def _b1(a1, a2, C, delta, mu, b):
-    return (-2.0 * a1**3 * b + a1**3 + a1**2 * C + a1 * mu - 2.0 * a2 * C) / (
-        4.0 * a1**2 * delta
+    a1_2 = a1**2
+    a1_3 = a1**3
+    return (-2.0 * a1_3 * b + a1_3 + a1_2 * C + a1 * mu - 2.0 * a2 * C) / (
+        4.0 * a1_2 * delta
     )
 
 
 def _b2(a1, a2, a3, C, delta, mu, b):
+    a1_2 = a1**2
+    a1_3 = a1**3
+    a1_4 = a1**4
+    a1_5 = a1**5
     return (
-        -2.0 * a1**5 * b + 3.0 * a1**5 + 3.0 * a1**4 * C
-        - 12.0 * a1**3 * a2 * b + 6.0 * a1**3 * a2 + 3.0 * a1**3 * mu
-        - 2.0 * a1**2 * C - 6.0 * a1 * a2 * mu - 12.0 * a1 * a3 * C
+        -2.0 * a1_5 * b + 3.0 * a1_5 + 3.0 * a1_4 * C
+        - 12.0 * a1_3 * a2 * b + 6.0 * a1_3 * a2 + 3.0 * a1_3 * mu
+        - 2.0 * a1_2 * C - 6.0 * a1 * a2 * mu - 12.0 * a1 * a3 * C
         + 12.0 * a2**2 * C
-    ) / (24.0 * a1**3 * delta)
+    ) / (24.0 * a1_3 * delta)
 
 
 def _b3(a1, a2, a3, a4, C, delta, mu, b):
+    a1_2 = a1**2
+    a1_3 = a1**3
+    a1_4 = a1**4
+    a1_5 = a1**5
+    a1_6 = a1**6
+    a1_7 = a1**7
     return (
-        -2.0 * a1**7 * b + 3.0 * a1**7 + 3.0 * a1**6 * C
-        - 8.0 * a1**5 * a2 * b + 12.0 * a1**5 * a2 + 3.0 * a1**5 * mu
-        + 6.0 * a1**4 * a2 * C - 24.0 * a1**4 * a3 * b + 12.0 * a1**4 * a3
-        - 2.0 * a1**4 * C - a1**3 * mu + 4.0 * a1**2 * a2 * C
-        - 12.0 * a1**2 * a3 * mu - 24.0 * a1**2 * a4 * C
+        -2.0 * a1_7 * b + 3.0 * a1_7 + 3.0 * a1_6 * C
+        - 8.0 * a1_5 * a2 * b + 12.0 * a1_5 * a2 + 3.0 * a1_5 * mu
+        + 6.0 * a1_4 * a2 * C - 24.0 * a1_4 * a3 * b + 12.0 * a1_4 * a3
+        - 2.0 * a1_4 * C - a1_3 * mu + 4.0 * a1_2 * a2 * C
+        - 12.0 * a1_2 * a3 * mu - 24.0 * a1_2 * a4 * C
         + 12.0 * a1 * a2**2 * mu + 48.0 * a1 * a2 * a3 * C - 24.0 * a2**3 * C
-    ) / (48.0 * a1**4 * delta)
+    ) / (48.0 * a1_4 * delta)
 
 
 def _b4(a1, a2, a3, a4, a5, C, delta, mu, b):
+    a1_2 = a1**2
+    a1_3 = a1**3
+    a1_4 = a1**4
+    a1_5 = a1**5
+    a1_6 = a1**6
+    a1_7 = a1**7
+    a1_8 = a1**8
+    a1_9 = a1**9
+    a2_2 = a2**2
+    a2_3 = a2**3
     return (
-        -10.0 * a1**9 * b + 15.0 * a1**9 + 15.0 * a1**8 * C
-        - 60.0 * a1**7 * a2 * b + 90.0 * a1**7 * a2 + 15.0 * a1**7 * mu
-        + 60.0 * a1**6 * a2 * C - 80.0 * a1**6 * a3 * b + 120.0 * a1**6 * a3
-        - 10.0 * a1**6 * C - 40.0 * a1**5 * a2**2 * b + 60.0 * a1**5 * a2**2
-        + 30.0 * a1**5 * a2 * mu + 60.0 * a1**5 * a3 * C
-        - 240.0 * a1**5 * a4 * b + 120.0 * a1**5 * a4 - 5.0 * a1**5 * mu
-        + 2.0 * a1**4 * C + 10.0 * a1**3 * a2 * mu + 40.0 * a1**3 * a3 * C
-        - 120.0 * a1**3 * a4 * mu - 240.0 * a1**3 * a5 * C
-        - 40.0 * a1**2 * a2**2 * C + 240.0 * a1**2 * a2 * a3 * mu
-        + 480.0 * a1**2 * a2 * a4 * C + 240.0 * a1**2 * a3**2 * C
-        - 120.0 * a1 * a2**3 * mu - 720.0 * a1 * a2**2 * a3 * C
+        -10.0 * a1_9 * b + 15.0 * a1_9 + 15.0 * a1_8 * C
+        - 60.0 * a1_7 * a2 * b + 90.0 * a1_7 * a2 + 15.0 * a1_7 * mu
+        + 60.0 * a1_6 * a2 * C - 80.0 * a1_6 * a3 * b + 120.0 * a1_6 * a3
+        - 10.0 * a1_6 * C - 40.0 * a1_5 * a2_2 * b + 60.0 * a1_5 * a2_2
+        + 30.0 * a1_5 * a2 * mu + 60.0 * a1_5 * a3 * C
+        - 240.0 * a1_5 * a4 * b + 120.0 * a1_5 * a4 - 5.0 * a1_5 * mu
+        + 2.0 * a1_4 * C + 10.0 * a1_3 * a2 * mu + 40.0 * a1_3 * a3 * C
+        - 120.0 * a1_3 * a4 * mu - 240.0 * a1_3 * a5 * C
+        - 40.0 * a1_2 * a2_2 * C + 240.0 * a1_2 * a2 * a3 * mu
+        + 480.0 * a1_2 * a2 * a4 * C + 240.0 * a1_2 * a3**2 * C
+        - 120.0 * a1 * a2_3 * mu - 720.0 * a1 * a2_2 * a3 * C
         + 240.0 * a2**4 * C
-    ) / (480.0 * a1**5 * delta)
+    ) / (480.0 * a1_5 * delta)
 
 
 # _B_TERMS[k] is b_k(a1, .., a_(k+1), C, delta, mu, b)
@@ -137,10 +162,10 @@ def saddle_eigenvalues(params: ModelParams, forcing: Forcing) -> tuple[float, fl
 def _saddle_eigenvalues(params: ModelParams, forcing: Forcing, delta: float,
                         c_const: float) -> tuple[float, float]:
     """`saddle_eigenvalues` from the drive's delta and C, with its errors."""
-    th = fold_thresholds(params, delta)
-    if forcing.E <= th.e_star_left:
+    _, _, e_star_left = _left_threshold(params, delta)
+    if forcing.E <= e_star_left:
         raise NoSaddle(
-            f"no folded saddle: E={forcing.E} <= existence threshold {th.e_star_left:.6g}"
+            f"no folded saddle: E={forcing.E} <= existence threshold {e_star_left:.6g}"
         )
     root = math.sqrt(1.0 + 8.0 * delta * c_const)
     return -0.5 - 0.5 * root, -0.5 + 0.5 * root
