@@ -34,6 +34,7 @@ from .errors import (
     OutOfValidity,
     SaddleNodeBoundary,
     StepSizeUnderflow,
+    WorkerDied,
 )
 from .fastpath import active_backend
 from .geometry import (

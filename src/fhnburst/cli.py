@@ -2,7 +2,10 @@
 
 Subcommands: simulate, equilibria, regions, manifold, estimate, sweep,
 contours.  Exit code 2 for flag errors (argparse), 1 for computation errors
-with a machine-readable JSON object on stderr, 0 otherwise.  Everything is
+with a machine-readable JSON object on stderr, 0 otherwise.  A sweep whose
+worker process dies fails with WorkerDied (exit 1).  SIGTERM ends a sweep
+with exit status 143 (128 + SIGTERM) and no traceback, once the records of
+its finished cells are in the checkpoint log.  Everything is
 deterministic; output files are the only side effects.  A command opens its
 output files before it does any work and prints its stdout only once they
 are written; when it fails, it removes the files it created and leaves a
@@ -305,6 +308,29 @@ def _sweep_values(args) -> dict:
     return resolved
 
 
+@contextlib.contextmanager
+def _sigterm_exits():
+    """For the block's duration, make SIGTERM raise SystemExit(143), so that
+    the `finally` clauses it passes through run; then restore the old
+    handler.  Only the main thread can set a handler, so elsewhere it does
+    nothing."""
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def exit_now(signum, frame):
+        raise SystemExit(128 + signum)
+
+    old = signal.signal(signal.SIGTERM, exit_now)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, old)
+
+
 def _cmd_sweep(args) -> int:
     v = _sweep_values(args)
     spec = SweepSpec(
@@ -314,7 +340,8 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args)
     cfg = _config_from(args)
     check_writable(v["out"], v["checkpoint"])
-    grid = run_sweep(spec, params, cfg, checkpoint_path=v["checkpoint"])
+    with _sigterm_exits():
+        grid = run_sweep(spec, params, cfg, checkpoint_path=v["checkpoint"])
     write_grid_csv(grid, v["out"])
     n_err = sum(1 for c in grid.cells if c.status != "ok")
     print(f"wrote {v['out']}: {spec.cell_count} cells, {n_err} failed")

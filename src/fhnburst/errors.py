@@ -41,6 +41,10 @@ class IncompleteGrid(FhnBurstError):
     """Sweep grid still has pending cells."""
 
 
+class WorkerDied(FhnBurstError):
+    """A sweep worker process died, so its pool could not finish the sweep."""
+
+
 class OutOfRange(FhnBurstError, ValueError):
     """Dense-output evaluation outside the integrated time span."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .burst import burst_metrics
-from .errors import FhnBurstError, IncompleteGrid
+from .errors import FhnBurstError, IncompleteGrid, WorkerDied
 from .geometry import classify_region
 from .integrator import IntegratorConfig
 from .model import Forcing, ModelParams
@@ -289,17 +289,44 @@ def load_checkpoint(path: str, fingerprint: str, omegas, e_values,
     )
 
 
+def _compute_chunk(tasks) -> list[tuple[int, CellResult]]:
+    return [_compute_cell(task) for task in tasks]
+
+
 def _cell_results(tasks, n_tasks: int, workers: int):
     """`_compute_cell` of each of the n_tasks tasks: in order in this process,
-    or in completion order from a pool of up to `workers` processes."""
+    or in completion order from a pool of up to `workers` processes, which
+    computes them in chunks.  A worker that dies breaks the pool: the chunks
+    that finished are still yielded, then WorkerDied names the cells left."""
     workers = min(workers, n_tasks)
     if workers < 2:
         yield from map(_compute_cell, tasks)
         return
-    import multiprocessing   # here, not at module level: 8 ms of `import fhnburst`
+    # here, not at module level: multiprocessing is 8 ms of `import fhnburst`
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     chunk = max(1, n_tasks // (workers * 8))
-    with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap_unordered(_compute_cell, tasks, chunk)
+    tasks = iter(tasks)
+    pool = ProcessPoolExecutor(workers)
+    try:
+        sizes = {}   # each chunk's future -> its number of cells
+        while batch := list(itertools.islice(tasks, chunk)):
+            sizes[pool.submit(_compute_chunk, batch)] = len(batch)
+        left = 0
+        for future in as_completed(sizes):
+            try:
+                results = future.result()
+            except BrokenProcessPool:
+                left += sizes[future]
+                continue
+            yield from results
+        if left:
+            raise WorkerDied(f"a sweep worker process died: {left} of {n_tasks} cells "
+                             f"were left without a result")
+    finally:
+        # drops the chunks not started; the running ones finish first
+        pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(
@@ -309,7 +336,11 @@ def run_sweep(
     checkpoint_path: str | None = None,
     progress=None,
 ) -> SweepGrid:
-    """Run (or resume) the sweep; per-cell failures are recorded, never raised."""
+    """Run (or resume) the sweep; per-cell failures are recorded, never raised.
+
+    Raises WorkerDied when a pool worker process dies, after the records of
+    the cells that finished have been written to the checkpoint log.
+    """
     params = params or ModelParams()
     config = config or IntegratorConfig()
     fingerprint = spec_fingerprint(spec, params, config)
@@ -350,11 +381,15 @@ def run_sweep(
             if progress:
                 progress(idx, cell)
     finally:
-        results.close()   # stops the pool now, not when the generator is collected
-        if log_fh:
-            log_fh.flush()
-            os.fsync(log_fh.fileno())
-            log_fh.close()
+        # the finished records reach the file before the pool stops, which
+        # waits for the chunks that are running
+        try:
+            if log_fh:
+                log_fh.flush()
+                os.fsync(log_fh.fileno())
+                log_fh.close()
+        finally:
+            results.close()   # stops the pool now, not when the generator is collected
 
     if checkpoint_path and grid.complete:
         compact_checkpoint(checkpoint_path, fingerprint, grid)

@@ -496,6 +496,16 @@ class TestBurstMetrics:
 
 
 class TestProtocolStability:
+    def test_known_low_omega_miscount(self, params):
+        # a known limit, pinned so that a change to it shows: below omega =
+        # 0.005 the default rel_tol 1e-8 can settle on a wrong count.  Here
+        # both measured periods agree on 3 spikes, and every tighter
+        # tolerance gives none (README, "Checked range")
+        drive = Forcing(E=0.45, omega=0.004)
+        ladder = [burst_metrics(params, drive, IntegratorConfig(rel_tol=tol))
+                  for tol in (1e-8, 1e-9, 1e-10)]
+        assert [(m.spike_count, m.est_count) for m in ladder] == [(3, 4), (0, 0), (0, 0)]
+
     def test_burn_in_invariance_region_ii_sample(self, params):
         # spike count unchanged when the burn-in doubles, on a random
         # region-II sample; locking between 2- and 4-period counts is also

@@ -1,9 +1,14 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,6 +20,7 @@ from fhnburst import _kernel_py, burst, fastpath
 from fhnburst.burst import burst_metrics
 from fhnburst.errors import IncompleteGrid, NewtonDiverged, NonFiniteState
 from fhnburst.geometry import classify_region
+from fhnburst.integrator import IntegratorConfig
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import (
     CellResult,
@@ -215,23 +221,22 @@ class TestRunSweep:
         sizes = []
 
         class SerialPool:
-            """Records its requested size and maps in this process."""
+            """Records its requested size and runs each chunk in this process."""
 
-            def __init__(self, processes):
-                sizes.append(processes)
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, chunk):
+                assert len(chunk) >= 1
+                future = concurrent.futures.Future()
+                future.set_result(fn(chunk))
+                return future
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                pass
 
-            def imap_unordered(self, fn, tasks, chunksize):
-                assert chunksize >= 1
-                return map(fn, tasks)
-
-        # run_sweep imports multiprocessing when it needs a pool
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        # run_sweep imports concurrent.futures when it needs a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         axes = dict(omega_range=(0.01, 0.02, 0.01), e_range=(0.45, 0.5, 0.05),
                     metrics=("region",))
         wide = run_sweep(SweepSpec(workers=64, **axes), params)
@@ -433,6 +438,121 @@ class TestMalformedCheckpoint:
     def test_sweep_command_reports_off_grid_record(self, params, tmp_path, capsys):
         message = self._sweep_command_error(params, tmp_path, capsys, _with(omega=9.9, E=9.9))
         assert message.startswith("checkpoint line 2: cell 0 is at omega=0.02, E=0.5, not at")
+
+
+# a `fhnburst sweep` of SMALL that sends a signal to the process computing
+# cell {index}, before it computes it
+_SIGNALLED_SWEEP = """
+import os, signal, sys
+from fhnburst import cli, sweep
+
+real = sweep._compute_cell
+
+def signalled(args):
+    if args[0] == {index}:
+        os.kill(os.getpid(), signal.{signal})
+    return real(args)
+
+sweep._compute_cell = signalled
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _sweep_argv(tmp_path, workers):
+    (o_lo, o_hi, o_step), (e_lo, e_hi, e_step) = SMALL["omega_range"], SMALL["e_range"]
+    return ["sweep", "--omega-lo", repr(o_lo), "--omega-hi", repr(o_hi),
+            "--omega-step", repr(o_step), "--e-lo", repr(e_lo), "--e-hi", repr(e_hi),
+            "--e-step", repr(e_step), "--workers", str(workers),
+            "--out", str(tmp_path / "grid.csv"), "--checkpoint", str(tmp_path / "ck.jsonl")]
+
+
+def _run_signalled_sweep(tmp_path, workers, index, signal_name):
+    """Run the signalled sweep in a child interpreter, in a session of its
+    own that is killed whole if it outlives its timeout; returns the
+    finished process and its wall time in seconds."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = _SIGNALLED_SWEEP.format(index=index, signal=signal_name)
+    t0 = time.monotonic()
+    child = subprocess.Popen([sys.executable, "-c", code] + _sweep_argv(tmp_path, workers),
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"the sweep did not end within 30 s of {signal_name} at cell {index}")
+    seconds = time.monotonic() - t0
+    return subprocess.CompletedProcess(child.args, child.returncode, out, err), seconds
+
+
+def _logged_cells(tmp_path, params):
+    spec = SweepSpec(**SMALL)
+    fingerprint = spec_fingerprint(spec, params, IntegratorConfig())
+    return load_checkpoint(str(tmp_path / "ck.jsonl"), fingerprint, spec.omegas,
+                           spec.e_values, spec.metrics)
+
+
+class TestInterruptedSweep:
+    """A sweep that loses a worker, or is sent SIGTERM, ends at once with
+    the records of its finished cells in the log, and a resume completes it
+    into the CSV of an uninterrupted sweep."""
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, params):
+        return run_sweep(SweepSpec(workers=1, **SMALL), params)
+
+    def _resume(self, tmp_path, workers):
+        from fhnburst import cli
+
+        handler = signal.getsignal(signal.SIGTERM)
+        assert cli.main(_sweep_argv(tmp_path, workers)) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+        return (tmp_path / "grid.csv").read_text()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the pool's workers must inherit the stub by fork")
+    def test_killed_worker_ends_the_sweep(self, params, tmp_path, uninterrupted, capsys):
+        proc, seconds = _run_signalled_sweep(tmp_path, workers=2, index=4,
+                                             signal_name="SIGKILL")
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr[-2000:]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr[-2000:]
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "WorkerDied"
+        left = int(re.search(r"(\d+) of 9 cells", error["message"]).group(1))
+        assert seconds < 20.0
+        logged = _logged_cells(tmp_path, params)
+        assert 4 not in logged and len(logged) == 9 - left >= 1
+        assert all(cell == uninterrupted.cells[idx] for idx, cell in logged.items())
+        assert not (tmp_path / "grid.csv").exists()
+        assert self._resume(tmp_path, workers=2) == uninterrupted.to_csv()
+
+    def test_sigterm_keeps_the_finished_records(self, params, tmp_path, uninterrupted):
+        proc, _ = _run_signalled_sweep(tmp_path, workers=1, index=3, signal_name="SIGTERM")
+        assert proc.returncode == 143, proc.stderr[-2000:]
+        assert proc.stdout == "" and proc.stderr == ""
+        logged = _logged_cells(tmp_path, params)
+        assert sorted(logged) == [0, 1, 2]
+        assert all(cell == uninterrupted.cells[idx] for idx, cell in logged.items())
+        assert self._resume(tmp_path, workers=1) == uninterrupted.to_csv()
+
+    def test_sweep_runs_off_the_main_thread(self, tmp_path):
+        # only the main thread may set a signal handler; elsewhere the sweep
+        # runs without one
+        from fhnburst import cli
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
+                        "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
+                        f"out = {tmp_path}/grid.csv\n")
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli.main(["sweep", "--spec",
+                                                                         str(spec)])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
 
 
 class TestCsv:
