@@ -511,9 +511,9 @@ class TestInterruptedSweep:
         assert signal.getsignal(signal.SIGTERM) is handler
         return (tmp_path / "grid.csv").read_text()
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
                         reason="the pool's workers must inherit the stub by fork")
-    def test_killed_worker_ends_the_sweep(self, params, tmp_path, uninterrupted, capsys):
+    def test_killed_worker_ends_the_sweep(self, params, tmp_path, uninterrupted):
         proc, seconds = _run_signalled_sweep(tmp_path, workers=2, index=4,
                                              signal_name="SIGKILL")
         assert proc.returncode == 1 and proc.stdout == "", proc.stderr[-2000:]
