@@ -12,6 +12,8 @@ import pytest
 from fhnburst import ModelParams, fastpath
 from fhnburst.sweep import SweepSpec, run_sweep
 
+from atlas_pin import DESK_E, DESK_OMEGA
+
 
 def pytest_report_header(config):
     """Name the backend the run measures: a run without the built library
@@ -96,10 +98,6 @@ def c_formatter_calls(c_library, c_formatter, monkeypatch):
     monkeypatch.setattr(c_library, "format_table", record)
     monkeypatch.setattr(fastpath, "_IMPL", c_library)
     return returned
-
-
-DESK_OMEGA = (0.01, 0.04, 0.03 / 19)
-DESK_E = (0.40, 0.55, 0.15 / 19)
 
 
 @pytest.fixture(scope="session")
