@@ -226,18 +226,26 @@ def estimate_spike_count(
     return estimate_from_phases(theta_bound, theta_first, forcing.omega)
 
 
-def spike_estimate(
-    params: ModelParams, forcing: Forcing, trajectory: Trajectory, theta_seq
-) -> int | None:
-    """A drive's reported estimate: `estimate_spike_count`'s answer, 0 without
-    a first spike, None when another `FhnBurstError` (a manifold solve that
-    diverges, say) leaves no estimate."""
-    try:
-        return estimate_spike_count(params, forcing, trajectory, theta_seq)
-    except NoFirstSpike:
-        return 0
-    except FhnBurstError:
-        return None
+def trajectory_metrics(
+    params: ModelParams, forcing: Forcing, trajectory: Trajectory,
+    n_periods: int = MEASURE_PERIODS, with_estimate: bool = True,
+) -> BurstMetrics:
+    """Every per-run measurement of a drive's measurement trajectory over
+    n_periods periods.  Its estimate is `estimate_spike_count`'s answer, 0
+    without a first spike, and None without with_estimate or when another
+    `FhnBurstError` (a manifold solve that diverges, say) leaves none."""
+    count = count_spikes(trajectory, n_periods)
+    l2 = l2_norm(trajectory, forcing.period)
+    seq = theta_sequence(trajectory, forcing.omega)
+    est = None
+    if with_estimate:
+        try:
+            est = estimate_spike_count(params, forcing, trajectory, seq)
+        except NoFirstSpike:
+            est = 0
+        except FhnBurstError:
+            pass
+    return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)
 
 
 def burst_metrics(
@@ -248,8 +256,4 @@ def burst_metrics(
 ) -> BurstMetrics:
     """Simulate once and compute every per-run measurement."""
     traj = simulate_standard(params, forcing, config)
-    count = count_spikes(traj, MEASURE_PERIODS)
-    l2 = l2_norm(traj, forcing.period)
-    seq = theta_sequence(traj, forcing.omega)
-    est = spike_estimate(params, forcing, traj, seq) if with_estimate else None
-    return BurstMetrics(spike_count=count, l2=l2, theta_seq=tuple(seq), est_count=est)
+    return trajectory_metrics(params, forcing, traj, with_estimate=with_estimate)

@@ -33,10 +33,10 @@ from .burst import (
     MEASURE_PERIODS,
     count_spikes,
     estimate_spike_count,
-    l2_norm,
+    l2_norm,  # unused: perfbench's tracer wraps cli.l2_norm (ROADMAP item 1 drops it)
     simulate_standard,
-    spike_estimate,
     theta_sequence,
+    trajectory_metrics,
 )
 from .contours import N_LEVELS, levelsets, polylines_to_json, spike_boundaries
 from .errors import FhnBurstError
@@ -166,29 +166,22 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
     """Simulate, write the requested files, and return the metrics JSON."""
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
-    cfg = _config_from(args)
     traj = simulate_standard(
-        params, forcing, cfg,
+        params, forcing, _config_from(args),
         burn_in_periods=args.burn_in, measure_periods=args.periods,
     )
-    n_periods = args.periods
-    count = count_spikes(traj, n_periods)
-    l2 = l2_norm(traj, forcing.period)
-    seq = theta_sequence(traj, forcing.omega)
+    m = trajectory_metrics(params, forcing, traj, args.periods)
     metrics = {
-        "omega": forcing.omega,
-        "E": forcing.E,
-        "spike_count": count,
-        "l2": l2,
-        "n_theta": int(len(seq)),
-        "theta_seq": [float(v) for v in wrap_angles(seq)],
-        "est_count": spike_estimate(params, forcing, traj, seq),
-        "region": classify_region(params, forcing),
+        "omega": forcing.omega, "E": forcing.E,
+        "spike_count": m.spike_count, "l2": m.l2,
+        "n_theta": len(m.theta_seq),
+        "theta_seq": [float(v) for v in wrap_angles(m.theta_seq)],
+        "est_count": m.est_count, "region": classify_region(params, forcing),
     }
     text = json.dumps(metrics, indent=2)
 
     t0, t1 = traj.t_span
-    ts = np.linspace(t0, t1, args.samples_per_period * n_periods + 1)
+    ts = np.linspace(t0, t1, args.samples_per_period * args.periods + 1)
     states = traj.sample(ts)
     thetas = wrap_angles(forcing.omega * ts)
     if csv_fh:
@@ -201,7 +194,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
         lines = np.split(np.column_stack([thetas, states[:, 0]]), wraps)
         svg_fh.write(svg_document(
             lines, "theta", "x",
-            title=f"E={forcing.E} omega={forcing.omega} ({count} spikes/period)",
+            title=f"E={forcing.E} omega={forcing.omega} ({m.spike_count} spikes/period)",
             colors=["#1f77b4"] * len(lines),
         ))
     return text

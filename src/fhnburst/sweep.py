@@ -26,6 +26,9 @@ from .model import Forcing, ModelParams
 
 CHECKPOINT_FORMAT = 1
 DEFAULT_FLUSH_EVERY = 256
+# the most cells in one pool chunk: SIGTERM and a dead worker wait for the
+# running chunks, and 64 desk cells take about 0.13 s
+MAX_CHUNK_CELLS = 64
 ALL_METRICS = ("spike_count", "l2", "est_count", "region")
 SIMULATED_METRICS = ("spike_count", "l2", "est_count")   # computed by burst_metrics
 
@@ -296,8 +299,9 @@ def _compute_chunk(tasks) -> list[tuple[int, CellResult]]:
 def _cell_results(tasks, n_tasks: int, workers: int):
     """`_compute_cell` of each of the n_tasks tasks: in order in this process,
     or in completion order from a pool of up to `workers` processes, which
-    computes them in chunks.  A worker that dies breaks the pool: the chunks
-    that finished are still yielded, then WorkerDied names the cells left."""
+    computes them in chunks of at most MAX_CHUNK_CELLS.  A worker that dies
+    breaks the pool: the chunks that finished are still yielded, then
+    WorkerDied names the cells left."""
     workers = min(workers, n_tasks)
     if workers < 2:
         yield from map(_compute_cell, tasks)
@@ -306,7 +310,7 @@ def _cell_results(tasks, n_tasks: int, workers: int):
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    chunk = max(1, n_tasks // (workers * 8))
+    chunk = min(MAX_CHUNK_CELLS, max(1, n_tasks // (workers * 8)))
     tasks = iter(tasks)
     pool = ProcessPoolExecutor(workers)
     try:

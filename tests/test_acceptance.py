@@ -9,6 +9,7 @@ left folded node turn from real to complex as delta crosses 0.1094.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from fhnburst.model import (
     to_shifted,
     unforced_equilibrium,
 )
+from fhnburst.sweep import run_sweep
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 
@@ -304,4 +306,21 @@ def test_criterion_11_l2_oracles(params):
     report("11", "L2 norm oracles and quadrature stability", ok,
            f"const5={exact_five}, unit={unit}, midpoint diff={refinement:.1e}, "
            f"{time.time() - t0:.2f}s")
+    assert ok
+
+
+def test_criterion_12_desk_counts_survive_tighter_tolerance(params, desk_grids):
+    grid1 = desk_grids[0]
+    t0 = time.time()
+    tight = run_sweep(replace(grid1.spec, workers=2), params,
+                      IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
+    seconds = time.time() - t0
+    differ = [(a.omega, a.E) for a, b in zip(grid1.cells, tight.cells)
+              if (a.status, a.spike_count, a.est_count) != (b.status, b.spike_count, b.est_count)]
+    l2_change = max((abs(b.l2 - a.l2) / a.l2 for a, b in zip(grid1.cells, tight.cells)
+                     if a.l2 is not None and b.l2 is not None), default=0.0)
+    ok = not differ
+    report("12", "desk counts survive rel_tol 1e-10, abs_tol 1e-12", ok,
+           f"{len(differ)} of {len(grid1.cells)} cells differ {differ[:3]}, "
+           f"largest relative l2 change {l2_change:.1e}, {seconds:.2f}s/2w")
     assert ok

@@ -17,9 +17,10 @@ from fhnburst.burst import (
     lower_return_times,
     simulate_standard,
     theta_sequence,
+    trajectory_metrics,
 )
 from fhnburst.cli import main
-from fhnburst.errors import NoFirstSpike, NoPassage
+from fhnburst.errors import NewtonDiverged, NoFirstSpike, NoPassage
 from fhnburst.geometry import folded_equilibria
 from fhnburst.integrator import (
     HERMITE_GRAM_DEN,
@@ -474,6 +475,19 @@ class TestBurstMetrics:
         assert m.spike_count == 0
         assert m.est_count == 0
         assert m.theta_seq == ()
+
+    def test_estimate_rule(self, params, burst3_traj, monkeypatch):
+        assert trajectory_metrics(params, BURST3, burst3_traj) == burst_metrics(params, BURST3)
+        m = trajectory_metrics(params, BURST3, burst3_traj, with_estimate=False)
+        assert m.est_count is None
+        # the estimator is looked up in burst's module: 0 without a first
+        # spike, None on another FhnBurstError
+        for error, want in ((NoFirstSpike, 0), (NewtonDiverged, None)):
+            def failing(*args, error=error):
+                raise error("synthetic failure")
+
+            monkeypatch.setattr(burst, "estimate_spike_count", failing)
+            assert trajectory_metrics(params, BURST3, burst3_traj).est_count == want
 
     def test_returns_found_once(self, params, monkeypatch):
         # one scan for lower-bound returns serves both the theta sequence and

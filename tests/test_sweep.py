@@ -82,7 +82,7 @@ class TestSweepSpec:
 
 
 class TestRunSweep:
-    def test_single_cell_matches_pipeline(self, params):
+    def test_single_cell_matches_pipeline(self, params, capsys):
         f = Forcing(E=0.5, omega=0.02)
         spec = SweepSpec(omega_range=(0.02, 0.0201, 0.01), e_range=(0.5, 0.501, 0.01))
         assert spec.cell_count == 1
@@ -94,6 +94,13 @@ class TestRunSweep:
         assert cell.l2 == m.l2                     # bit-exact
         assert cell.est_count == m.est_count
         assert cell.region == classify_region(params, f)
+        # `fhnburst simulate` measures its drive with the same function
+        from fhnburst.cli import main
+
+        assert main(["simulate", "--E", "0.5", "--omega", "0.02"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["spike_count"], doc["l2"], doc["est_count"], doc["region"]) == (
+            cell.spike_count, cell.l2, cell.est_count, cell.region)
 
     def test_worker_count_invariance(self, params):
         spec1 = SweepSpec(workers=1, **SMALL)
@@ -218,16 +225,18 @@ class TestRunSweep:
         assert seen == list(enumerate(grid.cells))
 
     def test_pool_sized_by_pending_cells(self, params, monkeypatch):
-        sizes = []
+        sizes, chunks = [], []
 
         class SerialPool:
-            """Records its requested size and runs each chunk in this process."""
+            """Records its requested size and each chunk's length, and runs
+            each chunk in this process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def submit(self, fn, chunk):
                 assert len(chunk) >= 1
+                chunks.append(len(chunk))
                 future = concurrent.futures.Future()
                 future.set_result(fn(chunk))
                 return future
@@ -244,6 +253,17 @@ class TestRunSweep:
         assert sizes == [4]
         assert wide.to_csv() == run_sweep(SweepSpec(workers=1, **axes), params).to_csv()
         assert sizes == [4]     # one worker maps serially, without a pool
+        assert chunks == [1] * 4
+
+        # 1,600 cells at 2 workers: n // (8 workers) = 100, capped at 64
+        axes = dict(omega_range=(0.01, 0.04, 0.03 / 39), e_range=(0.4, 0.55, 0.15 / 39),
+                    metrics=("region",))
+        chunks.clear()
+        capped = run_sweep(SweepSpec(workers=2, **axes), params)
+        assert capped.spec.cell_count == 1600
+        assert sizes[-1] == 2
+        assert max(chunks) == sweep_mod.MAX_CHUNK_CELLS and sum(chunks) == 1600
+        assert capped.to_csv() == run_sweep(SweepSpec(workers=1, **axes), params).to_csv()
 
     def test_region_only_skips_simulation(self, params, monkeypatch):
         calls = []
