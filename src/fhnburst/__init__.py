@@ -49,7 +49,7 @@ from .geometry import (
     supercritical_manifold_point,
     threshold_intersection_delta,
 )
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import IntegratorConfig, Trajectory
 from .manifolds import (
     ManifoldExpansion,
     b_coefficients,

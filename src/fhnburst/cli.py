@@ -43,7 +43,7 @@ from .errors import FhnBurstError
 from .fastpath import format_table
 from .geometry import classify_region, equilibria_report, fold_thresholds
 from .integrator import IntegratorConfig
-from .manifolds import VALIDITY_HALF_WIDTH, eval_manifold, solve_expansion
+from .manifolds import VALIDITY_HALF_WIDTH, _eval_offset, solve_expansion
 from .model import Forcing, ModelParams, wrap_angles
 from .svgplot import svg_document
 from .sweep import (
@@ -231,8 +231,10 @@ def _cmd_manifold(args) -> int:
         exp = solve_expansion(args.branch, params, forcing)
         if fh:
             offsets = np.linspace(-VALIDITY_HALF_WIDTH, VALIDITY_HALF_WIDTH, args.samples)
+            # u at the offsets themselves: an offset recovered from its
+            # wrapped theta can land one rounding step past pi/2
             thetas = wrap_angles(exp.theta_base + offsets)
-            u = np.array([eval_manifold(exp, th) for th in thetas.tolist()])
+            u = _eval_offset(exp.coeffs, offsets)
             _write_csv(fh, "theta,u,x", thetas, u, u - 1.0)
     print(json.dumps(asdict(exp), indent=2))
     return 0

@@ -1,37 +1,29 @@
-"""Adaptive linearly implicit (Rosenbrock) integrator with dense output.
+"""Tables, configuration and dense output of the forced Rosenbrock kernel.
 
-The scheme is a stiffly accurate 6-stage method of order 4 with an embedded
-order-3 error estimate and an analytic user Jacobian.  Dense output is a
-two-point quintic Hermite built from state, first and second derivatives at
-the accepted knots, so interpolation error stays far below the step error.
-The stage tables, the step controller and the Hermite basis defined here are
-shared with the forced kernel `_kernel_py`, which also locates the spikes
-and the x-minima; the generic `integrate` is the reference stepper for any
-system.
+The kernel's scheme is a stiffly accurate 6-stage linearly implicit method
+of order 4 with an embedded order-3 error estimate and an analytic
+Jacobian.  Dense output is a two-point quintic Hermite built from state,
+first and second derivatives at the accepted knots, so interpolation error
+stays far below the step error.  The stage tables, the step controller and
+the Hermite basis defined here are read by the kernel's Python twin
+`_kernel_py`, the one Rosenbrock stepper on the Python side; `Trajectory`
+holds the knot table a kernel run returns, or one built by hand.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories on a fixed build.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    MaxStepsExceeded,
-    NonFiniteState,
-    OutOfRange,
-    StepSizeUnderflow,
-)
+from .errors import OutOfRange
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
-    "integrate",
 ]
 
 # --- stage coefficients: stiffly accurate Rosenbrock, order 4(3), 6 stages ---
@@ -52,14 +44,12 @@ ROS_C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
      -6.058818238834054),
 )
-ROS_M = (1.221224509226641, 6.019134481288629, 12.53708332932087,
-         -0.6878860361058950, 1.0, 1.0)
 ROS_ALPHA = (0.0, 0.386, 0.21, 0.63, 1.0, 1.0)
 ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
 ROS_GAMMA = 0.25
 
-# step-size controller constants, shared by `integrate` and _kernel_py.py;
-# the C twin _kernel.c writes them, like the stage tables, as literals
+# step-size controller constants, read by _kernel_py.py; the C twin
+# _kernel.c writes them, like the stage tables, as literals
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 6.0
@@ -143,7 +133,7 @@ class Trajectory:
     array.  times, states, derivs and curvatures are column views of it.
     spikes and minima hold the times of the upward crossings of x = 1 and of
     the local x-minima that the forced kernel located, in time order (both
-    empty for runs of the generic `integrate`).  stats holds the forced
+    empty unless passed, as for a hand-built table).  stats holds the forced
     kernel's step counters, keyed by `_kernel_py.STAT_NAMES`, and
     sq_integral its integral of x^2 + y^2 over the knots' span; both are
     None when not known.
@@ -199,135 +189,3 @@ class Trajectory:
         """Time derivative of the dense output at the requested times."""
         return self._dense(times, True)
 
-
-def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    jacobian: Callable[[float, np.ndarray], np.ndarray],
-    y0: Sequence[float],
-    t_span: tuple[float, float],
-    config: IntegratorConfig | None = None,
-    *,
-    rhs_t: Callable[[float, np.ndarray], np.ndarray],
-) -> Trajectory:
-    """Integrate y' = rhs(t, y) over t_span with adaptive error control.
-
-    rhs_t is the explicit time partial of rhs (zero for autonomous systems).
-    Raises StepSizeUnderflow / MaxStepsExceeded / NonFiniteState with the
-    partial trajectory attached.
-    """
-    cfg = config or IntegratorConfig()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
-        raise ValueError("t_span must be finite and increasing")
-    span = t_end - t0
-
-    y = np.asarray(y0, dtype=float).copy()
-    n = y.size
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState("initial state is not finite")
-
-    max_step = cfg.max_step if cfg.max_step is not None else span
-    h = min(1e-4 * span, max_step)
-
-    t = t0
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteState("right-hand side not finite at the initial state")
-    J = np.asarray(jacobian(t, y), dtype=float)
-    ft = np.asarray(rhs_t(t, y), dtype=float)
-    d2 = ft + J @ f
-
-    knot_t = [t]
-    knot_y = [y.copy()]
-    knot_f = [f.copy()]
-    knot_d2 = [d2.copy()]
-
-    def trajectory() -> Trajectory:
-        return Trajectory(np.column_stack([knot_t, knot_y, knot_f, knot_d2]))
-
-    n_steps = 0
-    rejected = False
-    identity = np.eye(n)
-    t_snap = 2e-13 * span  # land exactly on t_end once this close
-
-    while t < t_end - 1e-13 * span:
-        if n_steps >= cfg.max_steps:
-            raise MaxStepsExceeded(
-                f"exceeded {cfg.max_steps} steps at t={t!r}", trajectory()
-            )
-        h = min(h, t_end - t)
-        h_floor = max(1e-13 * span, 8.0 * np.finfo(float).eps * abs(t))
-        if h < h_floor and h < (t_end - t):
-            raise StepSizeUnderflow(f"step size underflow at t={t!r}", trajectory())
-
-        G = identity / (h * ROS_GAMMA) - J
-        Ginv = np.linalg.inv(G)
-
-        K = []
-        bad = False
-        for i in range(6):
-            Yi = y.copy()
-            for j, aij in enumerate(ROS_A[i]):
-                Yi += aij * K[j]
-            fi = np.asarray(rhs(t + ROS_ALPHA[i] * h, Yi), dtype=float)
-            if not np.all(np.isfinite(fi)):
-                bad = True
-                break
-            stage_rhs = fi + (h * ROS_GSUM[i]) * ft
-            for j, cij in enumerate(ROS_C[i]):
-                stage_rhs += (cij / h) * K[j]
-            K.append(Ginv @ stage_rhs)
-
-        if not bad:
-            y_new = y.copy()
-            for j in range(6):
-                y_new += ROS_M[j] * K[j]
-            err_vec = K[5]
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
-                bad = True
-
-        n_steps += 1
-        if bad:
-            h *= 0.5
-            if h < h_floor:
-                raise NonFiniteState(
-                    f"state became non-finite near t={t!r}", trajectory()
-                )
-            rejected = True
-            continue
-
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        err = max(err, 1e-10)
-
-        if err > 1.0:
-            fac = max(FAC_REJECT_MIN, min(FAC_REJECT_MAX, SAFETY * err ** -0.25))
-            h *= fac
-            rejected = True
-            continue
-
-        # step accepted
-        t_new = t_end if (t_end - (t + h)) < t_snap else t + h
-        h_used = t_new - t
-        f_new = np.asarray(rhs(t_new, y_new), dtype=float)
-        J_new = np.asarray(jacobian(t_new, y_new), dtype=float)
-        ft_new = np.asarray(rhs_t(t_new, y_new), dtype=float)
-        if not (np.all(np.isfinite(f_new)) and np.all(np.isfinite(J_new))):
-            raise NonFiniteState(
-                f"derivative data non-finite at t={t_new!r}", trajectory()
-            )
-        d2_new = ft_new + J_new @ f_new
-
-        t, y, f, J, ft, d2 = t_new, y_new, f_new, J_new, ft_new, d2_new
-        knot_t.append(t)
-        knot_y.append(y.copy())
-        knot_f.append(f.copy())
-        knot_d2.append(d2.copy())
-
-        fac = min(FAC_MAX, max(FAC_MIN, SAFETY * err ** -0.25))
-        if rejected:
-            fac = min(fac, 1.0)
-        rejected = False
-        h = min(h_used * fac, max_step)
-
-    return trajectory()

@@ -181,16 +181,14 @@ def closed_form_a2(lam: float, delta: float, c_const: float, mu: float, b: float
     return num / den
 
 
-def solve_expansion(
-    branch: str, params: ModelParams, forcing: Forcing, max_iter: int = NEWTON_MAX_ITER
-) -> ManifoldExpansion:
+def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> ManifoldExpansion:
     """Solve the five coefficient equations for one branch.
 
     a1 = -lam/(2 delta) with lam the branch eigenvalue; for k = 2..5,
     b_(k-1) is P at a_k = 0 and P + Q at a_k = 1, so a_k = P / (k - Q),
     and only that b_(k-1) is evaluated.  The five residuals are checked in
     plain floats, and only when the worst exceeds NEWTON_TOL (or one is
-    NaN) does a Newton iteration (at most max_iter steps) polish the
+    NaN) does a Newton iteration (at most NEWTON_MAX_ITER steps) polish the
     coefficients; inside the studied parameter range it rarely runs.
     """
     if branch not in ("stable", "unstable"):
@@ -226,7 +224,7 @@ def solve_expansion(
 
     a = np.array(a)
     res = np.array(res)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if float(np.max(np.abs(res))) <= NEWTON_TOL:
             break
         J = np.empty((5, 5))
@@ -244,7 +242,7 @@ def solve_expansion(
         res = residual(a)
     if not float(np.max(np.abs(res))) <= NEWTON_TOL:
         raise NewtonDiverged(
-            f"no convergence in {max_iter} iterations (residual {np.max(np.abs(res)):.3e})"
+            f"no convergence in {NEWTON_MAX_ITER} iterations (residual {np.max(np.abs(res)):.3e})"
         )
     return ManifoldExpansion(
         branch=branch,

@@ -270,33 +270,3 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
             break
     return x, x / b
 
-
-def make_forced_callables(params: ModelParams, forcing: Forcing):
-    """Array-form (rhs, jac, rhs_t) adapters of rhs_forced and jac_forced."""
-    E, omega = forcing.E, forcing.omega
-
-    def rhs(t, y):
-        return np.array(rhs_forced(StateXY(y[0], y[1], t), params, forcing))
-
-    def jac(t, y):
-        return jac_forced(StateXY(y[0], y[1], t), params, forcing)
-
-    def rhs_t(t, y):
-        return np.array([E * omega * math.cos(omega * t), 0.0])
-
-    return rhs, jac, rhs_t
-
-
-def make_autonomous_callables(params: ModelParams, forcing: Forcing):
-    """Array-form (rhs, jac, rhs_t) adapters of rhs_autonomous and jac_autonomous."""
-
-    def rhs(t, y):
-        return np.array(rhs_autonomous(StateUVTheta(*y), params, forcing))
-
-    def jac(t, y):
-        return jac_autonomous(StateUVTheta(*y), params, forcing)
-
-    def rhs_t(t, y):
-        return np.zeros(3)
-
-    return rhs, jac, rhs_t

@@ -28,7 +28,7 @@ from fhnburst.geometry import (
     folded_equilibria,
     threshold_intersection_delta,
 )
-from fhnburst.integrator import IntegratorConfig, Trajectory, integrate
+from fhnburst.integrator import IntegratorConfig, Trajectory
 from fhnburst.manifolds import (
     closed_form_a1,
     closed_form_a2,
@@ -37,10 +37,12 @@ from fhnburst.manifolds import (
 )
 from fhnburst.model import (
     Forcing,
+    StateUVTheta,
     StateXY,
     derived_constants,
+    jac_autonomous,
     jac_desingularized,
-    make_autonomous_callables,
+    rhs_autonomous,
     to_shifted,
     unforced_equilibrium,
 )
@@ -226,12 +228,20 @@ def test_criterion_08_formulation_equivalence(params):
 
     planar = integrate_forced(params, BURST3, (x0, y0), (0.0, T), cfg)
     s0 = to_shifted(StateXY(x=x0, y=y0, t=0.0), params, BURST3)
-    rhs3, jac3, rhs_t3 = make_autonomous_callables(params, BURST3)
-    shifted = integrate(rhs3, jac3, [s0.u, s0.v, s0.theta], (0.0, T), cfg,
-                        rhs_t=rhs_t3)
+    # the shifted system by SciPy's LSODA, which shares no stage table and
+    # no controller with the kernel
+    from scipy.integrate import solve_ivp
+
+    shifted = solve_ivp(
+        lambda t, w: rhs_autonomous(StateUVTheta(*w), params, BURST3),
+        (0.0, T), [s0.u, s0.v, s0.theta], method="LSODA", rtol=1e-11, atol=1e-13,
+        jac=lambda t, w: jac_autonomous(StateUVTheta(*w), params, BURST3),
+        dense_output=True, max_step=T / 64.0,
+    )
+    assert shifted.success, shifted.message
     ts = np.linspace(0.0, T, 4001)
     x_planar = planar.sample(ts)[:, 0]
-    x_shifted = shifted.sample(ts)[:, 0] - 1.0
+    x_shifted = shifted.sol(ts)[0] - 1.0
     max_diff = float(np.max(np.abs(x_planar - x_shifted)))
     ok = max_diff <= 1e-6
     report("8", "planar and shifted formulations agree", ok,

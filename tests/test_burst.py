@@ -28,9 +28,8 @@ from fhnburst.integrator import (
     IntegratorConfig,
     Trajectory,
     _hermite_weights,
-    integrate,
 )
-from fhnburst.model import Forcing, TWO_PI, make_forced_callables, wrap_angles
+from fhnburst.model import Forcing, TWO_PI, wrap_angles
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
@@ -314,12 +313,12 @@ class TestThetaSequence:
         assert np.array_equal(lower_return_times(traj), expected)
 
     def test_generic_integrate_has_no_returns(self, params):
-        # only the forced kernel locates minima; the generic stepper's
-        # trajectories carry none, even where x has minima below the cut
-        rhs, jac, rhs_t = make_forced_callables(params, BURST3)
+        # only the forced kernel locates minima; its knot table passed alone
+        # to Trajectory carries none, even where x has minima below the cut
         T = BURST3.period
-        traj = integrate(rhs, jac, [-1.2, -0.6], (0.0, T),
-                         IntegratorConfig(max_step=T / 64.0), rhs_t=rhs_t)
+        run = fastpath.integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, T),
+                                        IntegratorConfig(max_step=T / 64.0))
+        traj = Trajectory(run.knots)
         assert _scalar_lower_returns(traj)[0].size >= 1
         out = lower_return_times(traj)
         assert out.dtype == float and out.shape == (0,)

@@ -3,10 +3,8 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +14,12 @@ from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
 from fhnburst.errors import NewtonDiverged
-from fhnburst.manifolds import eval_manifold, solve_expansion
+from fhnburst.manifolds import _eval_offset, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
 from fhnburst.svgplot import svg_document
 from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
+
+from child_env import child_env
 
 
 def _reference_simulate_files(params, forcing, csv_path, svg_path):
@@ -60,9 +60,9 @@ def _reference_manifold_csv(exp, csv_path, samples=401):
     half = math.pi / 2.0
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("theta,u,x\n")
-        for off in np.linspace(-half, half, samples):
+        for off in np.linspace(-half, half, samples).tolist():
             theta = exp.theta_base + off
-            u = eval_manifold(exp, wrap_angle(theta))
+            u = _eval_offset(exp.coeffs, off)
             fh.write(f"{wrap_angle(theta):.17g},{u:.17g},{u - 1.0:.17g}\n")
 
 
@@ -177,6 +177,22 @@ class TestManifold:
         exp = solve_expansion(branch, params, Forcing(E=0.482, omega=0.02))
         _reference_manifold_csv(exp, ref)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_window_ends_at_a_wrapped_base(self, params, capsys, tmp_path):
+        # the offsets +-pi/2 recovered from the wrapped theta of this drive
+        # came out one rounding step past pi/2, and the file was refused
+        out = tmp_path / "m.csv"
+        E, omega = 2.077715893090918, 0.006368535887306907
+        assert main([
+            "manifold", "--E", str(E), "--omega", str(omega),
+            "--branch", "stable", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 401
+        base = solve_expansion("stable", params, Forcing(E=E, omega=omega)).theta_base
+        assert float(rows[0].split(",")[0]) == wrap_angle(base - math.pi / 2.0)
+        assert float(rows[-1].split(",")[0]) == wrap_angle(base + math.pi / 2.0)
 
 
 class TestCsvWriter:
@@ -640,9 +656,7 @@ def test_sweep_flag_overrides_spec_key(capsys, tmp_path, monkeypatch, key):
 def test_out_to_stdout_file(tmp_path, argv, header, rows):
     # `--out /dev/stdout` writes the table through stdout, ahead of the JSON
     # that the command prints: a pipe and a redirected file get the same bytes
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env(OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", "import sys; from fhnburst.cli import main; sys.exit(main())",
            *argv, "--out", "/dev/stdout"]
     piped = subprocess.run(cmd, env=env, capture_output=True, check=True).stdout

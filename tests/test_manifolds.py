@@ -104,8 +104,9 @@ class TestBCoefficients:
 
 
 class TestSolveExpansion:
-    def test_converges_quickly(self, params):
-        exp = solve_expansion("stable", params, RII_DRIVE, max_iter=20)
+    def test_converges_quickly(self, params, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 20)
+        exp = solve_expansion("stable", params, RII_DRIVE)
         assert exp.residual <= 1e-12
 
     @pytest.mark.parametrize("branch", ["stable", "unstable"])
@@ -440,30 +441,36 @@ class TestForwardSubstitution:
         # the atlas box, both branches: the solve's substitution gives the
         # full-b substitution's coefficients with ==, and where that alone
         # misses NEWTON_TOL (or raises) the unpolished solve raises the same
+        # (a function-scoped monkeypatch fixture trips hypothesis's health check)
         params = ModelParams()
         forcing = Forcing(E=E, omega=omega)
-        try:
-            coeffs, residual = _full_b_substitution(branch, params, forcing)
-        except Exception as exc:
-            with pytest.raises(type(exc)):
-                solve_expansion(branch, params, forcing, max_iter=0)
-            return
-        if residual > NEWTON_TOL:
-            with pytest.raises(NewtonDiverged):
-                solve_expansion(branch, params, forcing, max_iter=0)
-            return
-        exp = solve_expansion(branch, params, forcing, max_iter=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+            try:
+                coeffs, residual = _full_b_substitution(branch, params, forcing)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    solve_expansion(branch, params, forcing)
+                return
+            if residual > NEWTON_TOL:
+                with pytest.raises(NewtonDiverged):
+                    solve_expansion(branch, params, forcing)
+                return
+            exp = solve_expansion(branch, params, forcing)
         assert exp.coeffs == coeffs
         assert exp.residual == residual
 
-    def test_substitution_alone_on_region_ii_grid(self, params):
+    def test_substitution_alone_on_region_ii_grid(self, params, monkeypatch):
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
         for f in _region_ii_grid(params, 10):
             for branch in ("stable", "unstable"):
-                assert solve_expansion(branch, params, f, max_iter=0).residual <= 1e-12
+                assert solve_expansion(branch, params, f).residual <= 1e-12
 
     def test_polish_needed_at_small_omega(self, params):
-        with pytest.raises(NewtonDiverged):
-            solve_expansion("stable", params, POLISHED_DRIVE, max_iter=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+            with pytest.raises(NewtonDiverged):
+                solve_expansion("stable", params, POLISHED_DRIVE)
         assert solve_expansion("stable", params, POLISHED_DRIVE).residual <= 1e-12
 
     def test_known_defect_still_diverges(self, params):
@@ -490,8 +497,9 @@ class TestForwardSubstitution:
             return tuple(bs)
 
         monkeypatch.setattr(manifolds, "b_coefficients", spoiled)
+        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
         with pytest.raises(NewtonDiverged):
-            solve_expansion("stable", params, RII_DRIVE, max_iter=0)
+            solve_expansion("stable", params, RII_DRIVE)
 
 
 def _solve_outcome(branch, params, forcing):

@@ -19,8 +19,6 @@ from fhnburst.model import (
     jac_autonomous,
     jac_forced,
     jac_slow_layer,
-    make_autonomous_callables,
-    make_forced_callables,
     rhs_autonomous,
     rhs_desingularized,
     rhs_forced,
@@ -262,27 +260,6 @@ class TestSlowLayer:
 
         J = jac_slow_layer(0.4, params)
         assert np.allclose(J, _fd_jacobian(fn, [0.4, -0.1]), atol=1e-6)
-
-
-class TestCallableFactories:
-    def test_forced_callables_consistent(self, params):
-        rhs, jac, rhs_t = make_forced_callables(params, BURST3)
-        s = StateXY(x=0.2, y=-0.4, t=3.0)
-        assert np.allclose(rhs(3.0, np.array([0.2, -0.4])), rhs_forced(s, params, BURST3))
-        assert np.allclose(jac(3.0, np.array([0.2, -0.4])), jac_forced(s, params, BURST3))
-        h = 1e-7
-        fd = (rhs(3.0 + h, np.array([0.2, -0.4])) - rhs(3.0 - h, np.array([0.2, -0.4]))) / (2 * h)
-        assert np.allclose(rhs_t(3.0, np.array([0.2, -0.4])), fd, atol=1e-6)
-
-    def test_autonomous_callables_consistent(self, params):
-        rhs, jac, _ = make_autonomous_callables(params, BURST3)
-        s = StateUVTheta(u=0.2, v=-0.4, theta=2.0)
-        assert np.allclose(
-            rhs(0.0, np.array([0.2, -0.4, 2.0])), rhs_autonomous(s, params, BURST3)
-        )
-        assert np.allclose(
-            jac(0.0, np.array([0.2, -0.4, 2.0])), jac_autonomous(s, params, BURST3)
-        )
 
 
 def test_wrap_angle():

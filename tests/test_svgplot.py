@@ -1,10 +1,8 @@
 import json
-import os
 import re
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,8 @@ import pytest
 from fhnburst.contours import levelsets, spike_boundaries
 from fhnburst.svgplot import HEIGHT, MARGIN, PALETTE, WIDTH, _ticks, svg_document
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from child_env import child_env
+
 
 # A span of two ulps around -1.1994 (the flat x of an E = 0 drive) used to
 # make _ticks loop forever, so it runs in a child with a time and memory cap.
@@ -38,8 +37,7 @@ def test_ticks_normal_span():
 
 
 def test_ticks_span_below_float_resolution(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = child_env(OPENBLAS_NUM_THREADS="1")
     svg = tmp_path / "flat.svg"
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(svg)], env=env, capture_output=True,

@@ -35,8 +35,9 @@ from fhnburst.sweep import (
     write_grid_csv,
 )
 
+from child_env import child_env
+
 SMALL = dict(omega_range=(0.018, 0.028, 0.005), e_range=(0.46, 0.52, 0.03))
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSweepSpec:
@@ -490,8 +491,7 @@ def _run_signalled_sweep(tmp_path, workers, index, signal_name):
     """Run the signalled sweep in a child interpreter, in a session of its
     own that is killed whole if it outlives its timeout; returns the
     finished process and its wall time in seconds."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = child_env()
     code = _SIGNALLED_SWEEP.format(index=index, signal=signal_name)
     t0 = time.monotonic()
     child = subprocess.Popen([sys.executable, "-c", code] + _sweep_argv(tmp_path, workers),
@@ -674,8 +674,7 @@ class TestCsv:
     @staticmethod
     def _loaded_by_import(module: str) -> bool:
         """Whether `import fhnburst` in a fresh interpreter loads module."""
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = child_env()
         code = f"import sys, fhnburst; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)
@@ -690,3 +689,8 @@ class TestCsv:
     def test_import_does_not_load_multiprocessing(self):
         # run_sweep imports it only to start a pool of two or more workers
         assert not self._loaded_by_import("multiprocessing")
+
+    def test_import_does_not_load_scipy(self):
+        # two tests use SciPy as an independent reference; the package
+        # itself needs only numpy
+        assert not self._loaded_by_import("scipy")
