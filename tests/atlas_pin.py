@@ -1,5 +1,6 @@
 """Pinned outputs: the singular geometry of an atlas sub-lattice, the desk
-sweep's CSV and the files of `fhnburst simulate`, as stored digests.
+sweep's CSV, the files of `fhnburst simulate` and `fhnburst contours`, and
+the isolines of seeded synthetic grids, as stored digests.
 
 **Atlas.** The master lattice spans omega 0.006-0.06 and E 0.15-2.4 with
 160 nodes on each axis, lo + k (hi - lo) / 159, as perfbench's
@@ -16,7 +17,13 @@ grid): its CSV header, and each CSV row as a point of its omega row.
 `--svg` files of `fhnburst simulate` at three drives, one of them
 spike-free.
 
-`atlas_pin.json` stores the three pins for each platform
+**Contours.** The sha256 of the `--out` and `--svg` files of `fhnburst
+contours` on the desk CSV, and of `polylines_to_json(marching_squares(...))`
+on CONTOUR_GRIDS seeded grids: integer values 0-3 with about 15% NaN holes,
+at the levels 0.5, 1.0, 1.5 and each grid's median, so that levels tie with
+node values, saddle cells occur and holes cut the lines.
+
+`atlas_pin.json` stores the four pins for each platform
 (`platform.libc_ver()` and `platform.machine()`: libm's last bits may
 differ between them).  The atlas and the desk are stored one entry per
 omega row: its omega, the sha256 of its points' texts, and an 8-digit
@@ -37,7 +44,10 @@ import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from fhnburst import cli, geometry, manifolds
+from fhnburst.contours import marching_squares, polylines_to_json
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import SweepSpec, run_sweep
 
@@ -50,6 +60,9 @@ DESK_OMEGA = (0.01, 0.04, 0.03 / 19)
 DESK_E = (0.40, 0.55, 0.15 / 19)
 SIMULATE_DRIVES = (("0.55", "0.0149354"), ("0", "0.0149354"), ("0.47", "0.025"))
 SIMULATE_FILES = ("--out", "--metrics-out", "--svg")
+CONTOUR_FILES = ("--out", "--svg")
+CONTOUR_GRIDS = 50
+CONTOUR_SEED = 20240
 
 
 def axis(lo: float, hi: float) -> list[float]:
@@ -149,21 +162,69 @@ def first_difference(got_rows, want_rows) -> str | None:
     return None
 
 
-def simulate_digests(directory: Path, E: str, omega: str) -> dict:
-    """The sha256 of stdout and of each of SIMULATE_FILES of `fhnburst
-    simulate` at the drive (E, omega), run in this process with its files in
-    directory."""
-    paths = [directory / flag.lstrip("-") for flag in SIMULATE_FILES]
-    argv = ["simulate", "--E", E, "--omega", omega]
-    for flag, path in zip(SIMULATE_FILES, paths):
-        argv += [flag, str(path)]
+def cli_digests(directory: Path, argv: list[str], files) -> dict:
+    """The sha256 of stdout and of each file of `fhnburst argv`, run in this
+    process with each flag of files writing its file in directory."""
+    paths = [directory / flag.lstrip("-") for flag in files]
+    argv = argv + [arg for flag, path in zip(files, paths) for arg in (flag, str(path))]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         if cli.main(argv) != 0:
             raise RuntimeError(f"fhnburst {' '.join(argv)} failed")
     digests = {"stdout": _sha256(stdout.getvalue().encode())}
-    digests.update((flag, _sha256(path.read_bytes())) for flag, path in zip(SIMULATE_FILES, paths))
+    digests.update((flag, _sha256(path.read_bytes())) for flag, path in zip(files, paths))
     return digests
+
+
+def simulate_digests(directory: Path, E: str, omega: str) -> dict:
+    """cli_digests of `fhnburst simulate` at the drive (E, omega)."""
+    return cli_digests(directory, ["simulate", "--E", E, "--omega", omega], SIMULATE_FILES)
+
+
+def contours_digests(directory: Path, csv_text: str) -> dict:
+    """cli_digests of `fhnburst contours` on the grid CSV csv_text."""
+    grid = directory / "grid.csv"
+    grid.write_text(csv_text)
+    return cli_digests(directory, ["contours", "--grid", str(grid)], CONTOUR_FILES)
+
+
+def synthetic_grids():
+    """(xs, ys, values, levels) of CONTOUR_GRIDS seeded grids, 3-13 nodes on
+    each axis at uneven spacing."""
+    rng = np.random.default_rng(CONTOUR_SEED)
+    for _ in range(CONTOUR_GRIDS):
+        nx, ny = rng.integers(3, 14, size=2)
+        xs = np.cumsum(rng.uniform(0.5, 1.5, nx))
+        ys = np.cumsum(rng.uniform(0.5, 1.5, ny))
+        values = rng.integers(0, 4, size=(nx, ny)).astype(float)
+        values[rng.random((nx, ny)) < 0.15] = np.nan
+        median = float(np.median(values[np.isfinite(values)]))
+        yield xs, ys, values, (0.5, 1.0, 1.5, median)
+
+
+def synthetic_contours():
+    """[(level, isolines as JSON text) for each level] of each synthetic grid."""
+    return [[(level, json.dumps(polylines_to_json(marching_squares(xs, ys, values, level))))
+             for level in levels]
+            for xs, ys, values, levels in synthetic_grids()]
+
+
+def synthetic_entries() -> list[str]:
+    """One line per synthetic grid: the point_digest of each level's isolines."""
+    return [" ".join(point_digest(text) for _, text in grid) for grid in synthetic_contours()]
+
+
+def first_synthetic_difference(want: list[str]) -> str | None:
+    """None when every synthetic grid's isolines match their stored digests;
+    else the first grid and level that differ."""
+    got = synthetic_contours()
+    if len(got) != len(want):
+        return f"{len(got)} synthetic grids, {len(want)} pinned"
+    for k, (grid, entry) in enumerate(zip(got, want)):
+        for (level, text), old in zip(grid, entry.split()):
+            if point_digest(text) != old:
+                return f"synthetic grid {k} differs first at level {level!r}: now {text}"
+    return None
 
 
 def load() -> dict:
@@ -175,21 +236,28 @@ def load() -> dict:
 def main() -> None:
     params = ModelParams()
     stored = load() if PIN_PATH.exists() else {}
-    header, desk = desk_rows(desk_csv(params))
+    csv_text = desk_csv(params)
+    header, desk = desk_rows(csv_text)
     with tempfile.TemporaryDirectory() as tmp:
         simulate = [{"E": E, "omega": omega, **simulate_digests(Path(tmp), E, omega)}
                     for E, omega in SIMULATE_DRIVES]
+        contours = {"desk": contours_digests(Path(tmp), csv_text),
+                    "synthetic": synthetic_entries()}
     stored[platform_key()] = {
         "atlas": [row_entry(omega, [r for _, r in points]) for omega, points in rows(params)],
         "desk": {"header": header,
                  "rows": [row_entry(omega, [r for _, r in points]) for omega, points in desk]},
         "simulate": simulate,
+        "contours": contours,
     }
     doc = {"atlas": f"every {STRIDE}th node of the {MASTER_N} x {MASTER_N} atlas master "
                     f"lattice, omega {ATLAS_OMEGA}, E {ATLAS_E}",
            "desk": f"sweep CSV at 1 worker, omega {DESK_OMEGA}, E {DESK_E}",
            "simulate": f"fhnburst simulate {' '.join(SIMULATE_FILES)} at (E, omega) "
                        f"{SIMULATE_DRIVES}",
+           "contours": f"fhnburst contours {' '.join(CONTOUR_FILES)} on the desk CSV; "
+                       f"isolines of {CONTOUR_GRIDS} synthetic grids (seed {CONTOUR_SEED}) "
+                       f"at the levels 0.5, 1.0, 1.5 and the grid's median",
            "platforms": stored}
     with open(PIN_PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

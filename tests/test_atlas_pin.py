@@ -1,6 +1,7 @@
 """Pinned outputs against their stored digests: the singular geometry of
-1,600 atlas points, the desk sweep's CSV, and the files of `fhnburst
-simulate` at three drives.
+1,600 atlas points, the desk sweep's CSV, the files of `fhnburst simulate`
+at three drives, and the isolines of `fhnburst contours` on the desk CSV
+and of seeded synthetic grids.
 
 An output change must update `atlas_pin.json` in the same change (see
 `atlas_pin.py`), so a speed-up that claims to keep every bit is checked
@@ -39,3 +40,12 @@ def test_simulate_files_match_the_pin(tmp_path, E, omega):
     got = atlas_pin.simulate_digests(tmp_path, E, omega)
     differ = [name for name, digest in got.items() if digest != want[name]]
     assert not differ, f"simulate --E {E} --omega {omega}: {', '.join(differ)} differ from the pin"
+
+
+def test_contours_match_the_pin(tmp_path, desk_grids):
+    want = _pinned("contours")
+    got = atlas_pin.contours_digests(tmp_path, desk_grids[0].to_csv())
+    differ = [flag for flag, digest in got.items() if digest != want["desk"][flag]]
+    assert not differ, f"contours on the desk CSV: {', '.join(differ)} differ from the pin"
+    difference = atlas_pin.first_synthetic_difference(want["synthetic"])
+    assert difference is None, difference

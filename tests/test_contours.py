@@ -68,6 +68,18 @@ class TestMarchingSquares:
         ys_covered = {round(p[1], 6) for p in pts}
         assert len(ys_covered) < 7                  # the hole removed a stretch
 
+    @pytest.mark.parametrize("values, level, want", [
+        # saddles: the cell mean decides which corners the lines cut off
+        ([[1, 0], [0, 1]], 0.5, [[(0, 0.5), (0.5, 1)], [(0.5, 0), (1, 0.5)]]),
+        ([[1, 0], [0, 1]], 0.6, [[(0, 0.4), (0.4, 0)], [(0.6, 1), (1, 0.6)]]),
+        ([[0, 1], [1, 0]], 0.5, [[(0, 0.5), (0.5, 0)], [(0.5, 1), (1, 0.5)]]),
+        ([[0, 1], [1, 0]], 0.6, [[(0, 0.6), (0.4, 1)], [(0.6, 0), (1, 0.4)]]),
+        # a level at a node value: the segment shrinks to a point and is dropped
+        ([[1, 0], [0, 0]], 1.0, []),
+    ])
+    def test_saddles_and_node_levels(self, values, level, want):
+        assert marching_squares([0.0, 1.0], [0.0, 1.0], values, level) == want
+
     def test_levels(self):
         counts = np.array([[0.0, 1.0], [2.0, np.nan]])
         assert spike_boundary_levels(counts) == [0.5, 1.5]
