@@ -65,13 +65,12 @@ from .integrator import (
     _hermite_weights_d1,
 )
 
-# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars; the
-# last row of ROS_A is that of the fifth stage plus the fifth increment
-_, (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), _ = ROS_A
-(_, (C21,), (C31, C32), (C41, C42, C43), (C51, C52, C53, C54),
+# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars
+(A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54) = ROS_A
+((C21,), (C31, C32), (C41, C42, C43), (C51, C52, C53, C54),
  (C61, C62, C63, C64, C65)) = ROS_C
-_, AL2, AL3, AL4, _, _ = ROS_ALPHA
-G1, G2, G3, G4, _, _ = ROS_GSUM
+AL2, AL3, AL4 = ROS_ALPHA
+G1, G2, G3, G4 = ROS_GSUM
 
 # the upper triangle of HERMITE_GRAM_INT, off-diagonal entries doubled (all
 # exact in floating point), for the symmetric Gram form in 21 products

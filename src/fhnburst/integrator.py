@@ -27,16 +27,15 @@ __all__ = [
 ]
 
 # --- stage coefficients: stiffly accurate Rosenbrock, order 4(3), 6 stages ---
+# ROS_A holds stages 2-5, ROS_C stages 2-6, ROS_ALPHA stages 2-4 and ROS_GSUM
+# stages 1-4; stages 5 and 6 sit at t + h with a gamma sum of 0
 ROS_A = (
-    (),
     (1.544,),
     (0.9466785280815826, 0.2557011698983284),
     (3.314825187068521, 2.896124015972201, 0.9986419139977817),
     (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 1.0),
 )
 ROS_C = (
-    (),
     (-5.6688,),
     (-2.430093356833875, -0.2063599157091915),
     (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
@@ -44,8 +43,8 @@ ROS_C = (
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
      -6.058818238834054),
 )
-ROS_ALPHA = (0.0, 0.386, 0.21, 0.63, 1.0, 1.0)
-ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023, 0.0, 0.0)
+ROS_ALPHA = (0.386, 0.21, 0.63)
+ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023)
 ROS_GAMMA = 0.25
 
 # step-size controller constants, read by _kernel_py.py; the C twin

@@ -30,6 +30,9 @@ from .geometry import _left_threshold
 from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
+# the offset recovered from a wrapped window edge, theta_base -/+ pi/2 taken
+# modulo 2 pi, may land up to half an ulp of 2 pi past the window
+_VALIDITY_LIMIT = VALIDITY_HALF_WIDTH + math.ulp(TWO_PI)
 LOWER_BOUND_U = -1.0        # the lower bound x = -2 in the shifted coordinate u = x + 1
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -254,9 +257,13 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
 
 
 def eval_manifold(expansion: ManifoldExpansion, theta: float) -> float:
-    """u on the manifold graph at absolute phase theta (Horner in the offset)."""
+    """u on the manifold graph at absolute phase theta (Horner in the offset).
+
+    Its offset from theta_base, recovered modulo 2 pi, must lie within
+    VALIDITY_HALF_WIDTH; the wrapped window edges, whose offsets may round
+    just past it, evaluate at that recovered offset."""
     th_hat = math.remainder(theta - expansion.theta_base, TWO_PI)
-    if abs(th_hat) > VALIDITY_HALF_WIDTH:
+    if abs(th_hat) > _VALIDITY_LIMIT:
         raise OutOfValidity(
             f"|theta offset| = {abs(th_hat):.4f} exceeds the pi/2 validity window"
         )

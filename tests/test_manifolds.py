@@ -182,6 +182,28 @@ class TestEvalManifold:
         with pytest.raises(OutOfValidity):
             eval_manifold(exp, exp.theta_base + 0.6 * math.pi)
 
+    def test_wrapped_window_edges_evaluate(self, params):
+        # theta_base -/+ pi/2, wrapped, may recover an offset half an ulp of
+        # 2 pi past pi/2; the edges evaluate there, a phase 1e-9 further raises
+        rng = np.random.default_rng(7)
+        edges = 0
+        for _ in range(2000):
+            branch = ("stable", "unstable")[rng.integers(2)]
+            forcing = Forcing(E=rng.uniform(0.3, 2.4), omega=rng.uniform(0.006, 0.06))
+            try:
+                exp = solve_expansion(branch, params, forcing)
+            except FhnBurstError:
+                continue
+            for side in (-1.0, 1.0):
+                edge = side * VALIDITY_HALF_WIDTH
+                theta = wrap_angle(exp.theta_base + edge)
+                th_hat = math.remainder(theta - exp.theta_base, TWO_PI)
+                assert eval_manifold(exp, theta) == _eval_offset(exp.coeffs, th_hat)
+                with pytest.raises(OutOfValidity):
+                    eval_manifold(exp, wrap_angle(exp.theta_base + edge + side * 1e-9))
+                edges += 1
+        assert edges > 3000
+
     def test_direction_field_residual_order(self, params):
         # truncation residual of the quintic decays like the fifth power
         exp = solve_expansion("stable", params, RII_DRIVE)
