@@ -23,9 +23,9 @@
  * (detect_events == 0) keeps only the end state's row and leaves
  * sq_integral 0.  Both fill the step counters n_accept, n_reject,
  * n_nonfinite_retry and h_min (see _kernel_py).  The first step is
- * 1e-4 * (t_end - t0), capped by max_step when max_step > 0.  fhn_integrate
- * returns the status code (0 ok, 1 step-size underflow, 2 max steps
- * exceeded, 3 non-finite state) or -1 when a buffer could not grow.
+ * 1e-4 * (t_end - t0); no step exceeds T/64 = (TWO_PI / omega) / 64.0.
+ * fhn_integrate returns the status code (0 ok, 1 step-size underflow, 2 max
+ * steps exceeded, 3 non-finite state) or -1 when a buffer could not grow.
  *
  * The second entry point, fhn_sample, is the dense output: the quintic
  * Hermite interpolant of a knot table at sorted times, through the same
@@ -81,9 +81,10 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 8
+#define FHN_ABI_VERSION 9
 #define EVENT_TIME_TOL 1e-12
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
+#define TWO_PI 6.283185307179586   /* model.TWO_PI; -std=c99 has no M_PI */
 
 typedef struct {
     double *knots;        /* n_knots rows of KNOT_WIDTH */
@@ -218,15 +219,13 @@ void fhn_free(fhn_out *out)
 
 int fhn_integrate(double a, double b, double eps, double E, double omega,
                   double t0, double t_end, double x0, double y0,
-                  double rtol, double atol, double max_step, long max_steps,
-                  int detect_events, fhn_out *out)
+                  double rtol, double atol, long max_steps, int detect_events,
+                  fhn_out *out)
 {
     const fhn_params p = {a, b, eps, E, omega};
     double span = t_end - t0;
-    double h = 1e-4 * span;
-    if (max_step > 0.0)
-        h = fmin(h, max_step);
-    double hmax = max_step > 0.0 ? max_step : span;
+    double hmax = (TWO_PI / omega) / 64.0;
+    double h = fmin(1e-4 * span, hmax);
 
     double t = t0, x = x0, y = y0, fx, fy;
     memset(out, 0, sizeof *out);
@@ -459,31 +458,30 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 }
 
 /* ---------------------------------------------------------------------------
- * Dense output, the twin of _kernel_py.sample_knots: the n x (1 + 3d) knot
- * table `knots` holds rows (t, y[d], y'[d], y''[d]) with strictly increasing
- * t, n >= 2.  For each of the m times ts, sorted and inside [t_0, t_(n-1)],
- * out gets a row of d values: the states on the interval of the last knot
- * at or before the time (the last interval for t_(n-1)), or with deriv
- * their time derivatives.  One index walks the sorted times, as numpy's
- * searchsorted(side="right") - 1 clipped to n - 2 finds each.
+ * Dense output, the twin of _kernel_py.sample_knots: the n knot rows `knots`
+ * (as the kernel writes them) have strictly increasing t, n >= 2.  For each
+ * of the m times ts, sorted and inside [t_0, t_(n-1)], out gets a row
+ * (x, y): the state on the interval of the last knot at or before the time
+ * (the last interval for t_(n-1)), or with deriv its time derivative.  One
+ * index walks the sorted times, as numpy's searchsorted(side="right") - 1
+ * clipped to n - 2 finds each.
  */
-void fhn_sample(const double *knots, long n, long d, const double *ts, long m,
-                int deriv, double *out)
+void fhn_sample(const double *knots, long n, const double *ts, long m, int deriv,
+                double *out)
 {
-    long width = 1 + 3 * d;
     long j = 0;
     for (long i = 0; i < m; i++) {
         double t = ts[i];
-        while (j < n - 2 && knots[(j + 1) * width] <= t)
+        while (j < n - 2 && knots[(j + 1) * KNOT_WIDTH] <= t)
             j++;
-        const double *k0 = knots + j * width;
-        const double *k1 = k0 + width;
+        const double *k0 = knots + j * KNOT_WIDTH;
+        const double *k1 = k0 + KNOT_WIDTH;
         double h = k1[0] - k0[0];
         double s = (t - k0[0]) / h;
-        for (long q = 0; q < d; q++) {
-            const double c[6] = {k0[1 + q], k0[1 + d + q], k0[1 + 2 * d + q],
-                                 k1[1 + q], k1[1 + d + q], k1[1 + 2 * d + q]};
-            out[i * d + q] = deriv ? hermite_dx(s, h, c) : hermite_x(s, h, c);
+        for (int q = 0; q < 2; q++) {
+            const double c[6] = {k0[1 + q], k0[3 + q], k0[5 + q],
+                                 k1[1 + q], k1[3 + q], k1[5 + q]};
+            out[2 * i + q] = deriv ? hermite_dx(s, h, c) : hermite_x(s, h, c);
         }
     }
 }

@@ -11,8 +11,9 @@ Keep any algorithmic edit here in lockstep with _kernel.c.
 `integrate_forced` makes one of two runs, picked by detect_events: the
 measurement run (true) keeps every knot, locates the events and sums the
 integral; the burn-in run (false) keeps only the end state and the counters.
-Its first step is 1e-4 * (t_end - t0), capped by max_step when max_step > 0.
-It returns (status, knots, spikes, minima, stats, sq_integral):
+Its first step is 1e-4 * (t_end - t0); no step exceeds T/64, computed as
+`Forcing.period / 64.0` is.  It returns (status, knots, spikes, minima,
+stats, sq_integral):
 - status: 0 ok, 1 step-size underflow, 2 max steps exceeded, 3 non-finite
   state;
 - knots: an n x 7 array with rows (t, x, y, fx, fy, d2x, d2y), the state
@@ -55,6 +56,7 @@ from .integrator import (
     FAC_REJECT_MIN,
     HERMITE_GRAM_DEN,
     HERMITE_GRAM_INT,
+    KNOT_WIDTH,
     ROS_A,
     ROS_ALPHA,
     ROS_C,
@@ -64,6 +66,7 @@ from .integrator import (
     _hermite_weights,
     _hermite_weights_d1,
 )
+from .model import TWO_PI
 
 # stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars
 (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54) = ROS_A
@@ -81,7 +84,6 @@ G1, G2, G3, G4 = ROS_GSUM
 )
 
 EVENT_TIME_TOL = 1e-12
-KNOT_WIDTH = 7
 STAT_NAMES = ("n_accept", "n_reject", "n_nonfinite_retry", "h_min")
 
 
@@ -157,13 +159,11 @@ def _bisect(g, lo, hi):
 def integrate_forced(
     a, b, eps, E, omega,
     t0, t_end, x0, y0,
-    rtol, atol, max_step, max_steps, detect_events,
+    rtol, atol, max_steps, detect_events,
 ):
     span = t_end - t0
-    h = 1e-4 * span
-    if max_step > 0.0:
-        h = min(h, max_step)
-    hmax = max_step if max_step > 0.0 else span
+    hmax = (TWO_PI / omega) / 64.0
+    h = min(1e-4 * span, hmax)
 
     t = t0
     x = x0
@@ -376,13 +376,12 @@ def integrate_forced(
 
 
 def sample_knots(knots, ts, deriv):
-    """Dense output of an n x (1 + 3d) knot table with rows (t, y[d], y'[d],
-    y''[d]), n >= 2: an m x d array of the quintic Hermite interpolant's
-    states (or, with deriv, their time derivatives) at the m times ts, each
-    inside [t_0, t_(n-1)], on the interval of the last knot at or before it
-    (the last interval for t_(n-1)).  Vectorized over ts in numpy, with each
-    sum in the order of the C library's hermite_x / hermite_dx."""
-    d = (knots.shape[1] - 1) // 3
+    """Dense output of a knot table as the kernel writes it, n >= 2 rows: an
+    m x 2 array of the quintic Hermite interpolant's (x, y) (or, with deriv,
+    their time derivatives) at the m sorted times ts, each inside [t_0,
+    t_(n-1)], on the interval of the last knot at or before it (the last
+    interval for t_(n-1)).  Vectorized over ts in numpy, with each sum in
+    the order of the C library's hermite_x / hermite_dx."""
     times = knots[:, 0]
     idx = np.searchsorted(times, ts, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 2)
@@ -392,14 +391,13 @@ def sample_knots(knots, ts, deriv):
     h = h[:, None]
     k0 = knots[idx]
     k1 = knots[idx + 1]
-    y, f, d2 = slice(1, 1 + d), slice(1 + d, 1 + 2 * d), slice(1 + 2 * d, None)
     out = (
-        w[0][:, None] * k0[:, y]
-        + h * w[1][:, None] * k0[:, f]
-        + h * h * w[2][:, None] * k0[:, d2]
-        + w[3][:, None] * k1[:, y]
-        + h * w[4][:, None] * k1[:, f]
-        + h * h * w[5][:, None] * k1[:, d2]
+        w[0][:, None] * k0[:, 1:3]
+        + h * w[1][:, None] * k0[:, 3:5]
+        + h * h * w[2][:, None] * k0[:, 5:7]
+        + w[3][:, None] * k1[:, 1:3]
+        + h * w[4][:, None] * k1[:, 3:5]
+        + h * h * w[5][:, None] * k1[:, 5:7]
     )
     return out / h if deriv else out
 

@@ -8,7 +8,7 @@ and the phase-distance spike-count estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ def simulate_standard(
         raise ValueError("burn_in_periods must be >= 0 and measure_periods >= 1")
     cfg = config or IntegratorConfig()
     T = forcing.period
-    if cfg.max_step is None:
-        cfg = replace(cfg, max_step=T / 64.0)
     x0, y0 = unforced_equilibrium(params)
     t_meas = burn_in_periods * T
     if burn_in_periods > 0:
@@ -93,8 +91,6 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
         raise ValueError("trajectory span is not an integer number of periods")
     integral = trajectory.sq_integral
     if integral is None:
-        if trajectory.states.shape[1] != 2:
-            raise ValueError("the L2 norm needs a planar (x, y) trajectory")
         integral = _kernel_py.sq_integral(trajectory.knots.tolist())
     return math.sqrt(integral / (t1 - t0))
 

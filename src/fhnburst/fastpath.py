@@ -36,11 +36,11 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import MaxStepsExceeded, NonFiniteState, StepSizeUnderflow
-from .integrator import IntegratorConfig, Trajectory
+from .integrator import KNOT_WIDTH, IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 8          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 9          # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 FORMAT_SLACK = 11       # FMT_SLACK in _kernel.c: how far its block copies reach past it
 FORMAT_KEEP = 1 << 20   # the largest format buffer a thread keeps for its next table
@@ -80,9 +80,9 @@ ENTRY_POINTS = (
     ("fhn_abi_version", ctypes.c_int, []),
     ("fhn_free", None, [ctypes.POINTER(_Out)]),
     ("fhn_integrate", ctypes.c_int,
-     [ctypes.c_double] * 12 + [ctypes.c_long, ctypes.c_int, ctypes.POINTER(_Out)]),
-    ("fhn_sample", None, [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-                          ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_void_p]),
+     [ctypes.c_double] * 11 + [ctypes.c_long, ctypes.c_int, ctypes.POINTER(_Out)]),
+    ("fhn_sample", None, [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+                          ctypes.c_int, ctypes.c_void_p]),
     ("fhn_format_table", ctypes.c_long,
      [ctypes.c_void_p, ctypes.c_long, ctypes.c_long] + [ctypes.c_char_p] * 3
      + [ctypes.c_void_p, ctypes.c_long]),
@@ -122,7 +122,7 @@ class Library:
             status = self.cdll.fhn_integrate(*args, ctypes.byref(out))
             if status < 0:
                 raise MemoryError("forced kernel could not grow its buffers")
-            knots = _copy(out.knots, (out.n_knots, _kernel_py.KNOT_WIDTH))
+            knots = _copy(out.knots, (out.n_knots, KNOT_WIDTH))
             spikes = _copy(out.spikes, (out.n_spikes,))
             minima = _copy(out.minima, (out.n_minima,))
             stats = {name: getattr(out, name) for name in _kernel_py.STAT_NAMES}
@@ -132,16 +132,14 @@ class Library:
 
     def sample_knots(self, knots, ts, deriv):
         """The dense output `fhn_sample`; the times ts must be sorted."""
-        n, width = knots.shape
-        if n < 2:   # fhn_sample reads the knot after each time's interval start
-            raise ValueError("dense output needs at least two knots")
-        d = (width - 1) // 3
+        knots = np.ascontiguousarray(knots, dtype=float)
+        # fhn_sample reads rows of KNOT_WIDTH and the knot after each time's interval start
+        if knots.ndim != 2 or knots.shape[1] != KNOT_WIDTH or len(knots) < 2:
+            raise ValueError(f"dense output needs an n x {KNOT_WIDTH} knot table, n >= 2")
         ts = np.ascontiguousarray(ts, dtype=float)
-        out = np.empty((ts.size, d))
-        if ts.size:
-            knots = np.ascontiguousarray(knots, dtype=float)
-            self.cdll.fhn_sample(knots.ctypes.data, n, d, ts.ctypes.data, ts.size,
-                                 bool(deriv), out.ctypes.data)
+        out = np.empty((ts.size, 2))
+        self.cdll.fhn_sample(knots.ctypes.data, len(knots), ts.ctypes.data, ts.size,
+                             bool(deriv), out.ctypes.data)
         return out
 
     def bound_phase(self, coeffs, bound: float, offsets) -> float | None:
@@ -201,8 +199,8 @@ def active_backend() -> str:
 
 def sample_knots(knots, ts, deriv: bool) -> np.ndarray:
     """`_kernel_py.sample_knots(knots, ts, deriv)` on the active backend: the
-    states (or with deriv their time derivatives) of an n x (1 + 3d) knot
-    table's dense output at the sorted times ts, as an m x d array."""
+    states (or with deriv their time derivatives) of an n x KNOT_WIDTH knot
+    table's dense output at the sorted times ts, as an m x 2 array."""
     return _IMPL.sample_knots(knots, ts, deriv)
 
 
@@ -241,7 +239,7 @@ def integrate_forced(
     knot, its `spikes` and `minima` are the kernel's upward crossings of
     x = 1 and local x-minima, and `sq_integral` is its integral of x^2 + y^2
     over the knots.  Without it (the burn-in run) it holds only the end
-    state.  Either way its `stats` are the kernel's step counters.
+    state.  No step exceeds T/64; `stats` are the kernel's step counters.
     """
     cfg = config or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -251,9 +249,7 @@ def integrate_forced(
     status, knots, spikes, minima, stats, sq_integral = _IMPL.integrate_forced(
         params.a, params.b, params.eps, forcing.E, forcing.omega,
         t0, t_end, float(y0[0]), float(y0[1]),
-        cfg.rel_tol, cfg.abs_tol,
-        cfg.max_step if cfg.max_step is not None else -1.0,
-        cfg.max_steps, detect_events,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_steps, detect_events,
     )
     traj = None
     n = len(knots)

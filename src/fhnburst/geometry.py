@@ -257,8 +257,10 @@ def supercritical_manifold_point(
 
     Solves G(u) = E*b*sin(theta0); G is a strictly increasing bijection, so
     the root is unique.  `bisect_root` on a bracket doubled until it holds
-    the root.
+    the root.  DomainError when theta0 or E is not finite.
     """
+    if not (math.isfinite(theta0) and math.isfinite(E)):
+        raise DomainError(f"theta0 and E must be finite, got {theta0!r} and {E!r}")
     target = E * params.b * math.sin(theta0)
 
     lo, hi = -4.0, 4.0

@@ -47,6 +47,8 @@ ROS_ALPHA = (0.386, 0.21, 0.63)
 ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023)
 ROS_GAMMA = 0.25
 
+KNOT_WIDTH = 7   # knot table columns: t, x, y, x', y', x'', y''
+
 # step-size controller constants, read by _kernel_py.py; the C twin
 # _kernel.c writes them, like the stage tables, as literals
 SAFETY = 0.9
@@ -58,19 +60,16 @@ FAC_REJECT_MAX = 0.5
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step policy for one integration run.  Every run starts
-    with the step 1e-4 * span, capped by max_step."""
+    """Tolerances and step budget for one integration run.  Every run starts
+    with the step 1e-4 * span, and no step is longer than T/64 of its drive."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float | None = None
     max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol <= self.rel_tol < 1e-2):
             raise ValueError("tolerances must satisfy 0 < abs_tol <= rel_tol < 1e-2")
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise ValueError("max_step must be positive")
         if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
@@ -126,8 +125,8 @@ def _hermite_weights_d1(s):
 class Trajectory:
     """Accepted knots plus the data needed for dense evaluation.
 
-    `knots` is the one knot table: n rows (t, y[d], y'[d], y''[d]), the
-    solution and its first and second time derivative at each knot, with
+    `knots` is the one knot table: n rows (t, x, y, x', y', x'', y''), the
+    state and its first and second time derivatives at each knot, with
     strictly increasing t, kept in place when it is a C-contiguous float
     array.  times, states, derivs and curvatures are column views of it.
     spikes and minima hold the times of the upward crossings of x = 1 and of
@@ -140,14 +139,13 @@ class Trajectory:
 
     def __init__(self, knots, spikes=(), minima=(), stats=None, sq_integral=None):
         knots = np.ascontiguousarray(knots, dtype=float)
-        if knots.ndim != 2 or knots.shape[1] < 4 or (knots.shape[1] - 1) % 3:
-            raise ValueError("the knot table must be n x (1 + 3d)")
-        d = (knots.shape[1] - 1) // 3
+        if knots.ndim != 2 or knots.shape[1] != KNOT_WIDTH:
+            raise ValueError(f"the knot table must be n x {KNOT_WIDTH}")
         self.knots = knots
         self.times = knots[:, 0]
-        self.states = knots[:, 1:1 + d]
-        self.derivs = knots[:, 1 + d:1 + 2 * d]
-        self.curvatures = knots[:, 1 + 2 * d:]
+        self.states = knots[:, 1:3]
+        self.derivs = knots[:, 3:5]
+        self.curvatures = knots[:, 5:]
         self.spikes = np.asarray(spikes, dtype=float)
         self.minima = np.asarray(minima, dtype=float)
         self.stats: dict[str, float] | None = stats
@@ -162,8 +160,8 @@ class Trajectory:
         return float(self.times[0]), float(self.times[-1])
 
     def _dense(self, times, deriv: bool) -> np.ndarray:
-        """The dense output (or its time derivative) at the requested times,
-        on the backend that `fastpath` selects, which needs them sorted."""
+        """The dense output (or its time derivative) at the requested sorted
+        times, on the backend that `fastpath` selects."""
         from . import fastpath   # fastpath imports this module
 
         if self.times.size < 2:
@@ -172,19 +170,15 @@ class Trajectory:
         t0, t1 = self.t_span
         if ts.size and not (ts.min() >= t0 - 1e-12 and ts.max() <= t1 + 1e-12):
             raise OutOfRange(f"sample times outside [{t0}, {t1}]")
-        ts = np.clip(ts, t0, t1)
-        if (ts[1:] >= ts[:-1]).all():
-            return fastpath.sample_knots(self.knots, ts, deriv)
-        order = np.argsort(ts, kind="stable")
-        out = np.empty((ts.size, self.states.shape[1]))
-        out[order] = fastpath.sample_knots(self.knots, ts[order], deriv)
-        return out
+        if not (ts[1:] >= ts[:-1]).all():
+            raise ValueError("sample times must be sorted")
+        return fastpath.sample_knots(self.knots, np.clip(ts, t0, t1), deriv)
 
     def sample(self, times) -> np.ndarray:
-        """Dense-output states at the requested times (vectorized)."""
+        """Dense-output states at the requested sorted times (vectorized)."""
         return self._dense(times, False)
 
     def sample_deriv(self, times) -> np.ndarray:
-        """Time derivative of the dense output at the requested times."""
+        """Time derivative of the dense output at the requested sorted times."""
         return self._dense(times, True)
 

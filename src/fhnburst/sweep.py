@@ -146,7 +146,9 @@ def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorCon
         "e_range": list(spec.e_range),
         "metrics": list(spec.metrics),
         "params": [params.a, params.b, params.eps],
-        "config": [config.rel_tol, config.abs_tol, config.max_step or 0.0],
+        # 0.0 holds the place of the step cap, a setting until the kernel fixed
+        # it at T/64, so that every fingerprint and checkpoint stays valid
+        "config": [config.rel_tol, config.abs_tol, 0.0],
         "format": CHECKPOINT_FORMAT,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -412,21 +414,33 @@ def write_grid_csv(grid: SweepGrid, path: str) -> None:
 
 
 def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Parse a grid CSV back into axes plus row dictionaries."""
-    rows = []
+    """Parse a grid CSV back into axes plus row dictionaries.  A field that
+    does not parse as its type, a missing or non-finite omega or E and a
+    repeated (omega, E) raise ValueError naming the line and the field."""
+    rows, first_line = [], {}   # first_line: (omega, E) -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected grid CSV header: {header!r}")
         for lineno, line in enumerate(fh, start=2):
+            where = f"grid CSV line {lineno}"
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(CELL_FIELDS):
-                raise ValueError(
-                    f"grid CSV line {lineno}: expected {len(CELL_FIELDS)} fields, "
-                    f"got {len(parts)}"
-                )
-            rows.append({name: cast(text) if text else None
-                         for name, cast, text in zip(CELL_FIELDS, FIELD_TYPES, parts)})
+                raise ValueError(f"{where}: expected {len(CELL_FIELDS)} fields, got {len(parts)}")
+            row = {}
+            for name, cast, text in zip(CELL_FIELDS, FIELD_TYPES, parts):
+                try:
+                    row[name] = cast(text) if text else None
+                except ValueError:
+                    raise ValueError(f"{where}: {name} {text!r} does not parse as "
+                                     f"{cast.__name__}") from None
+                if name in ("omega", "E") and not (text and math.isfinite(row[name])):
+                    raise ValueError(f"{where}: {name} {text!r} is not a finite number")
+            key = (row["omega"], row["E"])
+            if key in first_line:
+                raise ValueError(f"{where}: (omega, E) = {key} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            rows.append(row)
     if not rows:
         raise ValueError(f"grid CSV {path!r} has no rows")
     omegas = np.unique([r["omega"] for r in rows])

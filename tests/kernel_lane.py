@@ -24,7 +24,8 @@ AGREEMENT_DRIVES = [(omega, E) for omega in np.linspace(0.006, 0.06, 6)
 # (x0, y0, t0, max_steps, status) of the measurement run from (x0, y0) over
 # [t0, t0 + 300] at E = 0.5, omega = 0.02, and the status it ends with
 EDGE_DRIVES = [
-    (-1.2, -0.6, 0.0, 50, 2),            # step budget exhausted
+    (-1.2, -0.6, 0.0, 50, 2),            # step budget exhausted (50 steps of
+                                         # at most T/64 = 4.9 cannot cover 300)
     (1e10, 0.0, 0.0, 100_000, 1),        # step size underflow
     (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
     (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
@@ -55,13 +56,13 @@ def standard_args(params, omega, E, start, measure):
     T = 2.0 * math.pi / omega
     t0 = 2.0 * T if measure else 0.0
     return (params.a, params.b, params.eps, E, omega, t0, t0 + 2.0 * T, *start,
-            1e-8, 1e-10, T / 64.0, 5_000_000)
+            1e-8, 1e-10, 5_000_000)
 
 
 def edge_args(params, x0, y0, t0, max_steps):
     """The arguments but for detect_events of an edge-case drive."""
     return (params.a, params.b, params.eps, 0.5, 0.02, t0, t0 + 300.0, x0, y0,
-            1e-8, 1e-10, -1.0, max_steps)
+            1e-8, 1e-10, max_steps)
 
 
 def worst_case_tables(rng):

@@ -222,7 +222,7 @@ def test_criterion_08_formulation_equivalence(params):
     t0 = time.time()
     T = BURST3.period
     x0, y0 = unforced_equilibrium(params)
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=T / 64.0)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
     from fhnburst.fastpath import integrate_forced
 

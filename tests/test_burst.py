@@ -128,7 +128,7 @@ class TestSimulateStandard:
         x0, y0 = burst3_traj.states[0]                # state after the burn-in
         run = _kernel_py.integrate_forced(
             params.a, params.b, params.eps, BURST3.E, BURST3.omega,
-            2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, T / 64.0, 5_000_000, True,
+            2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, 5_000_000, True,
         )
         assert np.array_equal(times, run[2])
 
@@ -316,8 +316,7 @@ class TestThetaSequence:
         # only the forced kernel locates minima; its knot table passed alone
         # to Trajectory carries none, even where x has minima below the cut
         T = BURST3.period
-        run = fastpath.integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, T),
-                                        IntegratorConfig(max_step=T / 64.0))
+        run = fastpath.integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, T))
         traj = Trajectory(run.knots)
         assert _scalar_lower_returns(traj)[0].size >= 1
         out = lower_return_times(traj)

@@ -17,7 +17,7 @@ from fhnburst.errors import NewtonDiverged
 from fhnburst.manifolds import _eval_offset, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
 from fhnburst.svgplot import svg_document
-from fhnburst.sweep import SweepSpec, run_sweep, write_grid_csv
+from fhnburst.sweep import CSV_HEADER, SweepSpec, run_sweep, write_grid_csv
 
 from child_env import child_env
 
@@ -446,6 +446,11 @@ class TestOutputContract:
                      id="manifold-a-nan"),
         pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--e-step", "nan"], TINY_SWEEP,
                      "finite", id="sweep-e-step-nan"),
+        # (the input file written from the spec column holds a grid CSV here)
+        pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
+                      "--svg", "{tmp}/c.svg"], CSV_HEADER + "\n0.01,0.4,ok,0,1.9,0,II\n"
+                     "nan,0.4,ok,0,1.9,0,II\n", "line 3: omega 'nan' is not a finite number",
+                     id="contours-grid-omega-nan"),
         # a point outside the domain
         pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
                       "--out", "{tmp}/x.csv"], None, "no folded saddle",

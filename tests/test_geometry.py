@@ -286,6 +286,17 @@ class TestSupercritical:
         assert min(us) < -4.0 and max(us) > 4.0
 
 
+    @pytest.mark.parametrize("theta0, E", [
+        (math.nan, 0.55), (1.0, math.nan), (math.inf, 0.55), (-math.inf, 0.55),
+        (1.0, math.inf),
+    ], ids=["theta0-nan", "E-nan", "theta0-inf", "theta0-minus-inf", "E-inf"])
+    def test_non_finite_input_refused(self, params, theta0, E):
+        # NaN compares false, so the bracket would never move and the
+        # bisection would settle at its upper end; sin(inf) is a math error
+        with pytest.raises(DomainError, match="finite"):
+            supercritical_manifold_point(theta0, params, E)
+
+
 class TestDelayedHopf:
     def test_default_values(self, params):
         u_minus, u_plus = delayed_hopf_points(params)

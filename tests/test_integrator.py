@@ -20,7 +20,7 @@ from fhnburst.errors import (
     StepSizeUnderflow,
 )
 from fhnburst.fastpath import active_backend, integrate_forced
-from fhnburst.integrator import IntegratorConfig, Trajectory
+from fhnburst.integrator import KNOT_WIDTH, IntegratorConfig, Trajectory
 from fhnburst.model import Forcing, StateXY, rhs_forced, unforced_equilibrium
 from kernel_lane import AGREEMENT_DRIVES, EDGE_DRIVES, edge_args, lane, standard_args
 
@@ -59,11 +59,11 @@ BAD_TABLES = {
 
 
 def _exp_decay():
-    """A hand-built knot table of y = exp(-t): 21 knots on [0, 1] with the
-    exact y, y' and y''."""
+    """A hand-built knot table of x = y = exp(-t): 21 knots on [0, 1] with
+    the exact states and first and second derivatives."""
     t = np.linspace(0.0, 1.0, 21)
     y = np.exp(-t)
-    return Trajectory(np.column_stack([t, y, -y, y]))
+    return Trajectory(np.column_stack([t, y, y, -y, -y, y, y]))
 
 
 class TestConfig:
@@ -74,7 +74,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(rel_tol=1e-1), dict(rel_tol=1e-8, abs_tol=1e-6), dict(abs_tol=0.0),
-         dict(max_step=0.0), dict(max_step=-1.0),
+         dict(rel_tol=1e-2), dict(abs_tol=math.nan),
          dict(max_steps=1e6), dict(max_steps=0), dict(max_steps=-3)],
     )
     def test_validation(self, kwargs):
@@ -112,26 +112,34 @@ class TestDenseOutput:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_quintic_reproduced_exactly(self, data):
-        # dense output is a two-point quintic Hermite: any quintic is exact
-        coeffs = [
-            data.draw(st.floats(-2.0, 2.0), label=f"c{k}") for k in range(6)
-        ]
-        poly = np.polynomial.Polynomial(coeffs)
-        d1 = poly.deriv(1)
-        d2 = poly.deriv(2)
+        # dense output is a two-point quintic Hermite: any quintic is exact,
+        # in x and in y
+        polys = [np.polynomial.Polynomial([
+            data.draw(st.floats(-2.0, 2.0), label=f"{name}{k}") for k in range(6)
+        ]) for name in "xy"]
         knots = np.array([0.0, 0.35, 0.8, 1.4])
-        traj = Trajectory(np.column_stack([knots, poly(knots), d1(knots), d2(knots)]))
-        ts = data.draw(
+        columns = [poly.deriv(m)(knots) for m in range(3) for poly in polys]
+        traj = Trajectory(np.column_stack([knots, *columns]))
+        ts = sorted(data.draw(
             st.lists(st.floats(0.0, 1.4), min_size=1, max_size=8), label="ts"
-        )
-        got = traj.sample(ts)[:, 0]
-        assert np.allclose(got, poly(np.asarray(ts)), atol=1e-10)
+        ))
+        got = traj.sample(ts)
+        want = np.column_stack([poly(np.asarray(ts)) for poly in polys])
+        assert np.allclose(got, want, atol=1e-10)
 
     def test_sample_deriv(self):
         traj = _exp_decay()
         mids = 0.5 * (traj.times[:-1] + traj.times[1:])
         got = traj.sample_deriv(mids)[:, 0]
         assert np.allclose(got, -np.exp(-mids), atol=1e-6)
+
+    def test_unsorted_times_refused(self):
+        traj = _exp_decay()
+        with pytest.raises(ValueError, match="sorted"):
+            traj.sample([0.5, 0.25])
+        with pytest.raises(ValueError, match="sorted"):
+            traj.sample_deriv([0.5, 0.25])
+        assert traj.sample([0.25, 0.25, 0.5]).shape == (3, 2)   # ties count as sorted
 
     def test_out_of_range(self):
         traj = _exp_decay()
@@ -161,10 +169,7 @@ class TestForcedSystemRuns:
         # four drive periods of the reference three-spike burst
         x0, y0 = unforced_equilibrium(params)
         T = BURST3.period
-        traj = integrate_forced(
-            params, BURST3, (x0, y0), (0.0, 4.0 * T),
-            IntegratorConfig(max_step=T / 64.0),
-        )
+        traj = integrate_forced(params, BURST3, (x0, y0), (0.0, 4.0 * T))
         assert traj.times[-1] == pytest.approx(4.0 * T, abs=1e-9)
         assert np.all(np.isfinite(traj.states))
 
@@ -173,7 +178,7 @@ class TestForcedSystemRuns:
         T = BURST3.period
 
         def endpoint(rt, at):
-            cfg = IntegratorConfig(rel_tol=rt, abs_tol=at, max_step=T / 64.0)
+            cfg = IntegratorConfig(rel_tol=rt, abs_tol=at)
             return integrate_forced(
                 params, BURST3, (x0, y0), (0.0, 4.0 * T), cfg, detect_events=False
             ).states[-1, 0]
@@ -221,19 +226,29 @@ class TestForcedSystemRuns:
            start=st.floats(0.0, 2.0), span=st.floats(1e-3, 0.25),
            rel_tol=st.floats(-10.0, -3.0).map(lambda p: 10.0 ** p),
            abs_tol=st.floats(-12.0, -4.0).map(lambda p: 10.0 ** p),
-           max_step=st.one_of(st.just(-1.0), st.floats(1e-3, 20.0)),
            max_steps=st.integers(1, 400), detect_events=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_backends_agree_on_random_drives(self, params, c_kernel, E, omega, x0, y0, start,
-                                             span, rel_tol, abs_tol, max_step, max_steps,
-                                             detect_events):
+                                             span, rel_tol, abs_tol, max_steps, detect_events):
         # short random drives: start and span are fractions of the period,
         # and max_steps keeps the twin cheap
         T = 2.0 * math.pi / omega
         t0 = start * T
         args = (params.a, params.b, params.eps, E, omega, t0, t0 + span * T, x0, y0,
-                rel_tol, abs_tol, max_step, max_steps, detect_events)
+                rel_tol, abs_tol, max_steps, detect_events)
         _assert_same_run(c_kernel(*args), _kernel_py.integrate_forced(*args))
+
+    def test_kernel_caps_its_own_steps(self, params, c_library, monkeypatch):
+        # with no drive the controller would grow the step to a large part
+        # of the span; the kernel itself holds every step to T/64
+        drive = Forcing(E=0.0, omega=BURST3.omega)
+        T = drive.period
+        x0, y0 = unforced_equilibrium(params)
+        for backend in (c_library, _kernel_py):
+            monkeypatch.setattr(fastpath, "_IMPL", backend)
+            traj = integrate_forced(params, drive, (x0, y0), (0.0, 2.0 * T), IntegratorConfig())
+            largest = float(np.diff(traj.times).max())
+            assert 0.99 * (T / 64.0) <= largest <= (1.0 + 1e-12) * (T / 64.0), backend
 
     @pytest.mark.parametrize("detect_events", [True, False], ids=["measure", "burn-in"])
     def test_failure_statuses_raise_typed_errors(self, params, c_library, monkeypatch,
@@ -278,12 +293,12 @@ class TestForcedSystemRuns:
         # the trajectory's columns are views of the one knot table
         traj = integrate_forced(params, BURST3, (-1.2, -0.6), (0.0, BURST3.period))
         table = traj.times.base
-        assert table is not None and table.shape == (traj.times.size, _kernel_py.KNOT_WIDTH)
+        assert table is not None and table.shape == (traj.times.size, KNOT_WIDTH)
         assert all(arr.base is table for arr in (traj.states, traj.derivs, traj.curvatures))
 
     @pytest.mark.parametrize("spoil", list(BAD_TABLES.values()), ids=list(BAD_TABLES))
     def test_knot_table_checked(self, spoil):
-        table = np.random.default_rng(3).normal(size=(6, _kernel_py.KNOT_WIDTH))
+        table = np.random.default_rng(3).normal(size=(6, KNOT_WIDTH))
         table[:, 0] = np.arange(6.0)
         assert Trajectory(table).times.size == 6
         with pytest.raises(ValueError):
@@ -368,8 +383,7 @@ class TestForcedSystemRuns:
         ref = solve_ivp(lambda t, y: rhs_forced(StateXY(y[0], y[1], t), params, BURST3),
                         (0.0, T), [x0, y0], method="DOP853", rtol=1e-12, atol=1e-14)
         assert ref.success, ref.message
-        fast = integrate_forced(params, BURST3, (x0, y0), (0.0, T),
-                                IntegratorConfig(max_step=T / 64.0))
+        fast = integrate_forced(params, BURST3, (x0, y0), (0.0, T))
         assert fast.states[-1, 0] == pytest.approx(ref.y[0, -1], abs=1e-7)
         assert fast.states[-1, 1] == pytest.approx(ref.y[1, -1], abs=1e-7)
 

@@ -605,6 +605,27 @@ class TestCsv:
         write_grid_csv(grid, path)
         assert [CellResult(**r) for r in load_grid_csv(path)[2]] == grid.cells
 
+    @pytest.mark.parametrize("row, match", [
+        ("inf,0.4,ok,0,1.9,0,II", "line 3: omega 'inf' is not a finite number"),
+        ("0.02,-inf,ok,0,1.9,0,II", "line 3: E '-inf' is not a finite number"),
+        (",0.4,ok,0,1.9,0,II", "line 3: omega '' is not a finite number"),
+        ("0.02,0.4,ok,1.5,1.9,0,II", "line 3: spike_count '1.5' does not parse as int"),
+        ("0.02,0.4,ok,1,x,0,II", "line 3: l2 'x' does not parse as float"),
+        ("0.01,0.40,ok,2,1.9,0,II", "line 3: (omega, E) = (0.01, 0.4) repeats line 2"),
+    ], ids=["omega-inf", "E-minus-inf", "omega-missing", "spike-count-fraction", "l2-text",
+            "cell-repeated"])
+    def test_malformed_row_names_its_line(self, tmp_path, row, match):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"{sweep_mod.CSV_HEADER}\n0.01,0.4,ok,0,1.9,0,II\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            load_grid_csv(str(path))
+
+    def test_desk_reference_loads(self):
+        # perfbench prefills its checkpoint from this file through load_grid_csv
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk_20x20.csv"
+        omegas, e_values, rows = load_grid_csv(str(path))
+        assert (omegas.size, e_values.size, len(rows)) == (20, 20, 400)
+
     def test_cell_record_bytes(self, params, tmp_path):
         spec = SweepSpec(omega_range=(0.02, 0.0201, 0.01), e_range=(0.5, 0.6, 0.1))
         grid = SweepGrid(spec, params)
