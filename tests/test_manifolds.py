@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from fhnburst import _kernel_py, fastpath, manifolds
 from fhnburst.errors import (
     FhnBurstError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity,
 )
-from fhnburst.geometry import classify_region, fold_thresholds
+from fhnburst.geometry import classify_region, equilibria_report, fold_thresholds
 from fhnburst.manifolds import (
     NEWTON_TOL,
     VALIDITY_HALF_WIDTH,
@@ -620,6 +622,12 @@ PINNED_SOLVES = {
 }
 
 
+# equilibria_report at the same drives: region, thresholds and each folded
+# equilibrium's angle, eigenvalues and eigenvectors.  Regenerate the file only
+# when a change means to alter these values.
+EQUILIBRIA_PIN = json.loads(Path(__file__).with_name("equilibria_pin.json").read_text())
+
+
 class TestPinnedSolves:
     @pytest.mark.parametrize("case", PINNED_SOLVES)
     def test_exact_values(self, params, case):
@@ -628,6 +636,10 @@ class TestPinnedSolves:
             assert classify_region(params, forcing) == case
         assert _solve_outcome("stable", params, forcing) == stable
         assert _solve_outcome("unstable", params, forcing) == unstable
+
+    @pytest.mark.parametrize("case", PINNED_SOLVES)
+    def test_equilibria_report(self, params, case):
+        assert equilibria_report(params, PINNED_SOLVES[case][0]) == EQUILIBRIA_PIN[case]
 
 
 class TestRegionTwoGrid:
