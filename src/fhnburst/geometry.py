@@ -17,7 +17,7 @@ from .model import (
     ModelParams,
     cubic_F,
     cubic_G,
-    derived_constants,
+    _drive_constants,
     mu_constant,
     wrap_angle,
 )
@@ -59,31 +59,35 @@ class FoldThresholds:
 _FOLD_DOMAIN = "fold thresholds require b*(a + 2/3) > 1"
 
 
-def _left_threshold(params: ModelParams, delta: float) -> tuple[float, float, float]:
-    """(mu, hypot(b, delta), e_star_left), with the fold thresholds' domain
-    checks: the saddle-existence test needs only e_star_left."""
+def _left_threshold(delta: float, mu: float, root: float) -> float:
+    """e_star_left = mu / hypot(b, delta) after the fold thresholds' domain
+    checks: the saddle-existence test needs only this threshold."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError("delta must be positive and finite")
-    mu = mu_constant(params)
     if mu <= 0.0:
         raise DomainError(_FOLD_DOMAIN)
-    root = math.hypot(params.b, delta)
-    return mu, root, mu / root
+    return mu / root
+
+
+def _thresholds(params: ModelParams, delta: float, mu: float,
+                root: float) -> tuple[float, float, float, float]:
+    """The `FoldThresholds` fields, in order, from delta, mu and hypot(b, delta).
+
+    DomainError where 64 delta^2 underflows to zero (delta below about
+    2e-163), which leaves the node-to-focus thresholds undefined."""
+    e_star_left = _left_threshold(delta, mu, root)
+    g2 = cubic_G(2.0, params)
+    scale = 64.0 * delta * delta
+    if scale == 0.0:
+        raise DomainError(f"delta={delta!r} is too small: 64*delta^2 underflows to zero")
+    bump = 1.0 / scale
+    return (e_star_left, g2 / root, math.sqrt((mu * mu + bump)) / root,
+            math.sqrt((g2 * g2 + bump)) / root)
 
 
 def fold_thresholds(params: ModelParams, delta: float) -> FoldThresholds:
-    mu, root, e_star_left = _left_threshold(params, delta)
-    g2 = cubic_G(2.0, params)
-    e_star_right = g2 / root
-    bump = 1.0 / (64.0 * delta * delta)
-    e_2star_left = math.sqrt((mu * mu + bump)) / root
-    e_2star_right = math.sqrt((g2 * g2 + bump)) / root
-    return FoldThresholds(
-        e_star_left=e_star_left,
-        e_star_right=e_star_right,
-        e_2star_left=e_2star_left,
-        e_2star_right=e_2star_right,
-    )
+    return FoldThresholds(*_thresholds(params, delta, mu_constant(params),
+                                       math.hypot(params.b, delta)))
 
 
 def fold_thresholds_limit(params: ModelParams) -> tuple[float, float]:
@@ -126,22 +130,6 @@ class FoldedEquilibrium:
     eigenvectors: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def _eig_pair(delta: float, u_star: float, det: float):
-    """Eigenpairs of [[-1, J12], [2 delta (u*-1), 0]] given its determinant."""
-    disc = 1.0 - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        lam1 = 0.5 * (-1.0 - root)
-        lam2 = 0.5 * (-1.0 + root)
-        lams = (complex(lam1), complex(lam2))
-    else:
-        root = math.sqrt(-disc)
-        lams = (complex(-0.5, 0.5 * root), complex(-0.5, -0.5 * root))
-    c = 2.0 * delta * (u_star - 1.0)
-    vecs = tuple((lam, complex(c)) for lam in lams)
-    return lams, vecs
-
-
 def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquilibrium]:
     """All folded equilibria for the given drive: 0, 2, or 4 of them.
 
@@ -149,16 +137,15 @@ def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquil
     does, and SaddleNodeBoundary within BOUNDARY_TOL of an existence
     threshold, where the saddle and node coalesce (excluded degenerate case).
     """
-    dc = derived_constants(params, forcing)
-    if dc.mu <= 0.0:
+    delta, mu, _, r_delta, phi_delta = _drive_constants(params, forcing)
+    if mu <= 0.0:
         raise DomainError(_FOLD_DOMAIN)
-    delta = forcing.delta(params)
-    if dc.r_delta <= 0.0:
+    if r_delta <= 0.0:
         return []
     out: list[FoldedEquilibrium] = []
     for side, u_star in (("left", 0.0), ("right", 2.0)):
         g = cubic_G(u_star, params)
-        ratio = g / dc.r_delta
+        ratio = g / r_delta
         if abs(ratio - 1.0) <= BOUNDARY_TOL:
             raise SaddleNodeBoundary(
                 f"amplitude within {BOUNDARY_TOL} of the {side} saddle-node threshold"
@@ -168,21 +155,29 @@ def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquil
         spread = math.acos(ratio)
         v_star = cubic_F(u_star)
         sin_spread = math.sin(spread)  # = sqrt(R^2-G^2)/R, positive
+        # the Jacobian [[-1, J12], [c, 0]] has eigenvectors (lam, c)
+        c = 2.0 * delta * (u_star - 1.0)
         # the saddle (determinant negative) and the node (or focus above the
         # second threshold; determinant positive) mirror each other across
         # the fold: sign +1 puts the saddle at phi + spread on the left fold
         for kind, sign in (("saddle", 1.0), ("node", -1.0)):
             if side == "right":
                 sign = -sign
-            theta = wrap_angle(dc.phi_delta + sign * spread)
-            det = 2.0 * delta * (u_star - 1.0) * dc.r_delta * (sign * sin_spread)
-            if kind == "node" and not 1.0 - 4.0 * det > 0.0:
+            theta = wrap_angle(phi_delta + sign * spread)
+            det = c * r_delta * (sign * sin_spread)
+            disc = 1.0 - 4.0 * det
+            if kind == "node" and not disc > 0.0:
                 kind = "focus"
-            lams, vecs = _eig_pair(delta, u_star, det)
+            if disc >= 0.0:
+                root = math.sqrt(disc)
+                lams = (complex(0.5 * (-1.0 - root)), complex(0.5 * (-1.0 + root)))
+            else:
+                root = math.sqrt(-disc)
+                lams = (complex(-0.5, 0.5 * root), complex(-0.5, -0.5 * root))
             out.append(
                 FoldedEquilibrium(
-                    side=side, kind=kind, u=u_star, v=v_star, theta=theta,
-                    eigenvalues=lams, eigenvectors=vecs,
+                    side=side, kind=kind, u=u_star, v=v_star, theta=theta, eigenvalues=lams,
+                    eigenvectors=((lams[0], complex(c)), (lams[1], complex(c))),
                 )
             )
     return out
@@ -190,20 +185,21 @@ def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquil
 
 def classify_region(params: ModelParams, forcing: Forcing) -> str:
     """Region label I..VI from amplitude comparisons, or 'boundary'."""
-    th = fold_thresholds(params, forcing.delta(params))
+    delta, mu, root, _, _ = _drive_constants(params, forcing)
+    star_l, star_r, two_l, two_r = _thresholds(params, delta, mu, root)
     E = forcing.E
-    cuts = (th.e_star_left, th.e_star_right, th.e_2star_left, th.e_2star_right)
-    if any(abs(E - c) <= BOUNDARY_TOL for c in cuts):
+    if (abs(E - star_l) <= BOUNDARY_TOL or abs(E - star_r) <= BOUNDARY_TOL
+            or abs(E - two_l) <= BOUNDARY_TOL or abs(E - two_r) <= BOUNDARY_TOL):
         return "boundary"
-    if E < th.e_star_left:
+    if E < star_l:
         return "I"
-    if E < min(th.e_2star_left, th.e_star_right):
+    if E < min(two_l, star_r):
         return "II"
-    if th.e_2star_left < E < th.e_star_right:
+    if two_l < E < star_r:
         return "III"
-    if th.e_star_right < E < min(th.e_2star_left, th.e_2star_right):
+    if star_r < E < min(two_l, two_r):
         return "IV"
-    if max(th.e_star_right, th.e_2star_left) < E < th.e_2star_right:
+    if max(star_r, two_l) < E < two_r:
         return "V"
     return "VI"
 

@@ -6,16 +6,16 @@ saddle angle.  Matching series coefficients of the reduced-flow direction
 field gives five nonlinear equations k*a_k = b_{k-1}(a).  The system is
 triangular: a1 is fixed by the branch eigenvalue, and equation k is linear in
 a_k once a1..a_(k-1) are known, so forward substitution solves it.  Each
-b_k has one function, which reads only a1..a_(k+1) and takes each power of
-them once per call, into a local, with every product and sum in the order
-of the written polynomial.  The substitution evaluates just the b_(k-1) of
-the equation it solves, and the residual check evaluates all five once,
-through `b_coefficients`.  The check that a saddle exists computes only the
-left existence threshold (`geometry._left_threshold`), not all four fold
-thresholds.  The solve stays in plain floats: only when the residual check
-fails (a residual above the tolerance, or NaN) are the coefficients put into
-numpy arrays for a finite-difference Newton polish, which runs on 631 of the
-48,634 saddle solves of the atlas master lattice.
+b_k has one function, which reads a1..a_(k+1) and the powers of a1, a2, a3
+it needs, with every product and sum in the order of the written polynomial.
+A solve takes each power and each drive constant once, and evaluates just
+the b_(k-1) of each equation it solves; the residual check, `b_coefficients`,
+takes the powers once more and evaluates all five.  The saddle-existence
+check reads only the left threshold (`geometry._left_threshold`).  The solve
+stays in plain floats: only when the residual check fails (a residual above
+the tolerance, or NaN) are the coefficients put into numpy arrays for a
+finite-difference Newton polish, which runs on 631 of the 48,634 saddle
+solves of the atlas master lattice.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import fastpath
 from .errors import NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
 from .geometry import _left_threshold
-from .model import Forcing, ModelParams, TWO_PI, derived_constants, wrap_angle
+from .model import Forcing, ModelParams, TWO_PI, _drive_constants, wrap_angle
 
 VALIDITY_HALF_WIDTH = math.pi / 2.0
 # the offset recovered from a wrapped window edge, theta_base -/+ pi/2 taken
@@ -58,55 +58,46 @@ def _b0(a1, C, delta, mu, b):
     return (a1 + C) / (2.0 * a1 * delta)
 
 
-def _b1(a1, a2, C, delta, mu, b):
-    a1_2 = a1**2
-    a1_3 = a1**3
+def _a1_powers(a1):
+    """a1**2 .. a1**9, the powers of a1 the b_k read."""
+    return a1**2, a1**3, a1**4, a1**5, a1**6, a1**7, a1**8, a1**9
+
+
+# x holds _a1_powers(a1) and y (a2**2, a2**3, a2**4); each b_k reads its
+# powers from them, with every product and sum in the written order
+def _b1(a1, a2, C, delta, mu, b, x):
+    a1_2, a1_3 = x[:2]
     return (-2.0 * a1_3 * b + a1_3 + a1_2 * C + a1 * mu - 2.0 * a2 * C) / (
         4.0 * a1_2 * delta
     )
 
 
-def _b2(a1, a2, a3, C, delta, mu, b):
-    a1_2 = a1**2
-    a1_3 = a1**3
-    a1_4 = a1**4
-    a1_5 = a1**5
+def _b2(a1, a2, a3, C, delta, mu, b, x, y):
+    a1_2, a1_3, a1_4, a1_5 = x[:4]
     return (
         -2.0 * a1_5 * b + 3.0 * a1_5 + 3.0 * a1_4 * C
         - 12.0 * a1_3 * a2 * b + 6.0 * a1_3 * a2 + 3.0 * a1_3 * mu
         - 2.0 * a1_2 * C - 6.0 * a1 * a2 * mu - 12.0 * a1 * a3 * C
-        + 12.0 * a2**2 * C
+        + 12.0 * y[0] * C
     ) / (24.0 * a1_3 * delta)
 
 
-def _b3(a1, a2, a3, a4, C, delta, mu, b):
-    a1_2 = a1**2
-    a1_3 = a1**3
-    a1_4 = a1**4
-    a1_5 = a1**5
-    a1_6 = a1**6
-    a1_7 = a1**7
+def _b3(a1, a2, a3, a4, C, delta, mu, b, x, y):
+    a1_2, a1_3, a1_4, a1_5, a1_6, a1_7 = x[:6]
+    a2_2, a2_3 = y[:2]
     return (
         -2.0 * a1_7 * b + 3.0 * a1_7 + 3.0 * a1_6 * C
         - 8.0 * a1_5 * a2 * b + 12.0 * a1_5 * a2 + 3.0 * a1_5 * mu
         + 6.0 * a1_4 * a2 * C - 24.0 * a1_4 * a3 * b + 12.0 * a1_4 * a3
         - 2.0 * a1_4 * C - a1_3 * mu + 4.0 * a1_2 * a2 * C
         - 12.0 * a1_2 * a3 * mu - 24.0 * a1_2 * a4 * C
-        + 12.0 * a1 * a2**2 * mu + 48.0 * a1 * a2 * a3 * C - 24.0 * a2**3 * C
+        + 12.0 * a1 * a2_2 * mu + 48.0 * a1 * a2 * a3 * C - 24.0 * a2_3 * C
     ) / (48.0 * a1_4 * delta)
 
 
-def _b4(a1, a2, a3, a4, a5, C, delta, mu, b):
-    a1_2 = a1**2
-    a1_3 = a1**3
-    a1_4 = a1**4
-    a1_5 = a1**5
-    a1_6 = a1**6
-    a1_7 = a1**7
-    a1_8 = a1**8
-    a1_9 = a1**9
-    a2_2 = a2**2
-    a2_3 = a2**3
+def _b4(a1, a2, a3, a4, a5, C, delta, mu, b, x, y, a3_2):
+    a1_2, a1_3, a1_4, a1_5, a1_6, a1_7, a1_8, a1_9 = x
+    a2_2, a2_3, a2_4 = y
     return (
         -10.0 * a1_9 * b + 15.0 * a1_9 + 15.0 * a1_8 * C
         - 60.0 * a1_7 * a2 * b + 90.0 * a1_7 * a2 + 15.0 * a1_7 * mu
@@ -117,14 +108,10 @@ def _b4(a1, a2, a3, a4, a5, C, delta, mu, b):
         + 2.0 * a1_4 * C + 10.0 * a1_3 * a2 * mu + 40.0 * a1_3 * a3 * C
         - 120.0 * a1_3 * a4 * mu - 240.0 * a1_3 * a5 * C
         - 40.0 * a1_2 * a2_2 * C + 240.0 * a1_2 * a2 * a3 * mu
-        + 480.0 * a1_2 * a2 * a4 * C + 240.0 * a1_2 * a3**2 * C
+        + 480.0 * a1_2 * a2 * a4 * C + 240.0 * a1_2 * a3_2 * C
         - 120.0 * a1 * a2_3 * mu - 720.0 * a1 * a2_2 * a3 * C
-        + 240.0 * a2**4 * C
+        + 240.0 * a2_4 * C
     ) / (480.0 * a1_5 * delta)
-
-
-# _B_TERMS[k] is b_k(a1, .., a_(k+1), C, delta, mu, b)
-_B_TERMS = (_b0, _b1, _b2, _b3, _b4)
 
 
 def _amplitude_const(r_delta: float, mu: float) -> float:
@@ -142,12 +129,14 @@ def b_coefficients(a, delta: float, r_delta: float, mu: float, b: float):
     if a1 == 0.0:
         raise ZeroDivisionError("a1 must be nonzero")
     C = _amplitude_const(r_delta, mu)
+    x = _a1_powers(a1)
+    y = (a2**2, a2**3, a2**4)
     return (
         _b0(a1, C, delta, mu, b),
-        _b1(a1, a2, C, delta, mu, b),
-        _b2(a1, a2, a3, C, delta, mu, b),
-        _b3(a1, a2, a3, a4, C, delta, mu, b),
-        _b4(a1, a2, a3, a4, a5, C, delta, mu, b),
+        _b1(a1, a2, C, delta, mu, b, x),
+        _b2(a1, a2, a3, C, delta, mu, b, x, y),
+        _b3(a1, a2, a3, a4, C, delta, mu, b, x, y),
+        _b4(a1, a2, a3, a4, a5, C, delta, mu, b, x, y, a3**2),
     )
 
 
@@ -157,19 +146,16 @@ def saddle_eigenvalues(params: ModelParams, forcing: Forcing) -> tuple[float, fl
     Raises DomainError outside b(a + 2/3) > 1 and NoSaddle at or below the
     saddle-existence threshold, where there is no saddle.
     """
-    dc = derived_constants(params, forcing)
-    return _saddle_eigenvalues(params, forcing, forcing.delta(params),
-                               _amplitude_const(dc.r_delta, dc.mu))
+    delta, mu, root, r_delta, _ = _drive_constants(params, forcing)
+    return _saddle_eigenvalues(forcing.E, delta, mu, root, _amplitude_const(r_delta, mu))
 
 
-def _saddle_eigenvalues(params: ModelParams, forcing: Forcing, delta: float,
+def _saddle_eigenvalues(E: float, delta: float, mu: float, root: float,
                         c_const: float) -> tuple[float, float]:
-    """`saddle_eigenvalues` from the drive's delta and C, with its errors."""
-    _, _, e_star_left = _left_threshold(params, delta)
-    if forcing.E <= e_star_left:
-        raise NoSaddle(
-            f"no folded saddle: E={forcing.E} <= existence threshold {e_star_left:.6g}"
-        )
+    """`saddle_eigenvalues` from the drive's constants and C, with its errors."""
+    e_star_left = _left_threshold(delta, mu, root)
+    if E <= e_star_left:
+        raise NoSaddle(f"no folded saddle: E={E} <= existence threshold {e_star_left:.6g}")
     root = math.sqrt(1.0 + 8.0 * delta * c_const)
     return -0.5 - 0.5 * root, -0.5 + 0.5 * root
 
@@ -196,22 +182,28 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     """
     if branch not in ("stable", "unstable"):
         raise ValueError("branch must be 'stable' or 'unstable'")
-    dc = derived_constants(params, forcing)
-    mu, r_delta, b = dc.mu, dc.r_delta, params.b
-    delta = forcing.delta(params)
+    delta, mu, root, r_delta, phi_delta = _drive_constants(params, forcing)
+    b = params.b
     C = _amplitude_const(r_delta, mu)
-    lam_stable, lam_unstable = _saddle_eigenvalues(params, forcing, delta, C)
+    lam_stable, lam_unstable = _saddle_eigenvalues(forcing.E, delta, mu, root, C)
     lam = lam_stable if branch == "stable" else lam_unstable
-    theta_base = wrap_angle(dc.phi_delta + math.acos(mu / r_delta))
+    theta_base = wrap_angle(phi_delta + math.acos(mu / r_delta))
 
-    # a1..a_(k-1) as plain floats, as b_coefficients unpacks them; b_(k-1)
-    # reads a1..a_k, so it alone is evaluated at a_k = 0 and a_k = 1
-    a = [closed_form_a1(lam, delta)]
-    for k in range(2, 6):
-        b_prev = _B_TERMS[k - 1]
-        p = b_prev(*a, 0.0, C, delta, mu, b)
-        q = b_prev(*a, 1.0, C, delta, mu, b) - p
-        a.append(p / (k - q))
+    # plain floats, as b_coefficients unpacks them; b_(k-1) reads a1..a_k,
+    # so it alone is evaluated at a_k = 0 and a_k = 1, on powers taken once
+    a1 = closed_form_a1(lam, delta)
+    x = _a1_powers(a1)
+    p = _b1(a1, 0.0, C, delta, mu, b, x)
+    a2 = p / (2 - (_b1(a1, 1.0, C, delta, mu, b, x) - p))
+    y = (a2**2, a2**3, a2**4)
+    p = _b2(a1, a2, 0.0, C, delta, mu, b, x, y)
+    a3 = p / (3 - (_b2(a1, a2, 1.0, C, delta, mu, b, x, y) - p))
+    p = _b3(a1, a2, a3, 0.0, C, delta, mu, b, x, y)
+    a4 = p / (4 - (_b3(a1, a2, a3, 1.0, C, delta, mu, b, x, y) - p))
+    a3_2 = a3**2
+    p = _b4(a1, a2, a3, a4, 0.0, C, delta, mu, b, x, y, a3_2)
+    a5 = p / (5 - (_b4(a1, a2, a3, a4, 1.0, C, delta, mu, b, x, y, a3_2) - p))
+    a = [a1, a2, a3, a4, a5]
     bs = b_coefficients(a, delta, r_delta, mu, b)
     res = [(k + 1.0) * a[k] - bs[k] for k in range(5)]
     # a NaN compares false, so it fails the check as it fails np.max's

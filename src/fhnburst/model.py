@@ -106,16 +106,23 @@ def mu_constant(params: ModelParams) -> float:
     return params.b * (params.a + 2.0 / 3.0) - 1.0
 
 
+def _drive_constants(params: ModelParams,
+                     forcing: Forcing) -> tuple[float, float, float, float, float]:
+    """(delta, mu, hypot(b, delta), R_delta, phi_delta) of one drive, each
+    computed once, for the closed forms that read several of them."""
+    delta = forcing.delta(params)
+    root = math.hypot(params.b, delta)
+    return delta, mu_constant(params), root, forcing.E * root, math.atan2(params.b, delta)
+
+
 def derived_constants(params: ModelParams, forcing: Forcing) -> DerivedConstants:
     """mu, the rotated forcing amplitude R_delta, and its phase lag phi_delta.
 
     phi_delta is computed with a two-argument arctangent so the branch lies
     in (0, pi/2) for every delta > 0 and tends to pi/2 as delta -> 0.
     """
-    delta = forcing.delta(params)
-    r_delta = forcing.E * math.hypot(params.b, delta)
-    phi_delta = math.atan2(params.b, delta)
-    return DerivedConstants(mu=mu_constant(params), r_delta=r_delta, phi_delta=phi_delta)
+    _, mu, _, r_delta, phi_delta = _drive_constants(params, forcing)
+    return DerivedConstants(mu=mu, r_delta=r_delta, phi_delta=phi_delta)
 
 
 def cubic_F(u: float) -> float:

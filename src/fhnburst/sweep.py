@@ -415,8 +415,9 @@ def write_grid_csv(grid: SweepGrid, path: str) -> None:
 
 def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Parse a grid CSV back into axes plus row dictionaries.  A field that
-    does not parse as its type, a missing or non-finite omega or E and a
-    repeated (omega, E) raise ValueError naming the line and the field."""
+    does not parse as its type, a missing or non-finite omega or E, a
+    non-finite l2 and a repeated (omega, E) raise ValueError naming the line
+    and the field."""
     rows, first_line = [], {}   # first_line: (omega, E) -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -434,7 +435,9 @@ def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                 except ValueError:
                     raise ValueError(f"{where}: {name} {text!r} does not parse as "
                                      f"{cast.__name__}") from None
-                if name in ("omega", "E") and not (text and math.isfinite(row[name])):
+                # an empty l2 is a cell without one; omega and E are required
+                if name in ("omega", "E", "l2") and not (
+                        math.isfinite(row[name]) if text else name == "l2"):
                     raise ValueError(f"{where}: {name} {text!r} is not a finite number")
             key = (row["omega"], row["E"])
             if key in first_line:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +392,7 @@ class TestErrors:
         assert not out.exists()
 
 
+DESK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk_20x20.csv"
 # a valid 2x2 spec whose one metric, the region label, needs no simulation
 TINY_SWEEP = ("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
               "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
@@ -455,6 +457,12 @@ class TestOutputContract:
         pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
                       "--out", "{tmp}/x.csv"], None, "no folded saddle",
                      id="manifold-below-saddle-threshold"),
+        # omegas so small that 64 delta^2 underflows to zero in the fold thresholds
+        pytest.param(["equilibria", "--E", "0.5", "--omega", "5e-324", "--out", "{tmp}/x.json"],
+                     None, "underflows to zero", id="equilibria-delta-underflows"),
+        pytest.param(["simulate", "--E", "0.5", "--omega", "1e-300", "--out", "{tmp}/x.csv",
+                      "--metrics-out", "{tmp}/x.json"], None, "underflows to zero",
+                     id="simulate-delta-underflows"),
         # a missing input
         pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
                      id="contours-grid-dir-missing"),
@@ -479,6 +487,24 @@ class TestOutputContract:
         err = json.loads(line)["error"]
         assert err["type"] and match.format(**fill) in err["message"]
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_contours_refuse_an_infinite_l2(self, capsys, tmp_path):
+        # the desk reference CSV with one l2 set to inf
+        lines = DESK_REFERENCE.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[4] = "inf"
+        lines[5] = ",".join(fields)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(lines))
+        assert main(["contours", "--grid", str(grid), "--out", str(tmp_path / "c.json"),
+                     "--svg", str(tmp_path / "c.svg")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "ValueError"
+        assert "line 6: l2 'inf' is not a finite number" in err["message"]
+        assert list(tmp_path.iterdir()) == [grid]
 
     def test_unallocatable_table(self, capsys, tmp_path):
         # 2e13 samples ask numpy for 146 TiB, which it refuses at once: the

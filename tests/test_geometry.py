@@ -91,6 +91,15 @@ class TestThresholds:
         with pytest.raises(ValueError):
             fold_thresholds(params, 0.0)
 
+    def test_underflowing_delta(self, params):
+        # 64 delta^2 is zero below delta ~ 2e-163; just above, bump is inf
+        for delta in (5e-324 / params.eps, 1e-300, 1.9e-163):
+            with pytest.raises(DomainError, match="underflows to zero"):
+                fold_thresholds(params, delta)
+            with pytest.raises(DomainError, match="underflows to zero"):
+                classify_region(params, Forcing(E=0.5, omega=delta * params.eps))
+        assert fold_thresholds(params, 2e-163).e_2star_left == math.inf
+
 
 def _region_iv_vi_points(params, n, seed=7):
     rng = np.random.default_rng(seed)

@@ -171,6 +171,15 @@ class TestRunSweep:
         assert {c.status for c in grid.cells} == {"err:DomainError"}
         assert all(c.region is None and c.spike_count is None for c in grid.cells)
 
+    def test_underflowing_delta_cell_recorded(self):
+        # 64 delta^2 underflows to zero at these omegas: the node-to-focus
+        # thresholds are undefined and each cell records a DomainError
+        spec = SweepSpec(omega_range=(1e-300, 2e-300, 1e-300), e_range=(0.5, 0.6, 0.1),
+                         metrics=("region",))
+        grid = run_sweep(spec, ModelParams())
+        assert grid.complete and len(grid.cells) == 4
+        assert {c.status for c in grid.cells} == {"err:DomainError"}
+
     def test_failed_cells_recorded(self, params, monkeypatch):
         real = burst_metrics
 
@@ -611,9 +620,11 @@ class TestCsv:
         (",0.4,ok,0,1.9,0,II", "line 3: omega '' is not a finite number"),
         ("0.02,0.4,ok,1.5,1.9,0,II", "line 3: spike_count '1.5' does not parse as int"),
         ("0.02,0.4,ok,1,x,0,II", "line 3: l2 'x' does not parse as float"),
+        ("0.02,0.4,ok,1,inf,0,II", "line 3: l2 'inf' is not a finite number"),
+        ("0.02,0.4,ok,1,nan,0,II", "line 3: l2 'nan' is not a finite number"),
         ("0.01,0.40,ok,2,1.9,0,II", "line 3: (omega, E) = (0.01, 0.4) repeats line 2"),
     ], ids=["omega-inf", "E-minus-inf", "omega-missing", "spike-count-fraction", "l2-text",
-            "cell-repeated"])
+            "l2-inf", "l2-nan", "cell-repeated"])
     def test_malformed_row_names_its_line(self, tmp_path, row, match):
         path = tmp_path / "grid.csv"
         path.write_text(f"{sweep_mod.CSV_HEADER}\n0.01,0.4,ok,0,1.9,0,II\n{row}\n")
