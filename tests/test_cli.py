@@ -393,6 +393,17 @@ class TestErrors:
 
 
 DESK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk_20x20.csv"
+
+
+def _desk_csv_with_inf_l2() -> str:
+    """The desk reference CSV with the l2 on its line 6 set to inf."""
+    lines = DESK_REFERENCE.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[4] = "inf"
+    lines[5] = ",".join(fields)
+    return "".join(lines)
+
+
 # a valid 2x2 spec whose one metric, the region label, needs no simulation
 TINY_SWEEP = ("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
               "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
@@ -453,6 +464,9 @@ class TestOutputContract:
                       "--svg", "{tmp}/c.svg"], CSV_HEADER + "\n0.01,0.4,ok,0,1.9,0,II\n"
                      "nan,0.4,ok,0,1.9,0,II\n", "line 3: omega 'nan' is not a finite number",
                      id="contours-grid-omega-nan"),
+        pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
+                      "--svg", "{tmp}/c.svg"], _desk_csv_with_inf_l2(),
+                     "line 6: l2 'inf' is not a finite number", id="contours-desk-l2-inf"),
         # a point outside the domain
         pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
                       "--out", "{tmp}/x.csv"], None, "no folded saddle",
@@ -487,24 +501,6 @@ class TestOutputContract:
         err = json.loads(line)["error"]
         assert err["type"] and match.format(**fill) in err["message"]
         assert sorted(tmp_path.iterdir()) == before
-
-    def test_contours_refuse_an_infinite_l2(self, capsys, tmp_path):
-        # the desk reference CSV with one l2 set to inf
-        lines = DESK_REFERENCE.read_text().splitlines(keepends=True)
-        fields = lines[5].split(",")
-        fields[4] = "inf"
-        lines[5] = ",".join(fields)
-        grid = tmp_path / "grid.csv"
-        grid.write_text("".join(lines))
-        assert main(["contours", "--grid", str(grid), "--out", str(tmp_path / "c.json"),
-                     "--svg", str(tmp_path / "c.svg")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        err = json.loads(line)["error"]
-        assert err["type"] == "ValueError"
-        assert "line 6: l2 'inf' is not a finite number" in err["message"]
-        assert list(tmp_path.iterdir()) == [grid]
 
     def test_unallocatable_table(self, capsys, tmp_path):
         # 2e13 samples ask numpy for 146 TiB, which it refuses at once: the
