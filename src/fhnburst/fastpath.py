@@ -4,7 +4,9 @@ At import time the C library (`_kernel.c`, built by setup.py into the shared
 library `fhnburst._kernel` and loaded with ctypes) is opened once.  The one
 handle `_IMPL` is that `Library` or, when the library was not built, the
 module `_kernel_py` of its pure-Python twins; the functions below dispatch
-through it.  The C code copies the twins operation for operation and is
+through it, so no call mixes the two, and a test that wants the other
+backend replaces the whole handle (`monkeypatch.setattr(fastpath, "_IMPL",
+_kernel_py)`).  The C code copies the twins operation for operation and is
 compiled without floating-point contraction, so both backends return
 bit-identical results:
 - the forced kernel (`integrate_forced`) makes a measurement run, which

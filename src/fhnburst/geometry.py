@@ -63,7 +63,7 @@ def _left_threshold(delta: float, mu: float, root: float) -> float:
     """e_star_left = mu / hypot(b, delta) after the fold thresholds' domain
     checks: the saddle-existence test needs only this threshold."""
     if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
+        raise DomainError(f"delta={delta!r} must be positive and finite")
     if mu <= 0.0:
         raise DomainError(_FOLD_DOMAIN)
     return mu / root
@@ -183,6 +183,9 @@ def folded_equilibria(params: ModelParams, forcing: Forcing) -> list[FoldedEquil
     return out
 
 
+REGIONS = ("I", "II", "III", "IV", "V", "VI", "boundary")   # the labels classify_region gives
+
+
 def classify_region(params: ModelParams, forcing: Forcing) -> str:
     """Region label I..VI from amplitude comparisons, or 'boundary'."""
     delta, mu, root, _, _ = _drive_constants(params, forcing)
@@ -269,9 +272,8 @@ def supercritical_manifold_point(
 
 
 def delayed_hopf_points(params: ModelParams) -> tuple[float, float]:
-    """u-coordinates where the slow-layer Jacobian trace vanishes: 1 -+ sqrt(1-eps*b)."""
-    if params.eps * params.b >= 1.0:
-        raise DomainError("requires eps*b < 1")
+    """u-coordinates where the slow-layer Jacobian trace vanishes: 1 -+ sqrt(1-eps*b).
+    `ModelParams` keeps b and eps in (0, 1), so eps*b < 1."""
     s = math.sqrt(1.0 - params.eps * params.b)
     return 1.0 - s, 1.0 + s
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastpath
-from .errors import NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
+from .errors import DomainError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity
 from .geometry import _left_threshold
 from .model import Forcing, ModelParams, TWO_PI, _drive_constants, wrap_angle
 
@@ -179,6 +179,8 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     plain floats, and only when the worst exceeds NEWTON_TOL (or one is
     NaN) does a Newton iteration (at most NEWTON_MAX_ITER steps) polish the
     coefficients; inside the studied parameter range it rarely runs.
+    DomainError where a1 rounds to 0 or the substitution leaves the float
+    range (omega far below the studied range, say).
     """
     if branch not in ("stable", "unstable"):
         raise ValueError("branch must be 'stable' or 'unstable'")
@@ -192,19 +194,26 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     # plain floats, as b_coefficients unpacks them; b_(k-1) reads a1..a_k,
     # so it alone is evaluated at a_k = 0 and a_k = 1, on powers taken once
     a1 = closed_form_a1(lam, delta)
-    x = _a1_powers(a1)
-    p = _b1(a1, 0.0, C, delta, mu, b, x)
-    a2 = p / (2 - (_b1(a1, 1.0, C, delta, mu, b, x) - p))
-    y = (a2**2, a2**3, a2**4)
-    p = _b2(a1, a2, 0.0, C, delta, mu, b, x, y)
-    a3 = p / (3 - (_b2(a1, a2, 1.0, C, delta, mu, b, x, y) - p))
-    p = _b3(a1, a2, a3, 0.0, C, delta, mu, b, x, y)
-    a4 = p / (4 - (_b3(a1, a2, a3, 1.0, C, delta, mu, b, x, y) - p))
-    a3_2 = a3**2
-    p = _b4(a1, a2, a3, a4, 0.0, C, delta, mu, b, x, y, a3_2)
-    a5 = p / (5 - (_b4(a1, a2, a3, a4, 1.0, C, delta, mu, b, x, y, a3_2) - p))
-    a = [a1, a2, a3, a4, a5]
-    bs = b_coefficients(a, delta, r_delta, mu, b)
+    if a1 == 0.0:
+        raise DomainError(f"the {branch} eigenvalue rounds to 0 at delta={delta!r}, "
+                          f"E={forcing.E!r}, so a1 = 0")
+    try:
+        x = _a1_powers(a1)
+        p = _b1(a1, 0.0, C, delta, mu, b, x)
+        a2 = p / (2 - (_b1(a1, 1.0, C, delta, mu, b, x) - p))
+        y = (a2**2, a2**3, a2**4)
+        p = _b2(a1, a2, 0.0, C, delta, mu, b, x, y)
+        a3 = p / (3 - (_b2(a1, a2, 1.0, C, delta, mu, b, x, y) - p))
+        p = _b3(a1, a2, a3, 0.0, C, delta, mu, b, x, y)
+        a4 = p / (4 - (_b3(a1, a2, a3, 1.0, C, delta, mu, b, x, y) - p))
+        a3_2 = a3**2
+        p = _b4(a1, a2, a3, a4, 0.0, C, delta, mu, b, x, y, a3_2)
+        a5 = p / (5 - (_b4(a1, a2, a3, a4, 1.0, C, delta, mu, b, x, y, a3_2) - p))
+        a = [a1, a2, a3, a4, a5]
+        bs = b_coefficients(a, delta, r_delta, mu, b)
+    except ArithmeticError:
+        raise DomainError(f"the {branch} series leaves the float range at delta={delta!r}, "
+                          f"E={forcing.E!r} (a1={a1!r})") from None
     res = [(k + 1.0) * a[k] - bs[k] for k in range(5)]
     # a NaN compares false, so it fails the check as it fails np.max's
     if all(abs(r) <= NEWTON_TOL for r in res):
@@ -214,7 +223,10 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
         )
 
     def residual(a):
-        bs = b_coefficients(a, delta, r_delta, mu, b)
+        try:
+            bs = b_coefficients(a, delta, r_delta, mu, b)
+        except ArithmeticError as exc:
+            raise NewtonDiverged(f"coefficient solve left the float range: {exc}") from None
         return np.array([(k + 1.0) * a[k] - bs[k] for k in range(5)])
 
     a = np.array(a)

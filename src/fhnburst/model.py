@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 TWO_PI = 2.0 * math.pi
 
 # left knee of the cubic nullcline in (x, Y) coordinates
@@ -260,6 +262,7 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
     """Rest state of the drive-free system, used as the simulation seed.
 
     Solves x - x^3/3 - x/b - a = 0 by damped Newton from the left branch.
+    DomainError where a Newton step overflows (a above about 1e103).
     """
     b, a = params.b, params.a
 
@@ -270,10 +273,13 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
         return 1.0 - x * x - 1.0 / b
 
     x = -1.2
-    for _ in range(100):
-        step = g(x) / gp(x)
-        x -= step
-        if abs(step) < 1e-15:
-            break
+    try:
+        for _ in range(100):
+            step = g(x) / gp(x)
+            x -= step
+            if abs(step) < 1e-15:
+                break
+    except OverflowError:
+        raise DomainError(f"a={a!r} is too large: the rest state's Newton step overflows") from None
     return x, x / b
 

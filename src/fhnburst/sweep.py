@@ -20,7 +20,7 @@ import numpy as np
 
 from .burst import burst_metrics
 from .errors import FhnBurstError, IncompleteGrid, WorkerDied
-from .geometry import classify_region
+from .geometry import REGIONS, classify_region
 from .integrator import IntegratorConfig
 from .model import Forcing, ModelParams
 
@@ -49,11 +49,8 @@ class SweepSpec:
                 raise ValueError("range values must be finite")
             if not (step > 0.0 and hi > lo):
                 raise ValueError("ranges must be non-degenerate with positive step")
-        # every cell must be a valid Forcing: omega > 0 and E >= 0
-        if self.omega_range[0] <= 0.0:
-            raise ValueError("the omega axis must start above 0")
-        if self.e_range[0] < 0.0:
-            raise ValueError("the E axis must start at or above 0")
+        # the axes only grow from their first values, so every cell is then a valid Forcing
+        Forcing(E=self.e_range[0], omega=self.omega_range[0])
         bad = set(self.metrics) - set(ALL_METRICS)
         if bad:
             raise ValueError(f"unknown metrics: {sorted(bad)}")
@@ -83,6 +80,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One cell of a sweep grid.  Construction holds the cell rule, which every
+    computed, resumed and loaded cell meets: each field None or of its
+    `FIELD_TYPES` type (omega, E and status never None), omega, E and l2
+    finite, the counts >= 0, region one of `REGIONS`, status `ok` or
+    `err:<Name>`, and a failed cell without a simulated metric.  Otherwise
+    ValueError names the field."""
+
     omega: float
     E: float
     status: str = "ok"
@@ -90,6 +94,28 @@ class CellResult:
     l2: float | None = None
     est_count: int | None = None
     region: str | None = None
+
+    def __post_init__(self):
+        values = [getattr(self, name) for name in CELL_FIELDS]
+        wrong = [name for name, v, cast in zip(CELL_FIELDS, values, FIELD_TYPES)
+                 if type(v) is not cast and (v is not None or name in ("omega", "E", "status"))]
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} of the wrong type")
+        for name, v in (("omega", self.omega), ("E", self.E), ("l2", self.l2)):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} '{v!r}' is not a finite number")
+        for name, v in (("spike_count", self.spike_count), ("est_count", self.est_count)):
+            if v is not None and v < 0:
+                raise ValueError(f"{name} '{v!r}' is negative")
+        if self.region is not None and self.region not in REGIONS:
+            raise ValueError(f"region {self.region!r} is not one of I-VI or boundary")
+        status = self.status
+        if status != "ok":
+            if not (status.startswith("err:") and status[4:].isidentifier()):
+                raise ValueError(f"status {status!r} is not ok or err:<Name>")
+            kept = [name for name in SIMULATED_METRICS if getattr(self, name) is not None]
+            if kept:
+                raise ValueError(f"failed cell has {', '.join(kept)}")
 
     def csv_row(self) -> str:
         return ",".join(_csv_field(getattr(self, name)) for name in CELL_FIELDS)
@@ -104,7 +130,7 @@ def _csv_field(v) -> str:
 CELL_FIELDS = tuple(f.name for f in fields(CellResult))
 CSV_HEADER = ",".join(CELL_FIELDS)
 # the type of each of CELL_FIELDS: it parses the field from a grid CSV (an empty
-# field is None) and is the field's type in a checkpoint record
+# field is None) and is the field's type in a cell
 FIELD_TYPES = (float, float, str, int, float, int, str)
 
 
@@ -184,46 +210,33 @@ def _cell_to_record(idx: int, cell: CellResult) -> str:
 def _record_to_cell(rec, lineno: int, omegas, e_values, required) -> tuple[int, CellResult]:
     """The index and cell of one checkpoint record of the grid on the axes
     (omegas, e_values); ValueError naming the line unless the record is an
-    object with an in-range `i` and every cell field, each None or of its
-    `FIELD_TYPES` type (status not None), omega and E those of cell `i`,
-    status `ok` or `err:<Name>`, a failed cell's simulated metrics None and
-    an ok cell's `required` metrics not None."""
+    object with an in-range `i` and every cell field, its fields make a
+    `CellResult` at the omega and E of cell `i`, and an ok cell has its
+    `required` metrics."""
+    where = f"checkpoint line {lineno}"
     if not isinstance(rec, dict):
-        raise ValueError(f"checkpoint line {lineno}: record is not an object")
+        raise ValueError(f"{where}: record is not an object")
     missing = [name for name in ("i",) + CELL_FIELDS if name not in rec]
     if missing:
-        raise ValueError(f"checkpoint line {lineno}: record lacks {', '.join(missing)}")
+        raise ValueError(f"{where}: record lacks {', '.join(missing)}")
     idx = rec["i"]
     n_e = len(e_values)
     cell_count = len(omegas) * n_e
     if type(idx) is not int or not 0 <= idx < cell_count:
-        raise ValueError(
-            f"checkpoint line {lineno}: cell index {idx!r} is not an integer in [0, {cell_count})"
-        )
-    values = [rec[name] for name in CELL_FIELDS]
-    wrong = [name for name, v, cast in zip(CELL_FIELDS, values, FIELD_TYPES)
-             if type(v) is not cast and (v is not None or name == "status")]
-    if wrong:
-        raise ValueError(f"checkpoint line {lineno}: {', '.join(wrong)} of the wrong type")
-    status = values[2]
-    if status != "ok":
-        if not (status.startswith("err:") and status[4:].isidentifier()):
-            raise ValueError(
-                f"checkpoint line {lineno}: status {status!r} is not ok or err:<Name>"
-            )
-        kept = [name for name in SIMULATED_METRICS if rec[name] is not None]
-        if kept:
-            raise ValueError(f"checkpoint line {lineno}: failed cell has {', '.join(kept)}")
-    else:
-        null = [name for name in required if rec[name] is None]
-        if null:
-            raise ValueError(f"checkpoint line {lineno}: ok cell lacks {', '.join(null)}")
+        raise ValueError(f"{where}: cell index {idx!r} is not an integer in [0, {cell_count})")
+    try:
+        cell = CellResult(*(rec[name] for name in CELL_FIELDS))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    null = [name for name in required if getattr(cell, name) is None]
+    if cell.status == "ok" and null:
+        raise ValueError(f"{where}: ok cell lacks {', '.join(null)}")
     i, j = divmod(idx, n_e)
     omega, e_val = float(omegas[i]), float(e_values[j])
-    if values[0] != omega or values[1] != e_val:
-        raise ValueError(f"checkpoint line {lineno}: cell {idx} is at omega={omega!r}, "
-                         f"E={e_val!r}, not at omega={values[0]!r}, E={values[1]!r}")
-    return idx, CellResult(*values)
+    if cell.omega != omega or cell.E != e_val:
+        raise ValueError(f"{where}: cell {idx} is at omega={omega!r}, E={e_val!r}, "
+                         f"not at omega={cell.omega!r}, E={cell.E!r}")
+    return idx, cell
 
 
 def _checkpoint_header(fingerprint: str) -> str:
@@ -415,9 +428,8 @@ def write_grid_csv(grid: SweepGrid, path: str) -> None:
 
 def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Parse a grid CSV back into axes plus row dictionaries.  A field that
-    does not parse as its type, a missing or non-finite omega or E, a
-    non-finite l2 and a repeated (omega, E) raise ValueError naming the line
-    and the field."""
+    does not parse as its type, a row that is not a `CellResult` and a
+    repeated (omega, E) raise ValueError naming the line and the field."""
     rows, first_line = [], {}   # first_line: (omega, E) -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -435,10 +447,10 @@ def load_grid_csv(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                 except ValueError:
                     raise ValueError(f"{where}: {name} {text!r} does not parse as "
                                      f"{cast.__name__}") from None
-                # an empty l2 is a cell without one; omega and E are required
-                if name in ("omega", "E", "l2") and not (
-                        math.isfinite(row[name]) if text else name == "l2"):
-                    raise ValueError(f"{where}: {name} {text!r} is not a finite number")
+            try:
+                CellResult(**row)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             key = (row["omega"], row["E"])
             if key in first_line:
                 raise ValueError(f"{where}: (omega, E) = {key} repeats line {first_line[key]}")

@@ -15,6 +15,7 @@ from fhnburst.burst import count_spikes, simulate_standard
 from fhnburst.cli import main
 from fhnburst.contours import extract_boundaries, l2_levelsets, polylines_to_json
 from fhnburst.errors import NewtonDiverged
+from fhnburst.geometry import fold_thresholds
 from fhnburst.manifolds import _eval_offset, solve_expansion
 from fhnburst.model import Forcing, ModelParams, TWO_PI, wrap_angle
 from fhnburst.svgplot import svg_document
@@ -328,7 +329,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("axis_flags, message", [
         (["--omega-lo", "0.01", "--omega-hi", "inf", "--omega-step", "0.01"], "finite"),
-        (["--omega-lo", "0.0", "--omega-hi", "0.02", "--omega-step", "0.01"], "omega axis"),
+        (["--omega-lo", "0.0", "--omega-hi", "0.02", "--omega-step", "0.01"],
+         "omega must be positive"),
     ])
     def test_sweep_axis_outside_domain(self, capsys, tmp_path, axis_flags, message):
         # rejected when the spec is built, before any cell runs
@@ -404,6 +406,15 @@ def _desk_csv_with_inf_l2() -> str:
     return "".join(lines)
 
 
+def _ulps_above_saddle_threshold(omega: float, k: int) -> float:
+    """The E k ulps above the saddle-existence threshold at omega."""
+    params = ModelParams()
+    e = fold_thresholds(params, Forcing(E=0.0, omega=omega).delta(params)).e_star_left
+    for _ in range(k):
+        e = math.nextafter(e, math.inf)
+    return e
+
+
 # a valid 2x2 spec whose one metric, the region label, needs no simulation
 TINY_SWEEP = ("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
               "e_lo = 0.5\ne_hi = 0.55\ne_step = 0.05\nmetrics = region\n"
@@ -477,6 +488,22 @@ class TestOutputContract:
         pytest.param(["simulate", "--E", "0.5", "--omega", "1e-300", "--out", "{tmp}/x.csv",
                       "--metrics-out", "{tmp}/x.json"], None, "underflows to zero",
                      id="simulate-delta-underflows"),
+        # the unstable eigenvalue rounds to 0, so a1 = 0
+        pytest.param(["manifold", "--E", "0.5", "--omega", "1e-17", "--branch", "unstable",
+                      "--out", "{tmp}/x.csv"], None, "eigenvalue rounds to 0",
+                     id="manifold-unstable-eigenvalue-vanishes"),
+        *(pytest.param(["manifold", "--E", repr(_ulps_above_saddle_threshold(1e-10, k)),
+                        "--omega", "1e-10", "--branch", "unstable", "--out", "{tmp}/x.csv"],
+                       None, "eigenvalue rounds to 0",
+                       id=f"manifold-{k}-ulps-above-saddle-threshold") for k in (1, 2, 4, 16)),
+        # the stable branch's a1 ~ 1 / (2 delta): its powers overflow
+        pytest.param(["estimate", "--E", "0.5", "--omega", "1e-40"], None,
+                     "leaves the float range", id="estimate-a1-powers-overflow"),
+        # the rest state's Newton step overflows
+        pytest.param(["simulate", "--a", "1e308", "--E", "0.5", "--omega", "0.02",
+                      "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
+                      "--svg", "{tmp}/x.svg"], None, "Newton step overflows",
+                     id="simulate-a-huge"),
         # a missing input
         pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
                      id="contours-grid-dir-missing"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fhnburst.errors import DomainError, SaddleNodeBoundary
 from fhnburst.geometry import (
+    REGIONS,
     classify_manifold_point,
     classify_region,
     delayed_hopf_points,
@@ -221,7 +222,7 @@ class TestRegions:
             th = fold_thresholds(params, d)
             for E in np.linspace(0.05, 1.25 * th.e_2star_right, 60):
                 seen.add(classify_region(params, Forcing(E=E, omega=d * params.eps)))
-        assert {"I", "II", "III", "IV", "V", "VI"} <= seen
+        assert {"I", "II", "III", "IV", "V", "VI"} <= seen <= set(REGIONS)
 
 
 class TestSmallDeltaExpansion:

@@ -7,19 +7,23 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fhnburst.sweep as sweep_mod
 from fhnburst import _kernel_py, burst, fastpath
 from fhnburst.burst import burst_metrics
 from fhnburst.errors import IncompleteGrid, NewtonDiverged, NonFiniteState
-from fhnburst.geometry import classify_region
+from fhnburst.geometry import REGIONS, classify_region
 from fhnburst.integrator import IntegratorConfig
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import (
@@ -179,6 +183,26 @@ class TestRunSweep:
         grid = run_sweep(spec, ModelParams())
         assert grid.complete and len(grid.cells) == 4
         assert {c.status for c in grid.cells} == {"err:DomainError"}
+
+    def test_overflowing_delta_cell_recorded(self, tmp_path):
+        # omega / eps overflows to inf past the first omega: those cells
+        # record a DomainError, and the sweep and its resume finish
+        spec = SweepSpec(omega_range=(0.02, 1.7e308, 8e307), e_range=(0.5, 0.6, 0.1),
+                         metrics=("region",))
+        ck = str(tmp_path / "ck.jsonl")
+        grid = run_sweep(spec, ModelParams(), checkpoint_path=ck)
+        assert grid.complete and len(grid.cells) == 6
+        assert [c.status for c in grid.cells] == ["ok"] * 2 + ["err:DomainError"] * 4
+        assert run_sweep(spec, ModelParams(), checkpoint_path=ck).to_csv() == grid.to_csv()
+
+    def test_vanishing_omega_estimate_recorded(self):
+        # at omega 1e-40 a1 ~ 1 / (2 delta), so its powers overflow in the
+        # stable manifold solve: the estimate's DomainError is recorded as
+        # an empty est_count, as every estimator failure is
+        spec = SweepSpec(omega_range=(1e-40, 2e-40, 1e-40), e_range=(0.5, 0.6, 0.1))
+        grid = run_sweep(spec, ModelParams())
+        assert grid.complete and len(grid.cells) == 4
+        assert all(c.status == "ok" and c.est_count is None for c in grid.cells)
 
     def test_failed_cells_recorded(self, params, monkeypatch):
         real = burst_metrics
@@ -364,8 +388,7 @@ class TestMalformedCheckpoint:
         pytest.param(None, _with(omega=9.9, E=9.9),
                      r"line 2: cell 0 is at omega=0\.02, E=0\.5, not at omega=9\.9, E=9\.9",
                      id="off-grid"),
-        pytest.param(None, _with(E=None), r"line 2: cell 0 is at .* not at omega=0\.02, E=None",
-                     id="E-null"),
+        pytest.param(None, _with(E=None), "line 2: E of the wrong type", id="E-null"),
         pytest.param(None, _with_index(1),
                      r"line 2: cell 1 is at omega=0\.02, E=0\.55, not at omega=0\.02, E=0\.5",
                      id="another-cell"),
@@ -380,6 +403,14 @@ class TestMalformedCheckpoint:
                      "line 2: failed cell has spike_count", id="err-with-count"),
         pytest.param(None, _with(status="err:NoSaddle", l2=1.5, est_count=2),
                      "line 2: failed cell has l2, est_count", id="err-with-l2-estimate"),
+        # a sweep's own CSV must load again, so each value load_grid_csv
+        # refuses is refused here too
+        pytest.param(None, _with(l2=float("nan"), spike_count=-4, region="XIV"),
+                     "checkpoint line 2: l2 'nan' is not a finite number", id="l2-nan"),
+        pytest.param(None, _with(spike_count=-4), "line 2: spike_count '-4' is negative",
+                     id="count-negative"),
+        pytest.param(None, _with(region="XIV"),
+                     "line 2: region 'XIV' is not one of I-VI or boundary", id="region-unknown"),
     ])
     def test_refused(self, params, tmp_path, header, record, match):
         ck = self._log(params, tmp_path, header, record)
@@ -617,14 +648,20 @@ class TestCsv:
     @pytest.mark.parametrize("row, match", [
         ("inf,0.4,ok,0,1.9,0,II", "line 3: omega 'inf' is not a finite number"),
         ("0.02,-inf,ok,0,1.9,0,II", "line 3: E '-inf' is not a finite number"),
-        (",0.4,ok,0,1.9,0,II", "line 3: omega '' is not a finite number"),
+        (",0.4,ok,0,1.9,0,II", "line 3: omega of the wrong type"),
         ("0.02,0.4,ok,1.5,1.9,0,II", "line 3: spike_count '1.5' does not parse as int"),
         ("0.02,0.4,ok,1,x,0,II", "line 3: l2 'x' does not parse as float"),
         ("0.02,0.4,ok,1,inf,0,II", "line 3: l2 'inf' is not a finite number"),
         ("0.02,0.4,ok,1,nan,0,II", "line 3: l2 'nan' is not a finite number"),
         ("0.01,0.40,ok,2,1.9,0,II", "line 3: (omega, E) = (0.01, 0.4) repeats line 2"),
+        ("0.02,0.4,ok,-4,1.9,0,II", "line 3: spike_count '-4' is negative"),
+        ("0.02,0.4,ok,1,1.9,0,XIV", "line 3: region 'XIV' is not one of I-VI or boundary"),
+        ("0.02,0.4,,1,1.9,0,II", "line 3: status of the wrong type"),
+        ("0.02,0.4,bogus,,,,II", "line 3: status 'bogus' is not ok or err:<Name>"),
+        ("0.02,0.4,err:NoSaddle,1,,,II", "line 3: failed cell has spike_count"),
     ], ids=["omega-inf", "E-minus-inf", "omega-missing", "spike-count-fraction", "l2-text",
-            "l2-inf", "l2-nan", "cell-repeated"])
+            "l2-inf", "l2-nan", "cell-repeated", "count-negative", "region-unknown",
+            "status-missing", "status-bogus", "err-with-count"])
     def test_malformed_row_names_its_line(self, tmp_path, row, match):
         path = tmp_path / "grid.csv"
         path.write_text(f"{sweep_mod.CSV_HEADER}\n0.01,0.4,ok,0,1.9,0,II\n{row}\n")
@@ -726,3 +763,98 @@ class TestCsv:
         # two tests use SciPy as an independent reference; the package
         # itself needs only numpy
         assert not self._loaded_by_import("scipy")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COUNT = st.none() | st.integers(0, 2**63)
+_REGION = st.none() | st.sampled_from(REGIONS)
+_ERROR_STATUS = st.from_regex(r"err:[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+# text that a grid CSV can hold in one field: no separator, no line end
+_FIELD_TEXT = st.text(st.characters(blacklist_characters=",\n\r",
+                                    blacklist_categories=("Cs",)), min_size=1)
+
+
+@st.composite
+def _cells(draw) -> CellResult:
+    """Any cell the rule allows: an ok cell with any metrics, or a failed
+    cell with at most its region."""
+    omega, e_val, region = draw(_FINITE), draw(_FINITE), draw(_REGION)
+    if draw(st.booleans()):
+        return CellResult(omega, e_val, "ok", draw(_COUNT), draw(st.none() | _FINITE),
+                          draw(_COUNT), region)
+    return CellResult(omega, e_val, draw(_ERROR_STATUS), region=region)
+
+
+# (field, value) edits that break the rule, each with the field it breaks
+_BREAKS = st.one_of(
+    st.tuples(st.just("l2"), st.sampled_from([math.nan, math.inf, -math.inf])).map(
+        lambda edit: ("l2", [edit])),
+    st.tuples(st.sampled_from(["spike_count", "est_count"]), st.integers(-2**63, -1)).map(
+        lambda edit: (edit[0], [edit])),
+    _FIELD_TEXT.filter(lambda r: r not in REGIONS).map(
+        lambda r: ("region", [("region", r)])),
+    _FIELD_TEXT.filter(lambda s: s != "ok" and not (s.startswith("err:")
+                                                    and s[4:].isidentifier())).map(
+        lambda s: ("status", [("status", s)])),
+    st.tuples(_ERROR_STATUS, st.sampled_from(sweep_mod.SIMULATED_METRICS)).map(
+        lambda edit: (edit[1], [("status", edit[0]), (edit[1], 1 if edit[1] != "l2" else 1.5)])),
+)
+
+
+def _no_fsync():
+    """The writers without their fsync, which only a crash could observe."""
+    return mock.patch.object(sweep_mod.os, "fsync", lambda fd: None)
+
+
+class TestCellRule:
+    """One rule, `CellResult`'s, decides which cells the checkpoint log and
+    the grid CSV hold: every valid cell survives both unchanged, and both
+    refuse a broken one with the same message."""
+
+    @staticmethod
+    def _grid(cell: CellResult) -> SweepGrid:
+        grid = SweepGrid(SweepSpec(omega_range=(0.02, 0.021, 0.01), e_range=(0.5, 0.51, 0.1)),
+                         ModelParams())
+        grid.cells = [cell]
+        return grid
+
+    @staticmethod
+    def _load_checkpoint(path: str, cell: CellResult) -> dict:
+        return load_checkpoint(path, "h", np.array([cell.omega]), np.array([cell.E]))
+
+    @given(cell=_cells())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_cell_round_trips(self, cell):
+        with tempfile.TemporaryDirectory() as tmp, _no_fsync():
+            ck, csv = os.path.join(tmp, "ck.jsonl"), os.path.join(tmp, "grid.csv")
+            compact_checkpoint(ck, "h", self._grid(cell))
+            write_grid_csv(self._grid(cell), csv)
+            (resumed,) = self._load_checkpoint(ck, cell).values()
+            (row,) = load_grid_csv(csv)[2]
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        assert repr(resumed) == repr(cell)
+        assert repr(CellResult(**row)) == repr(cell)
+
+    @given(cell=_cells(), brk=_BREAKS)
+    @settings(max_examples=100, deadline=None)
+    def test_broken_cell_refused_by_both_loaders(self, cell, brk):
+        field, edits = brk
+        with tempfile.TemporaryDirectory() as tmp, _no_fsync():
+            ck, csv = os.path.join(tmp, "ck.jsonl"), os.path.join(tmp, "grid.csv")
+            compact_checkpoint(ck, "h", self._grid(cell))
+            head, record = Path(ck).read_text().splitlines()
+            Path(ck).write_text(f"{head}\n{json.dumps({**json.loads(record), **dict(edits)})}\n")
+            write_grid_csv(self._grid(cell), csv)
+            head, row = Path(csv).read_text().splitlines()
+            parts = row.split(",")
+            for name, value in edits:
+                parts[sweep_mod.CELL_FIELDS.index(name)] = (
+                    repr(value) if isinstance(value, float) else str(value))
+            Path(csv).write_text(f"{head}\n{','.join(parts)}\n")
+            with pytest.raises(ValueError) as from_log:
+                self._load_checkpoint(ck, cell)
+            with pytest.raises(ValueError) as from_csv:
+                load_grid_csv(csv)
+        message = str(from_log.value).removeprefix("checkpoint line 2: ")
+        assert field in message
+        assert str(from_csv.value) == f"grid CSV line 2: {message}"
