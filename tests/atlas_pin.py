@@ -23,13 +23,19 @@ on CONTOUR_GRIDS seeded grids: integer values 0-3 with about 15% NaN holes,
 at the levels 0.5, 1.0, 1.5 and each grid's median, so that levels tie with
 node values, saddle cells occur and holes cut the lines.
 
-`atlas_pin.json` stores the four pins for each platform
+**Solves.** At each drive of SOLVE_DRIVES, both branch solves and the
+stable branch's lower-bound phase (`solves_pin.json`), and
+`equilibria_report` (`equilibria_pin.json`), stored as their values, one
+line per drive.
+
+`atlas_pin.json` stores the first four pins for each platform
 (`platform.libc_ver()` and `platform.machine()`: libm's last bits may
 differ between them).  The atlas and the desk are stored one entry per
 omega row: its omega, the sha256 of its points' texts, and an 8-digit
-digest of each point's text, which names the point that differs.
+digest of each point's text, which names the point that differs.  The
+solve and equilibria pins hold one set of values for every platform.
 
-Regenerate the entries of this platform with
+Regenerate the entries of this platform and both value pins with
 
     PYTHONPATH=src python3 tests/atlas_pin.py
 
@@ -48,10 +54,13 @@ import numpy as np
 
 from fhnburst import cli, geometry, manifolds
 from fhnburst.contours import marching_squares, polylines_to_json
+from fhnburst.errors import FhnBurstError
 from fhnburst.model import Forcing, ModelParams
 from fhnburst.sweep import SweepSpec, run_sweep
 
 PIN_PATH = Path(__file__).with_name("atlas_pin.json")
+SOLVES_PATH = Path(__file__).with_name("solves_pin.json")
+EQUILIBRIA_PATH = Path(__file__).with_name("equilibria_pin.json")
 ATLAS_OMEGA = (0.006, 0.06)
 ATLAS_E = (0.15, 2.4)
 MASTER_N = 160
@@ -63,6 +72,22 @@ SIMULATE_FILES = ("--out", "--metrics-out", "--svg")
 CONTOUR_FILES = ("--out", "--svg")
 CONTOUR_GRIDS = 50
 CONTOUR_SEED = 20240
+# the pinned-solve drives, by region or case: atlas master-lattice points
+# where the stable branch once needed the Newton polish ("polished") and
+# where the unstable branch, just above the saddle-existence threshold,
+# raises NewtonDiverged ("defect"); a stable branch that misses the lower
+# bound; a drive with no saddle
+SOLVE_DRIVES = {
+    "II": Forcing(E=0.482, omega=0.02),           # delta = 0.25
+    "III": Forcing(E=0.9, omega=0.02),
+    "IV": Forcing(E=2.0, omega=0.004),
+    "V": Forcing(E=1.5, omega=0.01),
+    "VI": Forcing(E=2.0, omega=0.03),
+    "polished": Forcing(E=0.30566037735849055, omega=0.006),
+    "defect": Forcing(E=0.27735849056603773, omega=0.02094339622641509),
+    "no-intersection": Forcing(E=0.2, omega=0.076),
+    "no-saddle": Forcing(E=0.2, omega=0.02),
+}
 
 
 def axis(lo: float, hi: float) -> list[float]:
@@ -101,6 +126,40 @@ def point_repr(params: ModelParams, omega: float, E: float) -> str:
         if branch == "stable" and isinstance(exp, manifolds.ManifoldExpansion):
             parts.append(_outcome(manifolds.theta_at_lower_bound, exp))
     return repr(parts)
+
+
+def solve_outcome(branch: str, params: ModelParams, forcing: Forcing) -> list:
+    """[coeffs, residual, theta_base] of one branch solve, with the bound
+    phase appended on the stable branch, or an error's [type name, message],
+    in the lists that JSON reads back."""
+    try:
+        exp = manifolds.solve_expansion(branch, params, forcing)
+    except FhnBurstError as exc:
+        return [type(exc).__name__, str(exc)]
+    outcome = [list(exp.coeffs), exp.residual, exp.theta_base]
+    if branch == "stable":
+        try:
+            outcome.append(manifolds.theta_at_lower_bound(exp))
+        except FhnBurstError as exc:
+            outcome.append([type(exc).__name__, str(exc)])
+    return outcome
+
+
+def solves_entry(params: ModelParams, forcing: Forcing) -> dict:
+    """The drive and its stable and unstable solve_outcome."""
+    return {"E": forcing.E, "omega": forcing.omega,
+            "stable": solve_outcome("stable", params, forcing),
+            "unstable": solve_outcome("unstable", params, forcing)}
+
+
+def write_by_drive(path: Path, entries: dict) -> None:
+    """entries as one JSON object, one line per SOLVE_DRIVES key."""
+    lines = ",\n".join(f"{json.dumps(case)}: {json.dumps(entry)}" for case, entry in entries.items())
+    path.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+
+
+def load_by_drive(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _sha256(data: bytes) -> str:
@@ -262,7 +321,12 @@ def main() -> None:
     with open(PIN_PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {PIN_PATH.name} for {platform_key()}")
+    write_by_drive(SOLVES_PATH, {case: solves_entry(params, forcing)
+                                 for case, forcing in SOLVE_DRIVES.items()})
+    write_by_drive(EQUILIBRIA_PATH, {case: geometry.equilibria_report(params, forcing)
+                                     for case, forcing in SOLVE_DRIVES.items()})
+    print(f"wrote {PIN_PATH.name} for {platform_key()}, {SOLVES_PATH.name} "
+          f"and {EQUILIBRIA_PATH.name}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,5 @@
-import json
 import math
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,16 +28,17 @@ from fhnburst.model import (
     TWO_PI, Forcing, ModelParams, derived_constants, mu_constant, wrap_angle,
 )
 
+import atlas_pin
 from kernel_lane import BOUND_PHASE_CASES
 from seriestools import direction_field_ratio, series_b_coefficients
 
-RII_DRIVE = Forcing(E=0.482, omega=0.02)    # delta = 0.25, region II
+RII_DRIVE = atlas_pin.SOLVE_DRIVES["II"]     # delta = 0.25, region II
 # atlas master-lattice points: forward substitution leaves a residual of
 # 2.4e-12 on the stable branch of the first, which one Newton step polishes;
 # on the unstable branch of the second (a1 = -0.0078, just above the
 # saddle-existence threshold) no iteration reaches NEWTON_TOL
-POLISHED_DRIVE = Forcing(E=0.30566037735849055, omega=0.006)
-DEFECT_DRIVE = Forcing(E=0.27735849056603773, omega=0.02094339622641509)
+POLISHED_DRIVE = atlas_pin.SOLVE_DRIVES["polished"]
+DEFECT_DRIVE = atlas_pin.SOLVE_DRIVES["defect"]
 # a drive in the atlas box where r_delta**2 and r_delta * r_delta differ by an ulp
 ULP_DRIVE = Forcing(E=0.4188679245283019, omega=0.015849056603773587)
 
@@ -526,120 +525,25 @@ class TestForwardSubstitution:
             solve_expansion("stable", params, RII_DRIVE)
 
 
-def _solve_outcome(branch, params, forcing):
-    """(coeffs, residual, theta_base) of one branch solve, its bound phase
-    on the stable branch, or an error's (type name, message)."""
-    try:
-        exp = solve_expansion(branch, params, forcing)
-    except FhnBurstError as exc:
-        return type(exc).__name__, str(exc)
-    if branch == "unstable":
-        return exp.coeffs, exp.residual, exp.theta_base
-    try:
-        phase = theta_at_lower_bound(exp)
-    except FhnBurstError as exc:
-        phase = type(exc).__name__, str(exc)
-    return exp.coeffs, exp.residual, exp.theta_base, phase
-
-
-# Exact solves, by region or case: the drive, the stable branch's
-# (coeffs, residual, theta_base, bound phase) and the unstable branch's
-# (coeffs, residual, theta_base), or an error's (type name, message).
-PINNED_SOLVES = {
-    "II": (RII_DRIVE, (
-        (2.2882488966939025, -0.4427093610466513, 0.6282355523681519,
-         0.2217329337587688, 0.36108285462412426),
-        2.220446049250313e-16, 2.2229557508013302, 1.831289058731091,
-    ), (
-        (-0.2882488966939025, -0.03086434197692304, 0.05017684818194427,
-         -0.01124325775984577, 0.0009320337594346746),
-        2.220446049250313e-16, 2.2229557508013302,
-    )),
-    "III": (Forcing(E=0.9, omega=0.02), (
-        (2.5603478486541107, -0.32797644751340277, 0.8353409929208083,
-         0.48813668488897355, 0.7719180282689297),
-        4.440892098500626e-16, 2.5242275750494683, 2.1641220264921843,
-    ), (
-        (-0.5603478486541107, 0.0969893266030977, 0.027572194957739497,
-         -0.012238255747804842, 0.0052020353497034665),
-        4.440892098500626e-16, 2.5242275750494683,
-    )),
-    "IV": (Forcing(E=2.0, omega=0.004), (
-        (11.392222070962003, -12.319246816782057, 75.4698474589151,
-         121.30384765334725, 1004.9586516898457),
-        5.684341886080802e-14, 2.9331056465447127, 2.8549534069706737,
-    ), (
-        (-1.3922220709620037, 1.1066671918537305, -1.0696201910732084,
-         1.184368798489853, -1.2020394662166947),
-        5.329070518200751e-15, 2.9331056465447127,
-    )),
-    "V": (Forcing(E=1.5, omega=0.01), (
-        (4.961037762905999, -1.5842091424516762, 6.106063685808633,
-         6.1757315336433285, 19.30961339441177),
-        1.4210854715202004e-13, 2.793280651154216, 2.6095253320925433,
-    ), (
-        (-0.9610377629059994, 0.4260625717858336, -0.16612512758071518,
-         0.09632436321417213, -0.0470262202554673),
-        3.3306690738754696e-16, 2.793280651154216,
-    )),
-    "VI": (Forcing(E=2.0, omega=0.03), (
-        (2.3339678455015602, 0.12384505147558121, 0.6039670613526029,
-         0.5440611978710437, 0.7213966879491293),
-        8.881784197001252e-16, 2.5708232267121875, 2.149090506338035,
-    ), (
-        (-1.0006345121682267, 0.326030060465297, -0.07323911926934734,
-         0.041715062489992426, -0.023633359243739223),
-        2.220446049250313e-16, 2.5708232267121875,
-    )),
-    "polished": (POLISHED_DRIVE, (
-        (6.742454812817774, -6.520381660703288, 16.544384620277235,
-         5.129539250271662, 52.08104781391304),
-        3.410605131648481e-13, 1.7947127379302663, 1.667250655562099,
-    ), (
-        (-0.0757881461511086, -0.10834391068561115, 0.028443728020245793,
-         0.013363167097899838, -0.007116434080948554),
-        3.1377678233468487e-14, 1.7947127379302663,
-    )),
-    "defect": (DEFECT_DRIVE, (
-        (1.9177244977762173, -0.48656860169334626, 0.4146154982639133,
-         0.05360080028716115, 0.11688551732304918),
-        2.220446049250313e-16, 1.2881547044226274, 0.8378664103099013,
-    ), ("NewtonDiverged", "no convergence in 100 iterations (residual 5.206e-12)")),
-    "no-intersection": (Forcing(E=0.2, omega=0.076), (
-        (0.6009202654996486, 0.01398958390477232, 0.013644839882206466,
-         0.0006780916317250983, 0.0009106086270421333),
-        8.673617379884035e-19, 1.0499164432727617,
-        ("NoIntersection",
-         "stable branch does not reach the lower bound inside the validity window"),
-    ), (
-        (-0.0746044760259643, -0.07845632872270315, 0.03109284111744584,
-         -0.006162953060656371, 0.003465435988914431),
-        1.214306433183765e-16, 1.0499164432727617,
-    )),
-    "no-saddle": (Forcing(E=0.2, omega=0.02),
-                  ("NoSaddle", "no folded saddle: E=0.2 <= existence threshold 0.27839"),
-                  ("NoSaddle", "no folded saddle: E=0.2 <= existence threshold 0.27839")),
-}
-
-
-# equilibria_report at the same drives: region, thresholds and each folded
-# equilibrium's angle, eigenvalues and eigenvectors.  Regenerate the file only
-# when a change means to alter these values.
-EQUILIBRIA_PIN = json.loads(Path(__file__).with_name("equilibria_pin.json").read_text())
+# Exact solves and equilibria_report at atlas_pin.SOLVE_DRIVES, by region or
+# case; `PYTHONPATH=src python3 tests/atlas_pin.py` regenerates both files.
+# Regenerate them only when a change means to alter these values.
+SOLVES_PIN = atlas_pin.load_by_drive(atlas_pin.SOLVES_PATH)
+EQUILIBRIA_PIN = atlas_pin.load_by_drive(atlas_pin.EQUILIBRIA_PATH)
 
 
 class TestPinnedSolves:
-    @pytest.mark.parametrize("case", PINNED_SOLVES)
+    @pytest.mark.parametrize("case", atlas_pin.SOLVE_DRIVES)
     def test_exact_values(self, params, case):
-        forcing, stable, unstable = PINNED_SOLVES[case]
+        forcing = atlas_pin.SOLVE_DRIVES[case]
         if case in {"II", "III", "IV", "V", "VI"}:
             assert classify_region(params, forcing) == case
-        assert _solve_outcome("stable", params, forcing) == stable
-        assert _solve_outcome("unstable", params, forcing) == unstable
+        assert atlas_pin.solves_entry(params, forcing) == SOLVES_PIN[case]
 
-    @pytest.mark.parametrize("case", PINNED_SOLVES)
+    @pytest.mark.parametrize("case", atlas_pin.SOLVE_DRIVES)
     def test_equilibria_report(self, params, case):
-        assert equilibria_report(params, PINNED_SOLVES[case][0]) == EQUILIBRIA_PIN[case]
+        forcing = atlas_pin.SOLVE_DRIVES[case]
+        assert equilibria_report(params, forcing) == EQUILIBRIA_PIN[case]
 
 
 class TestRegionTwoGrid:
