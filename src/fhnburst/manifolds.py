@@ -8,14 +8,16 @@ triangular: a1 is fixed by the branch eigenvalue, and equation k is linear in
 a_k once a1..a_(k-1) are known, so forward substitution solves it.  Each
 b_k has one function, which reads a1..a_(k+1) and the powers of a1, a2, a3
 it needs, with every product and sum in the order of the written polynomial.
-A solve takes each power and each drive constant once, and evaluates just
-the b_(k-1) of each equation it solves; the residual check, `b_coefficients`,
-takes the powers once more and evaluates all five.  The saddle-existence
-check reads only the left threshold (`geometry._left_threshold`).  The solve
-stays in plain floats: only when the residual check fails (a residual above
-the tolerance, or NaN) are the coefficients put into numpy arrays for a
-finite-difference Newton polish, which runs on 631 of the 48,634 saddle
-solves of the atlas master lattice.
+a_k enters b_(k-1) through one term, -q a_k with q = C/(2 a1^2 delta) in all
+four equations, so a solve divides b_(k-1) at a_k = 0 by k + q.  It takes
+each power and each drive constant once and evaluates each b_(k-1) once; the
+residual check, `b_coefficients`, takes the powers once more and evaluates
+all five.  The saddle-existence check reads only the left threshold
+(`geometry._left_threshold`).  The solve stays in plain floats: only when
+the residual check fails (a residual above the tolerance, or NaN) are the
+coefficients put into numpy arrays for a finite-difference Newton polish.
+On the atlas master lattice it runs on one of the 48,634 saddle solves,
+which still raises NewtonDiverged; below omega of about 0.0046 it runs more.
 """
 from __future__ import annotations
 
@@ -174,11 +176,14 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     """Solve the five coefficient equations for one branch.
 
     a1 = -lam/(2 delta) with lam the branch eigenvalue; for k = 2..5,
-    b_(k-1) is P at a_k = 0 and P + Q at a_k = 1, so a_k = P / (k - Q),
-    and only that b_(k-1) is evaluated.  The five residuals are checked in
-    plain floats, and only when the worst exceeds NEWTON_TOL (or one is
-    NaN) does a Newton iteration (at most NEWTON_MAX_ITER steps) polish the
-    coefficients; inside the studied parameter range it rarely runs.
+    a_k = b_(k-1)(a_k = 0) / (k + q) with q = C/(2 a1^2 delta).  k + q =
+    (k lam - lam')/lam, lam' the other eigenvalue, is the order-k divisor of
+    the parameterization method; it is at least k, since q = -lam'/lam >= 0
+    (C >= 0, and a saddle's eigenvalues have opposite signs).  The five
+    residuals are checked in plain floats, and only when the worst exceeds
+    NEWTON_TOL (or one is NaN) does a Newton iteration (at most
+    NEWTON_MAX_ITER steps) polish the coefficients; inside the studied
+    parameter range it rarely runs.
     DomainError where a1 rounds to 0 or the substitution leaves the float
     range (omega far below the studied range, say).
     """
@@ -191,24 +196,18 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     lam = lam_stable if branch == "stable" else lam_unstable
     theta_base = wrap_angle(phi_delta + math.acos(mu / r_delta))
 
-    # plain floats, as b_coefficients unpacks them; b_(k-1) reads a1..a_k,
-    # so it alone is evaluated at a_k = 0 and a_k = 1, on powers taken once
     a1 = closed_form_a1(lam, delta)
     if a1 == 0.0:
         raise DomainError(f"the {branch} eigenvalue rounds to 0 at delta={delta!r}, "
                           f"E={forcing.E!r}, so a1 = 0")
     try:
         x = _a1_powers(a1)
-        p = _b1(a1, 0.0, C, delta, mu, b, x)
-        a2 = p / (2 - (_b1(a1, 1.0, C, delta, mu, b, x) - p))
+        q = C / (2.0 * x[0] * delta)        # x[0] = a1**2
+        a2 = _b1(a1, 0.0, C, delta, mu, b, x) / (2.0 + q)
         y = (a2**2, a2**3, a2**4)
-        p = _b2(a1, a2, 0.0, C, delta, mu, b, x, y)
-        a3 = p / (3 - (_b2(a1, a2, 1.0, C, delta, mu, b, x, y) - p))
-        p = _b3(a1, a2, a3, 0.0, C, delta, mu, b, x, y)
-        a4 = p / (4 - (_b3(a1, a2, a3, 1.0, C, delta, mu, b, x, y) - p))
-        a3_2 = a3**2
-        p = _b4(a1, a2, a3, a4, 0.0, C, delta, mu, b, x, y, a3_2)
-        a5 = p / (5 - (_b4(a1, a2, a3, a4, 1.0, C, delta, mu, b, x, y, a3_2) - p))
+        a3 = _b2(a1, a2, 0.0, C, delta, mu, b, x, y) / (3.0 + q)
+        a4 = _b3(a1, a2, a3, 0.0, C, delta, mu, b, x, y) / (4.0 + q)
+        a5 = _b4(a1, a2, a3, a4, 0.0, C, delta, mu, b, x, y, a3**2) / (5.0 + q)
         a = [a1, a2, a3, a4, a5]
         bs = b_coefficients(a, delta, r_delta, mu, b)
     except ArithmeticError:

@@ -33,12 +33,16 @@ from kernel_lane import BOUND_PHASE_CASES
 from seriestools import direction_field_ratio, series_b_coefficients
 
 RII_DRIVE = atlas_pin.SOLVE_DRIVES["II"]     # delta = 0.25, region II
-# atlas master-lattice points: forward substitution leaves a residual of
-# 2.4e-12 on the stable branch of the first, which one Newton step polishes;
+# atlas master-lattice points: the stable branch of the first needed one
+# Newton step when the substitution took each divisor as a difference of two
+# b evaluations, and substitutes to NEWTON_TOL with the closed-form divisor;
 # on the unstable branch of the second (a1 = -0.0078, just above the
 # saddle-existence threshold) no iteration reaches NEWTON_TOL
 POLISHED_DRIVE = atlas_pin.SOLVE_DRIVES["polished"]
 DEFECT_DRIVE = atlas_pin.SOLVE_DRIVES["defect"]
+# below the atlas box: the stable branch substitutes to a residual of
+# 1.4e-12, which one Newton step polishes
+POLISH_DRIVE = Forcing(E=1.9771186440677968, omega=0.004559322033898305)
 # a drive in the atlas box where r_delta**2 and r_delta * r_delta differ by an ulp
 ULP_DRIVE = Forcing(E=0.4188679245283019, omega=0.015849056603773587)
 
@@ -428,23 +432,28 @@ class TestBoundPhaseBackends:
         assert (outcomes[0] is NoIntersection) == (got is None)
 
 
-def _full_b_substitution(branch, params, forcing):
-    """Forward substitution that evaluates all five b's at a_k = 0 and at
-    a_k = 1 and keeps b_(k-1): the coefficients and their worst residual."""
+def _substitution_parts(branch, params, forcing):
+    """(a1, q, bs) of one branch: its closed-form a1, the divisor term
+    q = C/(2 a1^2 delta) and b_coefficients on its drive constants."""
     dc = derived_constants(params, forcing)
     delta = forcing.delta(params)
     lam_s, lam_u = saddle_eigenvalues(params, forcing)
-    lam = lam_s if branch == "stable" else lam_u
+    a1 = closed_form_a1(lam_s if branch == "stable" else lam_u, delta)
+    q = manifolds._amplitude_const(dc.r_delta, dc.mu) / (2.0 * a1**2 * delta)
 
     def bs(a):
         return b_coefficients(a, delta, dc.r_delta, dc.mu, params.b)
 
-    a = np.array([closed_form_a1(lam, delta), 0.0, 0.0, 0.0, 0.0])
+    return a1, q, bs
+
+
+def _full_b_substitution(branch, params, forcing):
+    """Forward substitution that evaluates all five b's at a_k = 0 and
+    divides b_(k-1) by k + q: the coefficients and their worst residual."""
+    a1, q, bs = _substitution_parts(branch, params, forcing)
+    a = np.array([a1, 0.0, 0.0, 0.0, 0.0])
     for k in range(2, 6):
-        p = bs(a)[k - 1]
-        a[k - 1] = 1.0
-        q = bs(a)[k - 1] - p
-        a[k - 1] = p / (k - q)
+        a[k - 1] = bs(a)[k - 1] / (k + q)
     b_all = bs(a)
     res = np.array([(k + 1.0) * a[k] - b_all[k] for k in range(5)])
     return tuple(float(v) for v in a), float(np.max(np.abs(res)))
@@ -483,6 +492,33 @@ class TestForwardSubstitution:
         assert exp.coeffs == coeffs
         assert exp.residual == residual
 
+    @given(
+        omega=st.floats(0.006, 0.06),
+        E=st.floats(0.15, 2.4),
+        branch=st.sampled_from(["stable", "unstable"]),
+    )
+    @example(omega=POLISHED_DRIVE.omega, E=POLISHED_DRIVE.E, branch="stable")
+    @example(omega=DEFECT_DRIVE.omega, E=DEFECT_DRIVE.E, branch="unstable")
+    @settings(max_examples=150, deadline=None)
+    def test_each_equation_has_the_closed_form_divisor(self, omega, E, branch):
+        # b_(k-1) is affine in a_k with slope -q in each of the four
+        # equations the solve divides by k + q: an edit to one b polynomial
+        # that breaks the shared divisor fails here
+        params = ModelParams()
+        forcing = Forcing(E=E, omega=omega)
+        try:
+            a1, q, bs = _substitution_parts(branch, params, forcing)
+        except NoSaddle:
+            return
+        coeffs, _ = _full_b_substitution(branch, params, forcing)
+        for k in range(2, 6):
+            at = {}
+            for value in (0.0, 1.0):
+                a = list(coeffs)
+                a[k - 1] = value
+                at[value] = bs(a)[k - 1]
+            assert abs(at[1.0] - at[0.0] + q) <= 1e-9 * q, (k, at, q)
+
     def test_substitution_alone_on_region_ii_grid(self, params, monkeypatch):
         monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
         for f in _region_ii_grid(params, 10):
@@ -492,9 +528,10 @@ class TestForwardSubstitution:
     def test_polish_needed_at_small_omega(self, params):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+            assert solve_expansion("stable", params, POLISHED_DRIVE).residual <= NEWTON_TOL
             with pytest.raises(NewtonDiverged):
-                solve_expansion("stable", params, POLISHED_DRIVE)
-        assert solve_expansion("stable", params, POLISHED_DRIVE).residual <= 1e-12
+                solve_expansion("stable", params, POLISH_DRIVE)
+        assert solve_expansion("stable", params, POLISH_DRIVE).residual <= NEWTON_TOL
 
     def test_known_defect_still_diverges(self, params):
         # perfbench/reference/atlas.npz records this NewtonDiverged: change
