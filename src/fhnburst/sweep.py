@@ -51,6 +51,8 @@ class SweepSpec:
                 raise ValueError("ranges must be non-degenerate with positive step")
         # the axes only grow from their first values, so every cell is then a valid Forcing
         Forcing(E=self.e_range[0], omega=self.omega_range[0])
+        for name, rng in (("omega", self.omega_range), ("E", self.e_range)):
+            self._check_axis(name, *rng)
         bad = set(self.metrics) - set(ALL_METRICS)
         if bad:
             raise ValueError(f"unknown metrics: {sorted(bad)}")
@@ -60,10 +62,28 @@ class SweepSpec:
             raise ValueError("workers must be >= 1")
 
     @staticmethod
+    def _count(lo: float, hi: float, step: float) -> int:
+        return math.floor((hi - lo) / step + 1e-9) + 1
+
+    @staticmethod
     def _axis(rng) -> np.ndarray:
         lo, hi, step = rng
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(n)
+        return lo + step * np.arange(SweepSpec._count(lo, hi, step))
+
+    @staticmethod
+    def _check_axis(name: str, lo: float, hi: float, step: float) -> None:
+        """ValueError naming the axis unless its cell count is finite and its
+        values strictly increase, so that each cell of the grid is its own
+        (omega, E).  An axis with more cells than there are floats from lo to
+        its last value is refused before it is built."""
+        if not math.isfinite((hi - lo) / step):
+            raise ValueError(f"the {name} axis has no finite cell count: "
+                             f"({hi!r} - {lo!r}) / {step!r} overflows")
+        n = SweepSpec._count(lo, hi, step)
+        lo_bits, last_bits = (int(v) for v in np.array([lo, lo + step * (n - 1)]).view(np.int64))
+        if n > last_bits - lo_bits + 1 or not np.all(np.diff(SweepSpec._axis((lo, hi, step))) > 0.0):
+            raise ValueError(f"the {name} axis repeats a value: its step {step!r} is finer "
+                             f"than the floats near {hi!r}")
 
     @property
     def omegas(self) -> np.ndarray:

@@ -81,6 +81,26 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # (hi - lo) / step overflows
+        (dict(omega_range=(1e-300, 1e300, 1e-300), e_range=(0.5, 0.6, 0.1)),
+         "the omega axis has no finite cell count"),
+        # more cells than floats from lo to hi: 0.02 and its next float, 4 cells
+        (dict(omega_range=(0.02, 0.020000000000000004, 1e-18), e_range=(0.5, 0.6, 0.1)),
+         "the omega axis repeats a value"),
+        (dict(omega_range=(1e-300, 1e300, 1.0), e_range=(0.5, 0.6, 0.1)),
+         "the omega axis repeats a value"),
+        # as many floats as cells, but lo + step * k rounds two cells together
+        (dict(omega_range=(0.02, 0.03, 0.01),
+              e_range=(0.4999999999999992, 0.5000000000000013, 8.83686767999003e-17)),
+         "the E axis repeats a value"),
+    ], ids=["count-overflows", "two-floats", "more-cells-than-floats", "rounds-together"])
+    def test_axis_has_a_finite_count_and_increases(self, kwargs, match):
+        # every axis the constructor accepts builds, and each of its cells is
+        # its own (omega, E), so the grid CSV loads again
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(**kwargs)
+
     def test_e_axis_may_start_at_zero(self):
         spec = SweepSpec(omega_range=(0.01, 0.02, 0.01), e_range=(0.0, 0.05, 0.05))
         assert spec.e_values[0] == 0.0
