@@ -179,15 +179,18 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
         "est_count": m.est_count, "region": classify_region(params, forcing),
     }
     text = json.dumps(metrics, indent=2)
+    if metrics_fh:
+        metrics_fh.write(text.encode())
+    if not (csv_fh or svg_fh):
+        return text
 
+    # the time series, sampled only for the files that show it
     t0, t1 = traj.t_span
     ts = np.linspace(t0, t1, args.samples_per_period * args.periods + 1)
     states = traj.sample(ts)
     thetas = wrap_angles(forcing.omega * ts)
     if csv_fh:
         _write_csv(csv_fh, "t,x,y,theta", ts, states[:, 0], states[:, 1], thetas)
-    if metrics_fh:
-        metrics_fh.write(text.encode())
     if svg_fh:
         # one polyline per forcing period: split where theta wraps back
         wraps = np.flatnonzero(np.diff(thetas) < 0.0) + 1

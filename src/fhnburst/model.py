@@ -262,7 +262,9 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
     """Rest state of the drive-free system, used as the simulation seed.
 
     Solves x - x^3/3 - x/b - a = 0 by damped Newton from the left branch.
-    DomainError where a Newton step overflows (a above about 1e103).
+    DomainError where a Newton step overflows (a above about 1e103), or
+    where 100 steps leave g(x) above 1e-12 of its largest term (a above
+    about 5e25, whose Newton steps shrink x by only a third each).
     """
     b, a = params.b, params.a
 
@@ -279,6 +281,11 @@ def unforced_equilibrium(params: ModelParams) -> tuple[float, float]:
             x -= step
             if abs(step) < 1e-15:
                 break
+        else:
+            residual = abs(g(x)) / max(abs(x) ** 3 / 3.0, abs(x) / b, a)
+            if not residual <= 1e-12:
+                raise DomainError(f"a={a!r} is too large: the rest state's Newton iteration "
+                                  f"does not converge (relative residual {residual:.3g})")
     except OverflowError:
         raise DomainError(f"a={a!r} is too large: the rest state's Newton step overflows") from None
     return x, x / b

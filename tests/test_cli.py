@@ -504,6 +504,20 @@ class TestOutputContract:
                       "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
                       "--svg", "{tmp}/x.svg"], None, "Newton step overflows",
                      id="simulate-a-huge"),
+        # 100 Newton steps do not reach the rest state
+        pytest.param(["simulate", "--a", "1e30", "--E", "0.5", "--omega", "0.02",
+                      "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
+                      "--svg", "{tmp}/x.svg"], None, "Newton iteration does not converge",
+                     id="simulate-a-rest-state-unconverged"),
+        # a sweep axis whose cell count overflows, or whose values repeat
+        pytest.param(["sweep", "--omega-lo", "1e-300", "--omega-hi", "1e300", "--omega-step",
+                      "1e-300", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step", "0.1",
+                      "--metrics", "region", "--out", "{tmp}/g.csv"], None,
+                     "the omega axis has no finite cell count", id="sweep-axis-count-overflows"),
+        pytest.param(["sweep", "--omega-lo", "0.02", "--omega-hi", "0.020000000000000004",
+                      "--omega-step", "1e-18", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step",
+                      "0.1", "--metrics", "region", "--out", "{tmp}/g.csv"], None,
+                     "the omega axis repeats a value", id="sweep-axis-repeats"),
         # a missing input
         pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
                      id="contours-grid-dir-missing"),
@@ -542,6 +556,19 @@ class TestOutputContract:
         err = json.loads(line)["error"]
         assert err["type"] == "MemoryError" and "TiB" in err["message"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_no_series_file_samples_nothing(self, capsys, tmp_path):
+        # the time series is sampled only for --out and --svg: without them
+        # 1e13 samples per period are never asked for, and stdout and the
+        # metrics file are what a sane value gives
+        argv = ["simulate", "--E", "0.47", "--omega", "0.025"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        metrics = tmp_path / "x.json"
+        assert main(argv + ["--samples-per-period", "10000000000000",
+                            "--metrics-out", str(metrics)]) == 0
+        assert capsys.readouterr().out == want
+        assert metrics.read_text() + "\n" == want
 
     def test_stdout_path_under_text_stdout(self, capfd):
         # an in-process caller that swaps sys.stdout for a text stream, which

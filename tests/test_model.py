@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhnburst.errors import DomainError
 from fhnburst.model import (
     Forcing,
     ModelParams,
@@ -148,6 +149,16 @@ class TestForcedField:
         assert y == pytest.approx(-1.4993, abs=5e-5)
         dx, dy = rhs_forced(StateXY(x=x, y=y, t=0.0), params, Forcing(E=0.0, omega=1.0))
         assert abs(dx) < 1e-12 and abs(dy) < 1e-12
+
+    def test_unforced_equilibrium_converges_or_raises(self):
+        # a = 1e20 reaches the rest state in 100 Newton steps, to these bits;
+        # a = 1e28 and 1e32 need more, and raise instead of returning a wrong x
+        x, y = unforced_equilibrium(ModelParams(a=1e20))
+        assert (x, y) == (-6694329.500821658, -8367911.876027073)
+        assert abs(x - x**3 / 3.0 - x / 0.8 - 1e20) <= 1e-15 * abs(x) ** 3 / 3.0
+        for a in (1e28, 1e32):
+            with pytest.raises(DomainError, match="Newton iteration does not converge"):
+                unforced_equilibrium(ModelParams(a=a))
 
     def test_sin_zero_at_t0(self, params):
         s = StateXY(x=0.3, y=-0.7, t=0.0)
