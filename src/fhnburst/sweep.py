@@ -81,7 +81,7 @@ class SweepSpec:
                              f"({hi!r} - {lo!r}) / {step!r} overflows")
         n = SweepSpec._count(lo, hi, step)
         lo_bits, last_bits = (int(v) for v in np.array([lo, lo + step * (n - 1)]).view(np.int64))
-        if n > last_bits - lo_bits + 1 or not np.all(np.diff(SweepSpec._axis((lo, hi, step))) > 0.0):
+        if n > last_bits - lo_bits + 1 or not np.all(np.diff(SweepSpec._axis((lo, hi, step))) > 0):
             raise ValueError(f"the {name} axis repeats a value: its step {step!r} is finer "
                              f"than the floats near {hi!r}")
 

@@ -72,11 +72,11 @@ SIMULATE_FILES = ("--out", "--metrics-out", "--svg")
 CONTOUR_FILES = ("--out", "--svg")
 CONTOUR_GRIDS = 50
 CONTOUR_SEED = 20240
-# the pinned-solve drives, by region or case: atlas master-lattice points
-# where the stable branch once needed the Newton polish ("polished") and
-# where the unstable branch, just above the saddle-existence threshold,
-# raises NewtonDiverged ("defect"); a stable branch that misses the lower
-# bound; a drive with no saddle
+# the pinned-solve drives, by region or case: two atlas master-lattice
+# points, one whose stable branch needed a Newton step before the
+# substitution's divisor took its closed form ("polished") and one whose
+# unstable branch raises NewtonDiverged ("defect"); a stable branch that
+# misses the lower bound; a drive with no saddle
 SOLVE_DRIVES = {
     "II": Forcing(E=0.482, omega=0.02),           # delta = 0.25
     "III": Forcing(E=0.9, omega=0.02),
@@ -154,12 +154,9 @@ def solves_entry(params: ModelParams, forcing: Forcing) -> dict:
 
 def write_by_drive(path: Path, entries: dict) -> None:
     """entries as one JSON object, one line per SOLVE_DRIVES key."""
-    lines = ",\n".join(f"{json.dumps(case)}: {json.dumps(entry)}" for case, entry in entries.items())
+    lines = ",\n".join(f"{json.dumps(case)}: {json.dumps(entry)}"
+                        for case, entry in entries.items())
     path.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
-
-
-def load_by_drive(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _sha256(data: bytes) -> str:
