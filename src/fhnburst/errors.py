@@ -14,7 +14,8 @@ class SaddleNodeBoundary(FhnBurstError):
 
 
 class NewtonDiverged(FhnBurstError):
-    """Newton iteration failed to reach the requested residual."""
+    """A manifold coefficient solve missed its residual tolerance
+    (`perfbench/reference/atlas.npz` records it by this name)."""
 
 
 class NoSaddle(FhnBurstError):

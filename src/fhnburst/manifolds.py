@@ -13,11 +13,8 @@ four equations, so a solve divides b_(k-1) at a_k = 0 by k + q.  It takes
 each power and each drive constant once and evaluates each b_(k-1) once; the
 residual check, `b_coefficients`, takes the powers once more and evaluates
 all five.  The saddle-existence check reads only the left threshold
-(`geometry._left_threshold`).  The solve stays in plain floats: only when
-the residual check fails (a residual above the tolerance, or NaN) are the
-coefficients put into numpy arrays for a finite-difference Newton polish.
-On the atlas master lattice it runs on one of the 48,634 saddle solves,
-which still raises NewtonDiverged; below omega of about 0.0046 it runs more.
+(`geometry._left_threshold`).  The solve makes no iteration: equation k
+holds to NEWTON_TOL, absolute or relative to the b_(k-1) it divided.
 """
 from __future__ import annotations
 
@@ -37,8 +34,6 @@ VALIDITY_HALF_WIDTH = math.pi / 2.0
 _VALIDITY_LIMIT = VALIDITY_HALF_WIDTH + math.ulp(TWO_PI)
 LOWER_BOUND_U = -1.0        # the lower bound x = -2 in the shifted coordinate u = x + 1
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
-FD_STEP = 1e-7
 # the lower-bound scan's offsets th_i = -(pi/2) i / n, i = 1..n, from the saddle outward
 _SCAN_N = 4001
 _SCAN_OFFSETS = -VALIDITY_HALF_WIDTH * np.arange(1, _SCAN_N + 1) / _SCAN_N
@@ -179,11 +174,12 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     a_k = b_(k-1)(a_k = 0) / (k + q) with q = C/(2 a1^2 delta).  k + q =
     (k lam - lam')/lam, lam' the other eigenvalue, is the order-k divisor of
     the parameterization method; it is at least k, since q = -lam'/lam >= 0
-    (C >= 0, and a saddle's eigenvalues have opposite signs).  The five
-    residuals are checked in plain floats, and only when the worst exceeds
-    NEWTON_TOL (or one is NaN) does a Newton iteration (at most
-    NEWTON_MAX_ITER steps) polish the coefficients; inside the studied
-    parameter range it rarely runs.
+    (C >= 0, and a saddle's eigenvalues have opposite signs).  Equation k
+    holds when |k a_k - b_(k-1)| <= NEWTON_TOL max(1, (k + q)|a_k|), the
+    residuals from one `b_coefficients` call: (k + q)|a_k| is the size of
+    the b_(k-1)(a_k = 0) the substitution divided, whose rounding grows
+    with it (at small omega a1 is large, and b_4 holds a1^9).
+    NewtonDiverged when an equation misses (or its residual is NaN);
     DomainError where a1 rounds to 0 or the substitution leaves the float
     range (omega far below the studied range, say).
     """
@@ -213,49 +209,15 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     except ArithmeticError:
         raise DomainError(f"the {branch} series leaves the float range at delta={delta!r}, "
                           f"E={forcing.E!r} (a1={a1!r})") from None
-    res = [(k + 1.0) * a[k] - bs[k] for k in range(5)]
-    # a NaN compares false, so it fails the check as it fails np.max's
-    if all(abs(r) <= NEWTON_TOL for r in res):
-        return ManifoldExpansion(
-            branch=branch, theta_base=theta_base, coeffs=tuple(a), c_const=C,
-            residual=max(abs(r) for r in res),
-        )
-
-    def residual(a):
-        try:
-            bs = b_coefficients(a, delta, r_delta, mu, b)
-        except ArithmeticError as exc:
-            raise NewtonDiverged(f"coefficient solve left the float range: {exc}") from None
-        return np.array([(k + 1.0) * a[k] - bs[k] for k in range(5)])
-
-    a = np.array(a)
-    res = np.array(res)
-    for _ in range(NEWTON_MAX_ITER):
-        if float(np.max(np.abs(res))) <= NEWTON_TOL:
-            break
-        J = np.empty((5, 5))
-        for j in range(5):
-            ap = a.copy()
-            ap[j] += FD_STEP
-            J[:, j] = (residual(ap) - res) / FD_STEP
-        try:
-            step = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular Jacobian in coefficient solve: {exc}")
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e6:
-            raise NewtonDiverged("coefficient solve stepped out of range")
-        a = a - step
-        res = residual(a)
-    if not float(np.max(np.abs(res))) <= NEWTON_TOL:
-        raise NewtonDiverged(
-            f"no convergence in {NEWTON_MAX_ITER} iterations (residual {np.max(np.abs(res)):.3e})"
-        )
+    res = [abs((k + 1.0) * a[k] - bs[k]) for k in range(5)]
+    # a NaN compares false and fails both; the scaled test runs only if needed
+    if not all(r <= NEWTON_TOL for r in res) and not all(
+        r <= NEWTON_TOL * max(1.0, (k + 1.0 + q) * abs(a[k])) for k, r in enumerate(res)
+    ):
+        worst = math.nan if any(map(math.isnan, res)) else max(res)
+        raise NewtonDiverged(f"the {branch} series misses its equations by {worst:.3e}")
     return ManifoldExpansion(
-        branch=branch,
-        theta_base=theta_base,
-        coeffs=tuple(float(v) for v in a),
-        c_const=C,
-        residual=float(np.max(np.abs(res))),
+        branch=branch, theta_base=theta_base, coeffs=tuple(a), c_const=C, residual=max(res),
     )
 
 
@@ -264,7 +226,10 @@ def eval_manifold(expansion: ManifoldExpansion, theta: float) -> float:
 
     Its offset from theta_base, recovered modulo 2 pi, must lie within
     VALIDITY_HALF_WIDTH; the wrapped window edges, whose offsets may round
-    just past it, evaluate at that recovered offset."""
+    just past it, evaluate at that recovered offset.  DomainError when
+    theta is not finite."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     th_hat = math.remainder(theta - expansion.theta_base, TWO_PI)
     if abs(th_hat) > _VALIDITY_LIMIT:
         raise OutOfValidity(

@@ -73,10 +73,13 @@ CONTOUR_FILES = ("--out", "--svg")
 CONTOUR_GRIDS = 50
 CONTOUR_SEED = 20240
 # the pinned-solve drives, by region or case: two atlas master-lattice
-# points, one whose stable branch needed a Newton step before the
+# points, one whose stable branch missed NEWTON_TOL before the
 # substitution's divisor took its closed form ("polished") and one whose
 # unstable branch raises NewtonDiverged ("defect"); a stable branch that
-# misses the lower bound; a drive with no saddle
+# misses the lower bound; a drive with no saddle; below the atlas box, a
+# stable branch that only the relative tolerance accepts ("low-omega"); an
+# unstable branch 0.1% above the saddle-existence threshold that raises
+# NewtonDiverged ("near-threshold")
 SOLVE_DRIVES = {
     "II": Forcing(E=0.482, omega=0.02),           # delta = 0.25
     "III": Forcing(E=0.9, omega=0.02),
@@ -87,6 +90,8 @@ SOLVE_DRIVES = {
     "defect": Forcing(E=0.27735849056603773, omega=0.02094339622641509),
     "no-intersection": Forcing(E=0.2, omega=0.076),
     "no-saddle": Forcing(E=0.2, omega=0.02),
+    "low-omega": Forcing(E=0.5, omega=0.001),
+    "near-threshold": Forcing(E=0.28104829831723394, omega=0.01800494961051237),
 }
 
 

@@ -518,6 +518,13 @@ class TestProtocolStability:
                   for tol in (1e-8, 1e-9, 1e-10)]
         assert [(m.spike_count, m.est_count) for m in ladder] == [(3, 4), (0, 0), (0, 0)]
 
+    def test_known_vanishing_omega_l2(self, params):
+        # a known defect, pinned so that a change to it shows: below omega of
+        # about 1e-5 the T/64 step cap lets one step span spikes, and a run
+        # ends ok with wrong outputs.  A bounded orbit's period-normalised
+        # l2 stays near 1.9; here it is 213 (README, "Checked range")
+        assert burst_metrics(params, Forcing(E=0.5, omega=1e-8)).l2 > 100
+
     def test_burn_in_invariance_region_ii_sample(self, params):
         # spike count unchanged when the burn-in doubles, on a random
         # region-II sample; locking between 2- and 4-period counts is also

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fhnburst import _kernel_py, fastpath, manifolds
 from fhnburst.errors import (
-    FhnBurstError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity,
+    DomainError, FhnBurstError, NewtonDiverged, NoIntersection, NoSaddle, OutOfValidity,
 )
 from fhnburst.geometry import classify_region, equilibria_report, fold_thresholds
 from fhnburst.manifolds import (
@@ -35,13 +35,12 @@ from seriestools import direction_field_ratio, series_b_coefficients
 
 RII_DRIVE = atlas_pin.SOLVE_DRIVES["II"]     # delta = 0.25, region II
 # atlas master-lattice points: the stable branch of the first substitutes to
-# NEWTON_TOL without the polish; on the unstable branch of the second
-# (a1 = -0.0078, just above the saddle-existence threshold) no iteration
-# reaches NEWTON_TOL
+# NEWTON_TOL; the unstable branch of the second (a1 = -0.0078, just above the
+# saddle-existence threshold) misses it, absolute and relative
 POLISHED_DRIVE = atlas_pin.SOLVE_DRIVES["polished"]
 DEFECT_DRIVE = atlas_pin.SOLVE_DRIVES["defect"]
-# below the atlas box: the stable branch substitutes to a residual of
-# 1.4e-12, which one Newton step polishes
+# below the atlas box: the stable branch substitutes to an absolute residual
+# of 1.4e-12, which the relative tolerance accepts
 POLISH_DRIVE = Forcing(E=1.9771186440677968, omega=0.004559322033898305)
 # a drive in the atlas box where r_delta**2 and r_delta * r_delta differ by an ulp
 ULP_DRIVE = Forcing(E=0.4188679245283019, omega=0.015849056603773587)
@@ -109,8 +108,7 @@ class TestBCoefficients:
 
 
 class TestSolveExpansion:
-    def test_converges_quickly(self, params, monkeypatch):
-        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 20)
+    def test_converges_quickly(self, params):
         exp = solve_expansion("stable", params, RII_DRIVE)
         assert exp.residual <= 1e-12
 
@@ -186,6 +184,12 @@ class TestEvalManifold:
         exp = solve_expansion("stable", params, RII_DRIVE)
         with pytest.raises(OutOfValidity):
             eval_manifold(exp, exp.theta_base + 0.6 * math.pi)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, params, theta):
+        exp = solve_expansion("stable", params, RII_DRIVE)
+        with pytest.raises(DomainError, match="theta"):
+            eval_manifold(exp, theta)
 
     def test_wrapped_window_edges_evaluate(self, params):
         # theta_base -/+ pi/2, wrapped, may recover an offset half an ulp of
@@ -449,14 +453,30 @@ def _substitution_parts(branch, params, forcing):
 
 def _full_b_substitution(branch, params, forcing):
     """Forward substitution that evaluates all five b's at a_k = 0 and
-    divides b_(k-1) by k + q: the coefficients and their worst residual."""
+    divides b_(k-1) by k + q: the coefficients, their worst residual, and
+    whether every equation k holds to NEWTON_TOL max(1, (k + q)|a_k|)."""
     a1, q, bs = _substitution_parts(branch, params, forcing)
     a = np.array([a1, 0.0, 0.0, 0.0, 0.0])
     for k in range(2, 6):
         a[k - 1] = bs(a)[k - 1] / (k + q)
     b_all = bs(a)
-    res = np.array([(k + 1.0) * a[k] - b_all[k] for k in range(5)])
-    return tuple(float(v) for v in a), float(np.max(np.abs(res)))
+    res = np.abs([k * a[k - 1] - b_all[k - 1] for k in range(1, 6)])
+    holds = all(res[k - 1] <= NEWTON_TOL * max(1.0, (k + q) * abs(a[k - 1]))
+                for k in range(1, 6))
+    return tuple(float(v) for v in a), float(np.max(res)), holds
+
+
+def _spoil_b(monkeypatch, k, spoil):
+    """Make the module-global b_coefficients, which the residual check
+    reads, return spoil(b_(k-1)) for its b_(k-1)."""
+    original = manifolds.b_coefficients
+
+    def spoiled(*args):
+        bs = list(original(*args))
+        bs[k - 1] = spoil(bs[k - 1])
+        return tuple(bs)
+
+    monkeypatch.setattr(manifolds, "b_coefficients", spoiled)
 
 
 class TestForwardSubstitution:
@@ -471,24 +491,22 @@ class TestForwardSubstitution:
     @settings(max_examples=150, deadline=None)
     def test_per_equation_substitution_keeps_every_bit(self, omega, E, branch):
         # the atlas box, both branches: the solve's substitution gives the
-        # full-b substitution's coefficients with ==, and where that alone
-        # misses NEWTON_TOL (or raises) the unpolished solve raises the same
-        # (a function-scoped monkeypatch fixture trips hypothesis's health check)
+        # full-b substitution's coefficients and worst residual with ==, and
+        # where they miss the tolerance rule (or raise) the solve raises the
+        # same; the rule is written here in its scaled form alone
         params = ModelParams()
         forcing = Forcing(E=E, omega=omega)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(manifolds, "NEWTON_MAX_ITER", 0)
-            try:
-                coeffs, residual = _full_b_substitution(branch, params, forcing)
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    solve_expansion(branch, params, forcing)
-                return
-            if residual > NEWTON_TOL:
-                with pytest.raises(NewtonDiverged):
-                    solve_expansion(branch, params, forcing)
-                return
-            exp = solve_expansion(branch, params, forcing)
+        try:
+            coeffs, residual, holds = _full_b_substitution(branch, params, forcing)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                solve_expansion(branch, params, forcing)
+            return
+        if not holds:
+            with pytest.raises(NewtonDiverged):
+                solve_expansion(branch, params, forcing)
+            return
+        exp = solve_expansion(branch, params, forcing)
         assert exp.coeffs == coeffs
         assert exp.residual == residual
 
@@ -518,19 +536,59 @@ class TestForwardSubstitution:
             slope = bs(a)[k - 1] - at_0
             assert abs(slope + q) <= 1e-9 * q, (k, slope, q)
 
-    def test_substitution_alone_on_region_ii_grid(self, params, monkeypatch):
-        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+    def test_substitution_alone_on_region_ii_grid(self, params):
         for f in _region_ii_grid(params, 10):
             for branch in ("stable", "unstable"):
                 assert solve_expansion(branch, params, f).residual <= 1e-12
 
-    def test_polish_needed_at_small_omega(self, params):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(manifolds, "NEWTON_MAX_ITER", 0)
-            assert solve_expansion("stable", params, POLISHED_DRIVE).residual <= NEWTON_TOL
+    def test_relative_tolerance_accepts_rounding_at_small_omega(self, params):
+        # POLISH_DRIVE's stable branch passes with the substitution's own
+        # coefficients, though its absolute residual is above NEWTON_TOL
+        coeffs, residual, _ = _full_b_substitution("stable", params, POLISH_DRIVE)
+        exp = solve_expansion("stable", params, POLISH_DRIVE)
+        assert exp.coeffs == coeffs
+        assert exp.residual == residual > NEWTON_TOL
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_relative_tolerance_is_not_vacuous(self, params, monkeypatch, k, factor):
+        # at POLISH_DRIVE, b_(k-1) moved by 1e3 times equation k's tolerance
+        # NEWTON_TOL max(1, (k + q)|a_k|) fails the check, by 1e-3 times passes
+        a = solve_expansion("stable", params, POLISH_DRIVE).coeffs
+        q = _substitution_parts("stable", params, POLISH_DRIVE)[1]
+        tol = NEWTON_TOL * max(1.0, (k + q) * abs(a[k - 1]))
+        _spoil_b(monkeypatch, k, lambda b: b + factor * tol)
+        if factor > 1.0:
             with pytest.raises(NewtonDiverged):
                 solve_expansion("stable", params, POLISH_DRIVE)
-        assert solve_expansion("stable", params, POLISH_DRIVE).residual <= NEWTON_TOL
+        else:
+            assert solve_expansion("stable", params, POLISH_DRIVE).coeffs == a
+
+    def test_low_omega_lattice_passes_with_one_b_call(self, params, monkeypatch):
+        # every stable saddle solve of a 20 x 20 lattice below the atlas box
+        # passes, and each solve, the defect's too, makes one call of the
+        # module-global b_coefficients, which perfbench counts
+        calls = []
+        original = manifolds.b_coefficients
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(manifolds, "b_coefficients", counted)
+        solved = 0
+        for omega in np.linspace(0.001, 0.006, 20):
+            for E in np.linspace(0.15, 2.6, 20):
+                try:
+                    solve_expansion("stable", params, Forcing(E=float(E), omega=float(omega)))
+                except NoSaddle:
+                    continue
+                solved += 1
+                assert len(calls) == solved, (omega, E)
+        assert solved == 360
+        with pytest.raises(NewtonDiverged):
+            solve_expansion("unstable", params, DEFECT_DRIVE)
+        assert len(calls) == 361
 
     def test_known_defect_still_diverges(self, params):
         # perfbench/reference/atlas.npz records this NewtonDiverged: change
@@ -547,16 +605,8 @@ class TestForwardSubstitution:
         self, params, monkeypatch, spoil, k
     ):
         # the residual check reads the module-global b_coefficients; with one
-        # of its coefficients spoiled, the unpolished solve must not pass
-        original = manifolds.b_coefficients
-
-        def spoiled(*args):
-            bs = list(original(*args))
-            bs[k] = spoil(bs[k])
-            return tuple(bs)
-
-        monkeypatch.setattr(manifolds, "b_coefficients", spoiled)
-        monkeypatch.setattr(manifolds, "NEWTON_MAX_ITER", 0)
+        # of its coefficients spoiled, the solve must not pass
+        _spoil_b(monkeypatch, k + 1, spoil)
         with pytest.raises(NewtonDiverged):
             solve_expansion("stable", params, RII_DRIVE)
 
