@@ -210,10 +210,8 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
         raise DomainError(f"the {branch} series leaves the float range at delta={delta!r}, "
                           f"E={forcing.E!r} (a1={a1!r})") from None
     res = [abs((k + 1.0) * a[k] - bs[k]) for k in range(5)]
-    # a NaN compares false and fails both; the scaled test runs only if needed
-    if not all(r <= NEWTON_TOL for r in res) and not all(
-        r <= NEWTON_TOL * max(1.0, (k + 1.0 + q) * abs(a[k])) for k, r in enumerate(res)
-    ):
+    # a NaN residual compares false, so it fails
+    if not all(r <= NEWTON_TOL * max(1.0, (k + 1.0 + q) * abs(a[k])) for k, r in enumerate(res)):
         worst = math.nan if any(map(math.isnan, res)) else max(res)
         raise NewtonDiverged(f"the {branch} series misses its equations by {worst:.3e}")
     return ManifoldExpansion(
