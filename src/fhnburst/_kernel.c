@@ -15,8 +15,9 @@
  * fy, d2x, d2y) whose last row is the end state (none when the start state
  * is non-finite), the spike times, the upward crossings of x = 1, and the
  * minima, the times of the local x-minima, both in time order and each
- * located by `bisect` until its bracket is at most 1e-12 wide or no double
- * lies strictly inside it; it also sums sq_integral, the integral of
+ * located by `bisect` by the package's one bisection rule (halve while a
+ * double lies strictly inside the bracket, return the last midpoint, as
+ * geometry.bisect_root does); it also sums sq_integral, the integral of
  * x^2 + y^2 over the knots: each step adds h times the `gram_form` of x and
  * y to a Neumaier-compensated sum, divided by 55440 once at the end, as
  * _kernel_py.sq_integral does over the knot rows.  A burn-in run
@@ -81,8 +82,7 @@ static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
 
-#define FHN_ABI_VERSION 9
-#define EVENT_TIME_TOL 1e-12
+#define FHN_ABI_VERSION 10
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
 #define TWO_PI 6.283185307179586   /* model.TWO_PI; -std=c99 has no M_PI */
 
@@ -158,25 +158,24 @@ static double gram_form(double h, double v0, double f0, double d0, double v1,
            + c5 * (Q55 * c5);
 }
 
-/* Midpoint of a bracket [lo, hi] of the step from t with g(lo) < 0 <= g(hi),
- * halved until it is at most EVENT_TIME_TOL wide or no double lies strictly
- * inside it (from t = 8192 on, one ulp of t is wider than the tolerance);
- * g is x - 1 (deriv = 0) or x' (deriv = 1) on the step's interpolant. */
+/* Root of g in a bracket [lo, hi] of the step from t with g(lo) < 0 <= g(hi),
+ * halved as geometry.bisect_root halves it: the last midpoint, once no double
+ * lies strictly inside the bracket.  g is x - 1 (deriv = 0) or x' (deriv = 1)
+ * on the step's interpolant. */
 static double bisect(double lo, double hi, int deriv, double t, double h,
                      const double *c)
 {
-    while (hi - lo > EVENT_TIME_TOL) {
+    for (;;) {
         double mid = 0.5 * (lo + hi);
         if (mid == lo || mid == hi)
-            break;
+            return mid;
         double s = (mid - t) / h;
         double g = deriv ? hermite_dx(s, h, c) : hermite_x(s, h, c) - 1.0;
-        if (g < 0.0)
-            lo = mid;
-        else
+        if (g > 0.0)
             hi = mid;
+        else
+            lo = mid;
     }
-    return 0.5 * (lo + hi);
 }
 
 /* Append one row of `width` doubles, doubling the buffer when full. */

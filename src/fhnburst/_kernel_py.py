@@ -33,10 +33,11 @@ stats, sq_integral):
   `sq_integral`).  It travels beside the counters, which are the same for
   both runs.
 
-Spikes and minima (measurement run only) are each located by one bisection
-on the step's quintic Hermite interpolant (of x - 1 for a spike, of x' for a
-minimum) until the bracket is at most 1e-12 wide or no double lies strictly
-inside it (from t = 8192 on, one ulp of t is wider).
+Spikes and minima (measurement run only) are each located by
+`geometry.bisect_root` on the step's quintic Hermite interpolant (of x - 1
+for a spike, of x' for a minimum), the one bisection rule of the package:
+halve while a double lies strictly inside the bracket and return the last
+midpoint, so each event time lies within one double of the sign change.
 
 `sample_knots` is the twin of the C library's dense output `fhn_sample`,
 `format_table` the twin of its exact table formatter and `bound_phase` the
@@ -83,11 +84,15 @@ G1, G2, G3, G4 = ROS_GSUM
     for i, row in enumerate(HERMITE_GRAM_INT)
 )
 
-EVENT_TIME_TOL = 1e-12
 STAT_NAMES = ("n_accept", "n_reject", "n_nonfinite_retry", "h_min")
 
 
 def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
+    """One component of a step's quintic Hermite interpolant at s in [0, 1],
+    from the step width h and (v, v', v'') at both ends; `_hermite_dx` is its
+    time derivative.  Floats or arrays that broadcast: the events and
+    `sample_knots` share them, as the C kernel's events and fhn_sample share
+    hermite_x and hermite_dx."""
     w0, w1, w2, w3, w4, w5 = _hermite_weights(s)
     return (
         w0 * x0 + h * w1 * f0 + h * h * w2 * d0
@@ -139,21 +144,6 @@ def sq_integral(knots):
             comp += (term - s) + total
         total = s
     return (total + comp) / HERMITE_GRAM_DEN
-
-
-def _bisect(g, lo, hi):
-    """Midpoint of a bracket [lo, hi] with g(lo) < 0 <= g(hi), halved until it
-    is at most EVENT_TIME_TOL wide or no double lies strictly inside it (from
-    t = 8192 on, one ulp of t is wider than the tolerance)."""
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def integrate_forced(
@@ -339,10 +329,10 @@ def integrate_forced(
             for (lo, ga, hi, gb) in ((t, x - 1.0, t_mid, g_mid),
                                      (t_mid, g_mid, t_new, x_new - 1.0)):
                 if ga < 0.0 <= gb:
-                    spikes.append(_bisect(
+                    spikes.append(bisect_root(
                         lambda tm: _hermite_x((tm - t) / h_used, *coef) - 1.0, lo, hi))
             if fx < 0.0 <= fxn:
-                minima.append(_bisect(
+                minima.append(bisect_root(
                     lambda tm: _hermite_dx((tm - t) / h_used, *coef), t, t_new))
             knots.append((t_new, x_new, y_new, fxn, fyn, d2xn, d2yn))
 
@@ -380,26 +370,20 @@ def sample_knots(knots, ts, deriv):
     m x 2 array of the quintic Hermite interpolant's (x, y) (or, with deriv,
     their time derivatives) at the m sorted times ts, each inside [t_0,
     t_(n-1)], on the interval of the last knot at or before it (the last
-    interval for t_(n-1)).  Vectorized over ts in numpy, with each sum in
-    the order of the C library's hermite_x / hermite_dx."""
+    interval for t_(n-1)).  `_hermite_x` / `_hermite_dx` on arrays, both
+    columns at once; like the C library, it overflows without a warning."""
     times = knots[:, 0]
     idx = np.searchsorted(times, ts, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 2)
     ta = times[idx]
     h = times[idx + 1] - ta
-    w = (_hermite_weights_d1 if deriv else _hermite_weights)((ts - ta) / h)
-    h = h[:, None]
+    s = (ts - ta) / h
     k0 = knots[idx]
     k1 = knots[idx + 1]
-    out = (
-        w[0][:, None] * k0[:, 1:3]
-        + h * w[1][:, None] * k0[:, 3:5]
-        + h * h * w[2][:, None] * k0[:, 5:7]
-        + w[3][:, None] * k1[:, 1:3]
-        + h * w[4][:, None] * k1[:, 3:5]
-        + h * h * w[5][:, None] * k1[:, 5:7]
-    )
-    return out / h if deriv else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_hermite_dx if deriv else _hermite_x)(
+            s[:, None], h[:, None],
+            k0[:, 1:3], k0[:, 3:5], k0[:, 5:7], k1[:, 1:3], k1[:, 3:5], k1[:, 5:7])
 
 
 def format_table(table, spec, sep, end):
@@ -422,8 +406,9 @@ def bound_phase(coeffs, bound, offsets):
     bracket, closed by the offset before it or by 0.0, goes to
     `bisect_root`."""
     a1, a2, a3, a4, a5 = coeffs
-    u = offsets * (a1 + offsets * (a2 + offsets * (a3 + offsets * (a4 + offsets * a5))))
-    below = u - bound <= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = offsets * (a1 + offsets * (a2 + offsets * (a3 + offsets * (a4 + offsets * a5))))
+        below = u - bound <= 0.0
     i = int(below.argmax())
     if not below[i]:
         return None

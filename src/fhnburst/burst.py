@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel_py, fastpath
-from .errors import FhnBurstError, NoFirstSpike, NoPassage
+from .errors import DomainError, FhnBurstError, NoFirstSpike, NoPassage
 from .geometry import FoldedEquilibrium, folded_equilibria
 from .integrator import IntegratorConfig, Trajectory
 from .manifolds import solve_expansion, theta_at_lower_bound
@@ -83,6 +83,8 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
     The integral of x^2 + y^2 is the forced kernel's `sq_integral`, summed
     step by step while it stored the knots.  A trajectory without it (built
     by hand) gets the same sum from `_kernel_py.sq_integral` over its knots.
+    DomainError when the norm is not finite (omega far below the studied
+    range, say).
     """
     t0, t1 = trajectory.t_span
     n_periods = (t1 - t0) / T
@@ -92,7 +94,11 @@ def l2_norm(trajectory: Trajectory, T: float) -> float:
     integral = trajectory.sq_integral
     if integral is None:
         integral = _kernel_py.sq_integral(trajectory.knots.tolist())
-    return math.sqrt(integral / (t1 - t0))
+    l2 = math.sqrt(integral / (t1 - t0))
+    if not math.isfinite(l2):
+        raise DomainError(f"the L2 norm {l2!r} is not finite (the integral of x^2 + y^2 "
+                          f"is {integral!r})")
+    return l2
 
 
 LOWER_RETURN_DEPTH = -1.5   # x-minima below this count as lower-bound returns

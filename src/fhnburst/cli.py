@@ -166,6 +166,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
     """Simulate, write the requested files, and return the metrics JSON."""
     params = _params_from(args)
     forcing = Forcing(E=args.E, omega=args.omega)
+    region = classify_region(params, forcing)   # closed form: it fails before the drive
     traj = simulate_standard(
         params, forcing, _config_from(args),
         burn_in_periods=args.burn_in, measure_periods=args.periods,
@@ -176,7 +177,7 @@ def _simulate(args, csv_fh, metrics_fh, svg_fh) -> str:
         "spike_count": m.spike_count, "l2": m.l2,
         "n_theta": len(m.theta_seq),
         "theta_seq": [float(v) for v in wrap_angles(m.theta_seq)],
-        "est_count": m.est_count, "region": classify_region(params, forcing),
+        "est_count": m.est_count, "region": region,
     }
     text = json.dumps(metrics, indent=2)
     if metrics_fh:

@@ -15,8 +15,9 @@ bit-identical results:
   end state; both return a status and the step counters (see `_kernel_py`);
 - the dense output (`sample_knots`) evaluates a knot table's quintic
   Hermite interpolant at sorted times, with the one Hermite evaluator of
-  each language (`hermite_x` / `hermite_dx` in C, the basis of `integrator`
-  in numpy); `Trajectory.sample` and `sample_deriv` call it;
+  each language that also locates the events (`hermite_x` / `hermite_dx`
+  in C, `_hermite_x` / `_hermite_dx` in the twin); `Trajectory.sample` and
+  `sample_deriv` call it;
 - `format_table` gives the bytes of the twin's `%` call; the C formatter
   writes them when it covers every value of the table, and the twin writes
   the whole table when it does not;
@@ -42,7 +43,7 @@ from .integrator import KNOT_WIDTH, IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-KERNEL_ABI = 9          # FHN_ABI_VERSION of the _kernel.c this module mirrors
+KERNEL_ABI = 10         # FHN_ABI_VERSION of the _kernel.c this module mirrors
 FORMAT_WIDTH = 23       # FMT_MAX_LEN in _kernel.c: its longest value text
 FORMAT_SLACK = 11       # FMT_SLACK in _kernel.c: how far its block copies reach past it
 FORMAT_KEEP = 1 << 20   # the largest format buffer a thread keeps for its next table

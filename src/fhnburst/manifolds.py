@@ -167,6 +167,11 @@ def closed_form_a2(lam: float, delta: float, c_const: float, mu: float, b: float
     return num / den
 
 
+def _out_of_range(branch: str, delta: float, E: float, a1: float) -> DomainError:
+    return DomainError(f"the {branch} series leaves the float range at delta={delta!r}, "
+                       f"E={E!r} (a1={a1!r})")
+
+
 def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> ManifoldExpansion:
     """Solve the five coefficient equations for one branch.
 
@@ -179,9 +184,10 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
     residuals from one `b_coefficients` call: (k + q)|a_k| is the size of
     the b_(k-1)(a_k = 0) the substitution divided, whose rounding grows
     with it (at small omega a1 is large, and b_4 holds a1^9).
-    NewtonDiverged when an equation misses (or its residual is NaN);
-    DomainError where a1 rounds to 0 or the substitution leaves the float
-    range (omega far below the studied range, say).
+    NewtonDiverged when an equation misses; DomainError where a1 rounds to
+    0 or the substitution leaves the float range, by a `**` that overflows
+    or by a coefficient or b_k that is not finite (omega far below the
+    studied range, say).
     """
     if branch not in ("stable", "unstable"):
         raise ValueError("branch must be 'stable' or 'unstable'")
@@ -207,13 +213,14 @@ def solve_expansion(branch: str, params: ModelParams, forcing: Forcing) -> Manif
         a = [a1, a2, a3, a4, a5]
         bs = b_coefficients(a, delta, r_delta, mu, b)
     except ArithmeticError:
-        raise DomainError(f"the {branch} series leaves the float range at delta={delta!r}, "
-                          f"E={forcing.E!r} (a1={a1!r})") from None
+        raise _out_of_range(branch, delta, forcing.E, a1) from None
     res = [abs((k + 1.0) * a[k] - bs[k]) for k in range(5)]
     # a NaN residual compares false, so it fails
     if not all(r <= NEWTON_TOL * max(1.0, (k + 1.0 + q) * abs(a[k])) for k, r in enumerate(res)):
-        worst = math.nan if any(map(math.isnan, res)) else max(res)
-        raise NewtonDiverged(f"the {branch} series misses its equations by {worst:.3e}")
+        # products overflow to inf without a signal, and inf - inf is NaN
+        if not all(map(math.isfinite, a + list(bs))):
+            raise _out_of_range(branch, delta, forcing.E, a1)
+        raise NewtonDiverged(f"the {branch} series misses its equations by {max(res):.3e}")
     return ManifoldExpansion(
         branch=branch, theta_base=theta_base, coeffs=tuple(a), c_const=C, residual=max(res),
     )

@@ -29,9 +29,8 @@ EDGE_DRIVES = [
     (1e10, 0.0, 0.0, 100_000, 1),        # step size underflow
     (1.0, 1e300, 0.0, 100_000, 3),       # non-finite inside the loop
     (1e150, 0.0, 0.0, 100_000, 3),       # non-finite at the start
-    # from t = 8192 on one ulp of t exceeds the 1e-12 bisection
-    # tolerance; event location must still stop (a bracket can stall
-    # one ulp wide, with no double strictly inside it)
+    # from t = 8192 on one ulp of t exceeds 1e-12; event location stops
+    # where no double lies strictly inside a bracket, one ulp wide here
     (-1.2, -0.6, 8200.0, 100_000, 0),
 ]
 
@@ -44,6 +43,7 @@ BOUND_PHASE_CASES = [
     (math.nan, 1.0, 1.0, 1.0, 1.0),     # NaN compares false: no intersection
     (1.0, math.inf, 0.0, 0.0, 0.0),     # u = -inf at the first offset
     (math.inf, -math.inf, 0.0, 0.0, 0.0),   # inf - inf: NaN everywhere
+    (1e308, -1e308, 0.0, 0.0, 0.0),     # a1 + th a2 overflows far from the saddle
     (2.5603478486541107, -0.32797644751340277, 0.8353409929208083,
      0.48813668488897355, 0.7719180282689297),   # region III, E=0.9, omega=0.02
 ]

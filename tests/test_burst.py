@@ -21,7 +21,7 @@ from fhnburst.burst import (
 )
 from fhnburst.cli import main
 from fhnburst.errors import NewtonDiverged, NoFirstSpike, NoPassage
-from fhnburst.geometry import folded_equilibria
+from fhnburst.geometry import bisect_root, folded_equilibria
 from fhnburst.integrator import (
     HERMITE_GRAM_DEN,
     HERMITE_GRAM_INT,
@@ -60,7 +60,8 @@ RETURN_DRIVES = [
 
 def _scalar_lower_returns(trajectory, depth=burst.LOWER_RETURN_DEPTH):
     """Reference: one bracket at a time, one dense evaluation per bisection
-    step.  Returns the return times and the number of brackets."""
+    step, halved by the one rule (`bisect_root`).  Returns the return times
+    and the number of brackets."""
     times = trajectory.times
     fx = trajectory.derivs[:, 0]
     out = []
@@ -69,16 +70,8 @@ def _scalar_lower_returns(trajectory, depth=burst.LOWER_RETURN_DEPTH):
         if not (fx[i] < 0.0 <= fx[i + 1]):
             continue
         brackets += 1
-        lo, hi = times[i], times[i + 1]
-        for _ in range(80):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            if trajectory.sample_deriv([mid])[0, 0] < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_min = 0.5 * (lo + hi)
+        t_min = bisect_root(lambda t: trajectory.sample_deriv([t])[0, 0],
+                            times[i], times[i + 1])
         if trajectory.sample([t_min])[0, 0] <= depth:
             out.append(t_min)
     return np.asarray(out, dtype=float), brackets
@@ -131,6 +124,20 @@ class TestSimulateStandard:
             2.0 * T, 4.0 * T, x0, y0, 1e-8, 1e-10, 5_000_000, True,
         )
         assert np.array_equal(times, run[2])
+
+    def test_events_within_one_double_of_the_sign_change(self, params):
+        # the dense output's x - 1 at a spike (x' at a minimum) changes sign
+        # between the event time and one of its neighbouring doubles
+        n_events = 0
+        for E, omega in L2_DRIVES:
+            traj = simulate_standard(params, Forcing(E=E, omega=omega))
+            for times, g in ((traj.spikes, lambda ts: traj.sample(ts)[:, 0] - 1.0),
+                             (traj.minima, lambda ts: traj.sample_deriv(ts)[:, 0])):
+                for s in times:
+                    below, at, above = g(np.nextafter(s, [-np.inf, s, np.inf])) > 0.0
+                    assert below != at or at != above, (E, omega, s)
+                    n_events += 1
+        assert n_events >= 50
 
     def test_quiet_drive_no_spikes(self, params):
         traj = simulate_standard(params, Forcing(E=0.0, omega=BURST3.omega))
@@ -302,9 +309,8 @@ class TestThetaSequence:
         assert max(rejected) >= 1
 
     def test_matches_scalar_bisection_past_8192(self, params):
-        # one ulp of t exceeds 1e-12 here, so a bracket can stall one ulp
-        # wide: the kernel stops there, the oracle runs on to its cap of 80
-        # halvings, and both return the same midpoint
+        # one ulp of t is 1.8e-12 here: kernel and oracle halve down to the
+        # same one-ulp bracket, with no double strictly inside it
         traj = fastpath.integrate_forced(
             params, Forcing(E=0.5, omega=0.02), (-1.2, -0.6), (8200.0, 8500.0)
         )

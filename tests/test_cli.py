@@ -421,116 +421,132 @@ TINY_SWEEP = ("omega_lo = 0.02\nomega_hi = 0.03\nomega_step = 0.01\n"
               "out = {tmp}/grid.csv\n")
 
 
+# (argv, spec, match) of commands that must fail: the text of the sweep
+# spec file, if any, and a fragment of the error message
+FAILURE_CASES = [
+    pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.csv"],
+                 None, "{missing}", id="simulate-out-dir-missing"),
+    pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{tmp}/ok.csv",
+                  "--metrics-out", "{tmp}/ok.json", "--svg", "{missing}/x.svg"],
+                 None, "x.svg", id="simulate-svg-dir-missing"),
+    pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--periods", "0",
+                  "--out", "{tmp}/ok.csv", "--svg", "{tmp}/ok.svg"],
+                 None, "periods", id="simulate-fails-after-open"),
+    pytest.param(["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
+                  "--out", "{missing}/x.csv"], None, "x.csv", id="manifold-out-dir-missing"),
+    pytest.param(["equilibria", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.json"],
+                 None, "x.json", id="equilibria-out-dir-missing"),
+    pytest.param(["contours", "--grid", "{tmp}/none.csv", "--out", "{tmp}/c.json",
+                  "--svg", "{tmp}/c.svg"], None, "none.csv", id="contours-grid-missing"),
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
+                 TINY_SWEEP + "chekpoint = {tmp}/ck.jsonl\n", "'chekpoint'",
+                 id="sweep-unknown-spec-key"),
+    # a flag value out of range
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--workers", "0",
+                  "--checkpoint", "{tmp}/ck.jsonl"], TINY_SWEEP, "workers",
+                 id="sweep-workers-zero"),
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--metrics", " , "], TINY_SWEEP,
+                 "no metrics", id="sweep-metrics-empty"),
+    pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "0",
+                  "--out", "{tmp}/c.json", "--svg", "{tmp}/c.svg"], None, "--levels must",
+                 id="contours-levels-zero"),
+    pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "-3"], None,
+                 "--levels must", id="contours-levels-negative"),
+    pytest.param(["estimate", "--E", "0.55", "--omega", "0.02", "--rel-tol", "0.5"],
+                 None, "tolerances", id="estimate-rel-tol-too-large"),
+    pytest.param(["equilibria", "--E", "-0.1", "--omega", "0.02", "--out", "{tmp}/x.json"],
+                 None, "non-negative", id="equilibria-negative-amplitude"),
+    # a non-finite number
+    pytest.param(["simulate", "--E", "nan", "--omega", "0.02", "--out", "{tmp}/x.csv",
+                  "--metrics-out", "{tmp}/x.json", "--svg", "{tmp}/x.svg"],
+                 None, "finite", id="simulate-E-nan"),
+    pytest.param(["regions", "--E", "0.5", "--omega", "inf"], None, "finite",
+                 id="regions-omega-inf"),
+    pytest.param(["manifold", "--E", "0.5", "--omega", "0.02", "--branch", "stable",
+                  "--a", "nan", "--out", "{tmp}/x.csv"], None, "finite",
+                 id="manifold-a-nan"),
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--e-step", "nan"], TINY_SWEEP,
+                 "finite", id="sweep-e-step-nan"),
+    # (the input file written from the spec column holds a grid CSV here)
+    pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
+                  "--svg", "{tmp}/c.svg"], CSV_HEADER + "\n0.01,0.4,ok,0,1.9,0,II\n"
+                 "nan,0.4,ok,0,1.9,0,II\n", "line 3: omega 'nan' is not a finite number",
+                 id="contours-grid-omega-nan"),
+    pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
+                  "--svg", "{tmp}/c.svg"], _desk_csv_with_inf_l2(),
+                 "line 6: l2 'inf' is not a finite number", id="contours-desk-l2-inf"),
+    # a point outside the domain
+    pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
+                  "--out", "{tmp}/x.csv"], None, "no folded saddle",
+                 id="manifold-below-saddle-threshold"),
+    # omegas so small that 64 delta^2 underflows to zero in the fold thresholds
+    pytest.param(["equilibria", "--E", "0.5", "--omega", "5e-324", "--out", "{tmp}/x.json"],
+                 None, "underflows to zero", id="equilibria-delta-underflows"),
+    pytest.param(["simulate", "--E", "0.5", "--omega", "1e-300", "--out", "{tmp}/x.csv",
+                  "--metrics-out", "{tmp}/x.json"], None, "underflows to zero",
+                 id="simulate-delta-underflows"),
+    # the L2 integral is NaN, though the closed-form region computes
+    pytest.param(["simulate", "--E", "0.5", "--omega", "1e-160", "--out", "{tmp}/x.csv",
+                  "--metrics-out", "{tmp}/x.json"], None, "is not finite",
+                 id="simulate-l2-not-finite"),
+    # the unstable eigenvalue rounds to 0, so a1 = 0
+    pytest.param(["manifold", "--E", "0.5", "--omega", "1e-17", "--branch", "unstable",
+                  "--out", "{tmp}/x.csv"], None, "eigenvalue rounds to 0",
+                 id="manifold-unstable-eigenvalue-vanishes"),
+    *(pytest.param(["manifold", "--E", repr(_ulps_above_saddle_threshold(1e-10, k)),
+                    "--omega", "1e-10", "--branch", "unstable", "--out", "{tmp}/x.csv"],
+                   None, "eigenvalue rounds to 0",
+                   id=f"manifold-{k}-ulps-above-saddle-threshold") for k in (1, 2, 4, 16)),
+    # the stable branch's a1 ~ 1 / (2 delta): its powers overflow
+    pytest.param(["estimate", "--E", "0.5", "--omega", "1e-40"], None,
+                 "leaves the float range", id="estimate-a1-powers-overflow"),
+    # the rest state's Newton step overflows
+    pytest.param(["simulate", "--a", "1e308", "--E", "0.5", "--omega", "0.02",
+                  "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
+                  "--svg", "{tmp}/x.svg"], None, "Newton step overflows",
+                 id="simulate-a-huge"),
+    # 100 Newton steps do not reach the rest state
+    pytest.param(["simulate", "--a", "1e30", "--E", "0.5", "--omega", "0.02",
+                  "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
+                  "--svg", "{tmp}/x.svg"], None, "Newton iteration does not converge",
+                 id="simulate-a-rest-state-unconverged"),
+    # a sweep axis whose cell count overflows, or whose values repeat
+    pytest.param(["sweep", "--omega-lo", "1e-300", "--omega-hi", "1e300", "--omega-step",
+                  "1e-300", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step", "0.1",
+                  "--metrics", "region", "--out", "{tmp}/g.csv"], None,
+                 "the omega axis has no finite cell count", id="sweep-axis-count-overflows"),
+    pytest.param(["sweep", "--omega-lo", "0.02", "--omega-hi", "0.020000000000000004",
+                  "--omega-step", "1e-18", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step",
+                  "0.1", "--metrics", "region", "--out", "{tmp}/g.csv"], None,
+                 "the omega axis repeats a value", id="sweep-axis-repeats"),
+    # a missing input
+    pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
+                 id="contours-grid-dir-missing"),
+    pytest.param(["sweep", "--spec", "{tmp}/none.cfg"], None, "none.cfg",
+                 id="sweep-spec-missing"),
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"], "e_lo = 0.5\n", "'omega_lo'",
+                 id="sweep-key-missing"),
+    # a spec key set twice
+    pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
+                 TINY_SWEEP + "workers = 1\nworkers = 3\n", "'workers' set again on line 10",
+                 id="sweep-spec-key-twice"),
+]
+
+
 class TestOutputContract:
     """A failing command exits 1, prints one JSON error line on stderr and
     nothing on stdout, and leaves no file behind: output paths are opened
-    before any work, and the files a failed call created are removed."""
+    before any work, and the files a failed call created are removed.  Each
+    case runs on the C library and, with the id suffix -pure, on the twin."""
 
-    @pytest.mark.parametrize("argv, spec, match", [
-        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.csv"],
-                     None, "{missing}", id="simulate-out-dir-missing"),
-        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--out", "{tmp}/ok.csv",
-                      "--metrics-out", "{tmp}/ok.json", "--svg", "{missing}/x.svg"],
-                     None, "x.svg", id="simulate-svg-dir-missing"),
-        pytest.param(["simulate", "--E", "0.55", "--omega", "0.02", "--periods", "0",
-                      "--out", "{tmp}/ok.csv", "--svg", "{tmp}/ok.svg"],
-                     None, "periods", id="simulate-fails-after-open"),
-        pytest.param(["manifold", "--E", "0.482", "--omega", "0.02", "--branch", "stable",
-                      "--out", "{missing}/x.csv"], None, "x.csv", id="manifold-out-dir-missing"),
-        pytest.param(["equilibria", "--E", "0.55", "--omega", "0.02", "--out", "{missing}/x.json"],
-                     None, "x.json", id="equilibria-out-dir-missing"),
-        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--out", "{tmp}/c.json",
-                      "--svg", "{tmp}/c.svg"], None, "none.csv", id="contours-grid-missing"),
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
-                     TINY_SWEEP + "chekpoint = {tmp}/ck.jsonl\n", "'chekpoint'",
-                     id="sweep-unknown-spec-key"),
-        # a flag value out of range
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--workers", "0",
-                      "--checkpoint", "{tmp}/ck.jsonl"], TINY_SWEEP, "workers",
-                     id="sweep-workers-zero"),
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--metrics", " , "], TINY_SWEEP,
-                     "no metrics", id="sweep-metrics-empty"),
-        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "0",
-                      "--out", "{tmp}/c.json", "--svg", "{tmp}/c.svg"], None, "--levels must",
-                     id="contours-levels-zero"),
-        pytest.param(["contours", "--grid", "{tmp}/none.csv", "--levels", "-3"], None,
-                     "--levels must", id="contours-levels-negative"),
-        pytest.param(["estimate", "--E", "0.55", "--omega", "0.02", "--rel-tol", "0.5"],
-                     None, "tolerances", id="estimate-rel-tol-too-large"),
-        pytest.param(["equilibria", "--E", "-0.1", "--omega", "0.02", "--out", "{tmp}/x.json"],
-                     None, "non-negative", id="equilibria-negative-amplitude"),
-        # a non-finite number
-        pytest.param(["simulate", "--E", "nan", "--omega", "0.02", "--out", "{tmp}/x.csv",
-                      "--metrics-out", "{tmp}/x.json", "--svg", "{tmp}/x.svg"],
-                     None, "finite", id="simulate-E-nan"),
-        pytest.param(["regions", "--E", "0.5", "--omega", "inf"], None, "finite",
-                     id="regions-omega-inf"),
-        pytest.param(["manifold", "--E", "0.5", "--omega", "0.02", "--branch", "stable",
-                      "--a", "nan", "--out", "{tmp}/x.csv"], None, "finite",
-                     id="manifold-a-nan"),
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg", "--e-step", "nan"], TINY_SWEEP,
-                     "finite", id="sweep-e-step-nan"),
-        # (the input file written from the spec column holds a grid CSV here)
-        pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
-                      "--svg", "{tmp}/c.svg"], CSV_HEADER + "\n0.01,0.4,ok,0,1.9,0,II\n"
-                     "nan,0.4,ok,0,1.9,0,II\n", "line 3: omega 'nan' is not a finite number",
-                     id="contours-grid-omega-nan"),
-        pytest.param(["contours", "--grid", "{tmp}/sweep.cfg", "--out", "{tmp}/c.json",
-                      "--svg", "{tmp}/c.svg"], _desk_csv_with_inf_l2(),
-                     "line 6: l2 'inf' is not a finite number", id="contours-desk-l2-inf"),
-        # a point outside the domain
-        pytest.param(["manifold", "--E", "0.2", "--omega", "0.02", "--branch", "stable",
-                      "--out", "{tmp}/x.csv"], None, "no folded saddle",
-                     id="manifold-below-saddle-threshold"),
-        # omegas so small that 64 delta^2 underflows to zero in the fold thresholds
-        pytest.param(["equilibria", "--E", "0.5", "--omega", "5e-324", "--out", "{tmp}/x.json"],
-                     None, "underflows to zero", id="equilibria-delta-underflows"),
-        pytest.param(["simulate", "--E", "0.5", "--omega", "1e-300", "--out", "{tmp}/x.csv",
-                      "--metrics-out", "{tmp}/x.json"], None, "underflows to zero",
-                     id="simulate-delta-underflows"),
-        # the unstable eigenvalue rounds to 0, so a1 = 0
-        pytest.param(["manifold", "--E", "0.5", "--omega", "1e-17", "--branch", "unstable",
-                      "--out", "{tmp}/x.csv"], None, "eigenvalue rounds to 0",
-                     id="manifold-unstable-eigenvalue-vanishes"),
-        *(pytest.param(["manifold", "--E", repr(_ulps_above_saddle_threshold(1e-10, k)),
-                        "--omega", "1e-10", "--branch", "unstable", "--out", "{tmp}/x.csv"],
-                       None, "eigenvalue rounds to 0",
-                       id=f"manifold-{k}-ulps-above-saddle-threshold") for k in (1, 2, 4, 16)),
-        # the stable branch's a1 ~ 1 / (2 delta): its powers overflow
-        pytest.param(["estimate", "--E", "0.5", "--omega", "1e-40"], None,
-                     "leaves the float range", id="estimate-a1-powers-overflow"),
-        # the rest state's Newton step overflows
-        pytest.param(["simulate", "--a", "1e308", "--E", "0.5", "--omega", "0.02",
-                      "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
-                      "--svg", "{tmp}/x.svg"], None, "Newton step overflows",
-                     id="simulate-a-huge"),
-        # 100 Newton steps do not reach the rest state
-        pytest.param(["simulate", "--a", "1e30", "--E", "0.5", "--omega", "0.02",
-                      "--out", "{tmp}/x.csv", "--metrics-out", "{tmp}/x.json",
-                      "--svg", "{tmp}/x.svg"], None, "Newton iteration does not converge",
-                     id="simulate-a-rest-state-unconverged"),
-        # a sweep axis whose cell count overflows, or whose values repeat
-        pytest.param(["sweep", "--omega-lo", "1e-300", "--omega-hi", "1e300", "--omega-step",
-                      "1e-300", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step", "0.1",
-                      "--metrics", "region", "--out", "{tmp}/g.csv"], None,
-                     "the omega axis has no finite cell count", id="sweep-axis-count-overflows"),
-        pytest.param(["sweep", "--omega-lo", "0.02", "--omega-hi", "0.020000000000000004",
-                      "--omega-step", "1e-18", "--e-lo", "0.5", "--e-hi", "0.6", "--e-step",
-                      "0.1", "--metrics", "region", "--out", "{tmp}/g.csv"], None,
-                     "the omega axis repeats a value", id="sweep-axis-repeats"),
-        # a missing input
-        pytest.param(["contours", "--grid", "{missing}/grid.csv"], None, "grid.csv",
-                     id="contours-grid-dir-missing"),
-        pytest.param(["sweep", "--spec", "{tmp}/none.cfg"], None, "none.cfg",
-                     id="sweep-spec-missing"),
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"], "e_lo = 0.5\n", "'omega_lo'",
-                     id="sweep-key-missing"),
-        # a spec key set twice
-        pytest.param(["sweep", "--spec", "{tmp}/sweep.cfg"],
-                     TINY_SWEEP + "workers = 1\nworkers = 3\n", "'workers' set again on line 10",
-                     id="sweep-spec-key-twice"),
+    @pytest.mark.parametrize("argv, spec, match, backend", [
+        *(pytest.param(*case.values, "compiled", id=case.id) for case in FAILURE_CASES),
+        *(pytest.param(*case.values, "pure", id=f"{case.id}-pure") for case in FAILURE_CASES),
     ])
-    def test_failure_leaves_nothing(self, capsys, tmp_path, argv, spec, match):
+    def test_failure_leaves_nothing(self, request, monkeypatch, capsys, tmp_path,
+                                    argv, spec, match, backend):
+        monkeypatch.setattr(fastpath, "_IMPL", request.getfixturevalue("c_library")
+                            if backend == "compiled" else _kernel_py)
         fill = dict(tmp=tmp_path, missing=tmp_path / "missing")
         if spec:
             (tmp_path / "sweep.cfg").write_text(spec.format(**fill))

@@ -134,6 +134,12 @@ class TestSolveExpansion:
         with pytest.raises(NoSaddle):
             solve_expansion("stable", params, Forcing(E=0.1, omega=0.08))
 
+    def test_series_leaving_the_float_range(self, params):
+        # at omega 2.25e-36 no power of a1 overflows, but the products of
+        # the b_k do, without a signal, and inf - inf leaves NaN coefficients
+        with pytest.raises(DomainError, match="leaves the float range"):
+            solve_expansion("stable", params, Forcing(E=0.3, omega=2.25e-36))
+
     def test_bad_branch(self, params):
         with pytest.raises(ValueError):
             solve_expansion("center", params, RII_DRIVE)
@@ -346,11 +352,10 @@ class TestLowerBoundScanMatchesScalar:
 
 
 def _twin_bound_phase(coeffs, bound=manifolds.LOWER_BOUND_U, offsets=None):
-    """`_kernel_py.bound_phase` on the module's scan grid (by default); numpy
-    warns where C is silent (inf - inf, an overflow), so warnings are off."""
-    with np.errstate(all="ignore"):
-        return _kernel_py.bound_phase(
-            coeffs, bound, manifolds._SCAN_OFFSETS if offsets is None else offsets)
+    """`_kernel_py.bound_phase` on the module's scan grid (by default); like
+    C, it is silent on inf - inf and on an overflow (a warning fails)."""
+    return _kernel_py.bound_phase(
+        coeffs, bound, manifolds._SCAN_OFFSETS if offsets is None else offsets)
 
 
 def _random_coefficients(rng, n):
@@ -597,17 +602,18 @@ class TestForwardSubstitution:
             solve_expansion("unstable", params, DEFECT_DRIVE)
 
     @pytest.mark.parametrize("k", range(5))
-    @pytest.mark.parametrize("spoil", [
-        lambda b: math.nan,
-        lambda b: b + 1e-6,
+    @pytest.mark.parametrize("spoil, error", [
+        (lambda b: math.nan, DomainError),
+        (lambda b: b + 1e-6, NewtonDiverged),
     ], ids=["nan", "perturbed"])
     def test_float_residual_check_rejects_a_spoiled_coefficient(
-        self, params, monkeypatch, spoil, k
+        self, params, monkeypatch, spoil, error, k
     ):
         # the residual check reads the module-global b_coefficients; with one
-        # of its coefficients spoiled, the solve must not pass
+        # of its coefficients spoiled, the solve must not pass, and a
+        # non-finite one is a series that left the float range
         _spoil_b(monkeypatch, k + 1, spoil)
-        with pytest.raises(NewtonDiverged):
+        with pytest.raises(error):
             solve_expansion("stable", params, RII_DRIVE)
 
 

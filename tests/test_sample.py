@@ -53,6 +53,22 @@ def test_matches_twin(c_library, case):
         assert g.tobytes() == w.tobytes()
 
 
+def test_overflow_matches_twin_without_warning(c_library):
+    # steps of 1e200 (a drive at omega of about 1e-198) overflow h*h; the C
+    # library gives inf or nan without a signal, and so does the twin
+    # (a RuntimeWarning fails the test)
+    table = np.random.default_rng(8).normal(size=(4, KNOT_WIDTH))
+    table[:, 0] = np.arange(4) * 1e200
+    traj = Trajectory(table)
+    ts = np.linspace(0.0, 3e200, 7)
+    with pytest.MonkeyPatch.context() as mp:
+        got = _sample_with(mp, c_library, traj, ts)
+        want = _sample_with(mp, _kernel_py, traj, ts)
+    assert not np.isfinite(got[0]).all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_empty_and_knot_times(c_library):
     # the C path at the knots returns the stored states bit for bit
     rng = np.random.default_rng(7)

@@ -224,6 +224,15 @@ class TestRunSweep:
         assert grid.complete and len(grid.cells) == 4
         assert all(c.status == "ok" and c.est_count is None for c in grid.cells)
 
+    def test_non_finite_l2_recorded(self):
+        # at omega 1e-160 the L2 integral is NaN: the cell records l2_norm's
+        # DomainError and keeps its closed-form region
+        spec = SweepSpec(omega_range=(1e-160, 2e-160, 1e-160), e_range=(0.5, 0.6, 0.1))
+        grid = run_sweep(spec, ModelParams())
+        assert grid.complete and len(grid.cells) == 4
+        assert all(c.status == "err:DomainError" and c.l2 is None for c in grid.cells)
+        assert all(c.region is not None for c in grid.cells)
+
     def test_failed_cells_recorded(self, params, monkeypatch):
         real = burst_metrics
 
