@@ -3,7 +3,8 @@
  * An operation-for-operation copy: every sum is written in the same order,
  * min/max become fmin/fmax and x**-0.25 becomes pow(x, -0.25), so with
  * -ffp-contract=off the two kernels give bit-identical results.  Keep any
- * algorithmic edit in lockstep with _kernel_py.py.
+ * edit in lockstep with _kernel_py.py, which declares each constant below
+ * under the same name; a test checks each value against the twin's.
  *
  * No Python C-API: fastpath.py loads the shared library with ctypes and
  * refuses it unless fhn_abi_version() returns the version it expects, so a
@@ -19,7 +20,7 @@
  * double lies strictly inside the bracket, return the last midpoint, as
  * geometry.bisect_root does); it also sums sq_integral, the integral of
  * x^2 + y^2 over the knots: each step adds h times the `gram_form` of x and
- * y to a Neumaier-compensated sum, divided by 55440 once at the end, as
+ * y to a Neumaier-compensated sum, divided by GRAM_DEN once at the end, as
  * _kernel_py.sq_integral does over the knot rows.  A burn-in run
  * (detect_events == 0) keeps only the end state's row and leaves
  * sq_integral 0.  Both fill the step counters n_accept, n_reject,
@@ -71,7 +72,7 @@ static const double AL2 = 0.386, AL3 = 0.21, AL4 = 0.63;
 static const double G1 = 0.25, G2 = -0.1043, G3 = 0.1035, G4 = -0.03620000000000023;
 static const double GAMMA = 0.25;
 
-/* upper triangle of integrator.HERMITE_GRAM_INT, off-diagonal entries doubled */
+/* the doubled upper triangle of the Hermite Gram matrix (see _kernel_py) */
 static const double Q00 = 21720.0, Q01 = 7464.0, Q02 = 562.0, Q03 = 12000.0,
                     Q04 = -3624.0, Q05 = 362.0;
 static const double Q11 = 832.0, Q12 = 138.0, Q13 = 3624.0, Q14 = -1064.0,
@@ -81,6 +82,13 @@ static const double Q33 = 21720.0, Q34 = -7464.0, Q35 = 562.0;
 static const double Q44 = 832.0, Q45 = -138.0;
 static const double Q55 = 6.0;
 static const double GRAM_DEN = 55440.0;
+
+/* step-size controller */
+static const double SAFETY = 0.9;
+static const double FAC_MIN = 0.2;
+static const double FAC_MAX = 6.0;
+static const double FAC_REJECT_MIN = 0.1;
+static const double FAC_REJECT_MAX = 0.5;
 
 #define FHN_ABI_VERSION 10
 #define KNOT_WIDTH 7   /* t, x, y, fx, fy, d2x, d2y */
@@ -362,11 +370,11 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
 
         double fac;
         if (err > 1.0) {
-            fac = 0.9 * pow(err, -0.25);
-            if (fac < 0.1)
-                fac = 0.1;
-            else if (fac > 0.5)
-                fac = 0.5;
+            fac = SAFETY * pow(err, -0.25);
+            if (fac < FAC_REJECT_MIN)
+                fac = FAC_REJECT_MIN;
+            else if (fac > FAC_REJECT_MAX)
+                fac = FAC_REJECT_MAX;
             h *= fac;
             rejected = 1;
             out->n_reject++;
@@ -437,11 +445,11 @@ int fhn_integrate(double a, double b, double eps, double E, double omega,
         d2x = d2xn;
         d2y = d2yn;
 
-        fac = 0.9 * pow(err, -0.25);
-        if (fac < 0.2)
-            fac = 0.2;
-        else if (fac > 6.0)
-            fac = 6.0;
+        fac = SAFETY * pow(err, -0.25);
+        if (fac < FAC_MIN)
+            fac = FAC_MIN;
+        else if (fac > FAC_MAX)
+            fac = FAC_MAX;
         if (rejected && fac > 1.0)
             fac = 1.0;
         rejected = 0;

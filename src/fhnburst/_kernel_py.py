@@ -1,12 +1,15 @@
 """Pure-Python kernel for the planar forced system.
 
 Reference twin of the C kernel in _kernel.c and the fallback when that
-library is not built.  The Rosenbrock stage tables, the step-controller
-constants and the quintic Hermite basis are imported from `integrator`, so
-the Python side holds them once; the C file writes the same values as
-literals and copies this kernel operation for operation (same bisections
+library is not built.  The scheme is a stiffly accurate 6-stage Rosenbrock
+method of order 4(3) with an analytic Jacobian, and its dense output a
+two-point quintic Hermite from the state and its first and second
+derivatives at the knots.  Each language holds it in one file: the
+constants below are the scalars _kernel.c declares, under the same names
+and with the same values (a test reads the C file and checks each one),
+and the C file copies this kernel operation for operation (same bisections
 and order of every sum), so the two backends return bit-identical results.
-Keep any algorithmic edit here in lockstep with _kernel.c.
+Keep any edit here in lockstep with _kernel.c.
 
 `integrate_forced` makes one of two runs, picked by detect_events: the
 measurement run (true) keeps every knot, locates the events and sums the
@@ -50,41 +53,81 @@ import math
 import numpy as np
 
 from .geometry import bisect_root
-from .integrator import (
-    FAC_MAX,
-    FAC_MIN,
-    FAC_REJECT_MAX,
-    FAC_REJECT_MIN,
-    HERMITE_GRAM_DEN,
-    HERMITE_GRAM_INT,
-    KNOT_WIDTH,
-    ROS_A,
-    ROS_ALPHA,
-    ROS_C,
-    ROS_GAMMA as GAMMA,
-    ROS_GSUM,
-    SAFETY,
-    _hermite_weights,
-    _hermite_weights_d1,
-)
 from .model import TWO_PI
 
-# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages) as scalars
-(A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54) = ROS_A
-((C21,), (C31, C32), (C41, C42, C43), (C51, C52, C53, C54),
- (C61, C62, C63, C64, C65)) = ROS_C
-AL2, AL3, AL4 = ROS_ALPHA
-G1, G2, G3, G4 = ROS_GSUM
+# stage tables (stiffly accurate Rosenbrock 4(3), 6 stages)
+A21 = 1.544
+A31, A32 = 0.9466785280815826, 0.2557011698983284
+A41, A42, A43 = 3.314825187068521, 2.896124015972201, 0.9986419139977817
+A51, A52, A53, A54 = (1.221224509226641, 6.019134481288629, 12.53708332932087,
+                      -0.6878860361058950)
+C21 = -5.6688
+C31, C32 = -2.430093356833875, -0.2063599157091915
+C41, C42, C43 = -0.1073529058151375, -9.594562251023355, -20.47028614809616
+C51, C52, C53, C54 = (7.496443313967647, -10.24680431464352, -33.99990352819905,
+                      11.70890893206160)
+C61, C62, C63, C64, C65 = (8.083246795921522, -7.981132988064893, -31.52159432874371,
+                           16.31930543123136, -6.058818238834054)
+AL2, AL3, AL4 = 0.386, 0.21, 0.63
+G1, G2, G3, G4 = 0.25, -0.1043, 0.1035, -0.03620000000000023
+GAMMA = 0.25
 
-# the upper triangle of HERMITE_GRAM_INT, off-diagonal entries doubled (all
-# exact in floating point), for the symmetric Gram form in 21 products
-((Q00, Q01, Q02, Q03, Q04, Q05), (Q11, Q12, Q13, Q14, Q15), (Q22, Q23, Q24, Q25),
- (Q33, Q34, Q35), (Q44, Q45), (Q55,)) = (
-    tuple(float(g if i == j else 2 * g) for j, g in enumerate(row) if j >= i)
-    for i, row in enumerate(HERMITE_GRAM_INT)
-)
+# the doubled upper triangle of the Gram matrix G of the quintic Hermite
+# basis on [0, 1]: G[i][j], the integral of _hermite_weights(s)[i] *
+# _hermite_weights(s)[j] ds, is Qij / GRAM_DEN on the diagonal and
+# Qij / (2 GRAM_DEN) off it (all exact in floating point).  With c = (x0,
+# h f0, h^2 d0, x1, h f1, h^2 d1) on a knot interval of width h, the
+# interval's integral of x^2 is h * c @ G @ c (Hairer & Wanner, Solving
+# ODEs II, IV.7), which `_gram_form` sums in 21 products.
+Q00, Q01, Q02, Q03, Q04, Q05 = 21720.0, 7464.0, 562.0, 12000.0, -3624.0, 362.0
+Q11, Q12, Q13, Q14, Q15 = 832.0, 138.0, 3624.0, -1064.0, 104.0
+Q22, Q23, Q24, Q25 = 6.0, 362.0, -104.0, 10.0
+Q33, Q34, Q35 = 21720.0, -7464.0, 562.0
+Q44, Q45 = 832.0, -138.0
+Q55 = 6.0
+GRAM_DEN = 55440.0
+
+# step-size controller
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 6.0
+FAC_REJECT_MIN = 0.1
+FAC_REJECT_MAX = 0.5
+
+KNOT_WIDTH = 7   # knot table columns: t, x, y, fx, fy, d2x, d2y
 
 STAT_NAMES = ("n_accept", "n_reject", "n_nonfinite_retry", "h_min")
+
+
+def _hermite_weights(s):
+    """Quintic two-point Hermite basis at normalized position s in [0, 1]."""
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    return (
+        1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5,
+        s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5,
+        0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5,
+        10.0 * s3 - 15.0 * s4 + 6.0 * s5,
+        -4.0 * s3 + 7.0 * s4 - 3.0 * s5,
+        0.5 * s3 - s4 + 0.5 * s5,
+    )
+
+
+def _hermite_weights_d1(s):
+    """d/ds of the quintic Hermite basis."""
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    return (
+        -30.0 * s2 + 60.0 * s3 - 30.0 * s4,
+        1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4,
+        s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4,
+        30.0 * s2 - 60.0 * s3 + 30.0 * s4,
+        -12.0 * s2 + 28.0 * s3 - 15.0 * s4,
+        1.5 * s2 - 4.0 * s3 + 2.5 * s4,
+    )
 
 
 def _hermite_x(s, h, x0, f0, d0, x1, f1, d1):
@@ -109,7 +152,7 @@ def _hermite_dx(s, h, x0, f0, d0, x1, f1, d1):
 
 
 def _gram_form(h, v0, f0, d0, v1, f1, d1):
-    """HERMITE_GRAM_DEN times the integral over s in [0, 1] of the square of
+    """GRAM_DEN times the integral over s in [0, 1] of the square of
     one component's quintic Hermite interpolant on a step of width h, from
     (v, v', v'') at both ends."""
     c1 = h * f0
@@ -130,7 +173,7 @@ def sq_integral(knots):
     """Integral of x^2 + y^2 over the span of knot rows (t, x, y, fx, fy, d2x,
     d2y), exact on the quintic Hermite interpolant: each step adds h times
     the Gram forms of x and y to a Neumaier-compensated sum, which is divided
-    by HERMITE_GRAM_DEN once at the end.  The C kernel sums the same terms in
+    by GRAM_DEN once at the end.  The C kernel sums the same terms in
     the same order while it stores the knots."""
     total = comp = 0.0
     for k0, k1 in zip(knots, knots[1:]):
@@ -143,7 +186,7 @@ def sq_integral(knots):
         else:
             comp += (term - s) + total
         total = s
-    return (total + comp) / HERMITE_GRAM_DEN
+    return (total + comp) / GRAM_DEN
 
 
 def integrate_forced(
@@ -409,9 +452,9 @@ def bound_phase(coeffs, bound, offsets):
     with np.errstate(over="ignore", invalid="ignore"):
         u = offsets * (a1 + offsets * (a2 + offsets * (a3 + offsets * (a4 + offsets * a5))))
         below = u - bound <= 0.0
-    i = int(below.argmax())
-    if not below[i]:
+    if not below.any():
         return None
+    i = int(below.argmax())
 
     def g(th):   # the same Horner expression on one offset
         return th * (a1 + th * (a2 + th * (a3 + th * (a4 + th * a5)))) - bound

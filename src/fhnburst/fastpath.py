@@ -8,23 +8,9 @@ through it, so no call mixes the two, and a test that wants the other
 backend replaces the whole handle (`monkeypatch.setattr(fastpath, "_IMPL",
 _kernel_py)`).  The C code copies the twins operation for operation and is
 compiled without floating-point contraction, so both backends return
-bit-identical results:
-- the forced kernel (`integrate_forced`) makes a measurement run, which
-  returns the knot table, the spike times, the times of the x-minima and the
-  integral of x^2 + y^2 over the knots, or a burn-in run, which returns the
-  end state; both return a status and the step counters (see `_kernel_py`);
-- the dense output (`sample_knots`) evaluates a knot table's quintic
-  Hermite interpolant at sorted times, with the one Hermite evaluator of
-  each language that also locates the events (`hermite_x` / `hermite_dx`
-  in C, `_hermite_x` / `_hermite_dx` in the twin); `Trajectory.sample` and
-  `sample_deriv` call it;
-- `format_table` gives the bytes of the twin's `%` call; the C formatter
-  writes them when it covers every value of the table, and the twin writes
-  the whole table when it does not;
-- the lower-bound phase (`bound_phase`) scans a grid of phase offsets for
-  the first where the stable manifold's quintic reaches the bound and
-  bisects that bracket; `manifolds.theta_at_lower_bound` calls it on its
-  fixed grid `_SCAN_OFFSETS`.
+bit-identical results.  Each entry point's contract is its twin's in
+`_kernel_py` (`integrate_forced`, `sample_knots`, `format_table` and
+`bound_phase`), which the matching function of `_kernel.c` also states.
 A library whose `fhn_abi_version()` is not `KERNEL_ABI` (built from an
 older `_kernel.c`) is refused like one that does not load.
 """
@@ -39,7 +25,8 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import MaxStepsExceeded, NonFiniteState, StepSizeUnderflow
-from .integrator import KNOT_WIDTH, IntegratorConfig, Trajectory
+from ._kernel_py import KNOT_WIDTH
+from .integrator import IntegratorConfig, Trajectory
 from .model import Forcing, ModelParams
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)

@@ -1,13 +1,9 @@
-"""Tables, configuration and dense output of the forced Rosenbrock kernel.
+"""Configuration and knot table of the forced Rosenbrock kernel.
 
-The kernel's scheme is a stiffly accurate 6-stage linearly implicit method
-of order 4 with an embedded order-3 error estimate and an analytic
-Jacobian.  Dense output is a two-point quintic Hermite built from state,
-first and second derivatives at the accepted knots, so interpolation error
-stays far below the step error.  The stage tables, the step controller and
-the Hermite basis defined here are read by the kernel's Python twin
-`_kernel_py`, the one Rosenbrock stepper on the Python side; `Trajectory`
-holds the knot table a kernel run returns, or one built by hand.
+`IntegratorConfig` holds a run's tolerances and step budget, and
+`Trajectory` the knot table a kernel run returns, or one built by hand.
+The scheme itself, its tables, step controller and quintic Hermite dense
+output, is the kernel's: `_kernel_py` in Python and `_kernel.c` in C.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories on a fixed build.
@@ -19,43 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel_py import KNOT_WIDTH
 from .errors import OutOfRange
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
 ]
-
-# --- stage coefficients: stiffly accurate Rosenbrock, order 4(3), 6 stages ---
-# ROS_A holds stages 2-5, ROS_C stages 2-6, ROS_ALPHA stages 2-4 and ROS_GSUM
-# stages 1-4; stages 5 and 6 sit at t + h with a gamma sum of 0
-ROS_A = (
-    (1.544,),
-    (0.9466785280815826, 0.2557011698983284),
-    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
-    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
-)
-ROS_C = (
-    (-5.6688,),
-    (-2.430093356833875, -0.2063599157091915),
-    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
-    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
-    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
-     -6.058818238834054),
-)
-ROS_ALPHA = (0.386, 0.21, 0.63)
-ROS_GSUM = (0.25, -0.1043, 0.1035, -0.03620000000000023)
-ROS_GAMMA = 0.25
-
-KNOT_WIDTH = 7   # knot table columns: t, x, y, x', y', x'', y''
-
-# step-size controller constants, read by _kernel_py.py; the C twin
-# _kernel.c writes them, like the stage tables, as literals
-SAFETY = 0.9
-FAC_MIN = 0.2
-FAC_MAX = 6.0
-FAC_REJECT_MIN = 0.1
-FAC_REJECT_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,54 +38,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must satisfy 0 < abs_tol <= rel_tol < 1e-2")
         if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-
-
-def _hermite_weights(s):
-    """Quintic two-point Hermite basis at normalized position s in [0, 1]."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    s5 = s4 * s
-    return (
-        1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5,
-        s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5,
-        0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5,
-        10.0 * s3 - 15.0 * s4 + 6.0 * s5,
-        -4.0 * s3 + 7.0 * s4 - 3.0 * s5,
-        0.5 * s3 - s4 + 0.5 * s5,
-    )
-
-
-# Gram matrix G of the quintic Hermite basis on [0, 1]: entry (i, j) is the
-# integral of _hermite_weights(s)[i] * _hermite_weights(s)[j] ds, in exact
-# fractions HERMITE_GRAM_INT / HERMITE_GRAM_DEN.  With c = (x0, h f0, h^2 d0,
-# x1, h f1, h^2 d1) on a knot interval of width h, the interval's integral
-# of x^2 is h * c @ G @ c (Hairer & Wanner, Solving ODEs II, IV.7).  The
-# forced kernels sum it with the integer entries and divide once at the end.
-HERMITE_GRAM_INT = (
-    (21720, 3732, 281, 6000, -1812, 181),
-    (3732, 832, 69, 1812, -532, 52),
-    (281, 69, 6, 181, -52, 5),
-    (6000, 1812, 181, 21720, -3732, 281),
-    (-1812, -532, -52, -3732, 832, -69),
-    (181, 52, 5, 281, -69, 6),
-)
-HERMITE_GRAM_DEN = 55440
-
-
-def _hermite_weights_d1(s):
-    """d/ds of the quintic Hermite basis."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    return (
-        -30.0 * s2 + 60.0 * s3 - 30.0 * s4,
-        1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4,
-        s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4,
-        30.0 * s2 - 60.0 * s3 + 30.0 * s4,
-        -12.0 * s2 + 28.0 * s3 - 15.0 * s4,
-        1.5 * s2 - 4.0 * s3 + 2.5 * s4,
-    )
 
 
 class Trajectory:

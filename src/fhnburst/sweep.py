@@ -58,6 +58,8 @@ class SweepSpec:
             raise ValueError(f"unknown metrics: {sorted(bad)}")
         if not self.metrics:
             raise ValueError("no metrics to compute")
+        # one order, so that the same metrics give the same fingerprint
+        object.__setattr__(self, "metrics", tuple(m for m in ALL_METRICS if m in self.metrics))
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -197,6 +199,9 @@ def spec_fingerprint(spec: SweepSpec, params: ModelParams, config: IntegratorCon
         "config": [config.rel_tol, config.abs_tol, 0.0],
         "format": CHECKPOINT_FORMAT,
     }
+    if config.max_steps != IntegratorConfig.max_steps:
+        # named only off the default, so that every earlier fingerprint stays valid
+        doc["max_steps"] = int(config.max_steps)
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

@@ -104,8 +104,8 @@ def lane(library: fastpath.Library) -> str:
     by `format_exact` into a buffer of exactly its capacity, so a block
     copy past the end is reported.  The lower-bound phase runs on 200
     random coefficient sets and on `BOUND_PHASE_CASES`, on the module's
-    scan grid (its last point read by the no-intersection cases) and on a
-    one-point grid.
+    scan grid (its last point read by the no-intersection cases), on a
+    one-point grid and on an empty one.
     """
     params = ModelParams()
     rng = np.random.default_rng(2024)
@@ -143,7 +143,8 @@ def lane(library: fastpath.Library) -> str:
             text = format_exact(library, table, spec, sep, end)
             assert text == _kernel_py.format_table(table, spec, sep, end), (spec, sep, end)
             digest.update(text)
-    grids = (manifolds._SCAN_OFFSETS, manifolds._SCAN_OFFSETS[:1].copy())
+    grids = (manifolds._SCAN_OFFSETS, manifolds._SCAN_OFFSETS[:1].copy(),
+             manifolds._SCAN_OFFSETS[:0])
     coeff_sets = BOUND_PHASE_CASES + [tuple(c) for c in rng.normal(size=(200, 5)) * 3.0]
     for coeffs in coeff_sets:
         for offsets in grids:

@@ -22,18 +22,25 @@ from fhnburst.burst import (
 from fhnburst.cli import main
 from fhnburst.errors import NewtonDiverged, NoFirstSpike, NoPassage
 from fhnburst.geometry import bisect_root, folded_equilibria
-from fhnburst.integrator import (
-    HERMITE_GRAM_DEN,
-    HERMITE_GRAM_INT,
-    IntegratorConfig,
-    Trajectory,
-    _hermite_weights,
-)
+from fhnburst.integrator import IntegratorConfig, Trajectory
 from fhnburst.model import Forcing, TWO_PI, wrap_angles
 
 BURST3 = Forcing(E=0.55, omega=0.0149354)
 E_TRANS = 0.482
-HERMITE_GRAM = np.array(HERMITE_GRAM_INT) / HERMITE_GRAM_DEN
+
+
+def _twin_gram():
+    """The Gram matrix of the quintic Hermite basis from the twin's
+    doubled upper triangle Q00..Q55 and GRAM_DEN."""
+    gram = np.empty((6, 6))
+    for i in range(6):
+        for j in range(i, 6):
+            q = getattr(_kernel_py, f"Q{i}{j}")
+            gram[i, j] = gram[j, i] = q if i == j else 0.5 * q
+    return gram / _kernel_py.GRAM_DEN
+
+
+HERMITE_GRAM = _twin_gram()
 
 
 def _analytic_trajectory(fn, dfn, d2fn, t0, t1, n=2001, spikes=(), minima=()):
@@ -201,9 +208,8 @@ class TestL2Norm:
         # 6-point Gauss-Legendre is exact to degree 11, and each product of
         # two quintic basis functions has degree 10
         nodes, weights = np.polynomial.legendre.leggauss(6)
-        basis = np.array(_hermite_weights(0.5 * (nodes + 1.0)))
+        basis = np.array(_kernel_py._hermite_weights(0.5 * (nodes + 1.0)))
         gauss = (0.5 * weights * basis) @ basis.T
-        assert np.array_equal(HERMITE_GRAM, HERMITE_GRAM.T)
         assert np.max(np.abs(HERMITE_GRAM - gauss)) <= 1e-15
 
     def test_matches_gauss_on_random_interval(self):

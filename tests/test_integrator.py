@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -322,6 +323,41 @@ class TestForcedSystemRuns:
         source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
         (version,) = re.findall(r"^#define FHN_ABI_VERSION (\d+)$", source, re.M)
         assert int(version) == fastpath.KERNEL_ABI
+
+    def test_constants_match_twin(self):
+        # each `static const double` of _kernel.c and its KNOT_WIDTH and
+        # TWO_PI are the twin's constant of the same name, and the twin has
+        # no other: a number changed in one language fails here by name,
+        # without a compiler
+        source = Path(fastpath.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+        in_c = {}
+        for declaration in re.findall(r"^static const double ([^;]+);", source, re.M):
+            for item in declaration.split(","):
+                name, value = item.split("=")
+                in_c[name.strip()] = float(value)
+        in_c.update((name, float(value)) for name, value in
+                    re.findall(r"^#define (KNOT_WIDTH|TWO_PI) (\S+)", source, re.M))
+        in_twin = {name: value for name, value in vars(_kernel_py).items()
+                   if name.isupper() and type(value) in (int, float)}
+        assert sorted(in_c.keys() - in_twin.keys()) == []
+        assert sorted(in_twin.keys() - in_c.keys()) == []
+        assert sorted(name for name in in_c if in_c[name] != in_twin[name]) == []
+
+    def test_twin_imports_only_geometry_and_model(self):
+        # the scheme lives in the twin: it takes nothing from the package
+        # but the bisection rule and the model's constants
+        tree = ast.parse(Path(_kernel_py.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module] if node.module else
+                                [alias.name for alias in node.names])
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("fhnburst"):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names
+                                if alias.name.startswith("fhnburst"))
+        assert imported <= {"geometry", "model"}
 
     def test_entry_points_match_source(self):
         # each C entry point takes as many parameters as fastpath declares,

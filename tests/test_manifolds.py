@@ -411,10 +411,12 @@ class TestBoundPhaseBackends:
 
     def test_other_grids(self, c_library):
         # a grid's address is kept until another grid comes: a view, a
-        # strided slice and a short copy each get their own results
+        # strided slice and a short copy each get their own results, and an
+        # empty grid gives no intersection
         grid = manifolds._SCAN_OFFSETS
         coeffs = BOUND_PHASE_CASES[-1]
-        for offsets in (grid, grid[::3], grid[:100].copy(), grid[:917], grid, grid[::-1][:5]):
+        for offsets in (grid, grid[::3], grid[:100].copy(), grid[:917], grid, grid[::-1][:5],
+                        grid[:0]):
             got = c_library.bound_phase(coeffs, manifolds.LOWER_BOUND_U, offsets)
             assert got == _twin_bound_phase(coeffs, offsets=offsets), offsets.size
 

@@ -268,6 +268,28 @@ class TestRunSweep:
         assert [(c.spike_count, c.l2) for c in grid.cells] == [
             (c.spike_count, c.l2) for c in measured.cells]
 
+    def test_resume_across_metric_orders(self, params, tmp_path):
+        # the same metrics in another order, or repeated, are the same sweep,
+        # so a checkpoint that one order wrote resumes under the other
+        ck = tmp_path / "ck.jsonl"
+        first = run_sweep(_tiny_spec("l2", "spike_count"), params, checkpoint_path=str(ck))
+        head, *records = ck.read_text().splitlines()
+        ck.write_text("\n".join([head] + records[:2]) + "\n")
+        resumed = run_sweep(_tiny_spec("spike_count", "l2", "l2"), params,
+                            checkpoint_path=str(ck))
+        assert resumed.to_csv() == first.to_csv()
+
+    def test_resume_refused_across_step_budgets(self, params, tmp_path):
+        # cells that ran out of a smaller step budget (here a numpy integer,
+        # which IntegratorConfig accepts) are not final under the default one
+        ck = tmp_path / "ck.jsonl"
+        spec = _tiny_spec("spike_count")
+        grid = run_sweep(spec, params, IntegratorConfig(max_steps=np.int64(50)),
+                         checkpoint_path=str(ck))
+        assert {c.status for c in grid.cells} == {"err:MaxStepsExceeded"}
+        with pytest.raises(ValueError, match="checkpoint does not match"):
+            run_sweep(spec, params, checkpoint_path=str(ck))
+
     def test_checkpoint_flushed_and_progress_reported(self, params, tmp_path, monkeypatch):
         # every DEFAULT_FLUSH_EVERY records the log reaches the file, and
         # progress sees each computed cell once, after its record
